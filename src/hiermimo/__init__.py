@@ -17,7 +17,7 @@ from .det_equiv import (
     GainCache,
     de_rate_power,
     full_de,
-    projected_correlation,
+    projected_factor,
     solve_effective_gains,
 )
 from .errors import (

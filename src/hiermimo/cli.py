@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmat import build_hotspot_network, load_correlation_set
+from .corrmat import MIN_DIST_M, build_hotspot_network, load_correlation_set
+from .det_equiv import GainCache
 from .errors import ConfigError, ParameterError
 from .harness import comp_baseline, ffr_baseline, monte_carlo_policy
 from .precoder import CompositeControl
@@ -138,6 +139,18 @@ def scenario_from_dict(data):
         raise ConfigError(f"unknown utility kind {util['kind']!r}", field="utility")
     geometry = dict(DEFAULT_GEOMETRY)
     geometry.update(data.get("geometry") or {})
+    try:
+        inter_site = float(geometry["inter_site_m"])
+    except (TypeError, ValueError):
+        inter_site = float("nan")
+    if not inter_site > 2.0 * MIN_DIST_M:
+        # users keep MIN_DIST_M from their BS inside a disc of radius inter_site_m / 2
+        raise ConfigError(
+            f"field 'geometry.inter_site_m' must be a number above {2.0 * MIN_DIST_M!r}, "
+            f"got {geometry['inter_site_m']!r}",
+            field="geometry.inter_site_m",
+        )
+    max_outer = _require_positive(data, "max_outer", int) if "max_outer" in data else 100
     baselines = dict(DEFAULT_BASELINES)
     baselines.update(data.get("baselines") or {})
     return Scenario(
@@ -153,7 +166,7 @@ def scenario_from_dict(data):
         seed=int(data["seed"]),
         draws=draws,
         eps_stop=float(data.get("eps_stop", 1e-6)),
-        max_outer=int(data.get("max_outer", 100)),
+        max_outer=max_outer,
         geometry=geometry,
         correlation_file=data.get("correlation_file"),
         baselines=baselines,
@@ -343,12 +356,12 @@ def _apply_overrides(scn, mode=None, seed=None, draws=None):
     return scn
 
 
-def _de_diagnostics(result, corr_set, graph, nu):
+def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
     from .det_equiv import de_rate_power
 
     out = []
     for control in result.policy.controls:
-        de = de_rate_power(control, corr_set, graph, nu)
+        de = de_rate_power(control, corr_set, graph, nu, gain_cache)
         out.append(
             {
                 "gains": {str(k): float(v) for k, v in sorted(de.gains.items())},
@@ -400,6 +413,7 @@ def run_scenario(config_path, out_dir, mode=None, seed=None, draws=None):
     out.mkdir(parents=True, exist_ok=True)
     corr_set, graph = build_network(scn)
     util = build_utility(scn)
+    cache = GainCache(corr_set, graph, scn.rzf_nu)
     result = optimize_policy(
         corr_set,
         graph,
@@ -409,16 +423,17 @@ def run_scenario(config_path, out_dir, mode=None, seed=None, draws=None):
         mode=scn.mode,
         eps_stop=scn.eps_stop,
         max_outer=scn.max_outer,
+        gain_cache=cache,
     )
-    result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
+    result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit, cache)
     report = monte_carlo_policy(
-        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed
+        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed, gain_cache=cache
     )
     _write_json(out / "policy.json", policy_to_dict(result.policy))
     _write_trace(out / "trace.csv", result.trace)
     _write_validation(out / "validation.csv", report)
     summary = _summary_payload(scn, result, report)
-    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu)
+    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu, cache)
     _write_json(out / "summary.json", summary)
     return summary
 
@@ -430,6 +445,7 @@ def compare_baselines(config_path, out_dir, mode=None, seed=None, draws=None):
     out.mkdir(parents=True, exist_ok=True)
     corr_set, graph = build_network(scn)
     util = build_utility(scn)
+    cache = GainCache(corr_set, graph, scn.rzf_nu)
     result = optimize_policy(
         corr_set,
         graph,
@@ -439,10 +455,11 @@ def compare_baselines(config_path, out_dir, mode=None, seed=None, draws=None):
         mode=scn.mode,
         eps_stop=scn.eps_stop,
         max_outer=scn.max_outer,
+        gain_cache=cache,
     )
-    result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
+    result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit, cache)
     proposed = monte_carlo_policy(
-        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed
+        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed, gain_cache=cache
     )
     rows = [("proposed", proposed)]
     ffr = ffr_baseline(
@@ -472,7 +489,7 @@ def compare_baselines(config_path, out_dir, mode=None, seed=None, draws=None):
     _write_validation(out / "validation.csv", proposed)
     _write_comparison(out / "comparison.csv", rows)
     summary = _summary_payload(scn, result, proposed)
-    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu)
+    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu, cache)
     summary["comparison"] = {
         name: {
             "sum_rate": report.sum_rate(),

@@ -18,6 +18,8 @@ RANK_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+# users and hotspots keep at least this distance from their cell's BS
+MIN_DIST_M = 35.0
 
 
 @dataclass
@@ -29,6 +31,7 @@ class CorrelationMatrix:
     path_gain: float
     _eig: tuple = field(default=None, repr=False, compare=False)
     _sqrt: np.ndarray = field(default=None, repr=False, compare=False)
+    _factor: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -69,6 +72,15 @@ class CorrelationMatrix:
             clamped = np.where(w > RANK_TOL * max(float(w[-1]), 0.0), w, 0.0)
             self._sqrt = (v * np.sqrt(clamped)) @ v.conj().T
         return self._sqrt
+
+    def factor(self):
+        """Factor F (M x r) with C = F F^H up to the numerical-rank clamp of
+        ``sqrt()``: one column sqrt(lambda) v per kept eigenpair. Cached."""
+        if self._factor is None:
+            w, v = self.eig()
+            keep = w > RANK_TOL * max(float(w[-1]), 0.0)
+            self._factor = np.ascontiguousarray(v[:, keep] * np.sqrt(w[keep]))
+        return self._factor
 
     def validate(self):
         a = self.entries
@@ -239,7 +251,7 @@ def build_hotspot_network(
     hotspot_fraction=2.0 / 3.0,
     pathloss_exponent=3.76,
     ref_gain_db=90.0,
-    min_dist_m=35.0,
+    min_dist_m=MIN_DIST_M,
 ):
     """Generate a line-of-cells network with clustered user hotspots.
 
@@ -253,6 +265,13 @@ def build_hotspot_network(
     """
     if num_bs < 1 or num_users < 1:
         raise ParameterError("need at least one BS and one user")
+    if not inter_site_m > 2.0 * min_dist_m:
+        # the cell disc (radius inter_site_m / 2) must reach past min_dist_m,
+        # or the rejection sampler below never returns
+        raise ParameterError(
+            f"inter_site_m must exceed 2 * min_dist_m = {2.0 * min_dist_m!r}, "
+            f"got {inter_site_m!r}"
+        )
     rng = derive_rng(seed, CORRELATION, 0)
     bs_pos = np.stack([np.arange(num_bs) * inter_site_m, np.zeros(num_bs)], axis=1)
     cell_radius = inter_site_m / 2.0

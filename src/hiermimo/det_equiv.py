@@ -24,49 +24,58 @@ ZERO_GAIN = 1e-12
 CONDITION_CAP = 1e12
 
 
-def projected_correlation(entries, null_basis):
-    """Two-sided projection (I - U U^H) C (I - U U^H); exact pass-through
-    when the basis is empty."""
-    if null_basis.shape[1] == 0:
-        return entries.copy()
-    m = entries.shape[0]
-    proj = np.eye(m) - null_basis @ null_basis.conj().T
-    out = proj @ entries @ proj
-    return 0.5 * (out + out.conj().T)
+def projected_factor(factor, null_basis):
+    """Blocked-complement projection B = F - U (U^H F) of a correlation
+    factor, so that B B^H = (I - U U^H) F F^H (I - U U^H); F itself when the
+    basis is empty."""
+    return factor - null_basis @ (null_basis.conj().T @ factor)
+
+
+def _stack(factors):
+    """Side-by-side factors B = [B_1 ... B_S], their Gram matrix B^H B, and
+    the 0/1 block selector E (column i marks the columns of B_i)."""
+    stacked = np.concatenate(factors, axis=1)
+    owner = np.repeat(np.arange(len(factors)), [f.shape[1] for f in factors])
+    blocks = (owner[:, None] == np.arange(len(factors))).astype(float)
+    return stacked, stacked.conj().T @ stacked, blocks
 
 
 @dataclass
 class GainSolution:
     gains: np.ndarray  # xi per listed user
-    resolvent: np.ndarray  # final M x M resolvent matrix
     iterations: int
     residual: float
     residual_history: list
 
 
-def solve_effective_gains(projected, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
-    """Fixed point of xi_i = (1/M) tr(C~_i T), T = ((1/M) sum_j C~_j/(nu+xi_j) + I)^-1.
+def solve_effective_gains(factors, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
+    """Fixed point of xi_i = (1/M) tr(C~_i T), T = ((1/M) sum_j C~_j/(nu+xi_j) + I)^-1,
+    for C~_j = B_j B_j^H given by the M x r_j factors B_j.
 
-    Iterated from xi = 1 until the max-abs change drops below tol.
+    Iterated from xi = 1 until the max-abs change drops below tol. With
+    B = [B_1 ... B_S], G = B^H B and D = diag(1/(M (nu + xi_j))) repeated
+    over each block, push-through gives B^H T B = (I + G D)^-1 G, so one
+    iteration is a single (sum r_j) x (sum r_j) solve and xi_i is the real
+    trace of block i divided by M (Wagner et al., IEEE TIT 58(7), 2012).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    stack = np.stack(projected, axis=0)
-    count, m, _ = stack.shape
-    gains = np.ones(count)
+    m = factors[0].shape[0]
+    _, gram, blocks = _stack(factors)
+    eye = np.eye(gram.shape[0])
+    gains = np.ones(len(factors))
     history = []
     for it in range(1, max_iter + 1):
-        weights = 1.0 / (m * (nu + gains))
-        mean = np.einsum("s,spq->pq", weights, stack) + np.eye(m)
-        resolvent = np.linalg.inv(mean)
-        new_gains = np.real(np.einsum("spq,qp->s", stack, resolvent)) / m
+        scale = 1.0 / (m * (nu + blocks @ gains))  # diagonal of D
+        coupled = np.linalg.solve(eye + gram * scale, gram)  # B^H T B
+        new_gains = np.real(np.diagonal(coupled)) @ blocks / m
         residual = float(np.max(np.abs(new_gains - gains)))
         history.append(residual)
         gains = new_gains
         if residual <= tol:
-            return GainSolution(gains, resolvent, it, residual, history)
+            return GainSolution(gains, it, residual, history)
     raise ConvergenceError(
         f"effective-gain fixed point did not converge in {max_iter} iterations "
         f"(residual {residual:.3e})",
@@ -115,11 +124,9 @@ class GainCache:
         return self._bases[key]
 
     def projected(self, bs, users, blocked):
+        """Projected correlation factors B_k of ``users`` at ``bs``."""
         basis = self.null_basis(bs, blocked)
-        return [
-            projected_correlation(self.corr_set.matrix(k, bs).entries, basis)
-            for k in users
-        ]
+        return [projected_factor(self.corr_set.matrix(k, bs).factor(), basis) for k in users]
 
     def gains(self, bs, users, blocked):
         """xi per user of ``users`` at ``bs`` with ``blocked`` nulled."""
@@ -189,6 +196,7 @@ def full_de(control, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
     power (1/M) sum_i p_i nu^2 e_i / (nu + xi_i)^2.
     """
     m = corr_set.dim
+    cache = GainCache(corr_set, graph, nu, tol, max_iter)
     rates_hat = np.zeros(graph.num_users)
     powers_hat = np.zeros(graph.num_bs)
     all_gains = {}
@@ -196,25 +204,16 @@ def full_de(control, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
     for n, (users, blocked) in _per_bs_selection(control, graph).items():
         if not users:
             continue
-        basis = interference_nullspace_basis(corr_set, blocked, n)
-        projected = [
-            projected_correlation(corr_set.matrix(k, n).entries, basis) for k in users
-        ]
-        sol = solve_effective_gains(projected, nu, tol, max_iter)
-        xi = sol.gains
-        t_mat = sol.resolvent
+        factors = cache.projected(n, users, blocked)
+        xi = solve_effective_gains(factors, nu, tol, max_iter).gains
         count = len(users)
-        prods = [c @ t_mat for c in projected]  # C~_i T
-        cross = np.empty((count, count))
-        for i in range(count):
-            for j in range(i, count):
-                val = float(np.real(np.sum(prods[i] * prods[j].T)))  # tr(C~_i T C~_j T)
-                cross[i, j] = val
-                cross[j, i] = val
+        stacked, gram, blocks = _stack(factors)
+        inverse = np.linalg.inv(np.eye(gram.shape[0]) + gram / (m * (nu + blocks @ xi)))
+        # tr(C~_i T C~_j T) = ||(B^H T B)_ij||_F^2 with B^H T B = (I + G D)^-1 G
+        cross = blocks.T @ np.abs(inverse @ gram) ** 2 @ blocks
+        # tr(C~_i T^2) = ||T B_i||_F^2 with T B = B (I + D G)^-1
+        drive = (np.sum(np.abs(stacked @ inverse.conj().T) ** 2, axis=0) @ blocks) / (nu * nu * m)
         coupling = cross / (m * m * (nu + xi[None, :]) ** 2)
-        drive = np.array(
-            [float(np.real(np.trace(prods[i] @ t_mat))) for i in range(count)]
-        ) / (nu * nu * m)
         cross_drive = cross / (nu * nu * m)
         system = np.eye(count) - coupling
         cond = np.linalg.cond(system)

@@ -93,7 +93,9 @@ def _evaluate_control(control, channels, graph, nu):
     return rates, powers, worst_ratio, cross_total
 
 
-def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, mode="mixture"):
+def monte_carlo_policy(
+    policy, corr_set, graph, nu, draws, seed, mode="mixture", gain_cache=None
+):
     """Empirical rates and powers of a time-sharing policy.
 
     mode="mixture" evaluates every control on every draw and mixes by the
@@ -135,7 +137,7 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, mode="mixture")
             worst_ratio = max(worst_ratio, ratio)
             cross_sum += cross
 
-    cache = GainCache(corr_set, graph, nu)
+    cache = gain_cache or GainCache(corr_set, graph, nu)
     de_rates = np.zeros(num_users)
     de_powers = np.zeros(num_bs)
     for q, control in zip(probs, policy.controls):

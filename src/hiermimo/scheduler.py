@@ -24,7 +24,6 @@ log = logging.getLogger(__name__)
 
 ENUMERATION_GUARD = 20
 GREEDY_IMPROVE_TOL = 1e-12
-WATERFILL_TOL = 1e-10
 Q_GRAD_TOL = 1e-8
 Q_MAX_ITER = 10_000
 PROB_SNAP = 1e-10
@@ -116,12 +115,16 @@ class WaterfillResult:
     levels: dict  # bs -> water level, None when no user is active there
 
 
-def waterfill(rate_weights, gains, serving, m, p_c, tol=WATERFILL_TOL, max_iter=200):
+def waterfill(rate_weights, gains, serving, m, p_c):
     """Per-BS water filling p_k = (w_k M xi_k / level - 1)^+ with the level
-    tuned by bisection until (1/M) sum p_i / xi_i meets p_c.
+    set so that (1/M) sum p_i / xi_i meets p_c.
 
-    Users with zero weight or zero gain get zero power and leave the budget
-    to the rest; a BS with no active user keeps level None.
+    The level is exact (Palomar & Fonollosa, IEEE TSP 53(2), 2005): with the
+    active users sorted by w M xi in descending order, the top j of them
+    active give the level L_j = sum_{i<=j} w_i M / (M p_c + sum_{i<=j} 1/xi_i),
+    and the largest j with L_j < w_j M xi_j is the one that holds. Users with
+    zero weight or zero gain get zero power and leave the budget to the rest;
+    a BS with no active user keeps level None.
     """
     if p_c <= 0:
         raise ParameterError("p_c must be positive")
@@ -137,29 +140,14 @@ def waterfill(rate_weights, gains, serving, m, p_c, tol=WATERFILL_TOL, max_iter=
         if not active:
             levels[n] = None
             continue
+        weight = np.array([rate_weights[k] for k in active])
         top = np.array([rate_weights[k] * m * gains[k] for k in active])
         inv_gain = np.array([1.0 / gains[k] for k in active])
-
-        def spent(level):
-            return float(np.sum(np.maximum(top / level - 1.0, 0.0) * inv_gain)) / m
-
-        hi = float(np.max(top))
-        lo = hi
-        while spent(lo) < p_c:
-            lo *= 0.5
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            used = spent(mid)
-            if abs(used - p_c) <= tol * p_c:
-                lo = hi = mid
-                break
-            if used > p_c:
-                lo = mid
-            else:
-                hi = mid
-        level = 0.5 * (lo + hi)
+        order = np.argsort(-top, kind="stable")
+        candidates = m * np.cumsum(weight[order]) / (m * p_c + np.cumsum(inv_gain[order]))
+        fits = candidates < top[order]
+        fits[0] = True  # exact for any p_c > 0; rounding can only make it a tie
+        level = float(candidates[np.flatnonzero(fits)[-1]])
         levels[n] = level
         for k, t in zip(active, top):
             powers[k] = float(max(t / level - 1.0, 0.0))

@@ -197,3 +197,33 @@ def test_nonpositive_fields_rejected(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_scenario(path)
         assert err.value.field == field
+
+
+def test_max_outer_zero_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"max_outer": 0})
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert err.value.field == "max_outer"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "max_outer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inter_site_m", [60.0, 70.0, -5.0, "far"])
+def test_short_inter_site_distance_exits_two_without_hanging(tmp_path, inter_site_m):
+    import os
+    import subprocess
+    import sys
+
+    import hiermimo
+
+    # the sampler for user positions used to spin forever on these geometries,
+    # so the run gets a wall-clock bound instead of an in-process call
+    path = write_config(tmp_path, {"geometry": {"inter_site_m": inter_site_m}})
+    src = str(Path(hiermimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hiermimo.cli", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "geometry.inter_site_m" in proc.stderr

@@ -21,12 +21,16 @@ def test_random_clustered_rank_and_trace():
     w = np.linalg.eigvalsh(mat.entries)
     assert np.count_nonzero(w > 1e-9 * w[-1]) == 6
     assert np.isclose(mat.trace(), 48 * gain, rtol=1e-10)
+    f = mat.factor()
+    assert f.shape == (48, 6)
+    assert np.linalg.norm(f @ f.conj().T - mat.entries) <= 1e-12 * np.linalg.norm(mat.entries)
 
 
 def test_random_clustered_zero_gain_is_zero_matrix():
     mat = random_clustered_correlation(4, 4, 0.0, seed=3)
     assert np.all(mat.entries == 0)
     assert mat.trace() == 0.0
+    assert mat.factor().shape == (4, 0)
 
 
 def test_random_clustered_spectrum_m8_d2():
@@ -176,3 +180,8 @@ def test_dump_load_round_trip(tmp_path):
     assert loaded.serving == cs.serving and loaded.cluster_ids == cs.cluster_ids
     for key, mat in cs.matrices.items():
         assert np.array_equal(loaded.matrices[key].entries, mat.entries)
+
+
+def test_hotspot_network_rejects_cells_inside_the_minimum_distance():
+    with pytest.raises(ParameterError):
+        build_hotspot_network(2, 4, 8, 2, seed=1, inter_site_m=70.0)

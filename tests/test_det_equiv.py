@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, random_clustered_correlation, sample_channel
 from hiermimo.det_equiv import (
     GainCache,
     de_rate_power,
     full_de,
-    projected_correlation,
+    projected_factor,
     solve_effective_gains,
 )
 from hiermimo.errors import ConvergenceError, ValidationError
@@ -26,9 +28,10 @@ def isotropic_gain_root(m, nu):
 def test_projection_passthrough_and_annihilation():
     mat = random_clustered_correlation(8, 3, 1.0, seed=1)
     empty = np.zeros((8, 0), dtype=complex)
-    assert np.array_equal(projected_correlation(mat.entries, empty), mat.entries)
+    assert np.array_equal(projected_factor(mat.factor(), empty), mat.factor())
     full_basis = mat.basis()
-    wiped = projected_correlation(mat.entries, full_basis)
+    wiped = projected_factor(mat.factor(), full_basis)
+    wiped = wiped @ wiped.conj().T
     assert np.linalg.norm(wiped) <= 1e-10 * np.linalg.norm(mat.entries)
 
 
@@ -38,25 +41,26 @@ def test_projection_matches_explicit_product():
     basis = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
     proj = np.eye(8) - basis @ basis.conj().T
     oracle = proj @ mat.entries @ proj
-    assert np.linalg.norm(projected_correlation(mat.entries, basis) - oracle) <= 1e-12
+    projected = projected_factor(mat.factor(), basis)
+    assert np.linalg.norm(projected @ projected.conj().T - oracle) <= 1e-12
 
 
 def test_gain_fixed_point_zero_matrices():
-    sol = solve_effective_gains([np.zeros((8, 8), dtype=complex)] * 2, nu=0.01)
+    sol = solve_effective_gains([np.zeros((8, 3), dtype=complex), np.zeros((8, 0))], nu=0.01)
     assert np.all(sol.gains == 0.0)
     assert sol.iterations <= 2
 
 
 def test_gain_fixed_point_isotropic_closed_form():
     m, nu = 16, 0.01
-    sol = solve_effective_gains([np.eye(m, dtype=complex)], nu)
+    sol = solve_effective_gains([np.eye(m, dtype=complex)], nu)  # C = I = F F^H
     root = isotropic_gain_root(m, nu)
     assert abs(sol.gains[0] - root) <= 1e-6
     assert abs(root - 0.938159) <= 1e-6
 
 
 def test_gain_fixed_point_symmetry():
-    mat = random_clustered_correlation(16, 4, 1.0, seed=9).entries
+    mat = random_clustered_correlation(16, 4, 1.0, seed=9).factor()
     sol = solve_effective_gains([mat, mat.copy()], nu=0.01, tol=1e-12)
     assert abs(sol.gains[0] - sol.gains[1]) <= 1e-12
 
@@ -64,7 +68,7 @@ def test_gain_fixed_point_symmetry():
 def test_gain_fixed_point_residual_monotone_after_burn_in():
     rng = np.random.default_rng(4)
     for seed in range(5):
-        mats = [random_clustered_correlation(16, 3, float(g), seed=50 + seed * 7 + i).entries
+        mats = [random_clustered_correlation(16, 3, float(g), seed=50 + seed * 7 + i).factor()
                 for i, g in enumerate(rng.uniform(0.2, 3.0, size=4))]
         sol = solve_effective_gains(mats, nu=0.01, tol=1e-12)
         hist = sol.residual_history
@@ -73,18 +77,69 @@ def test_gain_fixed_point_residual_monotone_after_burn_in():
 
 
 def test_gain_fixed_point_scale_covariance():
-    mats = [random_clustered_correlation(16, 3, 1.0, seed=77 + i).entries for i in range(3)]
+    mats = [random_clustered_correlation(16, 3, 1.0, seed=77 + i).factor() for i in range(3)]
     base = solve_effective_gains(mats, nu=0.01, tol=1e-12)
     for c in (2.0, 10.0):
-        scaled = solve_effective_gains([c * m for m in mats], nu=c * 0.01, tol=1e-12 * c)
+        scaled = solve_effective_gains([np.sqrt(c) * f for f in mats], nu=c * 0.01, tol=1e-12 * c)
         assert np.allclose(scaled.gains, c * base.gains, rtol=1e-6)
 
 
 def test_gain_fixed_point_raises_on_iteration_cap():
-    mats = [random_clustered_correlation(16, 3, 1.0, seed=5).entries]
+    mats = [random_clustered_correlation(16, 3, 1.0, seed=5).factor()]
     with pytest.raises(ConvergenceError) as err:
         solve_effective_gains(mats, nu=0.01, max_iter=1)
     assert err.value.residual is not None
+
+
+def dense_gain_iteration(projected, nu, tol, max_iter):
+    """Reference oracle: the fixed point iterated on M x M matrices, one dense
+    resolvent inverse per step. Returns (gains, iterations)."""
+    stack = np.stack(projected, axis=0)
+    count, m, _ = stack.shape
+    gains = np.ones(count)
+    for it in range(1, max_iter + 1):
+        weights = 1.0 / (m * (nu + gains))
+        resolvent = np.linalg.inv(np.einsum("s,spq->pq", weights, stack) + np.eye(m))
+        new_gains = np.real(np.einsum("spq,qp->s", stack, resolvent)) / m
+        residual = float(np.max(np.abs(new_gains - gains)))
+        gains = new_gains
+        if residual <= tol:
+            return gains, it
+    raise ConvergenceError("dense reference did not converge")
+
+
+@st.composite
+def rank_limited_sets(draw):
+    """Random factor sets: per-user ranks from 0 to M (so sum r may exceed M),
+    zero factors, path gains over three decades, and a null basis of 0 to
+    M - 1 columns projected out of every factor."""
+    m = draw(st.integers(2, 10))
+    count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for _ in range(count):
+        rank = draw(st.integers(0, m))
+        gain = draw(st.sampled_from([0.0]) | st.floats(0.01, 10.0))
+        raw = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        factors.append(raw * np.sqrt(gain / (2.0 * max(rank, 1))))
+    nulls = draw(st.integers(0, m - 1))
+    basis = np.linalg.qr(rng.standard_normal((m, nulls)) + 1j * rng.standard_normal((m, nulls)))[0]
+    nu = draw(st.floats(1e-3, 1.0))
+    return [projected_factor(f, basis) for f in factors], nu
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_limited_sets())
+def test_factor_fixed_point_matches_dense_iteration(instance):
+    factors, nu = instance
+    # a tolerance far below the compared 1e-9 makes a stop one step apart harmless;
+    # small nu with a strong user contracts slowly, hence the raised cap
+    sol = solve_effective_gains(factors, nu, tol=1e-12, max_iter=5000)
+    dense, iterations = dense_gain_iteration([f @ f.conj().T for f in factors], nu, 1e-12, 5000)
+    assert np.all(np.abs(sol.gains - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
+    assert abs(sol.iterations - iterations) <= 1
+    assert len(sol.residual_history) == sol.iterations
+    assert sol.residual == sol.residual_history[-1] <= 1e-12
 
 
 def test_de_rate_power_empty_selection(desk):
@@ -254,6 +309,6 @@ def test_gain_cache_matches_fresh_solve(desk):
     cached, _, _ = cache.gains(0, users, ())
     again, _, _ = cache.gains(0, users, ())
     assert cached == again
-    mats = [cs.matrix(k, 0).entries for k in users]
+    mats = [cs.matrix(k, 0).factor() for k in users]
     fresh = solve_effective_gains(mats, 0.01)
     assert np.allclose([cached[k] for k in users], fresh.gains, rtol=1e-12)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo.corrmat import build_hotspot_network
 from hiermimo.det_equiv import GainCache
@@ -173,6 +175,47 @@ def test_waterfill_weight_scaling_leaves_powers():
     scaled = waterfill({k: 3.0 * w for k, w in weights.items()}, gains, serving, m=16, p_c=5.0)
     for k in range(4):
         assert abs(base.powers[k] - scaled.powers[k]) <= 1e-8 * max(1.0, base.powers[k])
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """Users over two BSs with zero weights, zero gains, and values from a
+    small grid so that w M xi ties between users are common."""
+    count = draw(st.integers(1, 8))
+    grid = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    weights = draw(st.lists(grid | st.floats(1e-3, 10.0), min_size=count, max_size=count))
+    gains = draw(st.lists(grid | st.floats(1e-3, 10.0), min_size=count, max_size=count))
+    serving = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    m = draw(st.sampled_from([1, 4, 16, 128]))
+    p_c = draw(st.floats(1e-2, 1e2))
+    return weights, gains, serving, m, p_c
+
+
+@settings(max_examples=300, deadline=None)
+@given(waterfill_inputs())
+def test_waterfill_matches_bisection_and_kkt(inputs):
+    weights, gains, serving, m, p_c = inputs
+    res = waterfill(dict(enumerate(weights)), dict(enumerate(gains)),
+                    dict(enumerate(serving)), m=m, p_c=p_c)
+    for n in (0, 1):
+        users = [k for k in range(len(weights)) if serving[k] == n]
+        active = [k for k in users if weights[k] > 0 and gains[k] > 0]
+        for k in set(users) - set(active):
+            assert res.powers[k] == 0.0
+        if not active:
+            assert res.levels.get(n) is None
+            continue
+        level = res.levels[n]
+        oracle_p, _ = oracle_bisect([weights[k] for k in active], [gains[k] for k in active], m, p_c)
+        for k, p in zip(active, oracle_p):
+            assert abs(res.powers[k] - p) <= 1e-8 * max(1.0, p)
+            top = weights[k] * m * gains[k]
+            if res.powers[k] > 0:
+                assert abs(top / (1 + res.powers[k]) - level) <= 1e-9 * level
+            else:
+                assert top <= level * (1 + 1e-9)
+        spent = sum(res.powers[k] / gains[k] for k in active) / m
+        assert abs(spent - p_c) <= 1e-9 * p_c
 
 
 # ---------------------------------------------------------------------------
