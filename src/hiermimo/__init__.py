@@ -43,12 +43,10 @@ from .scheduler import (
     alpha_fair_utility,
     best_control_exhaustive,
     best_control_greedy,
-    optimality_certificate,
     optimize_policy,
     optimize_time_sharing,
     pfs_utility,
     sum_rate_utility,
-    utility_value_grad,
     waterfill,
     weighted_sum_rate,
 )

@@ -12,15 +12,16 @@ shortest round-trip formatting.
 import argparse
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corrmat import MIN_DIST_M, build_hotspot_network, load_correlation_set
 from .det_equiv import GainCache
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .harness import comp_baseline, ffr_baseline, monte_carlo_policy
 from .precoder import CompositeControl
 from .scheduler import (
@@ -49,13 +50,42 @@ REQUIRED_FIELDS = (
     "draws",
 )
 
+OPTIONAL_DEFAULTS = {"eps_stop": 1e-6, "max_outer": 100}
+
+POSITIVE_INT = {"above": 0, "integer": True}
+
+# bounds of each number, as keyword arguments of ``_number``
+NUMBER_BOUNDS = {
+    "num_bs": POSITIVE_INT,
+    "num_users": POSITIVE_INT,
+    "num_antennas": POSITIVE_INT,
+    "rank": POSITIVE_INT,
+    "power_limit_db": {},
+    "rzf_nu": {"above": 0.0},
+    "theta_db": {"above": 0.0},
+    "seed": {"low": 0, "integer": True},
+    "draws": POSITIVE_INT,
+    "eps_stop": {"low": 0.0},
+    "max_outer": POSITIVE_INT,
+}
+
+UTILITY_KINDS = ("pfs", "alpha_fair", "sum_rate")
+
 DEFAULT_GEOMETRY = {
     "inter_site_m": 500.0,
     "hotspots_per_cell": 2,
-    "hotspot_radius_m": 50.0,
     "hotspot_fraction": 2.0 / 3.0,
     "pathloss_exponent": 3.76,
     "ref_gain_db": 90.0,
+}
+
+GEOMETRY_BOUNDS = {
+    # users keep MIN_DIST_M from their BS inside a disc of radius inter_site_m / 2
+    "inter_site_m": {"above": 2.0 * MIN_DIST_M},
+    "hotspots_per_cell": {"low": 0, "integer": True},
+    "hotspot_fraction": {"low": 0.0, "high": 1.0},
+    "pathloss_exponent": {"above": 0.0},
+    "ref_gain_db": {},
 }
 
 DEFAULT_BASELINES = {
@@ -67,8 +97,6 @@ DEFAULT_BASELINES = {
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-ENUMERATION_LIMIT = ENUMERATION_GUARD
 
 
 @dataclass
@@ -84,11 +112,11 @@ class Scenario:
     mode: str
     seed: int
     draws: int
-    eps_stop: float = 1e-6
-    max_outer: int = 100
-    geometry: dict = field(default_factory=dict)
-    correlation_file: str = None
-    baselines: dict = field(default_factory=dict)
+    eps_stop: float
+    max_outer: int
+    geometry: dict
+    correlation_file: str | None
+    baselines: dict
 
     @property
     def power_limit(self):
@@ -99,81 +127,131 @@ class Scenario:
         return theta_from_db(self.theta_db)
 
 
-def _require_positive(data, name, kind=float):
-    value = data[name]
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field '{name}' must be a {kind.__name__}", field=name)
-    if value <= 0:
-        raise ConfigError(f"field '{name}' must be positive, got {value!r}", field=name)
+def _number(value, name, low=None, high=None, above=None, integer=False):
+    """``value`` as a float (an int when ``integer``), or a ConfigError
+    naming ``name``.
+
+    Only finite JSON numbers pass: strings, booleans, null, lists and objects
+    do not, nor do fractional values where an integer is due. ``low`` and
+    ``high`` are inclusive bounds, ``above`` an exclusive one.
+    """
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    if ok:
+        value = int(value) if integer else float(value)
+        ok = (
+            (low is None or value >= low)
+            and (high is None or value <= high)
+            and (above is None or value > above)
+        )
+    if not ok:
+        what = "an integer" if integer else "a number"
+        bounds = [f"{word} {bound!r}" for word, bound in
+                  (("above", above), ("at least", low), ("at most", high)) if bound is not None]
+        if bounds:
+            what += " " + " and ".join(bounds)
+        raise ConfigError(f"field '{name}' must be {what}, got {value!r}", field=name)
     return value
 
 
+def _object(data, name, defaults):
+    """The JSON object at ``data[name]`` over ``defaults``."""
+    raw = data.get(name, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '{name}' must be an object, got {raw!r}", field=name)
+    return {**defaults, **raw}
+
+
+def _list(value, name):
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{name}' must be a list, got {value!r}", field=name)
+    return value
+
+
+def _utility(util, num_users):
+    """The utility object, checked key by key and returned as given."""
+    if not isinstance(util, dict) or "kind" not in util:
+        raise ConfigError("field 'utility' must be an object with a 'kind'", field="utility")
+    kind = util["kind"]
+    if kind not in UTILITY_KINDS:
+        raise ConfigError(
+            f"field 'utility.kind' must be one of {', '.join(UTILITY_KINDS)}, got {kind!r}",
+            field="utility",
+        )
+    if "eps" in util:
+        # pfs takes log(r + eps) at zero rates
+        _number(util["eps"], "utility.eps", **({"above": 0.0} if kind == "pfs" else {"low": 0.0}))
+    if "alpha" in util:
+        _number(util["alpha"], "utility.alpha", low=0.0)
+    if util.get("weights") is not None:
+        weights = _list(util["weights"], "utility.weights")
+        if len(weights) != num_users:
+            raise ConfigError(
+                f"field 'utility.weights' must hold {num_users} values, one per user, "
+                f"got {len(weights)}",
+                field="utility.weights",
+            )
+        for w in weights:
+            _number(w, "utility.weights", low=0.0)
+    return dict(util)
+
+
 def scenario_from_dict(data):
+    """Validated scenario; a ConfigError names the first bad field."""
     for name in REQUIRED_FIELDS:
         if name not in data:
             raise ConfigError(f"missing required field '{name}'", field=name)
-    num_bs = _require_positive(data, "num_bs", int)
-    num_users = _require_positive(data, "num_users", int)
-    num_antennas = _require_positive(data, "num_antennas", int)
-    rank = _require_positive(data, "rank", int)
-    if rank > num_antennas:
+    data = {**OPTIONAL_DEFAULTS, **data}
+    numbers = {name: _number(data[name], name, **bounds) for name, bounds in NUMBER_BOUNDS.items()}
+    if numbers["rank"] > numbers["num_antennas"]:
         raise ConfigError("field 'rank' cannot exceed 'num_antennas'", field="rank")
-    nu = _require_positive(data, "rzf_nu", float)
-    theta_db = _require_positive(data, "theta_db", float)
-    draws = _require_positive(data, "draws", int)
     mode = data["mode"]
     if mode not in ("greedy", "exhaustive"):
         raise ConfigError(f"field 'mode' must be 'greedy' or 'exhaustive', got {mode!r}", field="mode")
-    if mode == "exhaustive" and num_users > ENUMERATION_LIMIT:
+    if mode == "exhaustive" and numbers["num_users"] > ENUMERATION_GUARD:
         raise ConfigError(
-            f"mode 'exhaustive' supports at most {ENUMERATION_LIMIT} users "
-            f"(got {num_users}); use mode 'greedy'",
+            f"mode 'exhaustive' supports at most {ENUMERATION_GUARD} users "
+            f"(got {numbers['num_users']}); use mode 'greedy'",
             field="mode",
         )
-    util = data["utility"]
-    if not isinstance(util, dict) or "kind" not in util:
-        raise ConfigError("field 'utility' must be an object with a 'kind'", field="utility")
-    if util["kind"] not in ("pfs", "alpha_fair", "sum_rate"):
-        raise ConfigError(f"unknown utility kind {util['kind']!r}", field="utility")
-    geometry = dict(DEFAULT_GEOMETRY)
-    geometry.update(data.get("geometry") or {})
-    try:
-        inter_site = float(geometry["inter_site_m"])
-    except (TypeError, ValueError):
-        inter_site = float("nan")
-    if not inter_site > 2.0 * MIN_DIST_M:
-        # users keep MIN_DIST_M from their BS inside a disc of radius inter_site_m / 2
+    geometry = _object(data, "geometry", DEFAULT_GEOMETRY)
+    baselines = _object(data, "baselines", DEFAULT_BASELINES)
+    correlation_file = data.get("correlation_file")
+    if correlation_file is not None and not isinstance(correlation_file, str):
         raise ConfigError(
-            f"field 'geometry.inter_site_m' must be a number above {2.0 * MIN_DIST_M!r}, "
-            f"got {geometry['inter_site_m']!r}",
-            field="geometry.inter_site_m",
+            f"field 'correlation_file' must be a path, got {correlation_file!r}",
+            field="correlation_file",
         )
-    max_outer = _require_positive(data, "max_outer", int) if "max_outer" in data else 100
-    baselines = dict(DEFAULT_BASELINES)
-    baselines.update(data.get("baselines") or {})
     return Scenario(
-        num_bs=num_bs,
-        num_users=num_users,
-        num_antennas=num_antennas,
-        rank=rank,
-        power_limit_db=float(data["power_limit_db"]),
-        rzf_nu=nu,
-        theta_db=theta_db,
-        utility=dict(util),
+        **numbers,
+        utility=_utility(data["utility"], numbers["num_users"]),
         mode=mode,
-        seed=int(data["seed"]),
-        draws=draws,
-        eps_stop=float(data.get("eps_stop", 1e-6)),
-        max_outer=max_outer,
-        geometry=geometry,
-        correlation_file=data.get("correlation_file"),
-        baselines=baselines,
+        # keys that nothing reads, such as hotspot_radius_m, are dropped
+        geometry={
+            name: _number(geometry[name], f"geometry.{name}", **bounds)
+            for name, bounds in GEOMETRY_BOUNDS.items()
+        },
+        correlation_file=correlation_file,
+        baselines={
+            "ffr_partitions": _number(
+                baselines["ffr_partitions"], "baselines.ffr_partitions", **POSITIVE_INT
+            ),
+            "comp_cluster_size": _number(
+                baselines["comp_cluster_size"], "baselines.comp_cluster_size", **POSITIVE_INT
+            ),
+            "comp_delay_rhos": [
+                _number(rho, "baselines.comp_delay_rhos", low=0.0, high=1.0)
+                for rho in _list(baselines["comp_delay_rhos"], "baselines.comp_delay_rhos")
+            ],
+        },
     )
 
 
-def load_scenario(path):
+def load_scenario(path, **overrides):
+    """Scenario from a JSON file. ``overrides`` (the ``--mode``, ``--seed``
+    and ``--draws`` flags; None when not given) replace the file's values
+    before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -183,6 +261,7 @@ def load_scenario(path):
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    data.update((name, value) for name, value in overrides.items() if value is not None)
     return scenario_from_dict(data)
 
 
@@ -203,31 +282,25 @@ def build_utility(scn):
 
 def build_network(scn):
     if scn.correlation_file:
-        if not Path(scn.correlation_file).exists():
+        try:
+            corr_set = load_correlation_set(scn.correlation_file)
+        except OSError as exc:
             raise ConfigError(
-                f"correlation_file not found: {scn.correlation_file}",
+                f"correlation_file cannot be read: {exc}", field="correlation_file"
+            ) from exc
+        except ValueError as exc:
+            raise ConfigError(
+                f"correlation_file {scn.correlation_file} is malformed: {exc}",
                 field="correlation_file",
-            )
-        corr_set = load_correlation_set(scn.correlation_file)
+            ) from exc
         if corr_set.num_users != scn.num_users or corr_set.num_bs != scn.num_bs:
             raise ConfigError(
                 "correlation_file dimensions disagree with num_users/num_bs",
                 field="correlation_file",
             )
     else:
-        geo = scn.geometry
         corr_set = build_hotspot_network(
-            scn.num_bs,
-            scn.num_users,
-            scn.num_antennas,
-            scn.rank,
-            scn.seed,
-            inter_site_m=float(geo["inter_site_m"]),
-            hotspots_per_cell=int(geo["hotspots_per_cell"]),
-            hotspot_radius_m=float(geo["hotspot_radius_m"]),
-            hotspot_fraction=float(geo["hotspot_fraction"]),
-            pathloss_exponent=float(geo["pathloss_exponent"]),
-            ref_gain_db=float(geo["ref_gain_db"]),
+            scn.num_bs, scn.num_users, scn.num_antennas, scn.rank, scn.seed, **scn.geometry
         )
     graph = build_topology(corr_set, scn.theta)
     return corr_set, graph
@@ -302,32 +375,9 @@ def load_policy(path):
         return policy_from_dict(json.load(fh))
 
 
-def _write_trace(path, trace):
-    lines = ["iter,U_E,support,certificate"]
-    for rec in trace:
-        lines.append(f"{rec.iteration},{_fmt(rec.utility)},{rec.support},{_fmt(rec.slack)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_validation(path, report):
-    lines = ["user,de_rate,mc_rate,mc_stderr,rel_err"]
-    for k in range(report.user_rate_mean.size):
-        lines.append(
-            f"{k},{_fmt(report.de_rates[k])},{_fmt(report.user_rate_mean[k])},"
-            f"{_fmt(report.user_rate_stderr[k])},{_fmt(report.rate_rel_err[k])}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_comparison(path, rows):
-    lines = ["scheme,sum_rate,worst_decile_rate,cross_interference,seed"]
-    for name, report in rows:
-        lines.append(
-            f"{name},{_fmt(report.sum_rate())},{_fmt(report.worst_decile_rate())},"
-            f"{_fmt(report.mean_cross_interference)},{report.seed}"
-        )
+def _write_csv(path, header, rows):
+    """One header line, then one comma-joined line per row of cells."""
+    lines = [header] + [",".join(str(cell) for cell in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -335,26 +385,6 @@ def _write_comparison(path, rows):
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
-
-def _apply_overrides(scn, mode=None, seed=None, draws=None):
-    if mode is not None:
-        if mode not in ("greedy", "exhaustive"):
-            raise ConfigError(f"--mode must be 'greedy' or 'exhaustive', got {mode!r}", field="mode")
-        if mode == "exhaustive" and scn.num_users > ENUMERATION_LIMIT:
-            raise ConfigError(
-                f"mode 'exhaustive' supports at most {ENUMERATION_LIMIT} users "
-                f"(got {scn.num_users}); use mode 'greedy'",
-                field="mode",
-            )
-        scn.mode = mode
-    if seed is not None:
-        scn.seed = int(seed)
-    if draws is not None:
-        if draws <= 0:
-            raise ConfigError("--draws must be positive", field="draws")
-        scn.draws = int(draws)
-    return scn
-
 
 def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
     from .det_equiv import de_rate_power
@@ -406,9 +436,10 @@ def _summary_payload(scn, result, report):
     }
 
 
-def run_scenario(config_path, out_dir, mode=None, seed=None, draws=None):
-    """Full pipeline; returns the summary dict and writes the four files."""
-    scn = _apply_overrides(load_scenario(config_path), mode, seed, draws)
+def _pipeline(config_path, out_dir, overrides, baselines):
+    """generate -> topology -> optimize -> validate -> Monte Carlo, plus the
+    FFR and CoMP baselines when ``baselines``, then the result files."""
+    scn = load_scenario(config_path, **overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corr_set, graph = build_network(scn)
@@ -429,77 +460,63 @@ def run_scenario(config_path, out_dir, mode=None, seed=None, draws=None):
     report = monte_carlo_policy(
         result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed, gain_cache=cache
     )
+    rows = [("proposed", report)]
+    if baselines:
+        network = (corr_set, graph, scn.rzf_nu, scn.power_limit)
+        partitions, cluster = scn.baselines["ffr_partitions"], scn.baselines["comp_cluster_size"]
+        rows.append(("ffr", ffr_baseline(*network, partitions, scn.draws, scn.seed)))
+        for rho in scn.baselines["comp_delay_rhos"]:
+            comp = comp_baseline(*network, cluster, scn.draws, scn.seed, delay_rho=rho)
+            rows.append((f"comp_rho{rho:g}", comp))
     _write_json(out / "policy.json", policy_to_dict(result.policy))
-    _write_trace(out / "trace.csv", result.trace)
-    _write_validation(out / "validation.csv", report)
+    _write_csv(
+        out / "trace.csv",
+        "iter,U_E,support,certificate",
+        ((rec.iteration, _fmt(rec.utility), rec.support, _fmt(rec.slack)) for rec in result.trace),
+    )
+    _write_csv(
+        out / "validation.csv",
+        "user,de_rate,mc_rate,mc_stderr,rel_err",
+        (
+            (k, _fmt(report.de_rates[k]), _fmt(report.user_rate_mean[k]),
+             _fmt(report.user_rate_stderr[k]), _fmt(report.rate_rel_err[k]))
+            for k in range(report.user_rate_mean.size)
+        ),
+    )
     summary = _summary_payload(scn, result, report)
     summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu, cache)
+    if baselines:
+        _write_csv(
+            out / "comparison.csv",
+            "scheme,sum_rate,worst_decile_rate,cross_interference,seed",
+            (
+                (name, _fmt(rep.sum_rate()), _fmt(rep.worst_decile_rate()),
+                 _fmt(rep.mean_cross_interference), rep.seed)
+                for name, rep in rows
+            ),
+        )
+        summary["comparison"] = {
+            name: {
+                "sum_rate": rep.sum_rate(),
+                "worst_decile_rate": rep.worst_decile_rate(),
+                "cross_interference": rep.mean_cross_interference,
+            }
+            for name, rep in rows
+        }
     _write_json(out / "summary.json", summary)
     return summary
+
+
+def run_scenario(config_path, out_dir, mode=None, seed=None, draws=None):
+    """Optimize one scenario and validate it; writes policy.json, trace.csv,
+    validation.csv and summary.json and returns the summary dict."""
+    return _pipeline(config_path, out_dir, dict(mode=mode, seed=seed, draws=draws), False)
 
 
 def compare_baselines(config_path, out_dir, mode=None, seed=None, draws=None):
-    """Proposed scheme plus FFR and clustered-CoMP baselines on one network."""
-    scn = _apply_overrides(load_scenario(config_path), mode, seed, draws)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corr_set, graph = build_network(scn)
-    util = build_utility(scn)
-    cache = GainCache(corr_set, graph, scn.rzf_nu)
-    result = optimize_policy(
-        corr_set,
-        graph,
-        util,
-        scn.rzf_nu,
-        scn.power_limit,
-        mode=scn.mode,
-        eps_stop=scn.eps_stop,
-        max_outer=scn.max_outer,
-        gain_cache=cache,
-    )
-    result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit, cache)
-    proposed = monte_carlo_policy(
-        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed, gain_cache=cache
-    )
-    rows = [("proposed", proposed)]
-    ffr = ffr_baseline(
-        corr_set,
-        graph,
-        scn.rzf_nu,
-        scn.power_limit,
-        int(scn.baselines["ffr_partitions"]),
-        scn.draws,
-        scn.seed,
-    )
-    rows.append(("ffr", ffr))
-    for rho in scn.baselines["comp_delay_rhos"]:
-        comp = comp_baseline(
-            corr_set,
-            graph,
-            scn.rzf_nu,
-            scn.power_limit,
-            int(scn.baselines["comp_cluster_size"]),
-            scn.draws,
-            scn.seed,
-            delay_rho=float(rho),
-        )
-        rows.append((f"comp_rho{rho:g}", comp))
-    _write_json(out / "policy.json", policy_to_dict(result.policy))
-    _write_trace(out / "trace.csv", result.trace)
-    _write_validation(out / "validation.csv", proposed)
-    _write_comparison(out / "comparison.csv", rows)
-    summary = _summary_payload(scn, result, proposed)
-    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu, cache)
-    summary["comparison"] = {
-        name: {
-            "sum_rate": report.sum_rate(),
-            "worst_decile_rate": report.worst_decile_rate(),
-            "cross_interference": report.mean_cross_interference,
-        }
-        for name, report in rows
-    }
-    _write_json(out / "summary.json", summary)
-    return summary
+    """``run_scenario`` plus the FFR and clustered-CoMP baselines on the same
+    network and seed; also writes comparison.csv."""
+    return _pipeline(config_path, out_dir, dict(mode=mode, seed=seed, draws=draws), True)
 
 
 def main(argv=None):

@@ -247,7 +247,6 @@ def build_hotspot_network(
     seed,
     inter_site_m=500.0,
     hotspots_per_cell=2,
-    hotspot_radius_m=50.0,
     hotspot_fraction=2.0 / 3.0,
     pathloss_exponent=3.76,
     ref_gain_db=90.0,
@@ -346,11 +345,22 @@ def dump_correlation_set(corr_set, path):
 
 
 def load_correlation_set(path):
+    """Read a ``dump_correlation_set`` file; ValidationError when it is
+    truncated or malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    m, num_bs, num_users = (int(tok) for tok in lines[0].split())
+    header = lines[0].split() if lines else []
+    if len(header) != 3:
+        raise ValidationError("header must hold M, the BS count and the user count")
+    m, num_bs, num_users = (int(tok) for tok in header)
+    if len(lines) != 3 + num_users * num_bs:
+        raise ValidationError(
+            f"{len(lines)} lines, want 3 + {num_users} users x {num_bs} BSs"
+        )
     serving = {k: int(tok) for k, tok in enumerate(lines[1].split())}
     clusters = {k: int(tok) for k, tok in enumerate(lines[2].split())}
+    if len(serving) != num_users or len(clusters) != num_users:
+        raise ValidationError(f"serving and cluster rows must list {num_users} users")
     matrices = {}
     row = 3
     for k in range(num_users):
@@ -359,9 +369,8 @@ def load_correlation_set(path):
             row += 1
             if len(toks) != m * m:
                 raise ValidationError(f"matrix ({k},{n}) has {len(toks)} entries, want {m * m}")
-            vals = np.array(
-                [complex(float(t.split(",")[0]), float(t.split(",")[1])) for t in toks]
-            ).reshape(m, m)
+            pairs = (tok.split(",") for tok in toks)
+            vals = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(m, m)
             gain = float(np.real(np.trace(vals))) / m
             mat = CorrelationMatrix(vals, m, gain)
             mat.rank_hint = max(mat.numerical_rank(), 1)

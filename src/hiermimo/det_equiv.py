@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .precoder import interference_nullspace_basis
+from .topology import scheduled_neighbors
 
 log = logging.getLogger(__name__)
 
@@ -108,12 +109,10 @@ class GainCache:
     cache serves every weighted-sum-rate evaluation in an optimization run.
     """
 
-    def __init__(self, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
+    def __init__(self, corr_set, graph, nu):
         self.corr_set = corr_set
         self.graph = graph
         self.nu = nu
-        self.tol = tol
-        self.max_iter = max_iter
         self._bases = {}
         self._gains = {}
 
@@ -132,9 +131,7 @@ class GainCache:
         """xi per user of ``users`` at ``bs`` with ``blocked`` nulled."""
         key = (bs, users, blocked)
         if key not in self._gains:
-            sol = solve_effective_gains(
-                self.projected(bs, users, blocked), self.nu, self.tol, self.max_iter
-            )
+            sol = solve_effective_gains(self.projected(bs, users, blocked), self.nu)
             self._gains[key] = (
                 dict(zip(users, sol.gains)),
                 sol.iterations,
@@ -144,13 +141,10 @@ class GainCache:
 
 
 def _per_bs_selection(control, graph):
-    sel = set(control.selected_union)
-    out = {}
-    for n in range(graph.num_bs):
-        users = tuple(sorted(control.selected.get(n, ())))
-        blocked = tuple(k for k in graph.neighbor_users[n] if k in sel)
-        out[n] = (users, blocked)
-    return out
+    blocked = scheduled_neighbors(graph, control.selected_union)
+    return {
+        n: (tuple(sorted(control.selected.get(n, ()))), blocked[n]) for n in range(graph.num_bs)
+    }
 
 
 def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
@@ -187,7 +181,7 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     return DEResult(gains, rates, powers, worst_iterations, worst_residual)
 
 
-def full_de(control, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
+def full_de(control, corr_set, graph, nu):
     """Refined deterministic equivalents keeping the O(nu) correction terms.
 
     Per BS, with T the resolvent and C~ the projected correlations, solves
@@ -196,7 +190,7 @@ def full_de(control, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
     power (1/M) sum_i p_i nu^2 e_i / (nu + xi_i)^2.
     """
     m = corr_set.dim
-    cache = GainCache(corr_set, graph, nu, tol, max_iter)
+    cache = GainCache(corr_set, graph, nu)
     rates_hat = np.zeros(graph.num_users)
     powers_hat = np.zeros(graph.num_bs)
     all_gains = {}
@@ -205,7 +199,7 @@ def full_de(control, corr_set, graph, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
         if not users:
             continue
         factors = cache.projected(n, users, blocked)
-        xi = solve_effective_gains(factors, nu, tol, max_iter).gains
+        xi = solve_effective_gains(factors, nu).gains
         count = len(users)
         stacked, gram, blocks = _stack(factors)
         inverse = np.linalg.inv(np.eye(gram.shape[0]) + gram / (m * (nu + blocks @ xi)))

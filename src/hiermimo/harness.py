@@ -22,7 +22,7 @@ from .precoder import (
     transmit_power,
 )
 from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_seed_sequence
-from .scheduler import de_rate_vector
+from .topology import scheduled_neighbors
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,6 @@ def _evaluate_control(control, channels, graph, nu):
     inner = inner_precoders(control, channels, nu)
     rates = np.zeros(num_users)
     powers = np.zeros(num_bs)
-    sel = set(control.selected_union)
     signal = {}
     for n, users in control.selected.items():
         powers[n] = transmit_power(control, channels, n, nu, inner=inner)
@@ -83,29 +82,22 @@ def _evaluate_control(control, channels, graph, nu):
             signal[k] = control.power[k] * float(np.abs(h.conj() @ beams[:, idx]) ** 2)
     worst_ratio = 0.0
     cross_total = 0.0
-    for n in range(num_bs):
-        for k in graph.neighbor_users[n]:
-            if k not in sel:
-                continue
+    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
+        for k in blocked:
             leak = cross_interference_power(control, channels, k, n, inner=inner)
             cross_total += leak
             worst_ratio = max(worst_ratio, leak / (signal.get(k, 0.0) + 1.0))
     return rates, powers, worst_ratio, cross_total
 
 
-def monte_carlo_policy(
-    policy, corr_set, graph, nu, draws, seed, mode="mixture", gain_cache=None
-):
+def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
     """Empirical rates and powers of a time-sharing policy.
 
-    mode="mixture" evaluates every control on every draw and mixes by the
-    probabilities (exact conditional average); mode="sample" draws the
-    active control per time slot from q.
+    Every control is evaluated on every draw and mixed by the probabilities
+    (the exact conditional average).
     """
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    if mode not in ("mixture", "sample"):
-        raise ParameterError(f"unknown mode {mode!r}")
     children = derive_seed_sequence(seed, POLICY_MC).spawn(draws)
     num_users, num_bs = graph.num_users, graph.num_bs
     rate_samples = np.zeros((draws, num_users))
@@ -114,35 +106,23 @@ def monte_carlo_policy(
     cross_sum = 0.0
     probs = np.asarray(policy.probs, dtype=float)
     for i in range(draws):
-        # separate streams for the channel draw and the control pick so both
-        # modes see identical channels under one seed
-        chan_ss, pick_ss = children[i].spawn(2)
-        rng = np.random.default_rng(chan_ss)
-        if mode == "sample":
-            j = int(np.random.default_rng(pick_ss).choice(len(policy.controls), p=probs))
-        channels = draw_channels(corr_set, rng)
-        if mode == "mixture":
-            for q, control in zip(probs, policy.controls):
-                rates, powers, ratio, cross = _evaluate_control(control, channels, graph, nu)
-                rate_samples[i] += q * rates
-                power_samples[i] += q * powers
-                worst_ratio = max(worst_ratio, ratio)
-                cross_sum += q * cross
-        else:
-            rates, powers, ratio, cross = _evaluate_control(
-                policy.controls[j], channels, graph, nu
-            )
-            rate_samples[i] = rates
-            power_samples[i] = powers
+        # the channels come from the first of two child streams: drawing
+        # them from children[i] itself would move every Monte Carlo result
+        chan_ss, _ = children[i].spawn(2)
+        channels = draw_channels(corr_set, np.random.default_rng(chan_ss))
+        for q, control in zip(probs, policy.controls):
+            rates, powers, ratio, cross = _evaluate_control(control, channels, graph, nu)
+            rate_samples[i] += q * rates
+            power_samples[i] += q * powers
             worst_ratio = max(worst_ratio, ratio)
-            cross_sum += cross
+            cross_sum += q * cross
 
     cache = gain_cache or GainCache(corr_set, graph, nu)
     de_rates = np.zeros(num_users)
     de_powers = np.zeros(num_bs)
     for q, control in zip(probs, policy.controls):
         de = de_rate_power(control, corr_set, graph, nu, cache)
-        de_rates += q * de_rate_vector(control, num_users)
+        de_rates += q * de.rates
         de_powers += q * de.powers
 
     rate_mean = rate_samples.mean(axis=0)

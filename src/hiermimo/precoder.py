@@ -13,6 +13,7 @@ import numpy as np
 
 from .corrmat import RANK_TOL
 from .errors import ParameterError, ValidationError
+from .topology import scheduled_neighbors
 
 SEMI_UNITARY_TOL = 1e-9
 ZERO_ICI_TOL = 1e-8
@@ -127,6 +128,7 @@ class CompositeControl:
             p = self.power.get(k)
             if p is None or not np.isfinite(p) or p < 0:
                 raise ValidationError(f"user {k} has invalid power {p!r}")
+        blocked = scheduled_neighbors(graph, sel)
         for n in range(graph.num_bs):
             f = self.outer.get(n)
             if f is None:
@@ -140,8 +142,7 @@ class CompositeControl:
                     raise ValidationError(
                         f"outer precoder at BS {n} not semi-unitary ({gram_err:.3e})"
                     )
-            blocked = tuple(k for k in graph.neighbor_users[n] if k in set(sel))
-            for k in blocked:
+            for k in blocked[n]:
                 theta = corr_set.matrix(k, n).entries
                 denom = float(np.linalg.norm(theta, ord="fro"))
                 if denom == 0.0 or m_n == 0:

@@ -9,13 +9,12 @@ do not depend on evaluation order.
 
 import numpy as np
 
-# purpose tags used as the first path element
+# purpose tags used as the first path element; each value is part of its
+# streams' seeds, so a tag keeps its number
 CORRELATION = 0
-CHANNEL = 1
 POLICY_MC = 2
 FFR_MC = 3
 COMP_MC = 4
-SCENARIO = 5
 
 
 def derive_seed_sequence(master_seed, *path):

@@ -19,13 +19,13 @@ import numpy as np
 from .det_equiv import GainCache, ZERO_GAIN, de_rate_power
 from .errors import ConvergenceError, ParameterError, ValidationError
 from .precoder import CompositeControl, outer_precoder
+from .topology import scheduled_neighbors
 
 log = logging.getLogger(__name__)
 
 ENUMERATION_GUARD = 20
 GREEDY_IMPROVE_TOL = 1e-12
 Q_GRAD_TOL = 1e-8
-Q_MAX_ITER = 10_000
 PROB_SNAP = 1e-10
 
 
@@ -41,7 +41,6 @@ class UtilityFunction:
     weights: np.ndarray
     alpha: float = 1.0
     eps: float = 1e-4
-    lipschitz_hint: float = 1.0
 
     def value_and_grad(self, rbar):
         rbar = np.asarray(rbar, dtype=float)
@@ -71,11 +70,6 @@ class UtilityFunction:
         return self.value_and_grad(rbar)[0]
 
 
-def utility_value_grad(util, rbar):
-    """Utility value and its gradient (the per-user rate weights)."""
-    return util.value_and_grad(rbar)
-
-
 def _default_weights(num_users, weights):
     if weights is None:
         return np.full(num_users, 1.0 / num_users)
@@ -89,20 +83,19 @@ def pfs_utility(num_users, eps=1e-4, weights=None):
     if eps <= 0:
         raise ParameterError("pfs requires eps > 0")
     w = _default_weights(num_users, weights)
-    return UtilityFunction("pfs", w, alpha=1.0, eps=eps, lipschitz_hint=1.0 / eps**2)
+    return UtilityFunction("pfs", w, alpha=1.0, eps=eps)
 
 
 def alpha_fair_utility(alpha, num_users, eps=1e-4, weights=None):
     if alpha < 0:
         raise ParameterError("alpha must be non-negative")
     w = _default_weights(num_users, weights)
-    hint = 1.0 / eps**2 if eps > 0 else 1.0
-    return UtilityFunction("alpha_fair", w, alpha=float(alpha), eps=eps, lipschitz_hint=hint)
+    return UtilityFunction("alpha_fair", w, alpha=float(alpha), eps=eps)
 
 
 def sum_rate_utility(num_users, weights=None):
     w = _default_weights(num_users, weights)
-    return UtilityFunction("sum_rate", w, lipschitz_hint=1.0)
+    return UtilityFunction("sum_rate", w)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +167,14 @@ def weighted_sum_rate(selected, rate_weights, corr_set, graph, nu, p_c, gain_cac
         return SelectionValue(0.0, {}, {}, {})
     cache = gain_cache or GainCache(corr_set, graph, nu)
     sel = set(selected)
+    blocked = scheduled_neighbors(graph, sel)
     gains = {}
     serving = {}
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in sel)
         if not users:
             continue
-        blocked = tuple(k for k in graph.neighbor_users[n] if k in sel)
-        bs_gains, _, _ = cache.gains(n, users, blocked)
+        bs_gains, _, _ = cache.gains(n, users, blocked[n])
         for k in users:
             gains[k] = bs_gains[k]
             serving[k] = n
@@ -197,13 +190,13 @@ def assemble_control(selected, corr_set, graph, powers):
     """Composite control for a user set: blocked-complement outer precoders
     per BS plus the given powers."""
     sel = set(selected)
+    blocked = scheduled_neighbors(graph, sel)
     outer = {}
     per_bs = {}
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in sel)
-        blocked = tuple(k for k in graph.neighbor_users[n] if k in sel)
         per_bs[n] = users
-        outer[n] = outer_precoder(corr_set, users, blocked, n)
+        outer[n] = outer_precoder(corr_set, users, blocked[n], n)
     power = {k: float(powers[k]) for k in sel}
     return CompositeControl(outer=outer, selected=per_bs, power=power)
 
@@ -224,6 +217,22 @@ def de_rate_vector(control, num_users):
     return rates
 
 
+def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache):
+    """``weighted_sum_rate`` of one oracle candidate, or None when its gain
+    fixed point fails to converge: both oracles skip such a candidate with a
+    warning rather than abort the search."""
+    try:
+        return weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+    except ConvergenceError as exc:
+        log.warning("skipping candidate %s: %s", cand, exc)
+        return None
+
+
+def _oracle_result(selected, best, corr_set, graph):
+    control = assemble_control(selected, corr_set, graph, best.powers)
+    return OracleResult(control, best.value, selected, de_rate_vector(control, graph.num_users))
+
+
 def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
     """Exact weighted-sum-rate oracle: enumerate every user subset.
 
@@ -241,17 +250,15 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
     best = SelectionValue(0.0, {}, {}, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
-            res = weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
-            if res.value > best.value:
+            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+            if res is not None and res.value > best.value:
                 best_set, best = cand, res
-    control = assemble_control(best_set, corr_set, graph, best.powers)
-    return OracleResult(control, best.value, best_set, de_rate_vector(control, num_users))
+    return _oracle_result(best_set, best, corr_set, graph)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
     """Greedy weighted-sum-rate oracle: add the best strictly improving user
-    until none remains. Candidates whose gain fixed point fails to converge
-    are skipped with a warning rather than aborting the search."""
+    until none remains."""
     num_users = graph.num_users
     cache = gain_cache or GainCache(corr_set, graph, nu)
     current_set = ()
@@ -263,18 +270,13 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
             if k in current_set:
                 continue
             cand = tuple(sorted(current_set + (k,)))
-            try:
-                res = weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
-            except ConvergenceError as exc:
-                log.warning("skipping candidate %s: %s", cand, exc)
-                continue
-            if best_res is None or res.value > best_res.value:
+            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+            if res is not None and (best_res is None or res.value > best_res.value):
                 best_cand, best_res = cand, res
         if best_res is None or best_res.value <= current.value + GREEDY_IMPROVE_TOL:
             break
         current_set, current = best_cand, best_res
-    control = assemble_control(current_set, corr_set, graph, current.powers)
-    return OracleResult(control, current.value, current_set, de_rate_vector(control, num_users))
+    return _oracle_result(current_set, current, corr_set, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def _face_newton(rates, util, q, active, max_iter=200):
     return q, dropped
 
 
-def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, max_iter=Q_MAX_ITER, init=None):
+def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
     """Maximize util over time-sharing probabilities for fixed controls.
 
     rates_matrix has one row of per-user DE rates per control. Active-set
@@ -451,12 +453,6 @@ class ControlPolicy:
     controls: list
     probs: np.ndarray
 
-    def average_rates(self, num_users):
-        out = np.zeros(num_users)
-        for q, control in zip(self.probs, self.controls):
-            out += q * de_rate_vector(control, num_users)
-        return out
-
     def validate(self, corr_set, graph, nu, p_c, gain_cache=None):
         q = np.asarray(self.probs, dtype=float)
         if len(self.controls) != q.size or q.size == 0:
@@ -520,7 +516,6 @@ def optimize_policy(
     eps_stop=1e-6,
     max_outer=100,
     gain_cache=None,
-    q_tol=Q_GRAD_TOL,
 ):
     """Alternating optimization of the time-sharing policy.
 
@@ -556,7 +551,7 @@ def optimize_policy(
         init = None
         if prev_q is not None:
             init = np.concatenate([prev_q, np.zeros(len(controls) - prev_q.size)])
-        q = optimize_time_sharing(rates, util, tol=q_tol, init=init)
+        q = optimize_time_sharing(rates, util, init=init)
         if int(np.count_nonzero(q)) > num_users:
             q = _reduce_support(rates, q, num_users)
         keep = np.flatnonzero(q)
@@ -607,26 +602,3 @@ def optimize_policy(
         utility=prev_utility,
         rate_weights=last_grad,
     )
-
-
-def optimality_certificate(policy, util, corr_set, graph, nu, p_c, mode, gain_cache=None):
-    """Optimality gap bound for a finished policy, always >= -1e-8.
-
-    Exhaustive mode: gradient @ (best control rates - policy mixed rates),
-    zero exactly at the optimum. Greedy mode: the exhaustive-minus-greedy
-    oracle gap at the policy's gradient; requires enumeration to be feasible.
-    """
-    cache = gain_cache or GainCache(corr_set, graph, nu)
-    mixed = policy.average_rates(graph.num_users)
-    _, grad = util.value_and_grad(mixed)
-    if mode == "exhaustive":
-        star = best_control_exhaustive(grad, corr_set, graph, nu, p_c, cache)
-        return float(grad @ (star.rates - mixed))
-    if graph.num_users > ENUMERATION_GUARD:
-        raise ParameterError(
-            "greedy certificate needs exhaustive enumeration, "
-            f"unavailable for K={graph.num_users} > {ENUMERATION_GUARD}"
-        )
-    star = best_control_exhaustive(grad, corr_set, graph, nu, p_c, cache)
-    hat = best_control_greedy(grad, corr_set, graph, nu, p_c, cache)
-    return float(grad @ (star.rates - hat.rates))

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hiermimo.cli as cli
 from hiermimo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -227,3 +234,109 @@ def test_short_inter_site_distance_exits_two_without_hanging(tmp_path, inter_sit
     )
     assert proc.returncode == EXIT_CONFIG
     assert "geometry.inter_site_m" in proc.stderr
+
+
+def with_field(config, path, value):
+    """Deep copy of ``config`` with ``value`` at the dotted ``path``."""
+    out = copy.deepcopy(config)
+    *parents, leaf = path.split(".")
+    node = out
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return out
+
+
+TRUNCATED = object()
+
+
+MALFORMED = [
+    ("power_limit_db", "abc"),
+    ("eps_stop", "x"),
+    ("seed", "x"),
+    ("geometry.hotspots_per_cell", "two"),
+    ("geometry.pathloss_exponent", "x"),
+    ("utility.weights", [1, 2]),
+    ("utility.alpha", "x"),
+    ("utility.eps", -1),
+    ("baselines.ffr_partitions", "x"),
+    ("baselines.comp_delay_rhos", 1.0),
+    ("correlation_file", TRUNCATED),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[path for path, _ in MALFORMED])
+def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):
+    if value is TRUNCATED:
+        from hiermimo.corrmat import dump_correlation_set
+
+        corr_set, _ = cli.build_network(load_scenario(write_config(tmp_path, name="ok.json")))
+        dump = tmp_path / "corr.txt"
+        dump_correlation_set(corr_set, dump)
+        lines = dump.read_text().splitlines()
+        dump.write_text("\n".join(lines[:-2]) + "\n")
+        value = str(dump)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(with_field(DESK, path, value)), encoding="utf-8")
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert path in capsys.readouterr().err
+
+
+DESK_FILE = json.loads(
+    (Path(__file__).resolve().parents[1] / "scenarios" / "desk.json").read_text()
+)
+DESK_SCALARS = sorted(
+    [name for name, v in DESK_FILE.items() if not isinstance(v, (dict, list))]
+    + [f"{name}.{key}" for name, v in DESK_FILE.items() if isinstance(v, dict)
+       for key, leaf in v.items() if not isinstance(leaf, list)]
+)
+VALID_STRINGS = {"mode": ("greedy", "exhaustive"), "utility.kind": ("pfs", "alpha_fair", "sum_rate")}
+
+
+class ParsePassed(BaseException):
+    """Raised when a malformed config gets past the parse boundary."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(DESK_SCALARS),
+    value=st.one_of(
+        st.text(max_size=6),
+        st.none(),
+        st.lists(st.integers(-2, 2), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    ),
+)
+def test_non_number_in_any_scalar_field_exits_two(tmp_path_factory, path, value):
+    assume(value not in VALID_STRINGS.get(path, ()))
+    config = tmp_path_factory.getbasetemp() / "malformed.json"
+    config.write_text(json.dumps(with_field(DESK_FILE, path, value)), encoding="utf-8")
+    err = io.StringIO()
+    with mock.patch.object(cli, "build_network", side_effect=ParsePassed), \
+            contextlib.redirect_stderr(err):
+        code = main(["run", str(config), "--out", str(config.parent / "never")])
+    assert code == EXIT_CONFIG
+    assert path in err.getvalue()
+
+
+def test_unread_geometry_key_still_loads(tmp_path):
+    # the benchmark's generated scenarios carry geometry.hotspot_radius_m, which
+    # nothing reads
+    plain = load_scenario(write_config(tmp_path))
+    geometry = dict(DESK["geometry"], hotspot_radius_m=50.0)
+    legacy = load_scenario(write_config(tmp_path, {"geometry": geometry}, name="legacy.json"))
+    assert legacy == plain
+
+
+def test_run_and_compare_share_one_pipeline(tmp_path):
+    path = write_config(tmp_path, {"draws": 20})
+    run_out, cmp_out = tmp_path / "run", tmp_path / "compare"
+    run_scenario(path, run_out)
+    compare_baselines(path, cmp_out)
+    for name in ("policy.json", "trace.csv", "validation.csv"):
+        assert (run_out / name).read_bytes() == (cmp_out / name).read_bytes()
+    run_summary = json.loads((run_out / "summary.json").read_text())
+    cmp_summary = json.loads((cmp_out / "summary.json").read_text())
+    assert "comparison" not in run_summary
+    assert set(cmp_summary.pop("comparison")) == {"proposed", "ffr", "comp_rho1", "comp_rho0"}
+    assert cmp_summary == run_summary

@@ -81,17 +81,11 @@ def test_monte_carlo_is_draw_order_independent(desk):
     assert np.array_equal(rates.mean(axis=0), rep.user_rate_mean)
 
 
-def test_sampling_mode_agrees_with_mixture(desk):
+def test_monte_carlo_rejects_zero_draws(desk):
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
-    mix = monte_carlo_policy(policy, cs, graph, NU, draws=200, seed=7, mode="mixture")
-    sam = monte_carlo_policy(policy, cs, graph, NU, draws=200, seed=7, mode="sample")
-    # single control: identical channels, so both modes agree exactly
-    assert np.allclose(mix.user_rate_mean, sam.user_rate_mean)
     with pytest.raises(ParameterError):
         monte_carlo_policy(policy, cs, graph, NU, draws=0, seed=1)
-    with pytest.raises(ParameterError):
-        monte_carlo_policy(policy, cs, graph, NU, draws=2, seed=1, mode="nope")
 
 
 def test_ffr_single_cell_matches_direct_formula():

@@ -7,24 +7,21 @@ from hypothesis import strategies as st
 
 from hiermimo.corrmat import build_hotspot_network
 from hiermimo.det_equiv import GainCache
-from hiermimo.errors import ParameterError
+from hiermimo.errors import ConvergenceError, ParameterError
 from hiermimo.scheduler import (
     alpha_fair_utility,
-    assemble_control,
     best_control_exhaustive,
     best_control_greedy,
     de_rate_vector,
-    optimality_certificate,
     optimize_policy,
     optimize_time_sharing,
     pfs_utility,
     project_simplex,
     sum_rate_utility,
-    utility_value_grad,
     waterfill,
     weighted_sum_rate,
 )
-from hiermimo.topology import build_topology, theta_from_db
+from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 
 from conftest import single_cell_set
 
@@ -42,20 +39,20 @@ def small_network(seed, num_users=6):
 
 def test_pfs_at_zero_rates():
     util = pfs_utility(4, eps=1e-4)
-    value, grad = utility_value_grad(util, np.zeros(4))
+    value, grad = util.value_and_grad(np.zeros(4))
     assert np.isclose(value, np.log(1e-4), rtol=1e-12)
     assert np.allclose(grad, 0.25 * 1e4, rtol=1e-12)
 
 
 def test_sum_rate_gradient_is_weights():
     util = sum_rate_utility(3, weights=[0.2, 0.3, 0.5])
-    _, grad = utility_value_grad(util, np.array([1.0, 5.0, 0.0]))
+    _, grad = util.value_and_grad(np.array([1.0, 5.0, 0.0]))
     assert np.allclose(grad, [0.2, 0.3, 0.5])
 
 
 def test_alpha_two_at_unit_rate():
     util = alpha_fair_utility(2.0, 3, eps=0.0)
-    value, grad = utility_value_grad(util, np.ones(3))
+    value, grad = util.value_and_grad(np.ones(3))
     assert np.isclose(value, -1.0, rtol=1e-12)
     assert np.allclose(grad, 1.0 / 3.0, rtol=1e-12)
 
@@ -296,6 +293,54 @@ def test_greedy_never_beats_exhaustive():
     assert equal >= 50
 
 
+class FailingCache(GainCache):
+    """Gain cache whose fixed point fails for one (bs, users, blocked) key."""
+
+    def __init__(self, corr_set, graph, nu, bad_key):
+        super().__init__(corr_set, graph, nu)
+        self.bad_key = bad_key
+
+    def gains(self, bs, users, blocked):
+        if (bs, users, blocked) == self.bad_key:
+            raise ConvergenceError("forced failure")
+        return super().gains(bs, users, blocked)
+
+
+def selection_keys(graph, cand):
+    blocked = scheduled_neighbors(graph, cand)
+    keys = set()
+    for n in range(graph.num_bs):
+        users = tuple(k for k in graph.assoc_users[n] if k in cand)
+        if users:
+            keys.add((n, users, blocked[n]))
+    return keys
+
+
+def test_both_oracles_skip_a_candidate_whose_fixed_point_fails(desk, caplog):
+    cs, graph = desk
+    mu = np.random.default_rng(5).uniform(0.05, 1.0, size=6)
+    cache = GainCache(cs, graph, NU)
+    plain = best_control_exhaustive(mu, cs, graph, NU, PC, cache)
+    bad = min(selection_keys(graph, plain.selected))  # the optimum can no longer be had
+
+    ex = best_control_exhaustive(mu, cs, graph, NU, PC, FailingCache(cs, graph, NU, bad))
+    best_val, best_set = 0.0, ()
+    for size in range(1, 7):
+        for cand in itertools.combinations(range(6), size):
+            if bad in selection_keys(graph, cand):
+                continue
+            val = weighted_sum_rate(cand, mu, cs, graph, NU, PC, cache).value
+            if val > best_val:
+                best_val, best_set = val, cand
+    assert ex.selected == best_set != plain.selected
+    assert abs(ex.value - best_val) <= 1e-12
+
+    gr = best_control_greedy(mu, cs, graph, NU, PC, FailingCache(cs, graph, NU, bad))
+    assert bad not in selection_keys(graph, gr.selected)
+    assert gr.value <= ex.value + 1e-12
+    assert "skipping candidate" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # time sharing
 # ---------------------------------------------------------------------------
@@ -347,8 +392,8 @@ def test_policy_single_user_network():
     control = res.policy.controls[0]
     xi = weighted_sum_rate((0,), np.ones(1), cs, graph, NU, PC).gains[0]
     assert np.isclose(control.power[0], 16 * xi * PC, rtol=1e-6)
-    cert = optimality_certificate(res.policy, util, cs, graph, NU, PC, "exhaustive")
-    assert -1e-10 <= cert <= 1e-10
+    assert res.certificate_kind == "optimality_slack"
+    assert -1e-10 <= res.certificate <= 1e-10
 
 
 def test_policy_sum_rate_converges_immediately(desk):
@@ -409,16 +454,13 @@ def test_policy_consistent_when_iteration_cap_hits(desk):
     res.policy.validate(cs, graph, NU, PC)
 
 
-def test_certificate_unavailable_for_large_greedy(desk):
-    cs, graph = desk
-    big_graph = graph.__class__(**{**graph.__dict__, "num_users": 21})
-    from hiermimo.scheduler import ControlPolicy
-
-    policy = ControlPolicy(
-        controls=[assemble_control((), cs, graph, {})], probs=np.array([1.0])
-    )
-    with pytest.raises(ParameterError):
-        optimality_certificate(policy, pfs_utility(21), cs, big_graph, NU, PC, "greedy")
+def test_certificate_unavailable_for_large_greedy():
+    cs = build_hotspot_network(2, 21, 8, 2, seed=5, inter_site_m=300.0)
+    graph = build_topology(cs, theta_from_db(10.0))
+    res = optimize_policy(cs, graph, sum_rate_utility(21), NU, PC, mode="greedy")
+    assert res.converged
+    assert res.certificate_kind == "unavailable"
+    assert res.certificate is None
 
 
 def test_time_sharing_appears_when_users_conflict():
