@@ -30,6 +30,7 @@ from .errors import (
 from .harness import MonteCarloReport, comp_baseline, ffr_baseline, monte_carlo_policy
 from .precoder import (
     CompositeControl,
+    cross_interference_power,
     inner_precoders,
     instantaneous_rate,
     interference_nullspace_basis,

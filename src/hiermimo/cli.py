@@ -60,9 +60,9 @@ NUMBER_BOUNDS = {
     "num_users": POSITIVE_INT,
     "num_antennas": POSITIVE_INT,
     "rank": POSITIVE_INT,
-    "power_limit_db": {},
+    "power_limit_db": {"db": True},
     "rzf_nu": {"above": 0.0},
-    "theta_db": {"above": 0.0},
+    "theta_db": {"above": 0.0, "db": True},
     "seed": {"low": 0, "integer": True},
     "draws": POSITIVE_INT,
     "eps_stop": {"low": 0.0},
@@ -85,7 +85,7 @@ GEOMETRY_BOUNDS = {
     "hotspots_per_cell": {"low": 0, "integer": True},
     "hotspot_fraction": {"low": 0.0, "high": 1.0},
     "pathloss_exponent": {"above": 0.0},
-    "ref_gain_db": {},
+    "ref_gain_db": {"db": True},
 }
 
 DEFAULT_BASELINES = {
@@ -127,13 +127,14 @@ class Scenario:
         return theta_from_db(self.theta_db)
 
 
-def _number(value, name, low=None, high=None, above=None, integer=False):
+def _number(value, name, low=None, high=None, above=None, integer=False, db=False):
     """``value`` as a float (an int when ``integer``), or a ConfigError
     naming ``name``.
 
     Only finite JSON numbers pass: strings, booleans, null, lists and objects
     do not, nor do fractional values where an integer is due. ``low`` and
-    ``high`` are inclusive bounds, ``above`` an exclusive one.
+    ``high`` are inclusive bounds, ``above`` an exclusive one. A ``db``
+    value must have a finite, positive linear value 10^(value/10).
     """
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if ok and isinstance(value, float):
@@ -145,10 +146,17 @@ def _number(value, name, low=None, high=None, above=None, integer=False):
             and (high is None or value <= high)
             and (above is None or value > above)
         )
+    if ok and db:
+        try:
+            ok = 10.0 ** (value / 10.0) > 0.0
+        except OverflowError:
+            ok = False
     if not ok:
         what = "an integer" if integer else "a number"
         bounds = [f"{word} {bound!r}" for word, bound in
                   (("above", above), ("at least", low), ("at most", high)) if bound is not None]
+        if db:
+            bounds.append("with a finite, positive linear value")
         if bounds:
             what += " " + " and ".join(bounds)
         raise ConfigError(f"field '{name}' must be {what}, got {value!r}", field=name)

@@ -30,7 +30,6 @@ class CorrelationMatrix:
     rank_hint: int
     path_gain: float
     _eig: tuple = field(default=None, repr=False, compare=False)
-    _sqrt: np.ndarray = field(default=None, repr=False, compare=False)
     _factor: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -59,23 +58,15 @@ class CorrelationMatrix:
     def numerical_rank(self):
         return self.basis().shape[1]
 
-    def sqrt(self):
-        """Hermitian PSD square root via eigendecomposition. Cached.
+    def factor(self):
+        """Factor F (M x r) with C = F F^H: one column sqrt(lambda) v per
+        eigenpair that ``basis()`` keeps, so C^(1/2) = F B^H. Cached.
 
         Eigenvalues below the numerical-rank threshold are clamped to exact
         zero (not just negatives): sub-rank junk of order eps*lambda_max
         would otherwise enter the square root at sqrt(eps) amplitude and
         push sampled channels measurably outside the declared rank's span.
         """
-        if self._sqrt is None:
-            w, v = self.eig()
-            clamped = np.where(w > RANK_TOL * max(float(w[-1]), 0.0), w, 0.0)
-            self._sqrt = (v * np.sqrt(clamped)) @ v.conj().T
-        return self._sqrt
-
-    def factor(self):
-        """Factor F (M x r) with C = F F^H up to the numerical-rank clamp of
-        ``sqrt()``: one column sqrt(lambda) v per kept eigenpair. Cached."""
         if self._factor is None:
             w, v = self.eig()
             keep = w > RANK_TOL * max(float(w[-1]), 0.0)
@@ -171,11 +162,20 @@ def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
 
 
 def sample_channel(corr, seed):
-    """Draw h = sqrt(M) C^(1/2) z, z i.i.d. CN(0, 1/M). Deterministic per seed."""
+    """Draw h = sqrt(M) C^(1/2) z, z i.i.d. CN(0, 1/M), with C^(1/2) = F B^H
+    from ``corr.factor()`` and ``corr.basis()``. Deterministic per seed.
+
+    A CorrelationMatrix gives one length-M channel. A CorrelationSet gives
+    the (K, N, M) channels of every link, drawn in (user, bs) order so that
+    each link reads the same normals as a lone draw in that order would.
+    """
     rng = as_rng(seed)
+    factor, basis = corr.factor(), corr.basis()
     m = corr.dim
-    z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0 * m)
-    return np.sqrt(m) * (corr.sqrt() @ z)
+    z = rng.standard_normal(factor.shape[:-2] + (2, m))
+    z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0 * m)
+    coeff = basis.conj().swapaxes(-1, -2) @ z[..., None]  # B^H z, one column per link
+    return np.sqrt(m) * (factor @ coeff)[..., 0]
 
 
 @dataclass
@@ -187,6 +187,8 @@ class CorrelationSet:
     matrices: dict  # (user, bs) -> CorrelationMatrix
     serving: dict  # user -> serving bs
     cluster_ids: dict  # user -> sub-area cluster id
+    _factor: np.ndarray = field(default=None, repr=False, compare=False)
+    _basis: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -194,6 +196,27 @@ class CorrelationSet:
 
     def matrix(self, user, bs):
         return self.matrices[(user, bs)]
+
+    def factor(self):
+        """Every link's ``factor()`` as one (K, N, M, R) array, zero-padded
+        to the widest rank R. Cached."""
+        if self._factor is None:
+            self._factor = self._padded(CorrelationMatrix.factor)
+        return self._factor
+
+    def basis(self):
+        """Every link's ``basis()``, laid out and padded as ``factor()``. Cached."""
+        if self._basis is None:
+            self._basis = self._padded(CorrelationMatrix.basis)
+        return self._basis
+
+    def _padded(self, part):
+        pieces = {link: part(mat) for link, mat in self.matrices.items()}
+        width = max(p.shape[1] for p in pieces.values())
+        out = np.zeros((self.num_users, self.num_bs, self.dim, width), dtype=complex)
+        for (k, n), p in pieces.items():
+            out[k, n, :, : p.shape[1]] = p
+        return out
 
     def users(self):
         return range(self.num_users)

@@ -198,10 +198,10 @@ def full_de(control, corr_set, graph, nu):
     for n, (users, blocked) in _per_bs_selection(control, graph).items():
         if not users:
             continue
-        factors = cache.projected(n, users, blocked)
-        xi = solve_effective_gains(factors, nu).gains
+        bs_gains, _, _ = cache.gains(n, users, blocked)
+        xi = np.array([bs_gains[k] for k in users])
         count = len(users)
-        stacked, gram, blocks = _stack(factors)
+        stacked, gram, blocks = _stack(cache.projected(n, users, blocked))
         inverse = np.linalg.inv(np.eye(gram.shape[0]) + gram / (m * (nu + blocks @ xi)))
         # tr(C~_i T C~_j T) = ||(B^H T B)_ij||_F^2 with B^H T B = (I + G D)^-1 G
         cross = blocks.T @ np.abs(inverse @ gram) ** 2 @ blocks

@@ -56,38 +56,47 @@ def _stderr(samples):
 
 
 def draw_channels(corr_set, rng):
-    """One realization of every link channel, fixed (user, bs) order."""
-    return {
-        (k, n): sample_channel(corr_set.matrix(k, n), rng)
-        for k in range(corr_set.num_users)
-        for n in range(corr_set.num_bs)
-    }
+    """One realization of every link channel: a (K, N, M) array."""
+    return sample_channel(corr_set, rng)
+
+
+def _layout(blocks, num_users, num_bs, m):
+    """Beams of ``blocks`` as one (N, M, L) array.
+
+    Each block is (bss, users, v): v holds the beams of ``users``, one
+    column each, over the stacked antennas of the BSs ``bss``; the rows of
+    every other BS stay zero. Also returns the K x L mask of each user's own
+    beam and the first BS of ``bss`` for every beam.
+    """
+    beam_user = np.array([k for _, users, _ in blocks for k in users], dtype=int)
+    beam_bs = np.array([bss[0] for bss, users, _ in blocks for _ in users], dtype=int)
+    beams = np.zeros((num_bs, m, beam_user.size), dtype=complex)
+    start = 0
+    for bss, users, v in blocks:
+        beams[list(bss), :, start : start + len(users)] = v.reshape(len(bss), m, len(users))
+        start += len(users)
+    return beams, np.arange(num_users)[:, None] == beam_user, beam_bs
 
 
 def _evaluate_control(control, channels, graph, nu):
-    """Rates, powers, worst interference-to-signal ratio for one realization."""
-    num_users, num_bs = graph.num_users, graph.num_bs
+    """Rates, powers, worst interference-to-signal ratio and total power
+    leaked onto protected users for one realization."""
     inner = inner_precoders(control, channels, nu)
-    rates = np.zeros(num_users)
-    powers = np.zeros(num_bs)
-    signal = {}
-    for n, users in control.selected.items():
-        powers[n] = transmit_power(control, channels, n, nu, inner=inner)
-        if not users:
-            continue
-        beams = control.outer[n] @ inner[n]
-        for idx, k in enumerate(users):
-            rates[k] = instantaneous_rate(k, control, channels, nu, inner=inner)
-            h = channels[(k, n)]
-            signal[k] = control.power[k] * float(np.abs(h.conj() @ beams[:, idx]) ** 2)
-    worst_ratio = 0.0
-    cross_total = 0.0
+    blocks = [((n,), users, control.outer[n] @ inner[n]) for n, users in control.selected.items()]
+    beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, channels.shape[2])
+    power = np.array([control.power[k] for _, users, _ in blocks for k in users])
+    received = cross_interference_power(channels, beams, power)
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    # the outer precoders null every other BS, so only the serving BS interferes
+    rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
+    protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
     for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
-        for k in blocked:
-            leak = cross_interference_power(control, channels, k, n, inner=inner)
-            cross_total += leak
-            worst_ratio = max(worst_ratio, leak / (signal.get(k, 0.0) + 1.0))
-    return rates, powers, worst_ratio, cross_total
+        protected[list(blocked), n] = True
+    per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))  # K x N
+    signal = np.sum(received, axis=1, where=own)
+    ratio = (per_bs / (signal[:, None] + 1.0))[protected]
+    worst = float(np.max(ratio, initial=0.0))
+    return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
 
 
 def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
@@ -155,7 +164,7 @@ ZF_NU = 1e-8  # RZF regularizer standing in for the exact zero-forcing limit
 
 def _bs_partition(graph, reuse_partitions):
     """Fixed greedy coloring of the BS adjacency induced by shared users,
-    folded onto the requested number of partitions."""
+    folded onto the requested number of partitions: one partition per BS."""
     touches = {k: set() for k in range(graph.num_users)}
     for (k, n) in graph.edges:
         touches[k].add(n)
@@ -172,7 +181,7 @@ def _bs_partition(graph, reuse_partitions):
         while c in used:
             c += 1
         color[n] = c
-    return {n: color[n] % reuse_partitions for n in range(graph.num_bs)}
+    return np.array([color[n] % reuse_partitions for n in range(graph.num_bs)])
 
 
 def ffr_baseline(corr_set, graph, nu, p_c, reuse_partitions, draws, seed):
@@ -191,43 +200,31 @@ def ffr_baseline(corr_set, graph, nu, p_c, reuse_partitions, draws, seed):
                 f"cell {n} serves {len(graph.assoc_users[n])} users with {m} antennas"
             )
     partition = _bs_partition(graph, reuse_partitions)
+    load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
     children = derive_seed_sequence(seed, FFR_MC).spawn(draws)
     num_users, num_bs = graph.num_users, graph.num_bs
     rate_samples = np.zeros((draws, num_users))
     power_samples = np.zeros((draws, num_bs))
     cross_sum = 0.0
     for i in range(draws):
-        rng = np.random.default_rng(children[i])
-        channels = draw_channels(corr_set, rng)
-        beams = {}
-        power = {}
+        channels = draw_channels(corr_set, np.random.default_rng(children[i]))
+        blocks = []
         for n in range(num_bs):
             users = graph.assoc_users[n]
             if not users:
                 continue
-            h = np.stack([channels[(k, n)].conj() for k in users], axis=0)
+            h = channels[list(users), n].conj()
             g = np.linalg.solve(h.conj().T @ h + m * ZF_NU * np.eye(m), h.conj().T)
-            g = g / np.linalg.norm(g, axis=0, keepdims=True)
-            beams[n] = g
-            power[n] = p_c / len(users)
-            power_samples[i, n] = p_c
-        for n in range(num_bs):
-            users = graph.assoc_users[n]
-            for idx, k in enumerate(users):
-                h = channels[(k, n)]
-                gains = np.abs(h.conj() @ beams[n]) ** 2
-                sig = power[n] * gains[idx]
-                intra = power[n] * (np.sum(gains) - gains[idx])
-                inter = 0.0
-                for other in range(num_bs):
-                    if other == n or partition[other] != partition[n]:
-                        continue
-                    if other not in beams:
-                        continue
-                    hh = channels[(k, other)]
-                    inter += power[other] * float(np.sum(np.abs(hh.conj() @ beams[other]) ** 2))
-                cross_sum += inter
-                rate_samples[i, k] = np.log1p(sig / (intra + inter + 1.0)) / reuse_partitions
+            blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
+        beams, own, beam_bs = _layout(blocks, num_users, num_bs, m)
+        power = p_c / load[beam_bs]
+        received = cross_interference_power(channels, beams, power)
+        # the user's own cell and the other cells of its partition share its band
+        band = partition[serving][:, None] == partition[beam_bs]
+        rate_samples[i] = instantaneous_rate(received, own, band & ~own) / reuse_partitions
+        power_samples[i] = transmit_power(beams, power)
+        cross_sum += float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
     return MonteCarloReport(
         user_rate_mean=rate_samples.mean(axis=0),
         user_rate_stderr=_stderr(rate_samples),
@@ -264,12 +261,13 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
         tuple(range(c * cluster_size, (c + 1) * cluster_size))
         for c in range(graph.num_bs // cluster_size)
     ]
-    members = {c: [k for n in bss for k in graph.assoc_users[n]] for c, bss in enumerate(clusters)}
-    for c, bss in enumerate(clusters):
-        if len(members[c]) > cluster_size * m:
+    members = [[k for n in bss for k in graph.assoc_users[n]] for bss in clusters]
+    for c, users in enumerate(members):
+        if len(users) > cluster_size * m:
             raise ValidationError(
-                f"cluster {c} serves {len(members[c])} users with {cluster_size * m} antennas"
+                f"cluster {c} serves {len(users)} users with {cluster_size * m} antennas"
             )
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
     children = derive_seed_sequence(seed, COMP_MC).spawn(draws)
     num_users, num_bs = graph.num_users, graph.num_bs
     rate_samples = np.zeros((draws, num_users))
@@ -279,55 +277,22 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
         rng = np.random.default_rng(children[i])
         channels = draw_channels(corr_set, rng)
         stale = draw_channels(corr_set, rng)  # independent AR(1) innovation
-
-        def stacked(k, bss, source):
-            return np.concatenate([source[(k, n)] for n in bss])
-
-        beams = {}
-        upower = {}
-        for c, bss in enumerate(clusters):
-            users = members[c]
-            if not users:
-                continue
-            rows = []
-            for k in users:
-                true_h = stacked(k, bss, channels)
-                indep = stacked(k, bss, stale)
-                outdated = delay_rho * true_h + np.sqrt(1.0 - delay_rho**2) * indep
-                rows.append(outdated.conj())
-            h_csi = np.stack(rows, axis=0)
-            v = np.linalg.pinv(h_csi)  # (cluster_size*m) x |users|
-            per_bs = np.stack(
-                [
-                    np.sum(np.abs(v[j * m : (j + 1) * m, :]) ** 2, axis=0)
-                    for j in range(len(bss))
-                ],
-                axis=0,
-            )
-            scale = p_c / float(np.max(np.sum(per_bs, axis=1)))
-            p = np.full(len(users), scale)
-            beams[c] = v
-            upower[c] = p
-            for j, n in enumerate(bss):
-                power_samples[i, n] = float(per_bs[j] @ p)
-        for c, bss in enumerate(clusters):
-            users = members[c]
-            if not users:
-                continue
-            v, p = beams[c], upower[c]
-            for idx, k in enumerate(users):
-                h_true = stacked(k, bss, channels)
-                gains = np.abs(h_true.conj() @ v) ** 2
-                sig = p[idx] * gains[idx]
-                intra = float(np.sum(p * gains)) - p[idx] * gains[idx]
-                inter = 0.0
-                for c2, bss2 in enumerate(clusters):
-                    if c2 == c or not members[c2]:
-                        continue
-                    h2 = stacked(k, bss2, channels)
-                    inter += float(np.sum(upower[c2] * np.abs(h2.conj() @ beams[c2]) ** 2))
-                cross_sum += inter
-                rate_samples[i, k] = np.log1p(sig / (intra + inter + 1.0))
+        outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
+        # each cluster zero-forces its users' outdated channels, stacked over its BSs
+        blocks = [
+            (bss, users, np.linalg.pinv(outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()))
+            for bss, users in zip(clusters, members)
+            if users
+        ]
+        beams, own, beam_bs = _layout(blocks, num_users, num_bs, m)
+        # one power per cluster, scaled so that its most loaded BS spends p_c
+        unit_load = transmit_power(beams, np.ones(beams.shape[2]))
+        power = p_c / np.max(unit_load.reshape(-1, cluster_size), axis=1)[beam_bs // cluster_size]
+        received = cross_interference_power(channels, beams, power)
+        rate_samples[i] = instantaneous_rate(received, own, ~own)
+        power_samples[i] = transmit_power(beams, power)
+        other_cluster = (serving // cluster_size)[:, None] != beam_bs // cluster_size
+        cross_sum += float(np.sum(received, where=other_cluster))
     return MonteCarloReport(
         user_rate_mean=rate_samples.mean(axis=0),
         user_rate_stderr=_stderr(rate_samples),

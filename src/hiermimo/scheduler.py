@@ -393,6 +393,8 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
         if pg <= tol:
             converged = True
             break
+        if dropped.size:
+            continue  # optimize the smaller face before re-admitting
         # re-admit the most promising zero coordinate, if any beats the face
         level = float(np.max(grad[active]))
         outside = np.flatnonzero(~active)

@@ -265,7 +265,20 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("path, value", MALFORMED, ids=[path for path, _ in MALFORMED])
+# dB values whose linear value overflows to infinity or underflows to zero
+OVERFLOWING_DB = [
+    ("power_limit_db", 4000),
+    ("power_limit_db", -4000),
+    ("theta_db", 4000),
+    ("geometry.ref_gain_db", 4000),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    MALFORMED + OVERFLOWING_DB,
+    ids=[path for path, _ in MALFORMED] + [f"{path}={value}" for path, value in OVERFLOWING_DB],
+)
 def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):
     if value is TRUNCATED:
         from hiermimo.corrmat import dump_correlation_set

@@ -171,9 +171,11 @@ def test_de_power_close_to_monte_carlo():
     rng = np.random.default_rng(12)
     draws = 500
     acc = 0.0
+    power = np.array([control.power[k] for k in control.selected[0]])
     for _ in range(draws):
-        channels = {(k, 0): sample_channel(cs.matrix(k, 0), rng) for k in range(users)}
-        acc += transmit_power(control, channels, 0, nu)
+        channels = sample_channel(cs, rng)
+        beams = control.outer[0] @ inner_precoders(control, channels, nu)[0]
+        acc += transmit_power(beams[None], power)[0]
     assert abs(acc / draws - de.powers[0]) / de.powers[0] <= 0.10
 
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from hiermimo.corrmat import build_hotspot_network, sample_channel
+from hiermimo.corrmat import (
+    CorrelationSet,
+    build_hotspot_network,
+    random_clustered_correlation,
+    sample_channel,
+)
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.harness import (
     comp_baseline,
@@ -79,6 +84,30 @@ def test_monte_carlo_is_draw_order_independent(desk):
         r, _, _, _ = _evaluate_control(policy.controls[0], channels, graph, NU)
         rates[i] = r
     assert np.array_equal(rates.mean(axis=0), rep.user_rate_mean)
+
+
+def test_draw_channels_matches_per_link_draws():
+    # ranks 1..3 and a zero link, so the set's factors are zero-padded
+    mats = {
+        (k, n): random_clustered_correlation(6, 1 + (k + n) % 3, 0.0 if (k, n) == (1, 0) else 1.0,
+                                             seed=10 * k + n)
+        for k in range(3)
+        for n in range(2)
+    }
+    cs = CorrelationSet(2, 3, mats, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2})
+    together = draw_channels(cs, np.random.default_rng(41))
+    assert together.shape == (3, 2, 6)
+    rng, again = np.random.default_rng(41), np.random.default_rng(41)
+    for k in range(3):
+        for n in range(2):
+            alone = sample_channel(cs.matrix(k, n), rng)
+            np.testing.assert_allclose(together[k, n], alone, rtol=1e-12, atol=1e-15)
+            # the definition: M real then M imaginary normals, h = sqrt(M) C^(1/2) z
+            z = (again.standard_normal(6) + 1j * again.standard_normal(6)) / np.sqrt(12.0)
+            w, v = np.linalg.eigh(cs.matrix(k, n).entries)
+            root = (v * np.sqrt(np.where(w > 1e-9 * max(w[-1], 0.0), w, 0.0))) @ v.conj().T
+            np.testing.assert_allclose(alone, np.sqrt(6.0) * root @ z, rtol=1e-12, atol=1e-15)
+    assert np.all(together[1, 0] == 0)
 
 
 def test_monte_carlo_rejects_zero_draws(desk):

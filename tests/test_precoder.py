@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, random_clustered_correlation
 from hiermimo.errors import ParameterError, ValidationError
@@ -131,11 +133,47 @@ def _simple_control(cs, selected, blocked, powers):
     return CompositeControl(outer={0: f}, selected={0: selected}, power=powers)
 
 
+def layout(control, inner, num_users):
+    """(N, M, L) beams, L powers, the K x L own-beam mask and the BS of each
+    beam of ``control``, its selected users in BS order."""
+    served = [(n, k) for n, users in control.selected.items() for k in users]
+    m = next(iter(control.outer.values())).shape[0]
+    beams = np.zeros((len(control.outer), m, len(served)), dtype=complex)
+    own = np.zeros((num_users, len(served)), dtype=bool)
+    for col, (n, k) in enumerate(served):
+        beams[n, :, col] = control.outer[n] @ inner[n][:, control.selected[n].index(k)]
+        own[k, col] = True
+    power = np.array([control.power[k] for _, k in served])
+    return beams, power, own, np.array([n for n, _ in served], dtype=int)
+
+
+def proposed_rates(control, channels, nu, inner=None):
+    """Per-user rates with the serving BS's other beams as interference."""
+    if inner is None:
+        inner = inner_precoders(control, channels, nu)
+    beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
+    received = cross_interference_power(channels, beams, power)
+    same_bs = own @ (beam_bs[:, None] == beam_bs)
+    return instantaneous_rate(received, own, same_bs & ~own)
+
+
+def bs_powers(control, channels, nu, inner=None):
+    if inner is None:
+        inner = inner_precoders(control, channels, nu)
+    beams, power, _, _ = layout(control, inner, channels.shape[0])
+    return transmit_power(beams, power)
+
+
+def rand_channels(rng, num_users, m):
+    """(K, 1, M) realization for a one-BS network."""
+    return np.stack([rand_channel(rng, m) for _ in range(num_users)])[:, None, :]
+
+
 def test_rate_zero_for_unselected_user():
     cs = single_cell_set(8, 2, 2)
     control = _simple_control(cs, (0,), (), {0: 1.0})
-    channels = {(k, 0): rand_channel(np.random.default_rng(k), 8) for k in range(2)}
-    assert instantaneous_rate(1, control, channels, nu=0.01) == 0.0
+    channels = np.stack([rand_channel(np.random.default_rng(k), 8) for k in range(2)])[:, None]
+    assert proposed_rates(control, channels, nu=0.01)[1] == 0.0
 
 
 def test_rate_matched_filter_single_user():
@@ -145,7 +183,7 @@ def test_rate_matched_filter_single_user():
     v = (h / np.linalg.norm(h)).reshape(m, 1)
     control = CompositeControl(outer={0: v}, selected={0: (0,)}, power={0: 3.0})
     inner = {0: np.array([[1.0 + 0j]])}
-    rate = instantaneous_rate(0, control, {(0, 0): h}, nu=0.01, inner=inner)
+    rate = proposed_rates(control, h[None, None, :], nu=0.01, inner=inner)[0]
     assert np.isclose(rate, np.log(1 + 6.0), rtol=1e-12)
 
 
@@ -154,29 +192,28 @@ def test_rate_matches_scalar_formula_oracle():
     m, nu = 8, 0.05
     cs = single_cell_set(m, 2, 3, seed0=20)
     control = _simple_control(cs, (0, 1), (), {0: 2.0, 1: 1.5})
-    channels = {(k, 0): rand_channel(rng, m) for k in range(2)}
+    channels = rand_channels(rng, 2, m)
     inner = inner_precoders(control, channels, nu)
     beams = control.outer[0] @ inner[0]
+    rates = proposed_rates(control, channels, nu, inner=inner)
     for idx, k in enumerate((0, 1)):
-        h = channels[(k, 0)]
+        h = channels[k, 0]
         sig = control.power[k] * abs(h.conj() @ beams[:, idx]) ** 2
         other = 1 - idx
         intra = control.power[other] * abs(h.conj() @ beams[:, other]) ** 2
         oracle = np.log(1 + sig / (intra + 1.0))
-        assert np.isclose(instantaneous_rate(k, control, channels, nu, inner=inner),
-                          oracle, rtol=1e-12)
+        assert np.isclose(rates[k], oracle, rtol=1e-12)
 
 
 def test_transmit_power_empty_and_single_user():
-    cs = single_cell_set(8, 1, 2)
     empty = CompositeControl(outer={0: np.zeros((8, 0), dtype=complex)},
                              selected={0: ()}, power={})
-    assert transmit_power(empty, {}, 0, nu=0.01) == 0.0
+    assert bs_powers(empty, np.zeros((1, 1, 8), dtype=complex), nu=0.01)[0] == 0.0
     m, nu, p = 8, 0.1, 2.5
     h = rand_channel(np.random.default_rng(9), m)
     control = CompositeControl(outer={0: np.eye(m, dtype=complex)},
                                selected={0: (0,)}, power={0: p})
-    got = transmit_power(control, {(0, 0): h}, 0, nu)
+    got = bs_powers(control, h[None, None, :], nu)[0]
     expect = p * np.linalg.norm(h) ** 2 / (np.linalg.norm(h) ** 2 + m * nu) ** 2
     assert np.isclose(got, expect, rtol=1e-10)
 
@@ -186,16 +223,17 @@ def test_transmit_power_identities():
     m, nu = 16, 0.02
     cs = single_cell_set(m, 3, 4, seed0=40)
     control = _simple_control(cs, (0, 1, 2), (), {0: 1.0, 1: 2.0, 2: 0.5})
-    channels = {(k, 0): rand_channel(rng, m) for k in range(3)}
+    channels = rand_channels(rng, 3, m)
     inner = inner_precoders(control, channels, nu)
-    got = transmit_power(control, channels, 0, nu, inner=inner)
-    # alternative form: sum of per-user beam powers through the outer basis
-    alt = sum(control.power[k] * np.linalg.norm(control.outer[0] @ inner[0][:, i]) ** 2
+    got = bs_powers(control, channels, nu, inner=inner)[0]
+    # alternative form: sum of per-user inner-precoder powers, the outer
+    # basis being semi-unitary
+    alt = sum(control.power[k] * np.linalg.norm(inner[0][:, i]) ** 2
               for i, k in enumerate((0, 1, 2)))
     assert np.isclose(got, alt, rtol=1e-10)
     # trace form with an explicit inverse
     f = control.outer[0]
-    rows = np.stack([channels[(k, 0)].conj() for k in (0, 1, 2)])
+    rows = channels[:, 0].conj()
     heff = rows @ f
     inv2 = np.linalg.inv(heff.conj().T @ heff + m * nu * np.eye(f.shape[1]))
     inv2 = inv2 @ inv2
@@ -214,12 +252,11 @@ def test_unitary_rotation_of_outer_is_invisible():
                         + 1j * rng.standard_normal((k_dim, k_dim)))
     rotated = CompositeControl(outer={0: control.outer[0] @ q},
                                selected=control.selected, power=control.power)
-    channels = {(k, 0): rand_channel(rng, m) for k in range(2)}
-    for k in range(2):
-        assert np.isclose(instantaneous_rate(k, control, channels, nu),
-                          instantaneous_rate(k, rotated, channels, nu), rtol=1e-10)
-    assert np.isclose(transmit_power(control, channels, 0, nu),
-                      transmit_power(rotated, channels, 0, nu), rtol=1e-10)
+    channels = rand_channels(rng, 2, m)
+    assert np.allclose(proposed_rates(control, channels, nu),
+                       proposed_rates(rotated, channels, nu), rtol=1e-10, atol=0)
+    assert np.isclose(bs_powers(control, channels, nu)[0],
+                      bs_powers(rotated, channels, nu)[0], rtol=1e-10)
 
 
 def test_zero_ici_end_to_end(desk):
@@ -234,17 +271,14 @@ def test_zero_ici_end_to_end(desk):
     control.validate(cs, graph)
     assert any(graph.neighbor_users[n] for n in range(2)), "need cross edges"
     for i in range(50):
-        rng = np.random.default_rng(500 + i)
-        channels = {(k, n): sample_channel(cs.matrix(k, n), rng)
-                    for k in range(6) for n in range(2)}
+        channels = sample_channel(cs, np.random.default_rng(500 + i))
         inner = inner_precoders(control, channels, nu)
+        beams, power, own, beam_bs = layout(control, inner, 6)
+        received = cross_interference_power(channels, beams, power)
         for n in range(2):
             for k in graph.neighbor_users[n]:
-                leak = cross_interference_power(control, channels, k, n, inner=inner)
-                bs = control.serving_bs(k)
-                beams = control.outer[bs] @ inner[bs]
-                idx = control.selected[bs].index(k)
-                sig = control.power[k] * abs(channels[(k, bs)].conj() @ beams[:, idx]) ** 2
+                leak = float(np.sum(received[k, beam_bs == n]))
+                sig = float(np.sum(received[k, own[k]]))
                 assert leak <= 1e-16 * (sig + 1.0)
 
 
@@ -264,3 +298,63 @@ def test_control_validation_failures(desk):
     with pytest.raises(ValidationError):
         CompositeControl(outer=skewed, selected=control.selected,
                          power=control.power).validate(cs, graph)
+
+
+# Per-user reference loop: each user's rate, each BS's power and each
+# (user, BS) leakage computed one at a time from per-BS beams.
+
+
+def reference_realization(control, channels, inner):
+    num_users, num_bs, _ = channels.shape
+    rates = np.zeros(num_users)
+    powers = np.zeros(num_bs)
+    leak = np.zeros((num_users, num_bs))
+    for n, users in control.selected.items():
+        beams = control.outer[n] @ inner[n]
+        for i, l in enumerate(users):
+            powers[n] += control.power[l] * np.linalg.norm(inner[n][:, i]) ** 2
+        for k in range(num_users):
+            cross = np.abs(channels[k, n].conj() @ beams) ** 2
+            leak[k, n] = sum(control.power[l] * cross[i] for i, l in enumerate(users))
+            if k in users:
+                signal = control.power[k] * cross[users.index(k)]
+                intra = sum(control.power[l] * cross[i] for i, l in enumerate(users) if l != k)
+                rates[k] = np.log1p(signal / (intra + 1.0))
+    return rates, powers, leak
+
+
+@st.composite
+def realizations(draw):
+    num_bs = draw(st.integers(1, 3))
+    num_users = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    serving = [draw(st.integers(0, num_bs - 1)) for _ in range(num_users)]
+    selected, outer = {}, {}
+    for n in range(num_bs):
+        # a BS may select none of its users, and its outer precoder may be empty
+        mine = [k for k in range(num_users) if serving[k] == n]
+        selected[n] = tuple(k for k in mine if draw(st.booleans()))
+        width = draw(st.integers(0, m))
+        raw = rng.standard_normal((m, width)) + 1j * rng.standard_normal((m, width))
+        outer[n] = np.linalg.qr(raw)[0] if width else np.zeros((m, 0), dtype=complex)
+    power = {k: float(rng.uniform(0.0, 10.0)) for users in selected.values() for k in users}
+    channels = rng.standard_normal((num_users, num_bs, m)) + 1j * rng.standard_normal(
+        (num_users, num_bs, m))
+    nu = float(rng.uniform(0.01, 1.0))
+    return CompositeControl(outer=outer, selected=selected, power=power), channels, nu
+
+
+@settings(max_examples=150, deadline=None)
+@given(realizations())
+def test_one_evaluation_matches_the_per_user_loop(case):
+    control, channels, nu = case
+    inner = inner_precoders(control, channels, nu)
+    ref_rates, ref_powers, ref_leak = reference_realization(control, channels, inner)
+    beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
+    received = cross_interference_power(channels, beams, power)
+    per_bs = received @ (beam_bs[:, None] == np.arange(channels.shape[1]))
+    np.testing.assert_allclose(per_bs, ref_leak, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(transmit_power(beams, power), ref_powers, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(proposed_rates(control, channels, nu, inner=inner), ref_rates,
+                               rtol=1e-12, atol=1e-12)

@@ -482,3 +482,17 @@ def test_time_sharing_appears_when_users_conflict():
     served = {run.selected_union for run in res.policy.controls}
     assert served == {(0,), (1,)}
     assert res.certificate <= 1e-6
+
+
+def test_time_sharing_reoptimizes_the_face_after_a_drop():
+    # the first face optimum drops control 1; stopping there left the
+    # projected gradient at 0.154
+    rates = np.array([
+        [7.826, 8.514, 7.3299, 5.9035, 0.0, 8.8607],
+        [0.0, 0.0, 0.0, 0.0, 7.5604, 0.0],
+        [6.4676, 0.0, 6.0374, 0.0, 7.0857, 0.0],
+    ])
+    util = pfs_utility(6)
+    q = optimize_time_sharing(rates, util, init=[0.8333, 0.1667, 0.0])
+    _, mu = util.value_and_grad(q @ rates)
+    assert np.linalg.norm(project_simplex(q + rates @ mu) - q) <= 1e-8
