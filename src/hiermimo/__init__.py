@@ -6,7 +6,6 @@ from .corrmat import (
     build_hotspot_network,
     dump_correlation_set,
     load_correlation_set,
-    one_ring_correlation,
     path_gain_log_distance,
     random_clustered_correlation,
     sample_channel,
@@ -17,7 +16,6 @@ from .det_equiv import (
     GainCache,
     de_rate_power,
     full_de,
-    projected_factor,
     solve_effective_gains,
 )
 from .errors import (
@@ -35,6 +33,7 @@ from .precoder import (
     instantaneous_rate,
     interference_nullspace_basis,
     outer_precoder,
+    projected_factor,
     rzf_inner_precoder,
     transmit_power,
 )

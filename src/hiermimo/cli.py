@@ -231,6 +231,15 @@ def scenario_from_dict(data):
             f"field 'correlation_file' must be a path, got {correlation_file!r}",
             field="correlation_file",
         )
+    cluster = _number(
+        baselines["comp_cluster_size"], "baselines.comp_cluster_size", **POSITIVE_INT
+    )
+    if numbers["num_bs"] % cluster:
+        raise ConfigError(
+            f"field 'baselines.comp_cluster_size' must divide num_bs = {numbers['num_bs']}, "
+            f"got {cluster!r}",
+            field="baselines.comp_cluster_size",
+        )
     return Scenario(
         **numbers,
         utility=_utility(data["utility"], numbers["num_users"]),
@@ -245,9 +254,7 @@ def scenario_from_dict(data):
             "ffr_partitions": _number(
                 baselines["ffr_partitions"], "baselines.ffr_partitions", **POSITIVE_INT
             ),
-            "comp_cluster_size": _number(
-                baselines["comp_cluster_size"], "baselines.comp_cluster_size", **POSITIVE_INT
-            ),
+            "comp_cluster_size": cluster,
             "comp_delay_rhos": [
                 _number(rho, "baselines.comp_delay_rhos", low=0.0, high=1.0)
                 for rho in _list(baselines["comp_delay_rhos"], "baselines.comp_delay_rhos")

@@ -1,7 +1,11 @@
 """Spatial correlation matrices and channel sampling.
 
 A link between a base station and a user is described by an M x M Hermitian
-PSD correlation matrix whose trace equals M times the link path gain.
+PSD correlation matrix whose trace equals M times the link path gain. It is
+stored as its M x r factor F, C = F F^H, whose columns sqrt(lambda) v are the
+eigenpairs above the numerical-rank threshold; the dense matrix is formed
+only to write a network to a file (``dense()``) and to read one back
+(``CorrelationMatrix.from_dense``).
 Instantaneous channels are drawn as h = sqrt(M) * C^(1/2) z with z i.i.d.
 complex Gaussian of variance 1/M per entry, so E[h h^H] = C.
 """
@@ -18,91 +22,119 @@ RANK_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+# users of one cluster share their normalized correlations to this relative gap
+CLUSTER_TOL = 1e-12
 # users and hotspots keep at least this distance from their cell's BS
 MIN_DIST_M = 35.0
 
 
 @dataclass
 class CorrelationMatrix:
-    """One link's spatial correlation matrix with its declared rank and gain."""
+    """One link's spatial correlation C = F F^H with its declared rank and gain.
 
-    entries: np.ndarray
+    ``columns`` is the factor F: orthogonal columns sqrt(lambda) v, one per
+    eigenpair of C. Columns below the numerical-rank threshold are dropped on
+    construction (not just zero ones): sub-rank junk of order eps*lambda_max
+    would otherwise enter the square root at sqrt(eps) amplitude and push
+    sampled channels measurably outside the declared rank's span.
+    """
+
+    columns: np.ndarray
     rank_hint: int
     path_gain: float
-    _eig: tuple = field(default=None, repr=False, compare=False)
-    _factor: np.ndarray = field(default=None, repr=False, compare=False)
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self):
-        return self.entries.shape[0]
+    def __post_init__(self):
+        columns = np.asarray(self.columns, dtype=complex)
+        power = np.sum(np.abs(columns) ** 2, axis=0)  # the eigenvalues lambda
+        keep = power > RANK_TOL * np.max(power, initial=0.0)
+        self.columns = np.ascontiguousarray(columns[:, keep])
+        self._basis = self.columns / np.sqrt(power[keep])
 
-    def trace(self):
-        return float(np.real(np.trace(self.entries)))
+    @classmethod
+    def from_dense(cls, entries, rank_hint, path_gain):
+        """Factor of a dense M x M matrix read from outside the program.
 
-    def eig(self):
-        """Eigendecomposition (ascending eigenvalues), cached."""
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.entries)
-            self._eig = (w, v)
-        return self._eig
-
-    def basis(self):
-        """Orthonormal basis of the numerical column space (M x r)."""
-        w, v = self.eig()
-        top = w[-1]
-        if top <= 0.0:
-            return np.zeros((self.dim, 0), dtype=complex)
-        keep = w > RANK_TOL * top
-        return np.ascontiguousarray(v[:, keep])
-
-    def numerical_rank(self):
-        return self.basis().shape[1]
-
-    def factor(self):
-        """Factor F (M x r) with C = F F^H: one column sqrt(lambda) v per
-        eigenpair that ``basis()`` keeps, so C^(1/2) = F B^H. Cached.
-
-        Eigenvalues below the numerical-rank threshold are clamped to exact
-        zero (not just negatives): sub-rank junk of order eps*lambda_max
-        would otherwise enter the square root at sqrt(eps) amplitude and
-        push sampled channels measurably outside the declared rank's span.
+        Checks that it is Hermitian and PSD, that its numerical rank is at
+        most ``rank_hint`` (None takes the numerical rank, at least 1) and
+        that its trace is M * path_gain; ValidationError otherwise. The
+        stored gain is the trace of the stored, rank-clamped factor over M,
+        which differs from ``path_gain`` by the clamped eigenvalues.
         """
-        if self._factor is None:
-            w, v = self.eig()
-            keep = w > RANK_TOL * max(float(w[-1]), 0.0)
-            self._factor = np.ascontiguousarray(v[:, keep] * np.sqrt(w[keep]))
-        return self._factor
-
-    def validate(self):
-        a = self.entries
-        m = self.dim
+        a = np.asarray(entries, dtype=complex)
+        m = a.shape[0]
         if a.shape != (m, m):
             raise ValidationError("correlation matrix must be square")
-        w, _ = self.eig()
+        w, v = np.linalg.eigh(a)
         scale = max(float(w[-1]), abs(float(w[0])))
         herm_err = float(np.max(np.abs(a - a.conj().T)))
         if scale > 0 and herm_err > HERMITIAN_TOL * scale:
             raise ValidationError(f"not Hermitian: deviation {herm_err:.3e}")
         if scale > 0 and float(w[0]) < -PSD_TOL * scale:
             raise ValidationError(f"not PSD: min eigenvalue {w[0]:.3e}")
-        if scale > 0:
-            rank = int(np.count_nonzero(w > RANK_TOL * w[-1]))
-            if rank > self.rank_hint:
-                raise ValidationError(
-                    f"numerical rank {rank} exceeds declared rank {self.rank_hint}"
-                )
-        target = m * self.path_gain
-        tr = self.trace()
-        if abs(tr - target) > TRACE_TOL * max(target, 1e-300):
-            raise ValidationError(f"trace {tr!r} != M * path_gain {target!r}")
+        keep = w > RANK_TOL * max(float(w[-1]), 0.0)
+        rank = int(np.count_nonzero(keep))
+        if rank_hint is None:
+            rank_hint = max(rank, 1)
+        if rank > rank_hint:
+            raise ValidationError(f"numerical rank {rank} exceeds declared rank {rank_hint}")
+        _check_trace(float(np.real(np.trace(a))), m, path_gain)
+        factor = v[:, keep] * np.sqrt(w[keep])
+        return cls(factor, rank_hint, float(np.sum(w[keep])) / m)
+
+    @property
+    def dim(self):
+        return self.columns.shape[0]
+
+    def trace(self):
+        return float(np.sum(np.abs(self.columns) ** 2))
+
+    def factor(self):
+        """Factor F (M x r) with C = F F^H, so that C^(1/2) = F B^H."""
+        return self.columns
+
+    def basis(self):
+        """Orthonormal basis B (M x r) of the column space: F with unit columns."""
+        return self._basis
+
+    def numerical_rank(self):
+        return self.columns.shape[1]
+
+    def dense(self):
+        """The M x M matrix F F^H."""
+        return self.columns @ self.columns.conj().T
+
+    def validate(self):
+        # C = F F^H is PSD by construction; its eigenpairs are F's columns
+        # only when those are orthogonal
+        gram = self.columns.conj().T @ self.columns
+        scale = float(np.max(np.real(np.diagonal(gram)), initial=0.0))
+        skew = float(np.max(np.abs(gram - np.diag(np.diagonal(gram))), initial=0.0))
+        if skew > PSD_TOL * scale:
+            raise ValidationError(f"factor columns are not orthogonal: deviation {skew:.3e}")
+        if self.numerical_rank() > self.rank_hint:
+            raise ValidationError(
+                f"numerical rank {self.numerical_rank()} exceeds declared rank {self.rank_hint}"
+            )
+        _check_trace(self.trace(), self.dim, self.path_gain)
         return self
+
+
+def _check_trace(tr, m, path_gain):
+    target = m * path_gain
+    if abs(tr - target) > TRACE_TOL * max(target, 1e-300):
+        raise ValidationError(f"trace {tr!r} != M * path_gain {target!r}")
 
 
 def random_clustered_correlation(m, rank, path_gain, seed):
     """Random rank-limited correlation: C = path_gain * normalize(A A^H).
 
     A is M x rank with i.i.d. unit complex Gaussian entries; the Gram matrix
-    is rescaled so its trace equals M before applying the path gain.
+    is rescaled so its trace equals M before applying the path gain. The
+    factor comes from the thin SVD A = U S W^H: the eigenpairs of A A^H are
+    (s^2, u), so F = U S scaled. (The r x r eigenproblem of A^H A would be
+    cheaper but squares A's condition number: at rank = M its basis lost
+    orthonormality to 1.2e-12.)
     """
     if not (1 <= rank <= m):
         raise ParameterError(f"rank must satisfy 1 <= rank <= {m}, got {rank}")
@@ -110,44 +142,11 @@ def random_clustered_correlation(m, rank, path_gain, seed):
         raise ParameterError("path_gain must be non-negative")
     rng = as_rng(seed)
     a = (rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))) / np.sqrt(2.0)
-    gram = a @ a.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
     if path_gain == 0.0:
-        return CorrelationMatrix(np.zeros((m, m), dtype=complex), rank, 0.0)
-    entries = (path_gain * m / np.real(np.trace(gram))) * gram
-    return CorrelationMatrix(entries, rank, float(path_gain))
-
-
-# Gauss-Legendre order for the angular integral; exceeds 1e-8 accuracy for
-# spreads down to about one degree.
-ONE_RING_QUAD_ORDER = 256
-
-
-def one_ring_correlation(m, center_angle, angular_spread, antenna_spacing, path_gain):
-    """Uniform-linear-array correlation for a ring of scatterers.
-
-    Entry (p, q) is the average of exp(-2j pi spacing (p - q) sin(angle))
-    over departure angles uniform on [center - spread, center + spread],
-    scaled by path_gain. Evaluated by fixed-order Gauss-Legendre quadrature,
-    which keeps the result exactly Hermitian PSD (a nonnegative combination
-    of steering outer products).
-    """
-    if not (0.0 < angular_spread < np.pi):
-        raise ParameterError("angular_spread must lie in (0, pi)")
-    if antenna_spacing <= 0:
-        raise ParameterError("antenna_spacing must be positive")
-    if path_gain < 0:
-        raise ParameterError("path_gain must be non-negative")
-    nodes, weights = np.polynomial.legendre.leggauss(ONE_RING_QUAD_ORDER)
-    angles = center_angle + angular_spread * nodes
-    steering = np.exp(
-        -2j * np.pi * antenna_spacing * np.arange(m)[:, None] * np.sin(angles)[None, :]
-    )
-    entries = (path_gain / 2.0) * (steering * weights) @ steering.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
-    mat = CorrelationMatrix(entries, m, float(path_gain))
-    mat.rank_hint = max(mat.numerical_rank(), 1)
-    return mat
+        return CorrelationMatrix(np.zeros((m, 0), dtype=complex), rank, 0.0)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    scale = np.sqrt(path_gain * m / np.sum(s**2))
+    return CorrelationMatrix((u * s) * scale, rank, float(path_gain))
 
 
 def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
@@ -187,8 +186,12 @@ class CorrelationSet:
     matrices: dict  # (user, bs) -> CorrelationMatrix
     serving: dict  # user -> serving bs
     cluster_ids: dict  # user -> sub-area cluster id
-    _factor: np.ndarray = field(default=None, repr=False, compare=False)
-    _basis: np.ndarray = field(default=None, repr=False, compare=False)
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._factor = self._padded(CorrelationMatrix.factor)
+        self._basis = self._padded(CorrelationMatrix.basis)
 
     @property
     def dim(self):
@@ -199,15 +202,11 @@ class CorrelationSet:
 
     def factor(self):
         """Every link's ``factor()`` as one (K, N, M, R) array, zero-padded
-        to the widest rank R. Cached."""
-        if self._factor is None:
-            self._factor = self._padded(CorrelationMatrix.factor)
+        to the widest rank R."""
         return self._factor
 
     def basis(self):
-        """Every link's ``basis()``, laid out and padded as ``factor()``. Cached."""
-        if self._basis is None:
-            self._basis = self._padded(CorrelationMatrix.basis)
+        """Every link's ``basis()``, laid out and padded as ``factor()``."""
         return self._basis
 
     def _padded(self, part):
@@ -217,9 +216,6 @@ class CorrelationSet:
         for (k, n), p in pieces.items():
             out[k, n, :, : p.shape[1]] = p
         return out
-
-    def users(self):
-        return range(self.num_users)
 
     def validate(self):
         dims = set()
@@ -243,14 +239,27 @@ class CorrelationSet:
             ref = members[0]
             for k in members[1:]:
                 for n in range(self.num_bs):
-                    a, b = self.matrices[(ref, n)], self.matrices[(k, n)]
-                    na = a.entries / a.path_gain if a.path_gain > 0 else a.entries
-                    nb = b.entries / b.path_gain if b.path_gain > 0 else b.entries
-                    if not np.allclose(na, nb, rtol=1e-12, atol=1e-12):
+                    if not _same_normalized(self.matrices[(ref, n)], self.matrices[(k, n)]):
                         raise ValidationError(
                             f"users {ref} and {k} share cluster but not matrices at BS {n}"
                         )
         return self
+
+
+def _same_normalized(a, b):
+    """Whether C_a / g_a and C_b / g_b agree to CLUSTER_TOL relative.
+
+    With the normalized factors side by side, [F_a F_b] = Q [R_a R_b], the
+    gap F_a F_a^H - F_b F_b^H equals Q (R_a R_a^H - R_b R_b^H) Q^H, so its
+    Frobenius norm is that of a (r_a + r_b)-square matrix.
+    """
+    fa, fb = (mat.factor() / np.sqrt(mat.path_gain) if mat.path_gain > 0 else mat.factor()
+              for mat in (a, b))
+    r = np.linalg.qr(np.concatenate([fa, fb], axis=1), mode="r")
+    ra, rb = r[:, : fa.shape[1]], r[:, fa.shape[1]:]
+    na = ra @ ra.conj().T
+    gap = float(np.linalg.norm(na - rb @ rb.conj().T))
+    return gap <= CLUSTER_TOL * max(float(np.linalg.norm(na)), 1.0)
 
 
 def serving_from_traces(matrices, num_users, num_bs):
@@ -282,8 +291,8 @@ def build_hotspot_network(
     hotspot_fraction share of the cell's users sit at hotspot centers and
     share one correlation matrix per BS (the local-clustering assumption),
     the rest get independent matrices at their own positions. Normalized
-    matrices are random rank-limited Gram factors; gains follow the
-    log-distance model.
+    matrices are random rank-limited Gram matrices, stored as factors and
+    scaled by sqrt(gain); gains follow the log-distance model.
     """
     if num_bs < 1 or num_users < 1:
         raise ParameterError("need at least one BS and one user")
@@ -330,13 +339,13 @@ def build_hotspot_network(
                 cluster_of[k] = next_free_cluster
                 next_free_cluster += 1
 
-    # one normalized matrix per (cluster, bs); all members share it
+    # one normalized factor per (cluster, bs); all members share it
     normalized = {}
     for cluster in sorted(set(cluster_of.values())):
         for n in range(num_bs):
             normalized[(cluster, n)] = random_clustered_correlation(
                 m, rank, 1.0, derive_rng(seed, CORRELATION, 1, cluster, n)
-            )
+            ).factor()
 
     matrices = {}
     for k in range(num_users):
@@ -344,7 +353,7 @@ def build_hotspot_network(
             dist = max(float(np.linalg.norm(positions[k] - bs_pos[n])), 1.0)
             gain = path_gain_log_distance(dist, pathloss_exponent, ref_gain_db)
             base = normalized[(cluster_of[k], n)]
-            matrices[(k, n)] = CorrelationMatrix(gain * base.entries, rank, gain)
+            matrices[(k, n)] = CorrelationMatrix(np.sqrt(gain) * base, rank, gain)
 
     serving = serving_from_traces(matrices, num_users, num_bs)
     # keep the intended cell assignment when it is also the strongest link;
@@ -361,7 +370,7 @@ def dump_correlation_set(corr_set, path):
     lines.append(" ".join(str(corr_set.cluster_ids[k]) for k in range(corr_set.num_users)))
     for k in range(corr_set.num_users):
         for n in range(corr_set.num_bs):
-            flat = corr_set.matrix(k, n).entries.reshape(-1)
+            flat = corr_set.matrix(k, n).dense().reshape(-1)
             lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in flat))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -395,7 +404,5 @@ def load_correlation_set(path):
             pairs = (tok.split(",") for tok in toks)
             vals = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(m, m)
             gain = float(np.real(np.trace(vals))) / m
-            mat = CorrelationMatrix(vals, m, gain)
-            mat.rank_hint = max(mat.numerical_rank(), 1)
-            matrices[(k, n)] = mat
+            matrices[(k, n)] = CorrelationMatrix.from_dense(vals, None, gain)
     return CorrelationSet(num_bs, num_users, matrices, serving, clusters).validate()

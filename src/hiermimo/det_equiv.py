@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .precoder import interference_nullspace_basis
+from .precoder import interference_nullspace_basis, projected_factor
 from .topology import scheduled_neighbors
 
 log = logging.getLogger(__name__)
@@ -23,13 +23,6 @@ GAIN_TOL = 1e-9
 GAIN_MAX_ITER = 500
 ZERO_GAIN = 1e-12
 CONDITION_CAP = 1e12
-
-
-def projected_factor(factor, null_basis):
-    """Blocked-complement projection B = F - U (U^H F) of a correlation
-    factor, so that B B^H = (I - U U^H) F F^H (I - U U^H); F itself when the
-    basis is empty."""
-    return factor - null_basis @ (null_basis.conj().T @ factor)
 
 
 def _stack(factors):

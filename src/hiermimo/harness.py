@@ -276,8 +276,12 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
     for i in range(draws):
         rng = np.random.default_rng(children[i])
         channels = draw_channels(corr_set, rng)
-        stale = draw_channels(corr_set, rng)  # independent AR(1) innovation
-        outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
+        outdated = channels
+        if delay_rho < 1.0:
+            # independent AR(1) innovation; it is the stream's last draw, so
+            # skipping it where it is weighted 0 moves no other draw
+            stale = draw_channels(corr_set, rng)
+            outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
         blocks = [
             (bss, users, np.linalg.pinv(outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()))

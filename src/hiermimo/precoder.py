@@ -19,6 +19,13 @@ SEMI_UNITARY_TOL = 1e-9
 ZERO_ICI_TOL = 1e-8
 
 
+def projected_factor(factor, null_basis):
+    """Blocked-complement projection B = F - U (U^H F) of a correlation
+    factor, so that B B^H = (I - U U^H) F F^H (I - U U^H); F itself when the
+    basis is empty."""
+    return factor - null_basis @ (null_basis.conj().T @ factor)
+
+
 def interference_nullspace_basis(corr_set, blocked, bs):
     """Orthonormal basis of the combined column space of the blocked users'
     correlation matrices at BS ``bs`` (equivalently, of their PSD sum).
@@ -41,34 +48,40 @@ def interference_nullspace_basis(corr_set, blocked, bs):
 
 def outer_precoder(corr_set, selected, blocked, bs):
     """Semi-unitary basis spanning the blocked-complement projection of the
-    selected users' summed correlation range; empty (M x 0) when annihilated."""
+    selected users' summed correlation range; empty (M x 0) when annihilated.
+
+    With the selected factors side by side, F = [F_1 ... F_S], the sum is
+    F F^H and its projection B B^H with B = ``projected_factor(F, U)`` for
+    the blocked users' ``interference_nullspace_basis`` U. The eigenpairs
+    (w, v) of the small Gram matrix B^H B give the singular values sqrt(w)
+    and left singular vectors B v / sqrt(w) of B, whose span above the rank
+    threshold is the basis; one QR pass, after re-projecting against U,
+    makes it orthonormal to machine precision.
+    """
     selected = tuple(sorted(set(selected)))
     blocked = tuple(sorted(set(blocked)))
     if set(selected) & set(blocked):
         raise ParameterError("selected and blocked user sets must be disjoint")
-    m = corr_set.dim
+    empty = np.zeros((corr_set.dim, 0), dtype=complex)
     if not selected:
-        return np.zeros((m, 0), dtype=complex)
+        return empty
+    stacked = np.concatenate([corr_set.matrix(k, bs).factor() for k in selected], axis=1)
+    if stacked.shape[1] == 0:  # every selected link has zero gain
+        return empty
     null_basis = interference_nullspace_basis(corr_set, blocked, bs)
-    total = np.zeros((m, m), dtype=complex)
-    for k in selected:
-        total = total + corr_set.matrix(k, bs).entries
-    if null_basis.shape[1] == 0:
-        projected = total
-    else:
-        proj = np.eye(m) - null_basis @ null_basis.conj().T
-        projected = proj @ total @ proj
-    projected = 0.5 * (projected + projected.conj().T)
-    w, v = np.linalg.eigh(projected)
-    top_raw = float(np.linalg.eigvalsh(total)[-1])
-    if w[-1] <= RANK_TOL * max(top_raw, 1e-300):
-        return np.zeros((m, 0), dtype=complex)
-    basis = v[:, w > RANK_TOL * w[-1]]
-    if null_basis.shape[1] > 0:
-        # one explicit re-orthogonalization pass pushes residual alignment
-        # with the blocked subspace down to machine precision squared
-        basis = basis - null_basis @ (null_basis.conj().T @ basis)
-        basis, _ = np.linalg.qr(basis)
+    projected = projected_factor(stacked, null_basis)
+    w, v = np.linalg.eigh(projected.conj().T @ projected)
+    # the trace bounds the largest eigenvalue of the unprojected sum F F^H,
+    # so only a sum projected to almost nothing needs that eigenvalue itself
+    if w[-1] <= RANK_TOL * float(np.sum(np.abs(stacked) ** 2)):
+        top_raw = float(np.linalg.eigvalsh(stacked.conj().T @ stacked)[-1])
+        if w[-1] <= RANK_TOL * max(top_raw, 1e-300):
+            return empty
+    keep = w > RANK_TOL * w[-1]
+    basis = projected @ (v[:, keep] / np.sqrt(w[keep]))
+    # the re-projection pushes residual alignment with the blocked subspace
+    # down to machine precision squared
+    basis, _ = np.linalg.qr(projected_factor(basis, null_basis))
     return np.ascontiguousarray(basis)
 
 
@@ -137,11 +150,15 @@ class CompositeControl:
                         f"outer precoder at BS {n} not semi-unitary ({gram_err:.3e})"
                     )
             for k in blocked[n]:
-                theta = corr_set.matrix(k, n).entries
-                denom = float(np.linalg.norm(theta, ord="fro"))
+                # theta = F_k F_k^H: ||f^H theta||_F^2 = tr(X G X^H) with
+                # X = f^H F_k and G = F_k^H F_k, and ||theta||_F = ||G||_F
+                fk = corr_set.matrix(k, n).factor()
+                gram = fk.conj().T @ fk
+                denom = float(np.linalg.norm(gram, ord="fro"))
                 if denom == 0.0 or m_n == 0:
                     continue
-                leak = float(np.linalg.norm(f.conj().T @ theta, ord="fro"))
+                x = f.conj().T @ fk
+                leak = float(np.sqrt(max(np.real(np.sum((x @ gram) * x.conj())), 0.0)))
                 if leak > ZERO_ICI_TOL * denom:
                     raise ValidationError(
                         f"BS {n} leaks onto protected user {k}: {leak / denom:.3e}"

@@ -19,7 +19,7 @@ def single_cell_set(m, num_users, rank, gains=None, seed0=100):
 def diag_corr(m, trace):
     """Diagonal correlation matrix with a prescribed trace (full rank)."""
     entries = (trace / m) * np.eye(m, dtype=complex)
-    return CorrelationMatrix(entries, m, trace / m)
+    return CorrelationMatrix.from_dense(entries, m, trace / m)
 
 
 def trace_table_set(m, traces, serving):

@@ -162,7 +162,8 @@ def test_correlation_file_roundtrip(tmp_path):
     scn2 = load_scenario(path2)
     corr2, _ = build_network(scn2)
     for key, mat in corr_set.matrices.items():
-        assert np.array_equal(corr2.matrices[key].entries, mat.entries)
+        dense = mat.dense()
+        assert np.linalg.norm(corr2.matrices[key].dense() - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_missing_correlation_file_is_config_error(tmp_path):
@@ -170,14 +171,18 @@ def test_missing_correlation_file_is_config_error(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_numerical_failure_exits_three(tmp_path):
+def test_numerical_failure_exits_three(tmp_path, capsys):
+    from hiermimo import det_equiv
     from hiermimo.cli import EXIT_NUMERICAL
+    from hiermimo.errors import NumericalError
 
-    # cluster size that does not divide the BS count: a runtime validation
-    # failure inside the baseline, not a config error
-    path = write_config(tmp_path, {"draws": 5,
-                                   "baselines": {"comp_cluster_size": 3}})
-    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    # a valid scenario whose gain solver fails: a numerical error, not a config error
+    path = write_config(tmp_path, {"draws": 5})
+    failure = NumericalError("effective-gain fixed point: Gram matrix is singular")
+    with mock.patch.object(det_equiv, "solve_effective_gains", side_effect=failure):
+        assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "NumericalError" in err and "effective-gain fixed point" in err
 
 
 def test_summary_carries_de_diagnostics(tmp_path):
@@ -261,6 +266,7 @@ MALFORMED = [
     ("utility.eps", -1),
     ("baselines.ffr_partitions", "x"),
     ("baselines.comp_delay_rhos", 1.0),
+    ("baselines.comp_cluster_size", 3),  # does not divide num_bs = 2
     ("correlation_file", TRUNCATED),
 ]
 

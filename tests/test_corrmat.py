@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo.corrmat import (
     CorrelationMatrix,
+    CorrelationSet,
     build_hotspot_network,
     dump_correlation_set,
     load_correlation_set,
-    one_ring_correlation,
     path_gain_log_distance,
     random_clustered_correlation,
     sample_channel,
@@ -18,24 +20,24 @@ def test_random_clustered_rank_and_trace():
     gain = path_gain_log_distance(250.0, 3.76, ref_gain_db=90.0)
     mat = random_clustered_correlation(48, 6, gain, seed=0)
     mat.validate()
-    w = np.linalg.eigvalsh(mat.entries)
+    w = np.linalg.eigvalsh(mat.dense())
     assert np.count_nonzero(w > 1e-9 * w[-1]) == 6
     assert np.isclose(mat.trace(), 48 * gain, rtol=1e-10)
     f = mat.factor()
     assert f.shape == (48, 6)
-    assert np.linalg.norm(f @ f.conj().T - mat.entries) <= 1e-12 * np.linalg.norm(mat.entries)
+    assert np.linalg.norm(f @ f.conj().T - mat.dense()) <= 1e-12 * np.linalg.norm(mat.dense())
 
 
 def test_random_clustered_zero_gain_is_zero_matrix():
     mat = random_clustered_correlation(4, 4, 0.0, seed=3)
-    assert np.all(mat.entries == 0)
+    assert np.all(mat.dense() == 0)
     assert mat.trace() == 0.0
     assert mat.factor().shape == (4, 0)
 
 
 def test_random_clustered_spectrum_m8_d2():
     mat = random_clustered_correlation(8, 2, 1.0, seed=7)
-    w = np.linalg.eigvalsh(mat.entries)
+    w = np.linalg.eigvalsh(mat.dense())
     assert np.count_nonzero(w > 1e-9 * w[-1]) == 2
     assert np.isclose(w.sum(), 8.0, atol=1e-10)
 
@@ -44,42 +46,14 @@ def test_random_clustered_deterministic():
     a = random_clustered_correlation(16, 3, 2.0, seed=42)
     b = random_clustered_correlation(16, 3, 2.0, seed=42)
     c = random_clustered_correlation(16, 3, 2.0, seed=43)
-    assert np.array_equal(a.entries, b.entries)
-    assert not np.array_equal(a.entries, c.entries)
+    assert np.array_equal(a.dense(), b.dense())
+    assert not np.array_equal(a.dense(), c.dense())
 
 
 @pytest.mark.parametrize("m,rank,gain", [(4, 0, 1.0), (4, 5, 1.0), (4, 2, -1.0)])
 def test_random_clustered_rejects_bad_parameters(m, rank, gain):
     with pytest.raises(ParameterError):
         random_clustered_correlation(m, rank, gain, seed=0)
-
-
-def test_one_ring_point_scatterer_is_rank_one():
-    mat = one_ring_correlation(2, 0.3, 1e-6, 0.5, 1.0)
-    w = np.linalg.eigvalsh(mat.entries)
-    assert np.count_nonzero(w > 1e-9 * w[-1]) == 1
-
-
-def test_one_ring_trace():
-    mat = one_ring_correlation(32, 0.0, np.pi / 9, 0.5, 1.0)
-    assert abs(mat.trace() - 32.0) < 1e-8
-    mat.validate()
-
-
-def test_one_ring_entry_against_trapezoid_oracle():
-    m, center, spread, spacing = 8, np.pi / 6, np.pi / 12, 0.5
-    mat = one_ring_correlation(m, center, spread, spacing, 1.0)
-    angles = np.linspace(center - spread, center + spread, 2000)
-    integrand = np.exp(-2j * np.pi * spacing * (0 - 1) * np.sin(angles))
-    oracle = np.trapezoid(integrand, angles) / (2 * spread)
-    assert abs(mat.entries[0, 1] - oracle) < 1e-6
-
-
-def test_one_ring_rejects_bad_spread():
-    with pytest.raises(ParameterError):
-        one_ring_correlation(4, 0.0, 0.0, 0.5, 1.0)
-    with pytest.raises(ParameterError):
-        one_ring_correlation(4, 0.0, np.pi, 0.5, 1.0)
 
 
 def test_path_gain_values():
@@ -99,7 +73,7 @@ def test_sample_channel_zero_matrix():
 
 def test_sample_channel_identity_norm():
     m = 8
-    mat = CorrelationMatrix(np.eye(m, dtype=complex), m, 1.0)
+    mat = CorrelationMatrix.from_dense(np.eye(m, dtype=complex), m, 1.0)
     rng = np.random.default_rng(11)
     draws = 10_000
     norms = np.array([np.sum(np.abs(sample_channel(mat, rng)) ** 2) for _ in range(draws)])
@@ -129,14 +103,29 @@ def test_sample_covariance_converges():
         h = sample_channel(mat, rng)
         acc += np.outer(h, h.conj())
     acc /= draws
-    err = np.linalg.norm(acc - mat.entries, "fro") / np.linalg.norm(mat.entries, "fro")
+    err = np.linalg.norm(acc - mat.dense(), "fro") / np.linalg.norm(mat.dense(), "fro")
     assert err <= 5 * np.sqrt(m / draws)
 
 
 def test_validate_rejects_non_hermitian():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValidationError):
-        CorrelationMatrix(bad, 2, 1.0).validate()
+        CorrelationMatrix.from_dense(bad, 2, 1.0)
+
+
+def test_validate_rejects_non_orthogonal_factor():
+    skewed = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # F F^H is PSD, F is no eigen-factor
+    with pytest.raises(ValidationError):
+        CorrelationMatrix(skewed, 2, 1.5).validate()
+
+
+def test_dense_input_keeps_the_trace_of_its_clamped_factor():
+    # eigenvalues below 1e-9 of the largest hold 5e-10 of the trace, more
+    # than the 1e-10 trace tolerance: they are dropped from the factor
+    w = np.array([1.0, 1.0, 5e-10, 5e-10])
+    mat = CorrelationMatrix.from_dense(np.diag(w).astype(complex), None, w.sum() / 4)
+    assert mat.numerical_rank() == 2 and mat.rank_hint == 2
+    mat.validate()
 
 
 def test_validate_rejects_rank_violation():
@@ -167,7 +156,7 @@ def test_hotspot_network_valid_and_clustered():
         for k in users[1:]:
             for n in range(2):
                 assert np.array_equal(
-                    cs.matrix(ref, n).entries, cs.matrix(k, n).entries
+                    cs.matrix(ref, n).dense(), cs.matrix(k, n).dense()
                 )
 
 
@@ -178,10 +167,85 @@ def test_dump_load_round_trip(tmp_path):
     loaded = load_correlation_set(path)
     assert loaded.num_bs == cs.num_bs and loaded.num_users == cs.num_users
     assert loaded.serving == cs.serving and loaded.cluster_ids == cs.cluster_ids
+    # the file holds the dumped set's dense matrices exactly ...
+    rows = path.read_text().splitlines()[3:]
+    for (k, n), row in zip(sorted(cs.matrices), rows):
+        parsed = np.array([complex(float(re), float(im))
+                           for re, im in (tok.split(",") for tok in row.split())])
+        assert np.array_equal(parsed.reshape(8, 8), cs.matrix(k, n).dense())
+    # ... and the loaded factors give them back to round-off
     for key, mat in cs.matrices.items():
-        assert np.array_equal(loaded.matrices[key].entries, mat.entries)
+        dense, back = mat.dense(), loaded.matrices[key].factor()
+        assert np.linalg.norm(back @ back.conj().T - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_hotspot_network_rejects_cells_inside_the_minimum_distance():
     with pytest.raises(ParameterError):
         build_hotspot_network(2, 4, 8, 2, seed=1, inter_site_m=70.0)
+
+
+# A factor-stored network against the dense definition C = g M A A^H / tr(A A^H),
+# A drawn from the normals that random_clustered_correlation reads.
+
+
+def dense_definition(m, rank, gain, seed):
+    """The dense C and its Hermitian square root from the eigenpairs of C,
+    eigenvalues below 1e-9 of the largest clamped to zero."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))) / np.sqrt(2.0)
+    gram = a @ a.conj().T
+    c = (gain * m / np.real(np.trace(gram))) * gram
+    w, v = np.linalg.eigh(c)
+    root = (v * np.sqrt(np.where(w > 1e-9 * max(w[-1], 0.0), w, 0.0))) @ v.conj().T
+    return c, root
+
+
+@st.composite
+def factor_networks(draw):
+    num_bs, num_users = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    m = draw(st.integers(1, 32))
+    rank = draw(st.integers(1, m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # users with one cluster id are cloned hotspot users: one normalized factor per BS
+    cluster = [draw(st.integers(0, num_users - 1)) for _ in range(num_users)]
+    zero = draw(st.sets(st.tuples(st.sampled_from(cluster), st.integers(0, num_bs - 1))))
+    gains = draw(st.lists(st.floats(1e-3, 1e3), min_size=num_users * num_bs,
+                          max_size=num_users * num_bs))
+    links = {}
+    for k in range(num_users):
+        for n in range(num_bs):
+            gain = 0.0 if (cluster[k], n) in zero else gains[k * num_bs + n]
+            links[(k, n)] = (gain, [seed, cluster[k], n])
+    mats = {
+        link: CorrelationMatrix(
+            np.sqrt(gain) * random_clustered_correlation(m, rank, 1.0, s).factor(), rank, gain
+        )
+        for link, (gain, s) in links.items()
+    }
+    serving = {k: 0 for k in range(num_users)}
+    cs = CorrelationSet(num_bs, num_users, mats, serving, dict(enumerate(cluster)))
+    return cs, links, rank
+
+
+def rel_gap(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_networks())
+def test_factor_network_matches_dense_definition(case):
+    cs, links, rank = case
+    cs.validate()
+    m = cs.dim
+    for (k, n), (gain, seed) in links.items():
+        mat = cs.matrix(k, n)
+        f, b = mat.factor(), mat.basis()
+        c, root = dense_definition(m, rank, gain, seed)
+        assert rel_gap(f @ f.conj().T, c) <= 1e-12
+        assert rel_gap(f @ b.conj().T, root) <= 1e-12  # C^(1/2) = F B^H
+        assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-12
+        assert abs(mat.trace() - m * gain) <= 1e-12 * m * gain
+        assert mat.numerical_rank() <= mat.rank_hint
+        # the set's padded arrays hold the same link
+        np.testing.assert_array_equal(cs.factor()[k, n, :, : f.shape[1]], f)
+        np.testing.assert_array_equal(cs.basis()[k, n, :, : b.shape[1]], b)

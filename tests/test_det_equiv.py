@@ -32,7 +32,7 @@ def test_projection_passthrough_and_annihilation():
     full_basis = mat.basis()
     wiped = projected_factor(mat.factor(), full_basis)
     wiped = wiped @ wiped.conj().T
-    assert np.linalg.norm(wiped) <= 1e-10 * np.linalg.norm(mat.entries)
+    assert np.linalg.norm(wiped) <= 1e-10 * np.linalg.norm(mat.dense())
 
 
 def test_projection_matches_explicit_product():
@@ -40,7 +40,7 @@ def test_projection_matches_explicit_product():
     mat = random_clustered_correlation(8, 4, 1.0, seed=3)
     basis = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
     proj = np.eye(8) - basis @ basis.conj().T
-    oracle = proj @ mat.entries @ proj
+    oracle = proj @ mat.dense() @ proj
     projected = projected_factor(mat.factor(), basis)
     assert np.linalg.norm(projected @ projected.conj().T - oracle) <= 1e-12
 
@@ -183,7 +183,7 @@ def _annihilated_user_set(m=16, rank=4):
     """Two cells; user 1 is served by BS 1 but its correlation there lies
     inside user 0's range, and user 0 is a neighbor of BS 1."""
     strong = random_clustered_correlation(m, rank, 1.0, seed=21)
-    inside = CorrelationMatrix(0.5 * strong.entries, rank, 0.5)
+    inside = CorrelationMatrix.from_dense(0.5 * strong.dense(), rank, 0.5)
     weak = random_clustered_correlation(m, rank, 1e-6, seed=23)
     other = random_clustered_correlation(m, rank, 1.0, seed=24)
     mats = {

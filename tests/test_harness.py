@@ -104,7 +104,7 @@ def test_draw_channels_matches_per_link_draws():
             np.testing.assert_allclose(together[k, n], alone, rtol=1e-12, atol=1e-15)
             # the definition: M real then M imaginary normals, h = sqrt(M) C^(1/2) z
             z = (again.standard_normal(6) + 1j * again.standard_normal(6)) / np.sqrt(12.0)
-            w, v = np.linalg.eigh(cs.matrix(k, n).entries)
+            w, v = np.linalg.eigh(cs.matrix(k, n).dense())
             root = (v * np.sqrt(np.where(w > 1e-9 * max(w[-1], 0.0), w, 0.0))) @ v.conj().T
             np.testing.assert_allclose(alone, np.sqrt(6.0) * root @ z, rtol=1e-12, atol=1e-15)
     assert np.all(together[1, 0] == 0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, random_clustered_correlation
+from hiermimo.corrmat import RANK_TOL, CorrelationMatrix, CorrelationSet, random_clustered_correlation
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.precoder import (
     CompositeControl,
@@ -40,7 +40,7 @@ def test_nullspace_basis_single_rank2_user():
 
 def test_nullspace_basis_duplicate_matrices_share_span():
     mat = random_clustered_correlation(8, 2, 1.0, seed=4)
-    twin = CorrelationMatrix(2.0 * mat.entries, 2, 2.0)  # scaled copy, same range
+    twin = CorrelationMatrix.from_dense(2.0 * mat.dense(), 2, 2.0)  # scaled copy, same range
     mats = {(0, 0): mat, (1, 0): twin}
     cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
     one = interference_nullspace_basis(cs, (0,), 0)
@@ -63,9 +63,9 @@ def test_outer_precoder_blocked_subspace_inside_selected_span():
     m = 32
     basis = np.linalg.qr(np.random.default_rng(0).standard_normal((m, 4))
                          + 1j * np.random.default_rng(1).standard_normal((m, 4)))[0]
-    selected_mat = CorrelationMatrix(basis @ basis.conj().T, 4, 4.0 / m)
+    selected_mat = CorrelationMatrix.from_dense(basis @ basis.conj().T, 4, 4.0 / m)
     blocked_basis = basis[:, :2]
-    blocked_mat = CorrelationMatrix(blocked_basis @ blocked_basis.conj().T, 2, 2.0 / m)
+    blocked_mat = CorrelationMatrix.from_dense(blocked_basis @ blocked_basis.conj().T, 2, 2.0 / m)
     mats = {(0, 0): selected_mat, (1, 0): blocked_mat}
     cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
     f = outer_precoder(cs, (0,), (1,), 0)
@@ -76,11 +76,91 @@ def test_outer_precoder_blocked_subspace_inside_selected_span():
 
 def test_outer_precoder_fully_blocked_is_empty():
     mat = random_clustered_correlation(8, 3, 1.0, seed=2)
-    twin = CorrelationMatrix(mat.entries.copy(), 3, 1.0)
+    twin = CorrelationMatrix.from_dense(mat.dense(), 3, 1.0)
     mats = {(0, 0): mat, (1, 0): twin}
     cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
     f = outer_precoder(cs, (0,), (1,), 0)
     assert f.shape == (8, 0)
+
+
+# The dense construction of the outer precoder, kept as the oracle: the
+# eigenbasis of the projected M x M sum of the selected correlations.
+
+
+def dense_outer_precoder(corr_set, selected, blocked, bs):
+    m = corr_set.dim
+    if not selected:
+        return np.zeros((m, 0), dtype=complex)
+    null_basis = interference_nullspace_basis(corr_set, blocked, bs)
+    total = sum(corr_set.matrix(k, bs).dense() for k in selected)
+    proj = np.eye(m) - null_basis @ null_basis.conj().T
+    projected = proj @ total @ proj
+    w, v = np.linalg.eigh(0.5 * (projected + projected.conj().T))
+    if w[-1] <= RANK_TOL * max(float(np.linalg.eigvalsh(total)[-1]), 1e-300):
+        return np.zeros((m, 0), dtype=complex)
+    return v[:, w > RANK_TOL * w[-1]]
+
+
+@st.composite
+def blocking_cases(draw):
+    """One BS with selected, blocked and idle users. Blocking is empty,
+    partial (a blocked user may share a selected user's matrix, so part of
+    the selected range is nulled) or full (a blocked full-rank user)."""
+    m = draw(st.integers(2, 24))
+    num_users = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    blocking = draw(st.sampled_from(["empty", "partial", "full"]))
+    roles = ["selected", "idle"] + (["blocked"] if blocking == "partial" else [])
+    role = ["selected"] + [draw(st.sampled_from(roles)) for _ in range(num_users - 1)]
+    ranks = [draw(st.integers(1, m)) for _ in range(num_users)]
+    gains = [draw(st.sampled_from([1.0, 1e-2, 50.0, 0.0])) for _ in range(num_users)]
+    mats = {(k, 0): random_clustered_correlation(m, ranks[k], gains[k], seed=[seed, k])
+            for k in range(num_users)}
+    if blocking == "partial" and draw(st.booleans()):
+        twin = draw(st.integers(1, num_users - 1))
+        role[twin] = "blocked"
+        mats[(twin, 0)] = CorrelationMatrix(mats[(0, 0)].factor(), ranks[0], gains[0])
+    if blocking == "full":
+        role.append("blocked")
+        mats[(num_users, 0)] = random_clustered_correlation(m, m, 1.0, seed=[seed, num_users])
+    cs = CorrelationSet(1, len(role), mats, dict.fromkeys(range(len(role)), 0),
+                        {k: k for k in range(len(role))})
+
+    def users(name):
+        return tuple(k for k, r in enumerate(role) if r == name)
+    return cs, users("selected"), users("blocked")
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocking_cases())
+def test_outer_precoder_matches_dense_construction(case):
+    cs, selected, blocked = case
+    f = outer_precoder(cs, selected, blocked, 0)
+    oracle = dense_outer_precoder(cs, selected, blocked, 0)
+    assert f.shape == oracle.shape
+    assert np.linalg.norm(projector(f) - projector(oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("weak, blocked, dims", [
+    (1e-7, (), 4),  # the rank threshold is relative to the projected top ...
+    (1e-11, (), 2),
+    (1e-7, (2,), 2),  # ... and annihilation relative to the unprojected one
+    (1e-11, (2,), 0),
+])
+def test_outer_precoder_thresholds(weak, blocked, dims):
+    m = 8
+    eye = np.eye(m, dtype=complex)
+    strong = CorrelationMatrix(eye[:, :2], 2, 2.0 / m)
+    mats = {
+        (0, 0): strong,
+        (1, 0): CorrelationMatrix(np.sqrt(weak) * eye[:, 2:4], 2, 2.0 * weak / m),
+        (2, 0): CorrelationMatrix(strong.factor(), 2, 2.0 / m),  # blocks user 0's range
+    }
+    cs = CorrelationSet(1, 3, mats, dict.fromkeys(range(3), 0), {k: k for k in range(3)})
+    f = outer_precoder(cs, (0, 1), blocked, 0)
+    assert f.shape == (m, dims)
+    oracle = dense_outer_precoder(cs, (0, 1), blocked, 0)
+    assert np.linalg.norm(projector(f) - projector(oracle)) <= 1e-10
 
 
 def test_outer_precoder_rejects_overlap():
@@ -297,6 +377,21 @@ def test_control_validation_failures(desk):
     skewed[n0] = 1.7 * skewed[n0]
     with pytest.raises(ValidationError):
         CompositeControl(outer=skewed, selected=control.selected,
+                         power=control.power).validate(cs, graph)
+
+
+def test_control_validation_rejects_leakage(desk):
+    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+
+    cs, graph = desk
+    selected = tuple(range(6))
+    res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
+    control = assemble_control(selected, cs, graph, res.powers)
+    n, k = next((n, users[0]) for n, users in graph.neighbor_users.items() if users)
+    aimed = dict(control.outer)
+    aimed[n] = cs.matrix(k, n).basis()[:, :1]  # straight at a protected neighbor
+    with pytest.raises(ValidationError, match="leaks onto protected user"):
+        CompositeControl(outer=aimed, selected=control.selected,
                          power=control.power).validate(cs, graph)
 
 

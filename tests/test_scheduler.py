@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermimo.corrmat import build_hotspot_network
+from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, build_hotspot_network
 from hiermimo.det_equiv import GainCache
 from hiermimo.errors import ConvergenceError, ParameterError
 from hiermimo.scheduler import (
@@ -225,10 +225,8 @@ def test_wsr_empty_set_is_zero(desk):
 
 
 def test_wsr_single_isotropic_user_closed_form():
-    cs = single_cell_set(16, 1, 16, seed0=0)
-    cs.matrices[(0, 0)].entries = np.eye(16, dtype=complex)
-    cs.matrices[(0, 0)]._eig = None
-    cs.matrices[(0, 0)]._sqrt = None
+    isotropic = CorrelationMatrix.from_dense(np.eye(16, dtype=complex), 16, 1.0)
+    cs = CorrelationSet(1, 1, {(0, 0): isotropic}, {0: 0}, {0: 0})
     graph = build_topology(cs, 10.0)
     res = weighted_sum_rate((0,), np.ones(1), cs, graph, 0.01, 10.0)
     from test_det_equiv import isotropic_gain_root
@@ -466,11 +464,9 @@ def test_certificate_unavailable_for_large_greedy():
 def test_time_sharing_appears_when_users_conflict():
     # two users in different cells with fully overlapping ranges at both BSs:
     # serving one annihilates the other, so the fair policy must alternate
-    from hiermimo.corrmat import CorrelationMatrix, CorrelationSet
-
     m = 4
     eye = np.eye(m, dtype=complex)
-    mats = {(k, n): CorrelationMatrix(eye.copy(), m, 1.0) for k in range(2) for n in range(2)}
+    mats = {(k, n): CorrelationMatrix.from_dense(eye, m, 1.0) for k in range(2) for n in range(2)}
     cs = CorrelationSet(2, 2, mats, {0: 0, 1: 1}, {0: 0, 1: 1})
     graph = build_topology(cs, 10.0)
     assert graph.neighbor_users == {0: (1,), 1: (0,)}
