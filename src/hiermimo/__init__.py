@@ -34,8 +34,8 @@ from .precoder import (
     interference_nullspace_basis,
     outer_precoder,
     projected_factor,
-    rzf_inner_precoder,
     transmit_power,
+    zero_forcing,
 )
 from .scheduler import (
     ControlPolicy,

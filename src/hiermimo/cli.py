@@ -308,9 +308,14 @@ def build_network(scn):
                 f"correlation_file {scn.correlation_file} is malformed: {exc}",
                 field="correlation_file",
             ) from exc
-        if corr_set.num_users != scn.num_users or corr_set.num_bs != scn.num_bs:
+        shape = (corr_set.num_users, corr_set.num_bs, corr_set.dim)
+        rank = max(mat.numerical_rank() for mat in corr_set.matrices.values())
+        if shape != (scn.num_users, scn.num_bs, scn.num_antennas) or rank > scn.rank:
             raise ConfigError(
-                "correlation_file dimensions disagree with num_users/num_bs",
+                f"correlation_file holds {shape[0]} users x {shape[1]} BSs x {shape[2]} "
+                f"antennas with links up to rank {rank}; the scenario wants "
+                f"num_users/num_bs/num_antennas/rank = {scn.num_users}/{scn.num_bs}/"
+                f"{scn.num_antennas}/{scn.rank}",
                 field="correlation_file",
             )
     else:
@@ -477,7 +482,7 @@ def _pipeline(config_path, out_dir, overrides, baselines):
     )
     rows = [("proposed", report)]
     if baselines:
-        network = (corr_set, graph, scn.rzf_nu, scn.power_limit)
+        network = (corr_set, graph, scn.power_limit)
         partitions, cluster = scn.baselines["ffr_partitions"], scn.baselines["comp_cluster_size"]
         rows.append(("ffr", ffr_baseline(*network, partitions, scn.draws, scn.seed)))
         for rho in scn.baselines["comp_delay_rhos"]:

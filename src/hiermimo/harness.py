@@ -20,6 +20,7 @@ from .precoder import (
     inner_precoders,
     instantaneous_rate,
     transmit_power,
+    zero_forcing,
 )
 from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_seed_sequence
 from .topology import scheduled_neighbors
@@ -99,60 +100,70 @@ def _evaluate_control(control, channels, graph, nu):
     return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
 
 
+def _monte_carlo(draw, graph, draws, seed, tag):
+    """Report of ``draws`` realizations of one scheme: ``draw`` maps each
+    draw's seed sequence, spawned from (seed, tag), to its user rates, BS powers,
+    worst interference ratio (None if untracked) and cross interference."""
+    if draws < 1:
+        raise ParameterError("draws must be at least 1")
+    rate_samples = np.zeros((draws, graph.num_users))
+    power_samples = np.zeros((draws, graph.num_bs))
+    ratios = []
+    cross_sum = 0.0
+    for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
+        rate_samples[i], power_samples[i], ratio, cross = draw(child)
+        ratios.append(ratio)
+        cross_sum += cross
+    return MonteCarloReport(
+        user_rate_mean=rate_samples.mean(axis=0),
+        user_rate_stderr=_stderr(rate_samples),
+        bs_power_mean=power_samples.mean(axis=0),
+        bs_power_stderr=_stderr(power_samples),
+        draws=draws,
+        seed=int(seed),
+        max_interference_ratio=None if ratios[0] is None else max(ratios),
+        mean_cross_interference=cross_sum / draws,
+    )
+
+
 def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
     """Empirical rates and powers of a time-sharing policy.
 
     Every control is evaluated on every draw and mixed by the probabilities
     (the exact conditional average).
     """
-    if draws < 1:
-        raise ParameterError("draws must be at least 1")
-    children = derive_seed_sequence(seed, POLICY_MC).spawn(draws)
-    num_users, num_bs = graph.num_users, graph.num_bs
-    rate_samples = np.zeros((draws, num_users))
-    power_samples = np.zeros((draws, num_bs))
-    worst_ratio = 0.0
-    cross_sum = 0.0
     probs = np.asarray(policy.probs, dtype=float)
-    for i in range(draws):
-        # the channels come from the first of two child streams: drawing
-        # them from children[i] itself would move every Monte Carlo result
-        chan_ss, _ = children[i].spawn(2)
-        channels = draw_channels(corr_set, np.random.default_rng(chan_ss))
-        for q, control in zip(probs, policy.controls):
-            rates, powers, ratio, cross = _evaluate_control(control, channels, graph, nu)
-            rate_samples[i] += q * rates
-            power_samples[i] += q * powers
-            worst_ratio = max(worst_ratio, ratio)
-            cross_sum += q * cross
 
+    def draw(child):
+        # the channels come from the first of two child streams: drawing
+        # them from the child itself would move every Monte Carlo result
+        chan_ss, _ = child.spawn(2)
+        channels = draw_channels(corr_set, np.random.default_rng(chan_ss))
+        rates, powers = np.zeros(graph.num_users), np.zeros(graph.num_bs)
+        worst = cross = 0.0
+        for q, control in zip(probs, policy.controls):
+            r, p, ratio, c = _evaluate_control(control, channels, graph, nu)
+            rates += q * r
+            powers += q * p
+            worst = max(worst, ratio)
+            cross += q * c
+        return rates, powers, worst, cross
+
+    report = _monte_carlo(draw, graph, draws, seed, POLICY_MC)
     cache = gain_cache or GainCache(corr_set, graph, nu)
-    de_rates = np.zeros(num_users)
-    de_powers = np.zeros(num_bs)
+    de_rates = np.zeros(graph.num_users)
+    de_powers = np.zeros(graph.num_bs)
     for q, control in zip(probs, policy.controls):
         de = de_rate_power(control, corr_set, graph, nu, cache)
         de_rates += q * de.rates
         de_powers += q * de.powers
-
-    rate_mean = rate_samples.mean(axis=0)
-    power_mean = power_samples.mean(axis=0)
+    rate_mean, power_mean = report.user_rate_mean, report.bs_power_mean
     with np.errstate(divide="ignore", invalid="ignore"):
         rate_err = np.where(de_rates > 0, np.abs(rate_mean - de_rates) / de_rates, np.nan)
         power_err = np.where(de_powers > 0, np.abs(power_mean - de_powers) / de_powers, np.nan)
-    return MonteCarloReport(
-        user_rate_mean=rate_mean,
-        user_rate_stderr=_stderr(rate_samples),
-        bs_power_mean=power_mean,
-        bs_power_stderr=_stderr(power_samples),
-        draws=draws,
-        seed=int(seed),
-        de_rates=de_rates,
-        de_powers=de_powers,
-        rate_rel_err=rate_err,
-        power_rel_err=power_err,
-        max_interference_ratio=worst_ratio,
-        mean_cross_interference=cross_sum / draws,
-    )
+    report.de_rates, report.de_powers = de_rates, de_powers
+    report.rate_rel_err, report.power_rel_err = rate_err, power_err
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +195,7 @@ def _bs_partition(graph, reuse_partitions):
     return np.array([color[n] % reuse_partitions for n in range(graph.num_bs)])
 
 
-def ffr_baseline(corr_set, graph, nu, p_c, reuse_partitions, draws, seed):
+def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     """Per-cell ZF with the band split across reuse partitions.
 
     Each cell serves all its associated users on its partition with equal
@@ -197,50 +208,36 @@ def ffr_baseline(corr_set, graph, nu, p_c, reuse_partitions, draws, seed):
     for n in range(graph.num_bs):
         if len(graph.assoc_users[n]) > m:
             raise ValidationError(
-                f"cell {n} serves {len(graph.assoc_users[n])} users with {m} antennas"
+                f"ffr_baseline: cell {n} serves {len(graph.assoc_users[n])} users with {m} antennas"
             )
     partition = _bs_partition(graph, reuse_partitions)
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    children = derive_seed_sequence(seed, FFR_MC).spawn(draws)
-    num_users, num_bs = graph.num_users, graph.num_bs
-    rate_samples = np.zeros((draws, num_users))
-    power_samples = np.zeros((draws, num_bs))
-    cross_sum = 0.0
-    for i in range(draws):
-        channels = draw_channels(corr_set, np.random.default_rng(children[i]))
+
+    def draw(child):
+        channels = draw_channels(corr_set, np.random.default_rng(child))
         blocks = []
-        for n in range(num_bs):
-            users = graph.assoc_users[n]
-            if not users:
-                continue
-            h = channels[list(users), n].conj()
-            g = np.linalg.solve(h.conj().T @ h + m * ZF_NU * np.eye(m), h.conj().T)
-            blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
-        beams, own, beam_bs = _layout(blocks, num_users, num_bs, m)
+        for n, users in graph.assoc_users.items():
+            if users:
+                g = zero_forcing(channels[list(users), n].conj(), m * ZF_NU)
+                blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
+        beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
         power = p_c / load[beam_bs]
         received = cross_interference_power(channels, beams, power)
         # the user's own cell and the other cells of its partition share its band
         band = partition[serving][:, None] == partition[beam_bs]
-        rate_samples[i] = instantaneous_rate(received, own, band & ~own) / reuse_partitions
-        power_samples[i] = transmit_power(beams, power)
-        cross_sum += float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
-    return MonteCarloReport(
-        user_rate_mean=rate_samples.mean(axis=0),
-        user_rate_stderr=_stderr(rate_samples),
-        bs_power_mean=power_samples.mean(axis=0),
-        bs_power_stderr=_stderr(power_samples),
-        draws=draws,
-        seed=int(seed),
-        mean_cross_interference=cross_sum / draws,
-    )
+        rates = instantaneous_rate(received, own, band & ~own) / reuse_partitions
+        cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
+        return rates, transmit_power(beams, power), None, cross
+
+    return _monte_carlo(draw, graph, draws, seed, FFR_MC)
 
 
 # ---------------------------------------------------------------------------
 # baseline 2: clustered cooperative zero forcing with CSI delay
 # ---------------------------------------------------------------------------
 
-def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho=1.0):
+def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0):
     """Cooperative ZF across fixed clusters of consecutive BSs.
 
     Precoders come from the (possibly outdated) channel rho * h +
@@ -252,7 +249,7 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
         raise ParameterError("cluster_size must be at least 1")
     if graph.num_bs % cluster_size != 0:
         raise ValidationError(
-            f"cluster_size {cluster_size} does not divide {graph.num_bs} BSs"
+            f"comp_baseline: cluster_size {cluster_size} does not divide {graph.num_bs} BSs"
         )
     if not (0.0 <= delay_rho <= 1.0):
         raise ParameterError("delay_rho must lie in [0, 1]")
@@ -265,16 +262,13 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
     for c, users in enumerate(members):
         if len(users) > cluster_size * m:
             raise ValidationError(
-                f"cluster {c} serves {len(users)} users with {cluster_size * m} antennas"
+                f"comp_baseline: cluster {c} serves {len(users)} users "
+                f"with {cluster_size * m} antennas"
             )
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    children = derive_seed_sequence(seed, COMP_MC).spawn(draws)
-    num_users, num_bs = graph.num_users, graph.num_bs
-    rate_samples = np.zeros((draws, num_users))
-    power_samples = np.zeros((draws, num_bs))
-    cross_sum = 0.0
-    for i in range(draws):
-        rng = np.random.default_rng(children[i])
+
+    def draw(child):
+        rng = np.random.default_rng(child)
         channels = draw_channels(corr_set, rng)
         outdated = channels
         if delay_rho < 1.0:
@@ -284,25 +278,18 @@ def comp_baseline(corr_set, graph, nu, p_c, cluster_size, draws, seed, delay_rho
             outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
         blocks = [
-            (bss, users, np.linalg.pinv(outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()))
+            (bss, users, zero_forcing(outdated[np.ix_(users, bss)].reshape(len(users), -1).conj(),
+                                      cluster_size * m * ZF_NU))
             for bss, users in zip(clusters, members)
             if users
         ]
-        beams, own, beam_bs = _layout(blocks, num_users, num_bs, m)
+        beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
         # one power per cluster, scaled so that its most loaded BS spends p_c
         unit_load = transmit_power(beams, np.ones(beams.shape[2]))
         power = p_c / np.max(unit_load.reshape(-1, cluster_size), axis=1)[beam_bs // cluster_size]
         received = cross_interference_power(channels, beams, power)
-        rate_samples[i] = instantaneous_rate(received, own, ~own)
-        power_samples[i] = transmit_power(beams, power)
         other_cluster = (serving // cluster_size)[:, None] != beam_bs // cluster_size
-        cross_sum += float(np.sum(received, where=other_cluster))
-    return MonteCarloReport(
-        user_rate_mean=rate_samples.mean(axis=0),
-        user_rate_stderr=_stderr(rate_samples),
-        bs_power_mean=power_samples.mean(axis=0),
-        bs_power_stderr=_stderr(power_samples),
-        draws=draws,
-        seed=int(seed),
-        mean_cross_interference=cross_sum / draws,
-    )
+        cross = float(np.sum(received, where=other_cluster))
+        return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
+
+    return _monte_carlo(draw, graph, draws, seed, COMP_MC)

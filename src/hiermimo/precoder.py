@@ -85,27 +85,17 @@ def outer_precoder(corr_set, selected, blocked, bs):
     return np.ascontiguousarray(basis)
 
 
-def rzf_inner_precoder(channels, outer, nu):
-    """Regularized zero-forcing inner precoder on the effective channels.
-
-    channels: the |S| x M composite channel whose rows are the conjugated
-    user channels h^H (so row @ beam is the received amplitude); outer:
-    M x M_n semi-unitary. Returns the M_n x |S| matrix solving
-    (Heff^H Heff + M nu I) G = Heff^H with Heff = channels @ outer. The
-    regularizer is scaled by the full antenna count M, not M_n.
-    """
-    if nu <= 0:
-        raise ParameterError("nu must be positive")
-    num_sel = channels.shape[0]
-    m = channels.shape[1]
-    m_n = outer.shape[1]
-    if outer.shape[0] != m:
-        raise ParameterError("outer precoder row count must match antenna count")
-    if m_n == 0:
-        return np.zeros((0, num_sel), dtype=complex)
-    heff = channels @ outer
-    gram = heff.conj().T @ heff + m * nu * np.eye(m_n)
-    return np.linalg.solve(gram, heff.conj().T)
+def zero_forcing(channels, reg):
+    """Regularized zero-forcing beams H^H (H H^H + reg I)^(-1), one column
+    per row of the |S| x D ``channels`` H (rows h^H, so row @ beam is the
+    received amplitude), from one |S| x |S| solve. By the push-through
+    identity this is (H^H H + reg I)^(-1) H^H; a small ``reg`` tends to the
+    pseudo-inverse, also where H has dependent rows."""
+    if reg <= 0:
+        raise ParameterError("zero-forcing regularizer must be positive")
+    gram = channels @ channels.conj().T + reg * np.eye(channels.shape[0])
+    # the Gram matrix is Hermitian, so (G^-1 H)^H = H^H G^-1
+    return np.linalg.solve(gram, channels).conj().T
 
 
 @dataclass
@@ -167,9 +157,10 @@ class CompositeControl:
 
 
 def inner_precoders(control, channels, nu):
-    """RZF inner precoder per BS for one (K, N, M) channel realization."""
+    """RZF inner precoder per BS for one (K, N, M) channel realization, on the
+    effective channels h^H F_n with regularizer M nu (the full M, not M_n)."""
     return {
-        n: rzf_inner_precoder(channels[list(users), n].conj(), control.outer[n], nu)
+        n: zero_forcing(channels[list(users), n].conj() @ control.outer[n], channels.shape[2] * nu)
         for n, users in control.selected.items()
     }
 

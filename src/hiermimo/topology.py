@@ -77,11 +77,3 @@ def scheduled_neighbors(graph, selected):
 
 def theta_from_db(theta_db):
     return float(10.0 ** (theta_db / 10.0))
-
-
-def export_edge_list(graph):
-    """Text form: header "num_users num_bs theta", then one "k n" line per edge."""
-    lines = [f"{graph.num_users} {graph.num_bs} {float(graph.theta)!r}"]
-    for k, n in sorted(graph.edges):
-        lines.append(f"{k} {n}")
-    return "\n".join(lines) + "\n"

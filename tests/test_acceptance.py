@@ -214,11 +214,11 @@ def test_criterion_9_directional_baselines():
     util = pfs_utility(6)
     result = optimize_policy(cs, graph, util, NU, PC, mode="greedy")
     proposed = monte_carlo_policy(result.policy, cs, graph, NU, draws=500, seed=7)
-    ffr = ffr_baseline(cs, graph, NU, PC, reuse_partitions=2, draws=500, seed=7)
+    ffr = ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=500, seed=7)
     assert proposed.sum_rate() >= ffr.sum_rate()
-    perfect = comp_baseline(cs, graph, NU, PC, cluster_size=2, draws=500, seed=7,
+    perfect = comp_baseline(cs, graph, PC, cluster_size=2, draws=500, seed=7,
                             delay_rho=1.0)
-    stale = comp_baseline(cs, graph, NU, PC, cluster_size=2, draws=500, seed=7,
+    stale = comp_baseline(cs, graph, PC, cluster_size=2, draws=500, seed=7,
                           delay_rho=0.0)
     assert stale.sum_rate() < perfect.sum_rate()
     print(f"\nACCEPTANCE 9 PASS: proposed {proposed.sum_rate():.2f} >= FFR "

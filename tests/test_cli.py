@@ -279,24 +279,33 @@ OVERFLOWING_DB = [
     ("geometry.ref_gain_db", 4000),
 ]
 
+# scenario fields under which the desk network's correlation dump (M = 16,
+# rank 3) does not fit: fewer antennas, or a rank below its links' rank
+MISFIT_DUMPS = [{"num_antennas": 8, "rank": 2}, {"rank": 2}]
+
 
 @pytest.mark.parametrize(
     "path, value",
-    MALFORMED + OVERFLOWING_DB,
-    ids=[path for path, _ in MALFORMED] + [f"{path}={value}" for path, value in OVERFLOWING_DB],
+    MALFORMED + OVERFLOWING_DB + [("correlation_file", fields) for fields in MISFIT_DUMPS],
+    ids=[path for path, _ in MALFORMED] + [f"{path}={value}" for path, value in OVERFLOWING_DB]
+    + ["correlation_file+" + ",".join(f"{k}={v}" for k, v in f.items()) for f in MISFIT_DUMPS],
 )
 def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):
-    if value is TRUNCATED:
+    scenario = DESK
+    if path == "correlation_file":
         from hiermimo.corrmat import dump_correlation_set
 
         corr_set, _ = cli.build_network(load_scenario(write_config(tmp_path, name="ok.json")))
         dump = tmp_path / "corr.txt"
         dump_correlation_set(corr_set, dump)
-        lines = dump.read_text().splitlines()
-        dump.write_text("\n".join(lines[:-2]) + "\n")
+        if value is TRUNCATED:
+            lines = dump.read_text().splitlines()
+            dump.write_text("\n".join(lines[:-2]) + "\n")
+        else:
+            scenario = {**DESK, **value}
         value = str(dump)
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(with_field(DESK, path, value)), encoding="utf-8")
+    config.write_text(json.dumps(with_field(scenario, path, value)), encoding="utf-8")
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert path in capsys.readouterr().err
 

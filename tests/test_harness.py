@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from hiermimo import harness
 from hiermimo.corrmat import (
     CorrelationSet,
     build_hotspot_network,
@@ -14,6 +17,7 @@ from hiermimo.harness import (
     ffr_baseline,
     monte_carlo_policy,
 )
+from hiermimo.rng import COMP_MC, derive_seed_sequence
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, theta_from_db
 
@@ -120,7 +124,7 @@ def test_monte_carlo_rejects_zero_draws(desk):
 def test_ffr_single_cell_matches_direct_formula():
     cs = single_cell_set(8, 1, 3, seed0=60)
     graph = build_topology(cs, 10.0)
-    rep = ffr_baseline(cs, graph, NU, PC, reuse_partitions=1, draws=400, seed=21)
+    rep = ffr_baseline(cs, graph, PC, reuse_partitions=1, draws=400, seed=21)
     # lone ZF user = matched filter with full power: rate log(1 + Pc ||h||^2)
     rng = np.random.default_rng(99)
     draws = 4000
@@ -135,32 +139,32 @@ def test_ffr_single_cell_matches_direct_formula():
 
 def test_ffr_full_reuse_split_has_no_interference(desk):
     cs, graph = desk
-    rep = ffr_baseline(cs, graph, NU, PC, reuse_partitions=2, draws=50, seed=13)
+    rep = ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=50, seed=13)
     assert rep.mean_cross_interference == 0.0  # two cells, two partitions
 
 
 def test_ffr_rejects_overloaded_cell():
     cs = single_cell_set(4, 6, 2, seed0=80)
     graph = build_topology(cs, 10.0)
-    with pytest.raises(ValidationError):
-        ffr_baseline(cs, graph, NU, PC, reuse_partitions=1, draws=2, seed=1)
+    with pytest.raises(ValidationError, match="ffr_baseline"):
+        ffr_baseline(cs, graph, PC, reuse_partitions=1, draws=2, seed=1)
     with pytest.raises(ParameterError):
-        ffr_baseline(cs, graph, NU, PC, reuse_partitions=0, draws=2, seed=1)
+        ffr_baseline(cs, graph, PC, reuse_partitions=0, draws=2, seed=1)
 
 
 def test_comp_perfect_csi_is_reproducible_and_rho_matters(desk):
     cs, graph = desk
     kwargs = dict(cluster_size=2, draws=300, seed=17)
-    perfect = comp_baseline(cs, graph, NU, PC, delay_rho=1.0, **kwargs)
-    again = comp_baseline(cs, graph, NU, PC, delay_rho=1.0, **kwargs)
+    perfect = comp_baseline(cs, graph, PC, delay_rho=1.0, **kwargs)
+    again = comp_baseline(cs, graph, PC, delay_rho=1.0, **kwargs)
     assert np.array_equal(perfect.user_rate_mean, again.user_rate_mean)
-    stale = comp_baseline(cs, graph, NU, PC, delay_rho=0.0, **kwargs)
+    stale = comp_baseline(cs, graph, PC, delay_rho=0.0, **kwargs)
     assert stale.sum_rate() < perfect.sum_rate()
 
 
 def test_comp_global_cluster_is_interference_free(desk):
     cs, graph = desk
-    rep = comp_baseline(cs, graph, NU, PC, cluster_size=2, draws=20, seed=19,
+    rep = comp_baseline(cs, graph, PC, cluster_size=2, draws=20, seed=19,
                         delay_rho=1.0)
     assert rep.mean_cross_interference == 0.0  # single cluster spans all BSs
     # verify exact nulling inside the cluster on one draw
@@ -176,7 +180,7 @@ def test_comp_global_cluster_is_interference_free(desk):
 
 def test_comp_power_respects_budget_and_binds(desk):
     cs, graph = desk
-    rep = comp_baseline(cs, graph, NU, PC, cluster_size=2, draws=50, seed=29,
+    rep = comp_baseline(cs, graph, PC, cluster_size=2, draws=50, seed=29,
                         delay_rho=1.0)
     assert np.all(rep.bs_power_mean <= PC + 1e-9)
     assert float(np.max(rep.bs_power_mean)) >= 0.5 * PC  # binding BS each draw
@@ -185,16 +189,62 @@ def test_comp_power_respects_budget_and_binds(desk):
 
 def test_comp_rejects_bad_clustering(desk):
     cs, graph = desk
-    with pytest.raises(ValidationError):
-        comp_baseline(cs, graph, NU, PC, cluster_size=3, draws=2, seed=1)
+    with pytest.raises(ValidationError, match="comp_baseline"):
+        comp_baseline(cs, graph, PC, cluster_size=3, draws=2, seed=1)
     with pytest.raises(ParameterError):
-        comp_baseline(cs, graph, NU, PC, cluster_size=2, draws=2, seed=1, delay_rho=1.5)
+        comp_baseline(cs, graph, PC, cluster_size=2, draws=2, seed=1, delay_rho=1.5)
+    overloaded = single_cell_set(2, 3, 1, seed0=90)  # 3 users, 2 antennas
+    with pytest.raises(ValidationError, match="comp_baseline"):
+        comp_baseline(overloaded, build_topology(overloaded, 10.0), PC, cluster_size=1, draws=2,
+                      seed=1)
+
+
+def test_baselines_reject_zero_draws(desk):
+    cs, graph = desk
+    with pytest.raises(ParameterError):
+        ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=0, seed=1)
+    with pytest.raises(ParameterError):
+        comp_baseline(cs, graph, PC, cluster_size=2, draws=0, seed=1)
+
+
+def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
+    # three hotspot users share each rank-1 correlation, so the cluster's
+    # stacked channel rows are dependent: its exact Gram matrix is singular,
+    # and the regularized solve must still give the pseudo-inverse beams.
+    # Regularizing shrinks the component of singular value s by
+    # reg / (s^2 + reg), so the beams sit within reg / s_min^2 of the
+    # pseudo-inverse, s_min the smallest nonzero singular value
+    cs = build_hotspot_network(2, 18, 16, 1, seed=7)
+    graph = build_topology(cs, theta_from_db(10.0))
+    users = [k for n in range(2) for k in graph.assoc_users[n]]
+    evaluate = harness.cross_interference_power
+    seen = []
+
+    def record(channels, beams, power):
+        seen.append(beams)
+        return evaluate(channels, beams, power)
+
+    draws, seed = 6, 5
+    with mock.patch.object(harness, "cross_interference_power", side_effect=record):
+        comp_baseline(cs, graph, PC, cluster_size=2, draws=draws, seed=seed, delay_rho=1.0)
+    assert len(seen) == draws
+    for child, beams in zip(derive_seed_sequence(seed, COMP_MC).spawn(draws), seen):
+        channels = draw_channels(cs, np.random.default_rng(child))
+        rows = channels[users].reshape(len(users), -1).conj()
+        s = np.linalg.svd(rows, compute_uv=False)
+        s_min = s[s > 1e-10 * s[0]][-1]
+        assert np.count_nonzero(s > 1e-10 * s[0]) < len(users)
+        oracle = np.linalg.pinv(rows)  # one column per user, over both BSs' antennas
+        err = np.linalg.norm(beams.reshape(-1, len(users)) - oracle)
+        bias = 2 * 16 * harness.ZF_NU / s_min**2  # regularizer: cluster antennas x ZF_NU
+        assert bias <= 1e-4
+        assert err <= (1.01 * bias + 1e-12) * np.linalg.norm(oracle)
 
 
 def test_proposed_beats_ffr_directionally(desk):
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
     rep = monte_carlo_policy(policy, cs, graph, NU, draws=200, seed=31)
-    ffr = ffr_baseline(cs, graph, NU, PC, reuse_partitions=2, draws=200, seed=31)
+    ffr = ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=200, seed=31)
     assert float(np.sum(rep.de_rates)) >= ffr.sum_rate()
     assert rep.sum_rate() >= ffr.sum_rate()

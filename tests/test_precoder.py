@@ -12,8 +12,8 @@ from hiermimo.precoder import (
     instantaneous_rate,
     interference_nullspace_basis,
     outer_precoder,
-    rzf_inner_precoder,
     transmit_power,
+    zero_forcing,
 )
 from hiermimo.topology import build_topology, theta_from_db
 
@@ -177,7 +177,7 @@ def test_rzf_single_user_closed_form():
     rng = np.random.default_rng(5)
     m, nu = 8, 0.1
     h = rand_channel(rng, m)
-    g = rzf_inner_precoder(h.conj()[None, :], np.eye(m, dtype=complex), nu)
+    g = zero_forcing(h.conj()[None, :], m * nu)
     expect = h / (np.linalg.norm(h) ** 2 + m * nu)
     assert np.linalg.norm(g[:, 0] - expect) <= 1e-12
 
@@ -186,8 +186,7 @@ def test_rzf_large_regularizer_limit():
     rng = np.random.default_rng(6)
     m, nu = 8, 1e6
     rows = np.stack([rand_channel(rng, m).conj() for _ in range(4)])
-    f = np.eye(m, dtype=complex)
-    g = rzf_inner_precoder(rows, f, nu)
+    g = zero_forcing(rows, m * nu)
     ref = rows.conj().T / (m * nu)
     assert np.linalg.norm(g - ref) <= 1e-4 * np.linalg.norm(ref)
 
@@ -197,15 +196,41 @@ def test_rzf_matches_explicit_inverse():
     m, nu = 16, 0.03
     rows = np.stack([rand_channel(rng, m).conj() for _ in range(4)])
     f = np.linalg.qr(rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6)))[0]
-    g = rzf_inner_precoder(rows, f, nu)
     heff = rows @ f
+    g = zero_forcing(heff, m * nu)
     explicit = np.linalg.inv(heff.conj().T @ heff + m * nu * np.eye(6)) @ heff.conj().T
     assert np.linalg.norm(g - explicit) <= 1e-10
 
 
 def test_rzf_rejects_bad_nu():
     with pytest.raises(ParameterError):
-        rzf_inner_precoder(np.zeros((1, 4), dtype=complex), np.eye(4, dtype=complex), 0.0)
+        zero_forcing(np.zeros((1, 4), dtype=complex), 0.0)
+
+
+@st.composite
+def zero_forcing_cases(draw):
+    """|S| x D channels with |S| <= D <= 24, an empty D = 0 (a BS whose outer
+    precoder is annihilated), or rows copied from one another."""
+    kind = draw(st.sampled_from(["random", "empty", "duplicated"]))
+    d = 0 if kind == "empty" else draw(st.integers(1, 24))
+    num_rows = draw(st.integers(1, 6 if kind == "empty" else d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((num_rows, d)) + 1j * rng.standard_normal((num_rows, d))
+    if kind == "duplicated":
+        source = [draw(st.integers(0, num_rows - 1)) for _ in range(num_rows)]
+        rows = rows[source] * rng.uniform(0.5, 2.0, (num_rows, 1))
+    return rows, draw(st.sampled_from([1e-2, 0.3, 1.0, 16.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_forcing_cases())
+def test_zero_forcing_matches_direct_form(case):
+    rows, reg = case
+    d = rows.shape[1]
+    g = zero_forcing(rows, reg)
+    direct = np.linalg.solve(rows.conj().T @ rows + reg * np.eye(d), rows.conj().T)
+    assert g.shape == (d, rows.shape[0])
+    assert np.linalg.norm(g - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 def _simple_control(cs, selected, blocked, powers):

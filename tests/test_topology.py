@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hiermimo.errors import ParameterError
-from hiermimo.topology import build_topology, export_edge_list, scheduled_neighbors, theta_from_db
+from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 
 from conftest import trace_table_set
 
@@ -108,11 +108,3 @@ def test_default_serving_is_strongest_link_with_low_index_ties():
 def test_theta_from_db():
     assert np.isclose(theta_from_db(10.0), 10.0)
     assert np.isclose(theta_from_db(3.0), 10 ** 0.3)
-
-
-def test_export_edge_list(fig_graph):
-    text = export_edge_list(fig_graph)
-    lines = text.strip().split("\n")
-    assert lines[0].split() == ["5", "2", "10.0"]
-    assert len(lines) == 1 + len(fig_graph.edges)
-    assert lines[1] == "0 0"
