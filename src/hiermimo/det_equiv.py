@@ -26,12 +26,12 @@ CONDITION_CAP = 1e12
 
 
 def _stack(factors):
-    """Side-by-side factors B = [B_1 ... B_S], their Gram matrix B^H B, and
+    """Gram matrix B^H B of the side-by-side factors B = [B_1 ... B_S], and
     the 0/1 block selector E (column i marks the columns of B_i)."""
     stacked = np.concatenate(factors, axis=1)
     owner = np.repeat(np.arange(len(factors)), [f.shape[1] for f in factors])
     blocks = (owner[:, None] == np.arange(len(factors))).astype(float)
-    return stacked, stacked.conj().T @ stacked, blocks
+    return stacked.conj().T @ stacked, blocks
 
 
 @dataclass
@@ -42,40 +42,70 @@ class GainSolution:
     residual_history: list
 
 
+def _gain_map(gram, blocks, m, nu, gains):
+    """F(xi), its Jacobian J and B^H T B at ``gains``, all from one solve.
+
+    With B = [B_1 ... B_S], G = B^H B and D = diag(1/(M (nu + xi_j))) repeated
+    over each block, push-through gives B^H T B = (I + G D)^-1 G, so F_i is
+    the real trace of block i divided by M. Differentiating T gives
+    J_ij = tr(C~_i T C~_j T) / (M^2 (nu + xi_j)^2), and
+    tr(C~_i T C~_j T) = ||(B^H T B)_ij||_F^2.
+    """
+    scale = 1.0 / (m * (nu + blocks @ gains))  # diagonal of D
+    coupled = np.linalg.solve(np.eye(gram.shape[0]) + gram * scale, gram)  # B^H T B
+    cross = blocks.T @ np.abs(coupled) ** 2 @ blocks
+    value = np.real(np.diagonal(coupled)) @ blocks / m
+    return value, cross / (m * m * (nu + gains) ** 2), coupled
+
+
 def solve_effective_gains(factors, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
     """Fixed point of xi_i = (1/M) tr(C~_i T), T = ((1/M) sum_j C~_j/(nu+xi_j) + I)^-1,
     for C~_j = B_j B_j^H given by the M x r_j factors B_j.
 
-    Iterated from xi = 1 until the max-abs change drops below tol. With
-    B = [B_1 ... B_S], G = B^H B and D = diag(1/(M (nu + xi_j))) repeated
-    over each block, push-through gives B^H T B = (I + G D)^-1 G, so one
-    iteration is a single (sum r_j) x (sum r_j) solve and xi_i is the real
-    trace of block i divided by M (Wagner et al., IEEE TIT 58(7), 2012).
+    Safeguarded Newton iteration from xi = 1 (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995): the step
+    xi + (I - J)^-1 (F(xi) - xi) is taken when it is finite, non-negative and
+    lowers the max-abs residual |F(xi) - xi|; otherwise, or when I - J is
+    singular, the plain step F(xi). Each map evaluation is one
+    (sum r_j) x (sum r_j) solve (see ``_gain_map``; Wagner et al., IEEE TIT
+    58(7), 2012). Stops when the residual drops below tol and returns F at
+    the last iterate; ``iterations`` counts iterates, and a rejected Newton
+    trial costs one extra evaluation.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = factors[0].shape[0]
-    _, gram, blocks = _stack(factors)
-    eye = np.eye(gram.shape[0])
-    gains = np.ones(len(factors))
-    history = []
-    for it in range(1, max_iter + 1):
-        scale = 1.0 / (m * (nu + blocks @ gains))  # diagonal of D
-        coupled = np.linalg.solve(eye + gram * scale, gram)  # B^H T B
-        new_gains = np.real(np.diagonal(coupled)) @ blocks / m
-        residual = float(np.max(np.abs(new_gains - gains)))
+    gram, blocks = _stack(factors)
+    eye = np.eye(len(factors))
+
+    def evaluate(gains):
+        value, jac, _ = _gain_map(gram, blocks, m, nu, gains)
+        return gains, value, jac, float(np.max(np.abs(value - gains)))
+
+    gains, value, jac, residual = evaluate(np.ones(len(factors)))
+    history = [residual]
+    while residual > tol:
+        if len(history) == max_iter:
+            raise ConvergenceError(
+                f"effective-gain fixed point did not converge in {max_iter} iterations "
+                f"(residual {residual:.3e})",
+                residual=residual,
+                iterations=max_iter,
+            )
+        try:
+            newton = gains + np.linalg.solve(eye - jac, value - gains)
+        except np.linalg.LinAlgError:  # I - J is singular
+            newton = None
+        trial = None
+        if newton is not None and np.all(np.isfinite(newton)) and np.all(newton >= 0.0):
+            trial = evaluate(newton)
+        if trial is None or not trial[3] < residual:
+            trial = evaluate(value)  # the plain step
+        gains, value, jac, residual = trial
         history.append(residual)
-        gains = new_gains
-        if residual <= tol:
-            return GainSolution(gains, it, residual, history)
-    raise ConvergenceError(
-        f"effective-gain fixed point did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        residual=residual,
-        iterations=max_iter,
-    )
+    return GainSolution(value, len(history), residual, history)
 
 
 @dataclass
@@ -96,7 +126,8 @@ class FullDEResult:
 
 
 class GainCache:
-    """Memoizes per-BS effective gains keyed by (bs, selected, blocked).
+    """Memoizes per-BS effective gains, or the failure to find them, keyed
+    by (bs, selected, blocked).
 
     The gains depend on the selection only, not on the rate weights, so one
     cache serves every weighted-sum-rate evaluation in an optimization run.
@@ -121,16 +152,26 @@ class GainCache:
         return [projected_factor(self.corr_set.matrix(k, bs).factor(), basis) for k in users]
 
     def gains(self, bs, users, blocked):
-        """xi per user of ``users`` at ``bs`` with ``blocked`` nulled."""
+        """xi per user of ``users`` at ``bs`` with ``blocked`` nulled.
+
+        A fixed point that failed to converge is remembered too: its
+        ConvergenceError is raised again on every later lookup of the key.
+        """
         key = (bs, users, blocked)
         if key not in self._gains:
-            sol = solve_effective_gains(self.projected(bs, users, blocked), self.nu)
-            self._gains[key] = (
-                dict(zip(users, sol.gains)),
-                sol.iterations,
-                sol.residual,
-            )
-        return self._gains[key]
+            try:
+                sol = solve_effective_gains(self.projected(bs, users, blocked), self.nu)
+                self._gains[key] = (
+                    dict(zip(users, sol.gains)),
+                    sol.iterations,
+                    sol.residual,
+                )
+            except ConvergenceError as exc:
+                self._gains[key] = exc
+        entry = self._gains[key]
+        if isinstance(entry, ConvergenceError):
+            raise entry.with_traceback(None)
+        return entry
 
 
 def _per_bs_selection(control, graph):
@@ -194,14 +235,14 @@ def full_de(control, corr_set, graph, nu):
         bs_gains, _, _ = cache.gains(n, users, blocked)
         xi = np.array([bs_gains[k] for k in users])
         count = len(users)
-        stacked, gram, blocks = _stack(cache.projected(n, users, blocked))
-        inverse = np.linalg.inv(np.eye(gram.shape[0]) + gram / (m * (nu + blocks @ xi)))
-        # tr(C~_i T C~_j T) = ||(B^H T B)_ij||_F^2 with B^H T B = (I + G D)^-1 G
-        cross = blocks.T @ np.abs(inverse @ gram) ** 2 @ blocks
-        # tr(C~_i T^2) = ||T B_i||_F^2 with T B = B (I + D G)^-1
-        drive = (np.sum(np.abs(stacked @ inverse.conj().T) ** 2, axis=0) @ blocks) / (nu * nu * m)
-        coupling = cross / (m * m * (nu + xi[None, :]) ** 2)
-        cross_drive = cross / (nu * nu * m)
+        gram, blocks = _stack(cache.projected(n, users, blocked))
+        _, coupling, coupled = _gain_map(gram, blocks, m, nu, xi)
+        # tr(C~_i T^2) = ||T B_i||_F^2, and B^H T^2 B = (I + G D)^-1 G (I + D G)^-1
+        # = B^H T B - B^H T B D B^H T B
+        scale = 1.0 / (m * (nu + blocks @ xi))
+        squared = np.real(np.diagonal(coupled) - np.einsum("ij,j,ji->i", coupled, scale, coupled))
+        drive = (squared @ blocks) / (nu * nu * m)
+        cross_drive = coupling * m * (nu + xi) ** 2 / (nu * nu)  # tr(C~_i T C~_j T) / (nu^2 M)
         system = np.eye(count) - coupling
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > CONDITION_CAP:

@@ -170,7 +170,14 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
 # baseline 1: per-cell zero forcing under fractional frequency reuse
 # ---------------------------------------------------------------------------
 
-ZF_NU = 1e-8  # RZF regularizer standing in for the exact zero-forcing limit
+ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
+
+
+def _zero_forcing_limit(rows):
+    """Zero-forcing beams of the channel ``rows``, regularized by ZF_NU
+    tr(H H^H) / |S| so that the beams stay near the exact zero-forcing limit
+    whatever the channel's scale."""
+    return zero_forcing(rows, ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
 
 
 def _bs_partition(graph, reuse_partitions):
@@ -219,7 +226,7 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
         blocks = []
         for n, users in graph.assoc_users.items():
             if users:
-                g = zero_forcing(channels[list(users), n].conj(), m * ZF_NU)
+                g = _zero_forcing_limit(channels[list(users), n].conj())
                 blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
         beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
         power = p_c / load[beam_bs]
@@ -277,12 +284,11 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
             stale = draw_channels(corr_set, rng)
             outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
-        blocks = [
-            (bss, users, zero_forcing(outdated[np.ix_(users, bss)].reshape(len(users), -1).conj(),
-                                      cluster_size * m * ZF_NU))
-            for bss, users in zip(clusters, members)
-            if users
-        ]
+        blocks = []
+        for bss, users in zip(clusters, members):
+            if users:
+                rows = outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()
+                blocks.append((bss, users, _zero_forcing_limit(rows)))
         beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
         # one power per cluster, scaled so that its most loaded BS spends p_c
         unit_load = transmit_power(beams, np.ones(beams.shape[2]))

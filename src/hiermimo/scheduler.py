@@ -159,31 +159,48 @@ class SelectionValue:
     levels: dict  # bs -> water level
 
 
-def weighted_sum_rate(selected, rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
+def weighted_sum_rate(
+    selected, rate_weights, corr_set, graph, nu, p_c, gain_cache=None, memo=None
+):
     """Best weighted sum of DE rates achievable with user set ``selected``:
-    water-filled powers against the per-BS DE power budget."""
+    water-filled powers against the per-BS DE power budget.
+
+    The water filling of BS n depends on its selected users S_n and blocked
+    set B_n only, so ``memo`` (a dict shared by the calls of one oracle,
+    whose rate weights are fixed) maps (n, S_n, B_n) to that BS's gains,
+    powers, level and per-user terms w_k log(1 + p_k), and only BSs missing
+    from it are water-filled. The terms are summed over ``selected`` in
+    sorted order, so the value does not depend on the memo.
+    """
     selected = tuple(sorted(set(selected)))
     if not selected:
         return SelectionValue(0.0, {}, {}, {})
     cache = gain_cache or GainCache(corr_set, graph, nu)
+    memo = {} if memo is None else memo
     sel = set(selected)
     blocked = scheduled_neighbors(graph, sel)
-    gains = {}
-    serving = {}
+    gains, powers, levels, terms = {}, {}, {}, {}
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in sel)
         if not users:
             continue
-        bs_gains, _, _ = cache.gains(n, users, blocked[n])
-        for k in users:
-            gains[k] = bs_gains[k]
-            serving[k] = n
-    weights = {k: float(rate_weights[k]) for k in selected}
-    wf = waterfill(weights, gains, serving, corr_set.dim, p_c)
-    value = float(
-        sum(weights[k] * np.log1p(wf.powers[k]) for k in selected)
-    )
-    return SelectionValue(value, gains, wf.powers, wf.levels)
+        key = (n, users, blocked[n])
+        if key not in memo:
+            bs_gains, _, _ = cache.gains(*key)
+            weights = {k: float(rate_weights[k]) for k in sorted(users)}
+            wf = waterfill(weights, bs_gains, dict.fromkeys(users, n), corr_set.dim, p_c)
+            memo[key] = (
+                bs_gains,
+                wf.powers,
+                wf.levels[n],
+                {k: weights[k] * np.log1p(wf.powers[k]) for k in users},
+            )
+        bs_gains, bs_powers, levels[n], bs_terms = memo[key]
+        gains.update(bs_gains)
+        powers.update(bs_powers)
+        terms.update(bs_terms)
+    value = float(sum(terms[k] for k in selected))
+    return SelectionValue(value, gains, {k: powers[k] for k in selected}, levels)
 
 
 def assemble_control(selected, corr_set, graph, powers):
@@ -207,6 +224,7 @@ class OracleResult:
     value: float
     selected: tuple
     rates: np.ndarray  # DE rate vector over all users
+    skipped: int  # candidates skipped because their fixed point failed
 
 
 def de_rate_vector(control, num_users):
@@ -217,20 +235,21 @@ def de_rate_vector(control, num_users):
     return rates
 
 
-def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache):
+def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo):
     """``weighted_sum_rate`` of one oracle candidate, or None when its gain
     fixed point fails to converge: both oracles skip such a candidate with a
-    warning rather than abort the search."""
+    warning rather than abort the search, and report how many they skipped."""
     try:
-        return weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+        return weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
     except ConvergenceError as exc:
         log.warning("skipping candidate %s: %s", cand, exc)
         return None
 
 
-def _oracle_result(selected, best, corr_set, graph):
+def _oracle_result(selected, best, corr_set, graph, skipped):
     control = assemble_control(selected, corr_set, graph, best.powers)
-    return OracleResult(control, best.value, selected, de_rate_vector(control, graph.num_users))
+    rates = de_rate_vector(control, graph.num_users)
+    return OracleResult(control, best.value, selected, rates, skipped)
 
 
 def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -246,14 +265,17 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
             f"(got {num_users}); use the greedy oracle instead"
         )
     cache = gain_cache or GainCache(corr_set, graph, nu)
+    memo = {}
+    skipped = 0
     best_set = ()
     best = SelectionValue(0.0, {}, {}, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
-            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
+            skipped += res is None
             if res is not None and res.value > best.value:
                 best_set, best = cand, res
-    return _oracle_result(best_set, best, corr_set, graph)
+    return _oracle_result(best_set, best, corr_set, graph, skipped)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -261,6 +283,8 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
     until none remains."""
     num_users = graph.num_users
     cache = gain_cache or GainCache(corr_set, graph, nu)
+    memo = {}
+    skipped = 0
     current_set = ()
     current = SelectionValue(0.0, {}, {}, {})
     while len(current_set) < num_users:
@@ -270,13 +294,14 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
             if k in current_set:
                 continue
             cand = tuple(sorted(current_set + (k,)))
-            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache)
+            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
+            skipped += res is None
             if res is not None and (best_res is None or res.value > best_res.value):
                 best_cand, best_res = cand, res
         if best_res is None or best_res.value <= current.value + GREEDY_IMPROVE_TOL:
             break
         current_set, current = best_cand, best_res
-    return _oracle_result(current_set, current, corr_set, graph)
+    return _oracle_result(current_set, current, corr_set, graph, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +520,7 @@ class PolicyResult:
     converged: bool
     utility: float
     rate_weights: np.ndarray = field(default=None)
+    skipped_candidates: int = 0  # oracle candidates skipped over the run, certificate included
 
 
 def _duplicate(control, others):
@@ -538,6 +564,7 @@ def optimize_policy(
     num_users = graph.num_users
 
     first = oracle(util.weights, corr_set, graph, nu, p_c, cache)
+    skipped = first.skipped
     controls = [first.control]
     rate_rows = [first.rates]
 
@@ -564,6 +591,7 @@ def optimize_policy(
         utility_value, grad = util.value_and_grad(mixed)
 
         new = oracle(grad, corr_set, graph, nu, p_c, cache)
+        skipped += new.skipped
         slack = float(grad @ (new.rates - mixed))
         trace.append(
             TraceRecord(iteration, utility_value, len(controls), slack, mixed, new.rates)
@@ -590,6 +618,7 @@ def optimize_policy(
     else:
         if num_users <= ENUMERATION_GUARD:
             star = best_control_exhaustive(last_grad, corr_set, graph, nu, p_c, cache)
+            skipped += star.skipped
             certificate = float(last_grad @ (star.rates - last_new.rates))
             certificate_kind = "greedy_gap_bound"
         else:
@@ -603,4 +632,5 @@ def optimize_policy(
         converged=converged,
         utility=prev_utility,
         rate_weights=last_grad,
+        skipped_candidates=skipped,
     )

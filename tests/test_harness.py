@@ -236,9 +236,35 @@ def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
         assert np.count_nonzero(s > 1e-10 * s[0]) < len(users)
         oracle = np.linalg.pinv(rows)  # one column per user, over both BSs' antennas
         err = np.linalg.norm(beams.reshape(-1, len(users)) - oracle)
-        bias = 2 * 16 * harness.ZF_NU / s_min**2  # regularizer: cluster antennas x ZF_NU
+        reg = harness.ZF_NU * np.sum(np.abs(rows) ** 2) / len(users)  # ZF_NU tr(HH^H) / |S|
+        bias = reg / s_min**2
         assert bias <= 1e-4
         assert err <= (1.01 * bias + 1e-12) * np.linalg.norm(oracle)
+
+
+def test_baseline_zero_forcing_follows_the_channel_scale():
+    # the baselines regularize by ZF_NU tr(HH^H) / |S|, so scaling every
+    # channel by s scales the CoMP beams by 1/s and leaves the unit-norm FFR
+    # beams as they are: weak channels keep their zero-forcing beams instead
+    # of drifting toward a matched filter
+    recorded = {}
+    evaluate = harness.cross_interference_power
+    for ref_gain_db in (90.0, 20.0):
+        cs = build_hotspot_network(2, 6, 16, 3, seed=7, inter_site_m=300.0, ref_gain_db=ref_gain_db)
+        graph = build_topology(cs, theta_from_db(10.0))
+        seen = recorded[ref_gain_db] = []
+
+        def record(channels, beams, power):
+            seen.append(beams)
+            return evaluate(channels, beams, power)
+
+        with mock.patch.object(harness, "cross_interference_power", side_effect=record):
+            ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=3, seed=5)
+            comp_baseline(cs, graph, PC, cluster_size=2, draws=3, seed=5, delay_rho=1.0)
+    scale = np.sqrt(10.0 ** ((20.0 - 90.0) / 10.0))  # amplitude ratio of the channels
+    for k, (strong, weak) in enumerate(zip(recorded[90.0], recorded[20.0])):
+        expected = strong if k < 3 else strong / scale  # FFR beams first, then CoMP
+        assert np.linalg.norm(weak - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_proposed_beats_ffr_directionally(desk):

@@ -1,10 +1,13 @@
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermimo import cli, det_equiv
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, build_hotspot_network
 from hiermimo.det_equiv import GainCache
 from hiermimo.errors import ConvergenceError, ParameterError
@@ -337,6 +340,120 @@ def test_both_oracles_skip_a_candidate_whose_fixed_point_fails(desk, caplog):
     assert bad not in selection_keys(graph, gr.selected)
     assert gr.value <= ex.value + 1e-12
     assert "skipping candidate" in caplog.text
+
+
+def test_a_failed_fixed_point_is_solved_once_per_key(desk):
+    cs, graph = desk
+    mu = np.random.default_rng(6).uniform(0.05, 1.0, size=6)
+    cache = GainCache(cs, graph, NU)
+    # each candidate fails at the key of its first BS with a selected user
+    first_keys = set()
+    for size in range(1, 7):
+        for cand in itertools.combinations(range(6), size):
+            first_keys.add(min(selection_keys(graph, cand)))
+    failure = ConvergenceError("forced failure")
+    with mock.patch.object(det_equiv, "solve_effective_gains", side_effect=failure) as solve:
+        for _ in range(2):
+            gr = best_control_greedy(mu, cs, graph, NU, PC, cache)
+            ex = best_control_exhaustive(mu, cs, graph, NU, PC, cache)
+            assert gr.selected == ex.selected == ()
+            assert (gr.skipped, ex.skipped) == (6, 63)
+    assert solve.call_count == len(first_keys)
+
+
+def test_skipped_candidates_are_counted_over_the_run(desk, tmp_path, caplog):
+    cs, graph = desk
+    bad = (graph.serving[0], (0,), ())  # every greedy call tries user 0 alone
+    res = optimize_policy(cs, graph, pfs_utility(6), NU, PC, mode="greedy",
+                          gain_cache=FailingCache(cs, graph, NU, bad))
+    warnings = [r for r in caplog.records if "skipping candidate" in r.getMessage()]
+    # the greedy calls and the exhaustive certificate all skip the candidate
+    assert res.certificate_kind == "greedy_gap_bound"
+    assert res.skipped_candidates == len(warnings) > len(res.trace) + 1
+    desk_file = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
+
+    def failing(corr_set, graph, nu):
+        return FailingCache(corr_set, graph, nu, bad)
+
+    with mock.patch.object(cli, "GainCache", failing):
+        summary = cli.run_scenario(desk_file, tmp_path, draws=10)
+    assert summary["skipped_candidates"] == res.skipped_candidates
+    assert cli.run_scenario(desk_file, tmp_path / "clean", draws=10)["skipped_candidates"] == 0
+
+
+def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
+    """Weighted sum rate without a memo: one water filling over all BSs."""
+    selected = tuple(sorted(selected))
+    blocked = scheduled_neighbors(graph, selected)
+    gains, serving = {}, {}
+    for n in range(graph.num_bs):
+        users = tuple(k for k in graph.assoc_users[n] if k in selected)
+        if users:
+            bs_gains, _, _ = cache.gains(n, users, blocked[n])
+            gains.update(bs_gains)
+            serving.update(dict.fromkeys(users, n))
+    weights = {k: float(rate_weights[k]) for k in selected}
+    wf = waterfill(weights, gains, serving, corr_set.dim, PC)
+    return float(sum(weights[k] * np.log1p(wf.powers[k]) for k in selected)), wf.powers
+
+
+def reference_greedy(rate_weights, corr_set, graph, cache):
+    current, value = (), 0.0
+    while len(current) < graph.num_users:
+        cands = [tuple(sorted(current + (k,))) for k in range(graph.num_users) if k not in current]
+        values = [reference_weighted_sum_rate(c, rate_weights, corr_set, graph, cache)[0]
+                  for c in cands]
+        best = int(np.argmax(values))  # the first of equal values, as in the oracle
+        if values[best] <= value + 1e-12:
+            break
+        current, value = cands[best], values[best]
+    return current
+
+
+def reference_exhaustive(rate_weights, corr_set, graph, cache):
+    best_set, best_val = (), 0.0
+    for size in range(1, graph.num_users + 1):
+        for cand in itertools.combinations(range(graph.num_users), size):
+            val = reference_weighted_sum_rate(cand, rate_weights, corr_set, graph, cache)[0]
+            if val > best_val:
+                best_set, best_val = cand, val
+    return best_set
+
+
+@st.composite
+def memo_instances(draw):
+    """A random network, random rate weights (some zero) and candidate user
+    sets in random order, repeats included."""
+    num_bs = draw(st.integers(1, 3))
+    num_users = draw(st.integers(num_bs, 7))
+    cs = build_hotspot_network(num_bs, num_users, 8, 2, seed=draw(st.integers(0, 2**16)),
+                               inter_site_m=300.0)
+    graph = build_topology(cs, theta_from_db(10.0))
+    weights = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1.0),
+                            min_size=num_users, max_size=num_users))
+    users = st.integers(0, num_users - 1)
+    candidates = draw(st.lists(st.sets(users, min_size=1), min_size=1, max_size=30))
+    return cs, graph, np.array(weights), candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_instances())
+def test_memoized_weighted_sum_rate_and_oracles_match_memo_free_references(instance):
+    cs, graph, weights, candidates = instance
+    cache = GainCache(cs, graph, NU)
+    memo = {}
+    for cand in candidates:
+        shared = weighted_sum_rate(cand, weights, cs, graph, NU, PC, cache, memo)
+        alone = weighted_sum_rate(cand, weights, cs, graph, NU, PC, cache)
+        value, powers = reference_weighted_sum_rate(cand, weights, cs, graph, cache)
+        assert shared.value == alone.value == value
+        assert shared.powers == alone.powers == powers
+    assert best_control_greedy(weights, cs, graph, NU, PC, cache).selected == reference_greedy(
+        weights, cs, graph, cache
+    )
+    assert best_control_exhaustive(weights, cs, graph, NU, PC, cache).selected == (
+        reference_exhaustive(weights, cs, graph, cache)
+    )
 
 
 # ---------------------------------------------------------------------------
