@@ -54,6 +54,12 @@ OPTIONAL_DEFAULTS = {"eps_stop": 1e-6, "max_outer": 100}
 
 POSITIVE_INT = {"above": 0, "integer": True}
 
+# size guards: a larger scenario would run for hours or exhaust memory
+MAX_DRAWS = 10**6
+# complex correlation-factor entries num_users * num_bs * num_antennas * rank
+# (2^26 of them take 1 GiB)
+MAX_FACTOR_ENTRIES = 2**26
+
 # bounds of each number, as keyword arguments of ``_number``
 NUMBER_BOUNDS = {
     "num_bs": POSITIVE_INT,
@@ -64,7 +70,7 @@ NUMBER_BOUNDS = {
     "rzf_nu": {"above": 0.0},
     "theta_db": {"above": 0.0, "db": True},
     "seed": {"low": 0, "integer": True},
-    "draws": POSITIVE_INT,
+    "draws": {**POSITIVE_INT, "high": MAX_DRAWS},
     "eps_stop": {"low": 0.0},
     "max_outer": POSITIVE_INT,
 }
@@ -214,6 +220,15 @@ def scenario_from_dict(data):
     numbers = {name: _number(data[name], name, **bounds) for name, bounds in NUMBER_BOUNDS.items()}
     if numbers["rank"] > numbers["num_antennas"]:
         raise ConfigError("field 'rank' cannot exceed 'num_antennas'", field="rank")
+    entries = 1
+    for name in ("num_users", "num_bs", "num_antennas", "rank"):
+        entries *= numbers[name]
+        if entries > MAX_FACTOR_ENTRIES:
+            raise ConfigError(
+                f"field '{name}' takes num_users * num_bs * num_antennas * rank past "
+                f"{MAX_FACTOR_ENTRIES} correlation-factor entries (1 GiB)",
+                field=name,
+            )
     mode = data["mode"]
     if mode not in ("greedy", "exhaustive"):
         raise ConfigError(f"field 'mode' must be 'greedy' or 'exhaustive', got {mode!r}", field="mode")

@@ -167,14 +167,26 @@ def sample_channel(corr, seed):
     A CorrelationMatrix gives one length-M channel. A CorrelationSet gives
     the (K, N, M) channels of every link, drawn in (user, bs) order so that
     each link reads the same normals as a lone draw in that order would.
+    A list of seeds or generators gives one draw per entry along a leading
+    axis, (D, M) or (D, K, N, M); draw i reads only from its own entry,
+    exactly as a lone call with it would.
     """
-    rng = as_rng(seed)
+    many = isinstance(seed, list)
+    rngs = [as_rng(s) for s in seed] if many else [as_rng(seed)]
     factor, basis = corr.factor(), corr.basis()
     m = corr.dim
-    z = rng.standard_normal(factor.shape[:-2] + (2, m))
-    z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0 * m)
-    coeff = basis.conj().swapaxes(-1, -2) @ z[..., None]  # B^H z, one column per link
-    return np.sqrt(m) * (factor @ coeff)[..., 0]
+    normals = np.empty((len(rngs),) + factor.shape[:-2] + (2, m))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
+    # conj(z), so that the coefficients (B^H z)^T = conj(conj(z) B) come from
+    # one row-times-matrix product per link without conjugating B
+    scale = 1.0 / np.sqrt(2.0 * m)
+    z_conj = np.empty(normals.shape[:-2] + (m,), dtype=complex)
+    np.multiply(normals[..., 0, :], scale, out=z_conj.real)
+    np.multiply(normals[..., 1, :], -scale, out=z_conj.imag)
+    coeff = (z_conj[..., None, :] @ basis).conj()
+    channels = np.sqrt(m) * (coeff @ factor.swapaxes(-1, -2))[..., 0, :]
+    return channels if many else channels[0]
 
 
 @dataclass
@@ -190,8 +202,8 @@ class CorrelationSet:
     _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._factor = self._padded(CorrelationMatrix.factor)
-        self._basis = self._padded(CorrelationMatrix.basis)
+        self._factor = self._padded("columns")
+        self._basis = self._padded("_basis")
 
     @property
     def dim(self):
@@ -209,12 +221,16 @@ class CorrelationSet:
         """Every link's ``basis()``, laid out and padded as ``factor()``."""
         return self._basis
 
-    def _padded(self, part):
-        pieces = {link: part(mat) for link, mat in self.matrices.items()}
-        width = max(p.shape[1] for p in pieces.values())
+    def _padded(self, attr):
+        """The links' ``attr`` arrays (M x r) padded into one (K, N, M, R)
+        array. Each link's ``attr`` becomes its view [k, n, :, :r] of it, so
+        the set holds every entry once in each layout, not twice."""
+        width = max(getattr(mat, attr).shape[1] for mat in self.matrices.values())
         out = np.zeros((self.num_users, self.num_bs, self.dim, width), dtype=complex)
-        for (k, n), p in pieces.items():
-            out[k, n, :, : p.shape[1]] = p
+        for (k, n), mat in self.matrices.items():
+            rank = getattr(mat, attr).shape[1]
+            out[k, n, :, :rank] = getattr(mat, attr)
+            setattr(mat, attr, out[k, n, :, :rank])
         return out
 
     def validate(self):

@@ -4,7 +4,9 @@ Validates the deterministic equivalents against sampled channels and runs
 two reference schemes: per-cell zero forcing under fractional frequency
 reuse, and clustered cooperative zero forcing with an optional AR(1) CSI
 delay. Draws use per-index derived seeds, so results do not depend on the
-order in which draws are evaluated.
+order in which draws are evaluated, nor on how they are chunked: every
+scheme evaluates its draws in chunks of a fixed memory budget, each with one
+sampling call and one stacked evaluation.
 """
 
 import logging
@@ -57,63 +59,96 @@ def _stderr(samples):
 
 
 def draw_channels(corr_set, rng):
-    """One realization of every link channel: a (K, N, M) array."""
+    """Realizations of every link channel: a (K, N, M) array for one
+    generator, a (D, K, N, M) array for a list of D generators."""
     return sample_channel(corr_set, rng)
 
 
-def _layout(blocks, num_users, num_bs, m):
-    """Beams of ``blocks`` as one (N, M, L) array.
+def _beam_owners(groups, num_users):
+    """The K x L mask of each user's own beam and the first BS of every beam,
+    for beams laid out group by group: each group is (bss, users), one beam
+    per user over the stacked antennas of the BSs ``bss``."""
+    beam_user = np.array([k for _, users in groups for k in users], dtype=int)
+    beam_bs = np.array([bss[0] for bss, users in groups for _ in users], dtype=int)
+    return np.arange(num_users)[:, None] == beam_user, beam_bs
 
-    Each block is (bss, users, v): v holds the beams of ``users``, one
-    column each, over the stacked antennas of the BSs ``bss``; the rows of
-    every other BS stay zero. Also returns the K x L mask of each user's own
-    beam and the first BS of ``bss`` for every beam.
-    """
-    beam_user = np.array([k for _, users, _ in blocks for k in users], dtype=int)
-    beam_bs = np.array([bss[0] for bss, users, _ in blocks for _ in users], dtype=int)
-    beams = np.zeros((num_bs, m, beam_user.size), dtype=complex)
+
+def _layout(groups, group_beams, channels):
+    """Beams of ``groups`` (see ``_beam_owners``) as one (..., N, M, L) array
+    for (..., K, N, M) ``channels``. The beams of a group are (..., |bss| M,
+    |users|), one column per user over the stacked antennas of its BSs; the
+    rows of every other BS stay zero."""
+    *lead, _, num_bs, m = channels.shape
+    beams = np.zeros((*lead, num_bs, m, sum(len(users) for _, users in groups)), dtype=complex)
     start = 0
-    for bss, users, v in blocks:
-        beams[list(bss), :, start : start + len(users)] = v.reshape(len(bss), m, len(users))
-        start += len(users)
-    return beams, np.arange(num_users)[:, None] == beam_user, beam_bs
+    for (bss, users), v in zip(groups, group_beams):
+        stop = start + len(users)
+        beams[..., list(bss), :, start:stop] = v.reshape(*lead, len(bss), m, len(users))
+        start = stop
+    return beams
+
+
+def _control_evaluator(control, graph, nu):
+    """Evaluation of ``control`` on (..., K, N, M) channel realizations: the
+    rates, BS powers, worst interference-to-signal ratio and total power
+    leaked onto protected users of each. What depends only on the control
+    (beam owners, powers, masks and the protected users) is set up once."""
+    groups = [((n,), users) for n, users in control.selected.items()]
+    own, beam_bs = _beam_owners(groups, graph.num_users)
+    power = np.array([control.power[k] for _, users in groups for k in users])
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    # the outer precoders null every other BS, so only the serving BS interferes
+    interferers = (serving[:, None] == beam_bs) & ~own
+    bs_of_beam = (beam_bs[:, None] == np.arange(graph.num_bs)).astype(float)  # L x N
+    protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
+    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
+        protected[list(blocked), n] = True
+
+    def evaluate(channels):
+        inner = inner_precoders(control, channels, nu)
+        beams = _layout(groups, [control.outer[n] @ inner[n] for (n,), _ in groups], channels)
+        received = cross_interference_power(channels, beams, power)
+        rates = instantaneous_rate(received, own, interferers)
+        per_bs = received @ bs_of_beam  # (..., K, N)
+        signal = np.sum(received, axis=-1, where=own)
+        ratio = (per_bs / (signal[..., None] + 1.0))[..., protected]
+        worst = np.max(ratio, axis=-1, initial=0.0)
+        return rates, transmit_power(beams, power), worst, np.sum(per_bs[..., protected], axis=-1)
+
+    return evaluate
 
 
 def _evaluate_control(control, channels, graph, nu):
     """Rates, powers, worst interference-to-signal ratio and total power
-    leaked onto protected users for one realization."""
-    inner = inner_precoders(control, channels, nu)
-    blocks = [((n,), users, control.outer[n] @ inner[n]) for n, users in control.selected.items()]
-    beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, channels.shape[2])
-    power = np.array([control.power[k] for _, users, _ in blocks for k in users])
-    received = cross_interference_power(channels, beams, power)
-    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    # the outer precoders null every other BS, so only the serving BS interferes
-    rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
-    protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
-    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
-        protected[list(blocked), n] = True
-    per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))  # K x N
-    signal = np.sum(received, axis=1, where=own)
-    ratio = (per_bs / (signal[:, None] + 1.0))[protected]
-    worst = float(np.max(ratio, initial=0.0))
-    return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
+    leaked onto protected users of ``control`` on (..., K, N, M) channels."""
+    return _control_evaluator(control, graph, nu)(channels)
 
 
-def _monte_carlo(draw, graph, draws, seed, tag):
-    """Report of ``draws`` realizations of one scheme: ``draw`` maps each
-    draw's seed sequence, spawned from (seed, tag), to its user rates, BS powers,
-    worst interference ratio (None if untracked) and cross interference."""
+# Draws per chunk: as many as keep one chunk's (D, K, N, M) channels within
+# this many complex entries, and at least one. Larger chunks save per-call
+# overhead but grow every per-chunk array with them.
+CHUNK_ENTRIES = 2**13
+
+
+def _monte_carlo(draw, corr_set, graph, draws, seed, tag):
+    """Report of ``draws`` realizations of one scheme. The draws' seed
+    sequences, spawned from (seed, tag), go to ``draw`` as lists of at most
+    CHUNK_ENTRIES // (K N M) draws; it maps a list of D to the (D, K) user
+    rates, (D, N) BS powers, (D,) worst interference ratios (None if
+    untracked) and (D,) cross interference of those draws."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
+    size = max(1, CHUNK_ENTRIES // (graph.num_users * graph.num_bs * corr_set.dim))
+    children = derive_seed_sequence(seed, tag).spawn(draws)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
+    cross_samples = np.zeros(draws)
     ratios = []
-    cross_sum = 0.0
-    for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
-        rate_samples[i], power_samples[i], ratio, cross = draw(child)
+    for start in range(0, draws, size):
+        chunk = slice(start, start + size)
+        rates, powers, ratio, cross_samples[chunk] = draw(children[chunk])
+        rate_samples[chunk], power_samples[chunk] = rates, powers
         ratios.append(ratio)
-        cross_sum += cross
     return MonteCarloReport(
         user_rate_mean=rate_samples.mean(axis=0),
         user_rate_stderr=_stderr(rate_samples),
@@ -121,8 +156,20 @@ def _monte_carlo(draw, graph, draws, seed, tag):
         bs_power_stderr=_stderr(power_samples),
         draws=draws,
         seed=int(seed),
-        max_interference_ratio=None if ratios[0] is None else max(ratios),
-        mean_cross_interference=cross_sum / draws,
+        max_interference_ratio=None if ratio is None else float(max(map(np.max, ratios))),
+        # a running sum adds the draws in order: np.sum would pair them and
+        # so move the last digit of a round-off-level mean
+        mean_cross_interference=float(np.cumsum(cross_samples)[-1]) / draws,
+    )
+
+
+def _first_child(seq):
+    """The first child ``seq.spawn(2)[0]`` of a fresh seed sequence, built
+    without spawning (and so without building the unused second child). The
+    proposed scheme draws its channels from it: drawing them from ``seq``
+    itself would move every result."""
+    return np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key + (0,), pool_size=seq.pool_size
     )
 
 
@@ -133,23 +180,23 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
     (the exact conditional average).
     """
     probs = np.asarray(policy.probs, dtype=float)
+    evaluators = [_control_evaluator(control, graph, nu) for control in policy.controls]
 
-    def draw(child):
-        # the channels come from the first of two child streams: drawing
-        # them from the child itself would move every Monte Carlo result
-        chan_ss, _ = child.spawn(2)
-        channels = draw_channels(corr_set, np.random.default_rng(chan_ss))
-        rates, powers = np.zeros(graph.num_users), np.zeros(graph.num_bs)
-        worst = cross = 0.0
-        for q, control in zip(probs, policy.controls):
-            r, p, ratio, c = _evaluate_control(control, channels, graph, nu)
+    def draw(children):
+        rngs = [np.random.default_rng(_first_child(child)) for child in children]
+        channels = draw_channels(corr_set, rngs)
+        rates = np.zeros((len(children), graph.num_users))
+        powers = np.zeros((len(children), graph.num_bs))
+        worst, cross = np.zeros(len(children)), np.zeros(len(children))
+        for q, evaluate in zip(probs, evaluators):
+            r, p, ratio, c = evaluate(channels)
             rates += q * r
             powers += q * p
-            worst = max(worst, ratio)
+            worst = np.maximum(worst, ratio)
             cross += q * c
         return rates, powers, worst, cross
 
-    report = _monte_carlo(draw, graph, draws, seed, POLICY_MC)
+    report = _monte_carlo(draw, corr_set, graph, draws, seed, POLICY_MC)
     cache = gain_cache or GainCache(corr_set, graph, nu)
     de_rates = np.zeros(graph.num_users)
     de_powers = np.zeros(graph.num_bs)
@@ -174,10 +221,14 @@ ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
 
 
 def _zero_forcing_limit(rows):
-    """Zero-forcing beams of the channel ``rows``, regularized by ZF_NU
-    tr(H H^H) / |S| so that the beams stay near the exact zero-forcing limit
-    whatever the channel's scale."""
-    return zero_forcing(rows, ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
+    """Zero-forcing beams of every draw's channel rows H, one |S|-row matrix
+    per draw of the stack ``rows``, regularized by ZF_NU tr(H H^H) / |S| so
+    that the beams stay near the exact zero-forcing limit whatever the
+    channel's scale."""
+    # tr(H H^H) as the inner product of H's flattened rows with themselves
+    flat = rows.reshape(rows.shape[0], 1, -1)
+    traces = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
+    return zero_forcing(rows, ZF_NU * traces / rows.shape[-2])
 
 
 def _bs_partition(graph, reuse_partitions):
@@ -220,24 +271,27 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     partition = _bs_partition(graph, reuse_partitions)
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    groups = [((n,), users) for n, users in graph.assoc_users.items() if users]
+    own, beam_bs = _beam_owners(groups, graph.num_users)
+    power = p_c / load[beam_bs]
+    # the user's own cell and the other cells of its partition share its band
+    band = partition[serving][:, None] == partition[beam_bs]
+    interferers = band & ~own
+    other_cell = band & (serving[:, None] != beam_bs)
 
-    def draw(child):
-        channels = draw_channels(corr_set, np.random.default_rng(child))
-        blocks = []
-        for n, users in graph.assoc_users.items():
-            if users:
-                g = _zero_forcing_limit(channels[list(users), n].conj())
-                blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
-        beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
-        power = p_c / load[beam_bs]
+    def draw(children):
+        channels = draw_channels(corr_set, [np.random.default_rng(child) for child in children])
+        unit_beams = []
+        for (n,), users in groups:
+            g = _zero_forcing_limit(channels[:, list(users), n].conj())
+            unit_beams.append(g / np.linalg.norm(g, axis=-2, keepdims=True))
+        beams = _layout(groups, unit_beams, channels)
         received = cross_interference_power(channels, beams, power)
-        # the user's own cell and the other cells of its partition share its band
-        band = partition[serving][:, None] == partition[beam_bs]
-        rates = instantaneous_rate(received, own, band & ~own) / reuse_partitions
-        cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
+        rates = instantaneous_rate(received, own, interferers) / reuse_partitions
+        cross = np.sum(received, axis=(-2, -1), where=other_cell)
         return rates, transmit_power(beams, power), None, cross
 
-    return _monte_carlo(draw, graph, draws, seed, FFR_MC)
+    return _monte_carlo(draw, corr_set, graph, draws, seed, FFR_MC)
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +327,32 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
                 f"with {cluster_size * m} antennas"
             )
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    groups = [(bss, users) for bss, users in zip(clusters, members) if users]
+    own, beam_bs = _beam_owners(groups, graph.num_users)
+    beam_cluster = beam_bs // cluster_size
+    other_cluster = (serving // cluster_size)[:, None] != beam_cluster
 
-    def draw(child):
-        rng = np.random.default_rng(child)
-        channels = draw_channels(corr_set, rng)
+    def draw(children):
+        rngs = [np.random.default_rng(child) for child in children]
+        channels = draw_channels(corr_set, rngs)
         outdated = channels
         if delay_rho < 1.0:
-            # independent AR(1) innovation; it is the stream's last draw, so
+            # independent AR(1) innovation; it is each stream's last draw, so
             # skipping it where it is weighted 0 moves no other draw
-            stale = draw_channels(corr_set, rng)
+            stale = draw_channels(corr_set, rngs)
             outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
-        blocks = []
-        for bss, users in zip(clusters, members):
-            if users:
-                rows = outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()
-                blocks.append((bss, users, _zero_forcing_limit(rows)))
-        beams, own, beam_bs = _layout(blocks, graph.num_users, graph.num_bs, m)
+        cluster_beams = []
+        for bss, users in groups:
+            rows = outdated[:, users, bss[0] : bss[-1] + 1].reshape(len(children), len(users), -1)
+            cluster_beams.append(_zero_forcing_limit(rows.conj()))
+        beams = _layout(groups, cluster_beams, channels)
         # one power per cluster, scaled so that its most loaded BS spends p_c
-        unit_load = transmit_power(beams, np.ones(beams.shape[2]))
-        power = p_c / np.max(unit_load.reshape(-1, cluster_size), axis=1)[beam_bs // cluster_size]
+        unit_load = transmit_power(beams, np.ones(beam_bs.size))
+        most_loaded = np.max(unit_load.reshape(len(children), -1, cluster_size), axis=-1)
+        power = p_c / most_loaded[:, beam_cluster]
         received = cross_interference_power(channels, beams, power)
-        other_cluster = (serving // cluster_size)[:, None] != beam_bs // cluster_size
-        cross = float(np.sum(received, where=other_cluster))
+        cross = np.sum(received, axis=(-2, -1), where=other_cluster)
         return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
 
-    return _monte_carlo(draw, graph, draws, seed, COMP_MC)
+    return _monte_carlo(draw, corr_set, graph, draws, seed, COMP_MC)

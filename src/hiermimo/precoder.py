@@ -7,6 +7,7 @@ precoder is regularized zero forcing on the effective (outer-projected)
 channels.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,17 @@ def zero_forcing(channels, reg):
     per row of the |S| x D ``channels`` H (rows h^H, so row @ beam is the
     received amplitude), from one |S| x |S| solve. By the push-through
     identity this is (H^H H + reg I)^(-1) H^H; a small ``reg`` tends to the
-    pseudo-inverse, also where H has dependent rows."""
-    if reg <= 0:
+    pseudo-inverse, also where H has dependent rows.
+
+    A stack of channels (..., |S|, D) takes one ``reg`` per matrix (or one
+    for all) and gives the (..., D, |S|) beams from one stacked solve."""
+    reg = np.asarray(reg)
+    if np.any(reg <= 0):
         raise ParameterError("zero-forcing regularizer must be positive")
-    gram = channels @ channels.conj().T + reg * np.eye(channels.shape[0])
+    gram = channels @ channels.conj().swapaxes(-1, -2)
+    gram += reg[..., None, None] * np.eye(channels.shape[-2])
     # the Gram matrix is Hermitian, so (G^-1 H)^H = H^H G^-1
-    return np.linalg.solve(gram, channels).conj().T
+    return np.linalg.solve(gram, channels).conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -157,10 +163,13 @@ class CompositeControl:
 
 
 def inner_precoders(control, channels, nu):
-    """RZF inner precoder per BS for one (K, N, M) channel realization, on the
-    effective channels h^H F_n with regularizer M nu (the full M, not M_n)."""
+    """RZF inner precoder per BS for (..., K, N, M) channel realizations, on
+    the effective channels h^H F_n with regularizer M nu (the full M, not
+    M_n): BS n's precoders are (..., M_n, |S_n|), one stacked solve for all
+    realizations."""
+    m = channels.shape[-1]
     return {
-        n: zero_forcing(channels[list(users), n].conj() @ control.outer[n], channels.shape[2] * nu)
+        n: zero_forcing(channels[..., list(users), n, :].conj() @ control.outer[n], m * nu)
         for n, users in control.selected.items()
     }
 
@@ -168,6 +177,8 @@ def inner_precoders(control, channels, nu):
 # One realization of any scheme is evaluated on its beams laid out as an
 # (N, M, L) array: beam l holds its per-antenna weights at the BSs it uses
 # and zero rows elsewhere, so a cooperative beam adds its BSs coherently.
+# Every function below also takes a leading draw axis on all of its arrays:
+# (D, K, N, M) channels, (D, N, M, L) beams and (D, L) powers.
 
 
 def cross_interference_power(channels, beams, power):
@@ -176,11 +187,13 @@ def cross_interference_power(channels, beams, power):
 
     The amplitudes are the einsum knm,nml->kl, taken as one matrix product
     over the stacked (BS, antenna) index: numpy's unoptimized einsum loop is
-    over ten times slower at K=24, N=4, M=128.
+    over ten times slower at K=24, N=4, M=128. |h^H b| = |h^T conj(b)|, so
+    the beams are conjugated rather than the (larger) channels.
     """
-    num_users, num_bs, m = channels.shape
-    amplitude = channels.reshape(num_users, num_bs * m).conj() @ beams.reshape(num_bs * m, -1)
-    return power * np.abs(amplitude) ** 2
+    *lead, num_users, num_bs, m = channels.shape
+    flat_beams = beams.conj().reshape(*lead, num_bs * m, beams.shape[-1])
+    amplitude = channels.reshape(*lead, num_users, num_bs * m) @ flat_beams
+    return np.asarray(power)[..., None, :] * np.abs(amplitude) ** 2
 
 
 def instantaneous_rate(received, own, interferers):
@@ -188,8 +201,8 @@ def instantaneous_rate(received, own, interferers):
     sums the beams marked in the K x L mask ``own`` (none for a user that is
     not served, whose rate is 0), the denominator the beams marked in
     ``interferers`` plus unit noise."""
-    signal = np.sum(received, axis=1, where=own)
-    interference = np.sum(received, axis=1, where=interferers)
+    signal = np.sum(received, axis=-1, where=own)
+    interference = np.sum(received, axis=-1, where=interferers)
     return np.log1p(signal / (interference + 1.0))
 
 
@@ -198,5 +211,14 @@ def transmit_power(beams, power):
 
     For b_l = F g_l with F semi-unitary this is the trace form
     tr(P Heff (Heff^H Heff + M nu I)^(-2) Heff^H) of the inner precoder.
+
+    The sum is one einsum over a fused (draw, BS) axis, the powers repeated
+    for every BS: over a separate draw axis, einsum would sum the draws of a
+    stack in another order than a lone realization, so the same draw would
+    give other last digits in another chunk.
     """
-    return np.einsum("nml,l->n", np.abs(beams) ** 2, power)
+    *lead, num_bs, m, num_beams = beams.shape
+    fused = math.prod(lead) * num_bs
+    gains = np.abs(beams.reshape(fused, m, num_beams)) ** 2
+    per_bs = np.broadcast_to(np.asarray(power)[..., None, :], (*lead, num_bs, num_beams))
+    return np.einsum("xml,xl->x", gains, per_bs.reshape(fused, num_beams)).reshape(*lead, num_bs)

@@ -76,6 +76,29 @@ def test_exhaustive_guard_on_config(tmp_path):
                  "--out", str(tmp_path / "out2")]) == EXIT_CONFIG
 
 
+def test_draws_above_the_guard_exit_two_and_name_draws(tmp_path, capsys):
+    path = write_config(tmp_path, {"draws": cli.MAX_DRAWS + 1})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'draws'" in capsys.readouterr().err
+    assert main(["run", str(write_config(tmp_path)), "--draws", str(10**9),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'draws'" in capsys.readouterr().err
+
+
+def test_network_above_the_size_guard_exits_two_and_names_the_first_field(tmp_path, capsys):
+    # 2^20 users alone stay within 2^26 factor entries; times 128 BSs they do not
+    path = write_config(tmp_path, {"num_users": 2**20, "num_bs": 128})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'num_bs'" in capsys.readouterr().err
+    path = write_config(tmp_path, {"num_users": 10**8})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'num_users'" in capsys.readouterr().err
+    # the 7 BS x 84 users x M=256 rank-8 rung (about 2^20 entries) still parses
+    rung = {**DESK, "num_bs": 7, "num_users": 84, "num_antennas": 256, "rank": 8,
+            "baselines": {"comp_cluster_size": 7}}
+    assert load_scenario(write_config(tmp_path, rung)).num_antennas == 256
+
+
 def test_run_produces_expected_files(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"

@@ -94,6 +94,17 @@ def test_sample_channel_deterministic():
     assert np.array_equal(sample_channel(mat, seed=4), sample_channel(mat, seed=4))
 
 
+def test_sample_channel_list_of_seeds_stacks_lone_draws():
+    # a list gives a leading draw axis, each draw read from its own seed only
+    mat = random_clustered_correlation(8, 3, 1.0, seed=6)
+    cs = build_hotspot_network(2, 5, 8, 2, seed=3, inter_site_m=300.0)
+    for corr in (mat, cs):
+        stacked = sample_channel(corr, [np.random.default_rng(s) for s in (4, 5, 6)])
+        lone = np.stack([sample_channel(corr, np.random.default_rng(s)) for s in (4, 5, 6)])
+        assert stacked.flags.c_contiguous
+        assert np.array_equal(stacked, lone)
+
+
 def test_sample_covariance_converges():
     m, draws = 8, 10_000
     mat = random_clustered_correlation(m, 3, 1.0, seed=2)
@@ -249,3 +260,23 @@ def test_factor_network_matches_dense_definition(case):
         # the set's padded arrays hold the same link
         np.testing.assert_array_equal(cs.factor()[k, n, :, : f.shape[1]], f)
         np.testing.assert_array_equal(cs.basis()[k, n, :, : b.shape[1]], b)
+
+
+def test_set_stores_each_link_factor_as_a_view_of_its_padded_arrays():
+    # ranks 1..3 and a zero link, so the padded arrays are wider than some links
+    def links():
+        return {
+            (k, n): random_clustered_correlation(6, 1 + (k + n) % 3,
+                                                 0.0 if (k, n) == (1, 0) else 1.0, seed=10 * k + n)
+            for k in range(3)
+            for n in range(2)
+        }
+
+    alone = links()
+    cs = CorrelationSet(2, 3, links(), {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2})
+    for link, mat in cs.matrices.items():
+        if mat.numerical_rank():  # a zero link's empty factor holds no memory
+            assert np.shares_memory(mat.factor(), cs.factor())
+            assert np.shares_memory(mat.basis(), cs.basis())
+        assert np.array_equal(mat.factor(), alone[link].factor())
+        assert np.array_equal(mat.basis(), alone[link].basis())

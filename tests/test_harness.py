@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo import harness
 from hiermimo.corrmat import (
@@ -17,9 +19,16 @@ from hiermimo.harness import (
     ffr_baseline,
     monte_carlo_policy,
 )
-from hiermimo.rng import COMP_MC, derive_seed_sequence
+from hiermimo.precoder import (
+    cross_interference_power,
+    inner_precoders,
+    instantaneous_rate,
+    transmit_power,
+    zero_forcing,
+)
+from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_seed_sequence
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
-from hiermimo.topology import build_topology, theta_from_db
+from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 
 from conftest import single_cell_set
 
@@ -221,7 +230,7 @@ def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
     seen = []
 
     def record(channels, beams, power):
-        seen.append(beams)
+        seen.extend(beams)  # one (N, M, L) array per draw of the chunk
         return evaluate(channels, beams, power)
 
     draws, seed = 6, 5
@@ -255,7 +264,7 @@ def test_baseline_zero_forcing_follows_the_channel_scale():
         seen = recorded[ref_gain_db] = []
 
         def record(channels, beams, power):
-            seen.append(beams)
+            seen.extend(beams)  # one (N, M, L) array per draw of the chunk
             return evaluate(channels, beams, power)
 
         with mock.patch.object(harness, "cross_interference_power", side_effect=record):
@@ -274,3 +283,217 @@ def test_proposed_beats_ffr_directionally(desk):
     ffr = ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=200, seed=31)
     assert float(np.sum(rep.de_rates)) >= ffr.sum_rate()
     assert rep.sum_rate() >= ffr.sum_rate()
+
+
+# ---------------------------------------------------------------------------
+# the chunked Monte Carlo loop against a per-draw reference: the loop, the
+# layout and the draw callbacks below evaluate one realization at a time
+# ---------------------------------------------------------------------------
+
+def per_draw_monte_carlo(draw, graph, draws, seed, tag):
+    rate_samples = np.zeros((draws, graph.num_users))
+    power_samples = np.zeros((draws, graph.num_bs))
+    ratios = []
+    cross_sum = 0.0
+    for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
+        rate_samples[i], power_samples[i], ratio, cross = draw(child)
+        ratios.append(ratio)
+        cross_sum += cross
+    return {
+        "user_rate_mean": rate_samples.mean(axis=0),
+        "user_rate_stderr": harness._stderr(rate_samples),
+        "bs_power_mean": power_samples.mean(axis=0),
+        "bs_power_stderr": harness._stderr(power_samples),
+        "max_interference_ratio": None if ratios[0] is None else max(ratios),
+        "mean_cross_interference": cross_sum / draws,
+    }
+
+
+def per_draw_layout(blocks, num_users, num_bs, m):
+    beam_user = np.array([k for _, users, _ in blocks for k in users], dtype=int)
+    beam_bs = np.array([bss[0] for bss, users, _ in blocks for _ in users], dtype=int)
+    beams = np.zeros((num_bs, m, beam_user.size), dtype=complex)
+    start = 0
+    for bss, users, v in blocks:
+        beams[list(bss), :, start : start + len(users)] = v.reshape(len(bss), m, len(users))
+        start += len(users)
+    return beams, np.arange(num_users)[:, None] == beam_user, beam_bs
+
+
+def per_draw_zero_forcing_limit(rows):
+    return zero_forcing(rows, harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
+
+
+def per_draw_policy(policy, cs, graph, nu, draws, seed):
+    def evaluate(control, channels):
+        inner = inner_precoders(control, channels, nu)
+        blocks = [((n,), users, control.outer[n] @ inner[n])
+                  for n, users in control.selected.items()]
+        beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs,
+                                              channels.shape[2])
+        power = np.array([control.power[k] for _, users, _ in blocks for k in users])
+        received = cross_interference_power(channels, beams, power)
+        serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+        rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
+        protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
+        for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
+            protected[list(blocked), n] = True
+        per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))
+        signal = np.sum(received, axis=1, where=own)
+        ratio = (per_bs / (signal[:, None] + 1.0))[protected]
+        worst = float(np.max(ratio, initial=0.0))
+        return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
+
+    def draw(child):
+        chan_ss, _ = child.spawn(2)
+        channels = sample_channel(cs, np.random.default_rng(chan_ss))
+        rates, powers = np.zeros(graph.num_users), np.zeros(graph.num_bs)
+        worst = cross = 0.0
+        for q, control in zip(policy.probs, policy.controls):
+            r, p, ratio, c = evaluate(control, channels)
+            rates += q * r
+            powers += q * p
+            worst = max(worst, ratio)
+            cross += q * c
+        return rates, powers, worst, cross
+
+    return per_draw_monte_carlo(draw, graph, draws, seed, POLICY_MC)
+
+
+def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
+    m = cs.dim
+    partition = harness._bs_partition(graph, reuse_partitions)
+    load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+
+    def draw(child):
+        channels = sample_channel(cs, np.random.default_rng(child))
+        blocks = []
+        for n, users in graph.assoc_users.items():
+            if users:
+                g = per_draw_zero_forcing_limit(channels[list(users), n].conj())
+                blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
+        beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
+        power = p_c / load[beam_bs]
+        received = cross_interference_power(channels, beams, power)
+        band = partition[serving][:, None] == partition[beam_bs]
+        rates = instantaneous_rate(received, own, band & ~own) / reuse_partitions
+        cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
+        return rates, transmit_power(beams, power), None, cross
+
+    return per_draw_monte_carlo(draw, graph, draws, seed, FFR_MC)
+
+
+def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
+    m = cs.dim
+    clusters = [tuple(range(c * cluster_size, (c + 1) * cluster_size))
+                for c in range(graph.num_bs // cluster_size)]
+    members = [[k for n in bss for k in graph.assoc_users[n]] for bss in clusters]
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+
+    def draw(child):
+        rng = np.random.default_rng(child)
+        channels = sample_channel(cs, rng)
+        outdated = channels
+        if delay_rho < 1.0:
+            stale = sample_channel(cs, rng)
+            outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
+        blocks = []
+        for bss, users in zip(clusters, members):
+            if users:
+                rows = outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()
+                blocks.append((bss, users, per_draw_zero_forcing_limit(rows)))
+        beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
+        unit_load = transmit_power(beams, np.ones(beams.shape[2]))
+        power = p_c / np.max(unit_load.reshape(-1, cluster_size), axis=1)[beam_bs // cluster_size]
+        received = cross_interference_power(channels, beams, power)
+        other_cluster = (serving // cluster_size)[:, None] != beam_bs // cluster_size
+        cross = float(np.sum(received, where=other_cluster))
+        return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
+
+    return per_draw_monte_carlo(draw, graph, draws, seed, COMP_MC)
+
+
+@st.composite
+def chunked_cases(draw):
+    """A random small network, the draws per chunk c it is run with (set
+    through CHUNK_ENTRIES, which K N M c plus less than K N M gives) and a
+    draw count around the chunk boundaries."""
+    num_bs = draw(st.sampled_from([2, 4]))
+    num_users = draw(st.integers(num_bs, 8))
+    m = draw(st.sampled_from([8, 16]))
+    rank = draw(st.integers(1, 4))
+    cs = build_hotspot_network(num_bs, num_users, m, rank, seed=draw(st.integers(0, 2**16)),
+                               inter_site_m=300.0)
+    per_chunk = draw(st.integers(1, 8))
+    link_entries = num_users * num_bs * m
+    chunk_entries = per_chunk * link_entries + draw(st.integers(0, link_entries - 1))
+    counts = sorted({d for d in (1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 3)
+                     if d >= 1})
+    return cs, chunk_entries, per_chunk, draw(st.sampled_from(counts)), draw(st.integers(0, 2**16))
+
+
+def assert_same_report(report, reference):
+    assert np.array_equal(report.user_rate_mean, reference["user_rate_mean"])
+    assert np.array_equal(report.bs_power_mean, reference["bs_power_mean"])
+    for name in ("user_rate_stderr", "bs_power_stderr"):
+        np.testing.assert_allclose(getattr(report, name), reference[name], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.mean_cross_interference,
+                               reference["mean_cross_interference"], rtol=1e-12, atol=0)
+    assert report.max_interference_ratio == reference["max_interference_ratio"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunked_cases())
+def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
+    cs, chunk_entries, per_chunk, draws, seed = case
+    graph = build_topology(cs, theta_from_db(10.0))
+    full = tuple(range(cs.num_users))
+    half = full[::2]
+    controls = [
+        assemble_control(sel, cs, graph,
+                         weighted_sum_rate(sel, np.ones(cs.num_users), cs, graph, NU, PC).powers)
+        for sel in (full, half)
+    ]
+    policy = ControlPolicy(controls=controls, probs=np.array([0.7, 0.3]))
+    sample = harness.sample_channel
+    sampled = []
+
+    def record(corr_set, rngs):
+        sampled.append(sample(corr_set, rngs))
+        return sampled[-1]
+
+    chunks = -(-draws // per_chunk)
+    with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries), \
+            mock.patch.object(harness, "sample_channel", side_effect=record):
+        runs = [
+            (monte_carlo_policy(policy, cs, graph, NU, draws, seed),
+             per_draw_policy(policy, cs, graph, NU, draws, seed), POLICY_MC, 1),
+            (ffr_baseline(cs, graph, PC, 2, draws, seed),
+             per_draw_ffr(cs, graph, PC, 2, draws, seed), FFR_MC, 1),
+        ]
+        for rho in (1.0, 0.5, 0.0):
+            runs.append((comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho),
+                         per_draw_comp(cs, graph, PC, 2, draws, seed, rho), COMP_MC,
+                         1 if rho == 1.0 else 2))
+    for report, reference, tag, blocks in runs:
+        assert_same_report(report, reference)
+        # one sampling call per chunk (two with CoMP's AR(1) innovation),
+        # each draw read from its own stream, the innovation as its second block
+        calls, sampled = sampled[: chunks * blocks], sampled[chunks * blocks :]
+        assert all(c.shape[0] <= per_chunk for c in calls)
+        for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
+            stream = harness._first_child(child) if tag == POLICY_MC else child
+            rng = np.random.default_rng(stream)
+            for block in range(blocks):
+                expected = sample_channel(cs, rng)
+                assert np.array_equal(np.concatenate(calls[block::blocks])[i], expected)
+    assert not sampled
+
+
+def test_first_child_is_the_first_spawned_child():
+    for seed in (0, 5, 2**40 + 3):
+        for child in derive_seed_sequence(seed, POLICY_MC).spawn(3):
+            built = harness._first_child(child)
+            spawned, _ = child.spawn(2)
+            assert np.array_equal(built.generate_state(8), spawned.generate_state(8))
