@@ -351,7 +351,8 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        # tolist() already gives Python scalars (floats stay exact)
+        return obj.tolist()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -381,10 +382,7 @@ def policy_to_dict(policy):
             "power": {str(k): float(p) for k, p in control.power.items()},
             "outer_dims": {str(n): int(f.shape[1]) for n, f in control.outer.items()},
             "outer": {
-                str(n): {
-                    "re": np.real(f).tolist(),
-                    "im": np.imag(f).tolist(),
-                }
+                str(n): {"re": np.real(f), "im": np.imag(f)}
                 for n, f in control.outer.items()
             },
         }
@@ -422,11 +420,19 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
+    """Every control's deterministic equivalents. Logs one WARNING when a
+    served user's effective gain xi is below nu: there the O(nu / xi)
+    correction outweighs the leading log(1 + p) term, so the simplified
+    rates and powers cannot be trusted."""
     from .det_equiv import de_rate_power
 
     out = []
+    weak = {}  # served user -> its smallest xi / nu
     for control in result.policy.controls:
         de = de_rate_power(control, corr_set, graph, nu, gain_cache)
+        for k, xi in de.gains.items():
+            if control.power[k] > 0 and xi < nu:
+                weak[k] = min(weak.get(k, math.inf), xi / nu)
         out.append(
             {
                 "gains": {str(k): float(v) for k, v in sorted(de.gains.items())},
@@ -435,6 +441,12 @@ def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
                 "iterations": de.iterations,
                 "residual": de.residual,
             }
+        )
+    if weak:
+        log.warning(
+            "%d served user(s) have an effective gain below rzf_nu (smallest xi/nu %.3g): "
+            "the deterministic equivalents assume nu << xi and are unreliable here",
+            len(weak), min(weak.values()),
         )
     return out
 

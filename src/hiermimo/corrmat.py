@@ -6,8 +6,9 @@ stored as its M x r factor F, C = F F^H, whose columns sqrt(lambda) v are the
 eigenpairs above the numerical-rank threshold; the dense matrix is formed
 only to write a network to a file (``dense()``) and to read one back
 (``CorrelationMatrix.from_dense``).
-Instantaneous channels are drawn as h = sqrt(M) * C^(1/2) z with z i.i.d.
-complex Gaussian of variance 1/M per entry, so E[h h^H] = C.
+Instantaneous channels are drawn in the factor's coordinates, h = F w with w
+i.i.d. CN(0, 1) of length r (the Karhunen-Loeve form), so E[h h^H] = C and a
+draw reads 2r normals, not 2M.
 """
 
 from dataclasses import dataclass, field
@@ -161,31 +162,29 @@ def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
 
 
 def sample_channel(corr, seed):
-    """Draw h = sqrt(M) C^(1/2) z, z i.i.d. CN(0, 1/M), with C^(1/2) = F B^H
-    from ``corr.factor()`` and ``corr.basis()``. Deterministic per seed.
+    """Draw h = F w, w i.i.d. CN(0, 1) of length r, with F from
+    ``corr.factor()``: r real then r imaginary normals w = (x + i y) / sqrt(2),
+    so E[h h^H] = F F^H = C. Deterministic per seed.
 
     A CorrelationMatrix gives one length-M channel. A CorrelationSet gives
-    the (K, N, M) channels of every link, drawn in (user, bs) order so that
-    each link reads the same normals as a lone draw in that order would.
-    A list of seeds or generators gives one draw per entry along a leading
-    axis, (D, M) or (D, K, N, M); draw i reads only from its own entry,
-    exactly as a lone call with it would.
+    the (K, N, M) channels of every link from one (K, N, 2, R) block of
+    normals over its zero-padded factor, so a link of rank r < R reads R
+    normals of each kind and a rank-0 link gives exactly 0. A list of seeds
+    or generators gives one draw per entry along a leading axis, (D, M) or
+    (D, K, N, M); draw i reads only from its own entry, exactly as a lone
+    call with it would.
     """
     many = isinstance(seed, list)
     rngs = [as_rng(s) for s in seed] if many else [as_rng(seed)]
-    factor, basis = corr.factor(), corr.basis()
-    m = corr.dim
-    normals = np.empty((len(rngs),) + factor.shape[:-2] + (2, m))
+    factor = corr.factor()
+    normals = np.empty((len(rngs),) + factor.shape[:-2] + (2, factor.shape[-1]))
     for rng, out in zip(rngs, normals):
         rng.standard_normal(out=out)
-    # conj(z), so that the coefficients (B^H z)^T = conj(conj(z) B) come from
-    # one row-times-matrix product per link without conjugating B
-    scale = 1.0 / np.sqrt(2.0 * m)
-    z_conj = np.empty(normals.shape[:-2] + (m,), dtype=complex)
-    np.multiply(normals[..., 0, :], scale, out=z_conj.real)
-    np.multiply(normals[..., 1, :], -scale, out=z_conj.imag)
-    coeff = (z_conj[..., None, :] @ basis).conj()
-    channels = np.sqrt(m) * (coeff @ factor.swapaxes(-1, -2))[..., 0, :]
+    scale = 1.0 / np.sqrt(2.0)
+    w = np.empty(normals.shape[:-2] + (1, factor.shape[-1]), dtype=complex)
+    np.multiply(normals[..., 0, None, :], scale, out=w.real)
+    np.multiply(normals[..., 1, None, :], scale, out=w.imag)
+    channels = (w @ factor.swapaxes(-1, -2))[..., 0, :]
     return channels if many else channels[0]
 
 
@@ -199,11 +198,16 @@ class CorrelationSet:
     serving: dict  # user -> serving bs
     cluster_ids: dict  # user -> sub-area cluster id
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
-    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._factor = self._padded("columns")
-        self._basis = self._padded("_basis")
+        # each link's factor becomes its view [k, n, :, :r] of the padded
+        # array, so the set holds every factor entry once, not twice
+        width = max(mat.numerical_rank() for mat in self.matrices.values())
+        self._factor = np.zeros((self.num_users, self.num_bs, self.dim, width), dtype=complex)
+        for (k, n), mat in self.matrices.items():
+            view = self._factor[k, n, :, : mat.numerical_rank()]
+            view[...] = mat.columns
+            mat.columns = view
 
     @property
     def dim(self):
@@ -216,22 +220,6 @@ class CorrelationSet:
         """Every link's ``factor()`` as one (K, N, M, R) array, zero-padded
         to the widest rank R."""
         return self._factor
-
-    def basis(self):
-        """Every link's ``basis()``, laid out and padded as ``factor()``."""
-        return self._basis
-
-    def _padded(self, attr):
-        """The links' ``attr`` arrays (M x r) padded into one (K, N, M, R)
-        array. Each link's ``attr`` becomes its view [k, n, :, :r] of it, so
-        the set holds every entry once in each layout, not twice."""
-        width = max(getattr(mat, attr).shape[1] for mat in self.matrices.values())
-        out = np.zeros((self.num_users, self.num_bs, self.dim, width), dtype=complex)
-        for (k, n), mat in self.matrices.items():
-            rank = getattr(mat, attr).shape[1]
-            out[k, n, :, :rank] = getattr(mat, attr)
-            setattr(mat, attr, out[k, n, :, :rank])
-        return out
 
     def validate(self):
         dims = set()

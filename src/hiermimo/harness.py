@@ -6,7 +6,9 @@ reuse, and clustered cooperative zero forcing with an optional AR(1) CSI
 delay. Draws use per-index derived seeds, so results do not depend on the
 order in which draws are evaluated, nor on how they are chunked: every
 scheme evaluates its draws in chunks of a fixed memory budget, each with one
-sampling call and one stacked evaluation.
+sampling call and one stacked evaluation. A draw's channels come from
+2 K N R normals, one rank-R coefficient vector per link times its factor
+(``corrmat.sample_channel``).
 """
 
 import logging

@@ -391,3 +391,24 @@ def test_run_and_compare_share_one_pipeline(tmp_path):
     assert "comparison" not in run_summary
     assert set(cmp_summary.pop("comparison")) == {"proposed", "ffr", "comp_rho1", "comp_rho0"}
     assert cmp_summary == run_summary
+
+
+@pytest.mark.parametrize("ref_gain_db, warns", [(20.0, True), (None, False)])
+def test_weak_channels_warn_that_the_deterministic_equivalents_fail(
+        tmp_path, caplog, ref_gain_db, warns):
+    # at ref_gain_db 20 the effective gains are about 1e-6, far below rzf_nu
+    # 0.01; on desk.json itself the smallest is 4.27
+    data = copy.deepcopy(DESK_FILE)
+    if ref_gain_db is not None:
+        data["geometry"]["ref_gain_db"] = ref_gain_db
+    config = tmp_path / "desk.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="hiermimo.cli"):
+        assert main(["run", str(config), "--draws", "5", "--out", str(tmp_path / "out")]) == EXIT_OK
+    warnings = [rec.getMessage() for rec in caplog.records
+                if rec.name == "hiermimo.cli" and rec.levelname == "WARNING"]
+    if warns:
+        assert len(warnings) == 1
+        assert "below rzf_nu" in warnings[0]
+    else:
+        assert warnings == []

@@ -99,28 +99,48 @@ def test_monte_carlo_is_draw_order_independent(desk):
     assert np.array_equal(rates.mean(axis=0), rep.user_rate_mean)
 
 
-def test_draw_channels_matches_per_link_draws():
-    # ranks 1..3 and a zero link, so the set's factors are zero-padded
+def rank_mixed_set():
+    """Three users at two BSs with ranks 1..3 and a zero link (1, 0), so the
+    set's factor is zero-padded to R = 3 past most links' ranks."""
     mats = {
         (k, n): random_clustered_correlation(6, 1 + (k + n) % 3, 0.0 if (k, n) == (1, 0) else 1.0,
                                              seed=10 * k + n)
         for k in range(3)
         for n in range(2)
     }
-    cs = CorrelationSet(2, 3, mats, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2})
+    return CorrelationSet(2, 3, mats, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2})
+
+
+def test_draw_channels_matches_per_link_draws():
+    cs = rank_mixed_set()
     together = draw_channels(cs, np.random.default_rng(41))
     assert together.shape == (3, 2, 6)
-    rng, again = np.random.default_rng(41), np.random.default_rng(41)
+    # the definition: one (K, N, 2, R) block of normals, R real then R
+    # imaginary ones per link, w = (x + i y) / sqrt(2) and h = F w
+    normals = np.random.default_rng(41).standard_normal((3, 2, 2, 3))
     for k in range(3):
         for n in range(2):
-            alone = sample_channel(cs.matrix(k, n), rng)
-            np.testing.assert_allclose(together[k, n], alone, rtol=1e-12, atol=1e-15)
-            # the definition: M real then M imaginary normals, h = sqrt(M) C^(1/2) z
-            z = (again.standard_normal(6) + 1j * again.standard_normal(6)) / np.sqrt(12.0)
-            w, v = np.linalg.eigh(cs.matrix(k, n).dense())
-            root = (v * np.sqrt(np.where(w > 1e-9 * max(w[-1], 0.0), w, 0.0))) @ v.conj().T
-            np.testing.assert_allclose(alone, np.sqrt(6.0) * root @ z, rtol=1e-12, atol=1e-15)
+            f = cs.matrix(k, n).factor()
+            x, y = normals[k, n, :, : f.shape[1]]
+            np.testing.assert_allclose(together[k, n], f @ ((x + 1j * y) / np.sqrt(2.0)),
+                                       rtol=1e-12, atol=1e-15)
+            # a lone link reads standard_normal((2, r)) of its own stream
+            alone = sample_channel(cs.matrix(k, n), np.random.default_rng(7))
+            x, y = np.random.default_rng(7).standard_normal((2, f.shape[1]))
+            np.testing.assert_allclose(alone, f @ ((x + 1j * y) / np.sqrt(2.0)),
+                                       rtol=1e-12, atol=1e-15)
     assert np.all(together[1, 0] == 0)
+
+
+def test_draw_channels_reads_two_normals_per_factor_column():
+    # the sampler's cost: a set draw advances its generator by exactly
+    # K N 2 R normals, whatever the antenna count
+    cs = rank_mixed_set()
+    rng = np.random.default_rng(5)
+    draw_channels(cs, rng)
+    skipped = np.random.default_rng(5)
+    skipped.standard_normal(3 * 2 * 2 * 3)
+    assert rng.standard_normal() == skipped.standard_normal()
 
 
 def test_monte_carlo_rejects_zero_draws(desk):

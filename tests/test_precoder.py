@@ -84,21 +84,43 @@ def test_outer_precoder_fully_blocked_is_empty():
 
 
 # The dense construction of the outer precoder, kept as the oracle: the
-# eigenbasis of the projected M x M sum of the selected correlations.
+# eigenbasis of the projected M x M sum of the selected correlations. It is
+# built in long double (numpy's extended precision). In float64, forming the
+# sum and solving its eigenproblem each err by about eps times the largest
+# eigenvalue, which tilts the basis by that over the smallest kept one: on a
+# sum with eigenvalues 750 and 1.0e-3 the float64 projector was 1.19e-10 off
+# the extended-precision (mpmath) projector of the stacked factors' range,
+# while ``outer_precoder`` was 1.3e-15 off it.
+
+
+def orthonormal_columns(z):
+    """z's columns orthonormalized by Gram-Schmidt, each projection applied
+    twice, in z's own precision (numpy.linalg has no long double)."""
+    q = z.copy()
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            q[:, j] -= q[:, :j] @ (q[:, :j].conj().T @ q[:, j])
+        q[:, j] /= np.sqrt(np.sum(np.abs(q[:, j]) ** 2))
+    return q
 
 
 def dense_outer_precoder(corr_set, selected, blocked, bs):
     m = corr_set.dim
     if not selected:
         return np.zeros((m, 0), dtype=complex)
-    null_basis = interference_nullspace_basis(corr_set, blocked, bs)
-    total = sum(corr_set.matrix(k, bs).dense() for k in selected)
+    null_basis = interference_nullspace_basis(corr_set, blocked, bs).astype(np.clongdouble)
+    factors = np.concatenate([corr_set.matrix(k, bs).factor() for k in selected], axis=1)
+    factors = factors.astype(np.clongdouble)
+    total = factors @ factors.conj().T  # the sum of the selected dense matrices
     proj = np.eye(m) - null_basis @ null_basis.conj().T
     projected = proj @ total @ proj
-    w, v = np.linalg.eigh(0.5 * (projected + projected.conj().T))
-    if w[-1] <= RANK_TOL * max(float(np.linalg.eigvalsh(total)[-1]), 1e-300):
+    # a float64 eigensolve sets the rank and a basis accurate to ~1e-10; one
+    # subspace-iteration step in long double takes it to ~1e-14, since it
+    # scales the error by the dropped over the smallest kept eigenvalue
+    w, v = np.linalg.eigh(projected.astype(complex))
+    if w[-1] <= RANK_TOL * max(float(np.linalg.eigvalsh(total.astype(complex))[-1]), 1e-300):
         return np.zeros((m, 0), dtype=complex)
-    return v[:, w > RANK_TOL * w[-1]]
+    return orthonormal_columns(projected @ v[:, w > RANK_TOL * w[-1]]).astype(complex)
 
 
 @st.composite
