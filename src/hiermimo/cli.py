@@ -583,8 +583,12 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--draws", type=int, default=None)
         p.add_argument("--out", default="results", help="output directory")
+        p.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       default="INFO", help="least severe log message to print")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
+    # also where logging is already configured (a host process, a test runner)
+    logging.getLogger("hiermimo").setLevel(args.log_level)
     runner = run_scenario if args.command == "run" else compare_baselines
     try:
         runner(args.config, args.out, mode=args.mode, seed=args.seed, draws=args.draws)

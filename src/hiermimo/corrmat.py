@@ -161,7 +161,7 @@ def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
     return 10.0 ** ((ref_gain_db - 10.0 * exponent * np.log10(distance_m)) / 10.0)
 
 
-def sample_channel(corr, seed):
+def sample_channel(corr, seed, count=None):
     """Draw h = F w, w i.i.d. CN(0, 1) of length r, with F from
     ``corr.factor()``: r real then r imaginary normals w = (x + i y) / sqrt(2),
     so E[h h^H] = F F^H = C. Deterministic per seed.
@@ -169,23 +169,19 @@ def sample_channel(corr, seed):
     A CorrelationMatrix gives one length-M channel. A CorrelationSet gives
     the (K, N, M) channels of every link from one (K, N, 2, R) block of
     normals over its zero-padded factor, so a link of rank r < R reads R
-    normals of each kind and a rank-0 link gives exactly 0. A list of seeds
-    or generators gives one draw per entry along a leading axis, (D, M) or
-    (D, K, N, M); draw i reads only from its own entry, exactly as a lone
-    call with it would.
+    normals of each kind and a rank-0 link gives exactly 0. A ``count``
+    gives that many draws along a leading axis, (count, M) or
+    (count, K, N, M), from one fill of the generator: the same array as
+    ``count`` consecutive lone calls on it.
     """
-    many = isinstance(seed, list)
-    rngs = [as_rng(s) for s in seed] if many else [as_rng(seed)]
     factor = corr.factor()
-    normals = np.empty((len(rngs),) + factor.shape[:-2] + (2, factor.shape[-1]))
-    for rng, out in zip(rngs, normals):
-        rng.standard_normal(out=out)
+    lead = () if count is None else (count,)
+    normals = as_rng(seed).standard_normal(lead + factor.shape[:-2] + (2, factor.shape[-1]))
     scale = 1.0 / np.sqrt(2.0)
     w = np.empty(normals.shape[:-2] + (1, factor.shape[-1]), dtype=complex)
     np.multiply(normals[..., 0, None, :], scale, out=w.real)
     np.multiply(normals[..., 1, None, :], scale, out=w.imag)
-    channels = (w @ factor.swapaxes(-1, -2))[..., 0, :]
-    return channels if many else channels[0]
+    return (w @ factor.swapaxes(-1, -2))[..., 0, :]
 
 
 @dataclass

@@ -3,12 +3,13 @@
 Validates the deterministic equivalents against sampled channels and runs
 two reference schemes: per-cell zero forcing under fractional frequency
 reuse, and clustered cooperative zero forcing with an optional AR(1) CSI
-delay. Draws use per-index derived seeds, so results do not depend on the
-order in which draws are evaluated, nor on how they are chunked: every
-scheme evaluates its draws in chunks of a fixed memory budget, each with one
-sampling call and one stacked evaluation. A draw's channels come from
-2 K N R normals, one rank-R coefficient vector per link times its factor
-(``corrmat.sample_channel``).
+delay. Every scheme reads its draws in order from one stream derived from
+(seed, scheme), so a run is deterministic per seed, and evaluates them in
+chunks of a fixed memory budget, each with one sampling call and one stacked
+evaluation; a chunk's normals continue the stream where the previous chunk
+stopped, so results do not depend on the chunk size. A draw's channels come
+from 2 K N R normals, one rank-R coefficient vector per link times its
+factor (``corrmat.sample_channel``).
 """
 
 import logging
@@ -26,7 +27,7 @@ from .precoder import (
     transmit_power,
     zero_forcing,
 )
-from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_seed_sequence
+from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from .topology import scheduled_neighbors
 
 log = logging.getLogger(__name__)
@@ -60,10 +61,10 @@ def _stderr(samples):
     return np.std(samples, axis=0, ddof=1) / np.sqrt(samples.shape[0])
 
 
-def draw_channels(corr_set, rng):
-    """Realizations of every link channel: a (K, N, M) array for one
-    generator, a (D, K, N, M) array for a list of D generators."""
-    return sample_channel(corr_set, rng)
+def draw_channels(corr_set, rng, count=None):
+    """Realizations of every link channel: one (K, N, M) array, or the next
+    ``count`` draws of ``rng`` as one (count, K, N, M) array."""
+    return sample_channel(corr_set, rng, count)
 
 
 def _beam_owners(groups, num_users):
@@ -120,12 +121,6 @@ def _control_evaluator(control, graph, nu):
     return evaluate
 
 
-def _evaluate_control(control, channels, graph, nu):
-    """Rates, powers, worst interference-to-signal ratio and total power
-    leaked onto protected users of ``control`` on (..., K, N, M) channels."""
-    return _control_evaluator(control, graph, nu)(channels)
-
-
 # Draws per chunk: as many as keep one chunk's (D, K, N, M) channels within
 # this many complex entries, and at least one. Larger chunks save per-call
 # overhead but grow every per-chunk array with them.
@@ -133,22 +128,23 @@ CHUNK_ENTRIES = 2**13
 
 
 def _monte_carlo(draw, corr_set, graph, draws, seed, tag):
-    """Report of ``draws`` realizations of one scheme. The draws' seed
-    sequences, spawned from (seed, tag), go to ``draw`` as lists of at most
-    CHUNK_ENTRIES // (K N M) draws; it maps a list of D to the (D, K) user
-    rates, (D, N) BS powers, (D,) worst interference ratios (None if
-    untracked) and (D,) cross interference of those draws."""
+    """Report of ``draws`` realizations of one scheme, read in order from the
+    stream (seed, tag, 0). Their channels go to ``draw`` as (D, K, N, M)
+    arrays of at most CHUNK_ENTRIES // (K N M) draws; it maps them to the
+    (D, K) user rates, (D, N) BS powers, (D,) worst interference ratios
+    (None if untracked) and (D,) cross interference of those draws."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
     size = max(1, CHUNK_ENTRIES // (graph.num_users * graph.num_bs * corr_set.dim))
-    children = derive_seed_sequence(seed, tag).spawn(draws)
+    rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
     cross_samples = np.zeros(draws)
     ratios = []
     for start in range(0, draws, size):
         chunk = slice(start, start + size)
-        rates, powers, ratio, cross_samples[chunk] = draw(children[chunk])
+        channels = draw_channels(corr_set, rng, min(size, draws - start))
+        rates, powers, ratio, cross_samples[chunk] = draw(channels)
         rate_samples[chunk], power_samples[chunk] = rates, powers
         ratios.append(ratio)
     return MonteCarloReport(
@@ -165,16 +161,6 @@ def _monte_carlo(draw, corr_set, graph, draws, seed, tag):
     )
 
 
-def _first_child(seq):
-    """The first child ``seq.spawn(2)[0]`` of a fresh seed sequence, built
-    without spawning (and so without building the unused second child). The
-    proposed scheme draws its channels from it: drawing them from ``seq``
-    itself would move every result."""
-    return np.random.SeedSequence(
-        seq.entropy, spawn_key=seq.spawn_key + (0,), pool_size=seq.pool_size
-    )
-
-
 def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
     """Empirical rates and powers of a time-sharing policy.
 
@@ -184,12 +170,10 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
     probs = np.asarray(policy.probs, dtype=float)
     evaluators = [_control_evaluator(control, graph, nu) for control in policy.controls]
 
-    def draw(children):
-        rngs = [np.random.default_rng(_first_child(child)) for child in children]
-        channels = draw_channels(corr_set, rngs)
-        rates = np.zeros((len(children), graph.num_users))
-        powers = np.zeros((len(children), graph.num_bs))
-        worst, cross = np.zeros(len(children)), np.zeros(len(children))
+    def draw(channels):
+        rates = np.zeros((len(channels), graph.num_users))
+        powers = np.zeros((len(channels), graph.num_bs))
+        worst, cross = np.zeros(len(channels)), np.zeros(len(channels))
         for q, evaluate in zip(probs, evaluators):
             r, p, ratio, c = evaluate(channels)
             rates += q * r
@@ -281,8 +265,7 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     interferers = band & ~own
     other_cell = band & (serving[:, None] != beam_bs)
 
-    def draw(children):
-        channels = draw_channels(corr_set, [np.random.default_rng(child) for child in children])
+    def draw(channels):
         unit_beams = []
         for (n,), users in groups:
             g = _zero_forcing_limit(channels[:, list(users), n].conj())
@@ -333,25 +316,24 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
     own, beam_bs = _beam_owners(groups, graph.num_users)
     beam_cluster = beam_bs // cluster_size
     other_cluster = (serving // cluster_size)[:, None] != beam_cluster
+    # the AR(1) innovation has a stream of its own, so every delay_rho sees
+    # the same true channels and delay_rho = 1 never reads it
+    innovation = derive_rng(seed, COMP_MC, 1)
 
-    def draw(children):
-        rngs = [np.random.default_rng(child) for child in children]
-        channels = draw_channels(corr_set, rngs)
+    def draw(channels):
         outdated = channels
         if delay_rho < 1.0:
-            # independent AR(1) innovation; it is each stream's last draw, so
-            # skipping it where it is weighted 0 moves no other draw
-            stale = draw_channels(corr_set, rngs)
+            stale = draw_channels(corr_set, innovation, len(channels))
             outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
         cluster_beams = []
         for bss, users in groups:
-            rows = outdated[:, users, bss[0] : bss[-1] + 1].reshape(len(children), len(users), -1)
+            rows = outdated[:, users, bss[0] : bss[-1] + 1].reshape(len(channels), len(users), -1)
             cluster_beams.append(_zero_forcing_limit(rows.conj()))
         beams = _layout(groups, cluster_beams, channels)
         # one power per cluster, scaled so that its most loaded BS spends p_c
         unit_load = transmit_power(beams, np.ones(beam_bs.size))
-        most_loaded = np.max(unit_load.reshape(len(children), -1, cluster_size), axis=-1)
+        most_loaded = np.max(unit_load.reshape(len(channels), -1, cluster_size), axis=-1)
         power = p_c / most_loaded[:, beam_cluster]
         received = cross_interference_power(channels, beams, power)
         cross = np.sum(received, axis=(-2, -1), where=other_cluster)

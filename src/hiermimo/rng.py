@@ -3,8 +3,9 @@
 Every run draws all of its randomness from one master seed. Consumers derive
 independent generators through ``derive_rng(master, *path)`` where ``path``
 is a tuple of small integers naming the purpose (constants below) plus any
-per-item indices, so concurrent consumers never share a stream and results
-do not depend on evaluation order.
+per-item indices, so no two consumers share a stream. Each consumer reads
+its stream in a fixed order (a Monte Carlo run reads its draws in draw
+order), so results are deterministic per seed.
 """
 
 import numpy as np
@@ -17,13 +18,11 @@ FFR_MC = 3
 COMP_MC = 4
 
 
-def derive_seed_sequence(master_seed, *path):
-    return np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
-
-
 def derive_rng(master_seed, *path):
     """Generator for purpose ``path`` under ``master_seed``."""
-    return np.random.default_rng(derive_seed_sequence(master_seed, *path))
+    return np.random.default_rng(
+        np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
+    )
 
 
 def as_rng(seed):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import logging
 from pathlib import Path
 from unittest import mock
 
@@ -412,3 +413,28 @@ def test_weak_channels_warn_that_the_deterministic_equivalents_fail(
         assert "below rzf_nu" in warnings[0]
     else:
         assert warnings == []
+
+
+@pytest.mark.parametrize("level, warns", [("WARNING", True), ("ERROR", False)])
+def test_log_level_filters_the_weak_channel_warning(tmp_path, caplog, level, warns):
+    # the ref_gain_db 20 case above: --log-level ERROR drops its warning
+    data = copy.deepcopy(DESK_FILE)
+    data["geometry"]["ref_gain_db"] = 20.0
+    config = tmp_path / "desk.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    package = logging.getLogger("hiermimo")
+    try:
+        assert main(["run", str(config), "--draws", "5", "--out", str(tmp_path / "out"),
+                     "--log-level", level]) == EXIT_OK
+        assert package.level == getattr(logging, level)
+    finally:
+        package.setLevel(logging.NOTSET)
+    warnings = [rec.getMessage() for rec in caplog.records
+                if rec.name == "hiermimo.cli" and "below rzf_nu" in rec.getMessage()]
+    assert len(warnings) == (1 if warns else 0)
+
+
+def test_log_level_rejects_unknown_levels(tmp_path):
+    with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stderr(io.StringIO()):
+        main(["run", str(tmp_path / "desk.json"), "--log-level", "VERBOSE"])
+    assert exit_info.value.code == 2

@@ -94,15 +94,21 @@ def test_sample_channel_deterministic():
     assert np.array_equal(sample_channel(mat, seed=4), sample_channel(mat, seed=4))
 
 
-def test_sample_channel_list_of_seeds_stacks_lone_draws():
-    # a list gives a leading draw axis, each draw read from its own seed only
+def test_sample_channel_count_stacks_consecutive_lone_draws():
+    # a count gives a leading draw axis read from one fill of the generator:
+    # the same draws, and the same generator state after, as that many lone
+    # calls on it, however the count is split
     mat = random_clustered_correlation(8, 3, 1.0, seed=6)
     cs = build_hotspot_network(2, 5, 8, 2, seed=3, inter_site_m=300.0)
     for corr in (mat, cs):
-        stacked = sample_channel(corr, [np.random.default_rng(s) for s in (4, 5, 6)])
-        lone = np.stack([sample_channel(corr, np.random.default_rng(s)) for s in (4, 5, 6)])
+        rng, lone_rng, split_rng = (np.random.default_rng(4) for _ in range(3))
+        stacked = sample_channel(corr, rng, 7)
+        lone = np.stack([sample_channel(corr, lone_rng) for _ in range(7)])
+        split = np.concatenate([sample_channel(corr, split_rng, c) for c in (1, 4, 2)])
         assert stacked.flags.c_contiguous
         assert np.array_equal(stacked, lone)
+        assert np.array_equal(stacked, split)
+        assert rng.standard_normal() == lone_rng.standard_normal() == split_rng.standard_normal()
 
 
 def test_sample_covariance_converges():

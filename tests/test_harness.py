@@ -26,7 +26,7 @@ from hiermimo.precoder import (
     transmit_power,
     zero_forcing,
 )
-from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_seed_sequence
+from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 
@@ -79,24 +79,30 @@ def test_monte_carlo_reproducible(desk):
     assert not np.array_equal(a.user_rate_mean, c.user_rate_mean)
 
 
-def test_monte_carlo_is_draw_order_independent(desk):
-    # each draw derives its own seed, so evaluating draws in any order must
-    # reproduce the report exactly (the concurrency-safety contract)
-    from hiermimo.harness import _evaluate_control
-    from hiermimo.rng import POLICY_MC, derive_seed_sequence
-
+def test_monte_carlo_is_chunk_size_invariant(desk):
+    # a chunk's normals continue the stream where the previous chunk stopped,
+    # so one draw per chunk, the default chunks and one chunk of every draw
+    # give bit-equal reports
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
-    draws, seed = 16, 33
-    rep = monte_carlo_policy(policy, cs, graph, NU, draws=draws, seed=seed)
-    children = derive_seed_sequence(seed, POLICY_MC).spawn(draws)
-    rates = np.zeros((draws, graph.num_users))
-    for i in reversed(range(draws)):
-        chan_ss, _ = children[i].spawn(2)
-        channels = draw_channels(cs, np.random.default_rng(chan_ss))
-        r, _, _, _ = _evaluate_control(policy.controls[0], channels, graph, NU)
-        rates[i] = r
-    assert np.array_equal(rates.mean(axis=0), rep.user_rate_mean)
+    draws, seed = 100, 33
+    every_draw = draws * cs.num_users * cs.num_bs * cs.dim
+    assert 1 < harness.CHUNK_ENTRIES * draws // every_draw < draws
+    reports = []
+    for chunk_entries in (1, harness.CHUNK_ENTRIES, every_draw):
+        with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries):
+            reports.append([
+                monte_carlo_policy(policy, cs, graph, NU, draws, seed),
+                ffr_baseline(cs, graph, PC, 2, draws, seed),
+                comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=0.5),
+            ])
+    for other in reports[1:]:
+        for a, b in zip(reports[0], other):
+            for name, value in vars(a).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(b, name), equal_nan=True), name
+                else:
+                    assert value == getattr(b, name), name
 
 
 def rank_mixed_set():
@@ -250,15 +256,14 @@ def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
     seen = []
 
     def record(channels, beams, power):
-        seen.extend(beams)  # one (N, M, L) array per draw of the chunk
+        seen.extend(zip(channels, beams))  # one (K, N, M) and (N, M, L) per draw
         return evaluate(channels, beams, power)
 
     draws, seed = 6, 5
     with mock.patch.object(harness, "cross_interference_power", side_effect=record):
         comp_baseline(cs, graph, PC, cluster_size=2, draws=draws, seed=seed, delay_rho=1.0)
     assert len(seen) == draws
-    for child, beams in zip(derive_seed_sequence(seed, COMP_MC).spawn(draws), seen):
-        channels = draw_channels(cs, np.random.default_rng(child))
+    for channels, beams in seen:
         rows = channels[users].reshape(len(users), -1).conj()
         s = np.linalg.svd(rows, compute_uv=False)
         s_min = s[s > 1e-10 * s[0]][-1]
@@ -269,6 +274,39 @@ def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
         bias = reg / s_min**2
         assert bias <= 1e-4
         assert err <= (1.01 * bias + 1e-12) * np.linalg.norm(oracle)
+
+
+def test_comp_delays_share_their_true_channels(desk):
+    # common random numbers: every delay_rho reads its true channels from the
+    # same stream and its AR(1) innovation from a stream of its own, which
+    # delay_rho = 1 leaves untouched
+    cs, graph = desk
+    evaluate = harness.cross_interference_power
+    derive = harness.derive_rng
+    draws, seed = 11, 3
+    seen, streams = {}, {}
+
+    def record_streams(*path):
+        streams[path] = derive(*path)
+        return streams[path]
+
+    for rho in (1.0, 0.0):
+        received = seen[rho] = []
+
+        def record(channels, beams, power):
+            received.append(channels)
+            return evaluate(channels, beams, power)
+
+        with mock.patch.object(harness, "CHUNK_ENTRIES", 3 * cs.num_users * cs.num_bs * cs.dim), \
+                mock.patch.object(harness, "cross_interference_power", side_effect=record), \
+                mock.patch.object(harness, "derive_rng", side_effect=record_streams):
+            comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho)
+        innovation = streams[(seed, COMP_MC, 1)].bit_generator.state
+        fresh = derive_rng(seed, COMP_MC, 1).bit_generator.state
+        assert (innovation == fresh) == (rho == 1.0)
+    assert len(seen[1.0]) == len(seen[0.0]) == 4  # chunks of 3, 3, 3 and 2 draws
+    for same, other in zip(seen[1.0], seen[0.0]):
+        assert np.array_equal(same, other)
 
 
 def test_baseline_zero_forcing_follows_the_channel_scale():
@@ -310,13 +348,14 @@ def test_proposed_beats_ffr_directionally(desk):
 # layout and the draw callbacks below evaluate one realization at a time
 # ---------------------------------------------------------------------------
 
-def per_draw_monte_carlo(draw, graph, draws, seed, tag):
+def per_draw_monte_carlo(draw, cs, graph, draws, seed, tag):
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
     ratios = []
     cross_sum = 0.0
-    for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
-        rate_samples[i], power_samples[i], ratio, cross = draw(child)
+    rng = derive_rng(seed, tag, 0)
+    for i in range(draws):
+        rate_samples[i], power_samples[i], ratio, cross = draw(sample_channel(cs, rng))
         ratios.append(ratio)
         cross_sum += cross
     return {
@@ -364,9 +403,7 @@ def per_draw_policy(policy, cs, graph, nu, draws, seed):
         worst = float(np.max(ratio, initial=0.0))
         return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
 
-    def draw(child):
-        chan_ss, _ = child.spawn(2)
-        channels = sample_channel(cs, np.random.default_rng(chan_ss))
+    def draw(channels):
         rates, powers = np.zeros(graph.num_users), np.zeros(graph.num_bs)
         worst = cross = 0.0
         for q, control in zip(policy.probs, policy.controls):
@@ -377,7 +414,7 @@ def per_draw_policy(policy, cs, graph, nu, draws, seed):
             cross += q * c
         return rates, powers, worst, cross
 
-    return per_draw_monte_carlo(draw, graph, draws, seed, POLICY_MC)
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, POLICY_MC)
 
 
 def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
@@ -386,8 +423,7 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
 
-    def draw(child):
-        channels = sample_channel(cs, np.random.default_rng(child))
+    def draw(channels):
         blocks = []
         for n, users in graph.assoc_users.items():
             if users:
@@ -401,7 +437,7 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
         return rates, transmit_power(beams, power), None, cross
 
-    return per_draw_monte_carlo(draw, graph, draws, seed, FFR_MC)
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, FFR_MC)
 
 
 def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
@@ -410,13 +446,12 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
                 for c in range(graph.num_bs // cluster_size)]
     members = [[k for n in bss for k in graph.assoc_users[n]] for bss in clusters]
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    innovation = derive_rng(seed, COMP_MC, 1)
 
-    def draw(child):
-        rng = np.random.default_rng(child)
-        channels = sample_channel(cs, rng)
+    def draw(channels):
         outdated = channels
         if delay_rho < 1.0:
-            stale = sample_channel(cs, rng)
+            stale = sample_channel(cs, innovation)
             outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
         blocks = []
         for bss, users in zip(clusters, members):
@@ -431,7 +466,7 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
         cross = float(np.sum(received, where=other_cluster))
         return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
 
-    return per_draw_monte_carlo(draw, graph, draws, seed, COMP_MC)
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
 
 
 @st.composite
@@ -479,8 +514,8 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
     sample = harness.sample_channel
     sampled = []
 
-    def record(corr_set, rngs):
-        sampled.append(sample(corr_set, rngs))
+    def record(corr_set, rng, count):
+        sampled.append(sample(corr_set, rng, count))
         return sampled[-1]
 
     chunks = -(-draws // per_chunk)
@@ -498,22 +533,15 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
                          1 if rho == 1.0 else 2))
     for report, reference, tag, blocks in runs:
         assert_same_report(report, reference)
-        # one sampling call per chunk (two with CoMP's AR(1) innovation),
-        # each draw read from its own stream, the innovation as its second block
+        # one sampling call per chunk (two with CoMP's AR(1) innovation): the
+        # channels read the stream (seed, tag, 0) in draw order, the
+        # innovation (seed, COMP_MC, 1) as every chunk's second block
         calls, sampled = sampled[: chunks * blocks], sampled[chunks * blocks :]
         assert all(c.shape[0] <= per_chunk for c in calls)
-        for i, child in enumerate(derive_seed_sequence(seed, tag).spawn(draws)):
-            stream = harness._first_child(child) if tag == POLICY_MC else child
-            rng = np.random.default_rng(stream)
-            for block in range(blocks):
-                expected = sample_channel(cs, rng)
-                assert np.array_equal(np.concatenate(calls[block::blocks])[i], expected)
+        for block in range(blocks):
+            rng = derive_rng(seed, tag, block)
+            stacked = np.concatenate(calls[block::blocks])
+            assert stacked.shape[0] == draws
+            for i in range(draws):
+                assert np.array_equal(stacked[i], sample_channel(cs, rng))
     assert not sampled
-
-
-def test_first_child_is_the_first_spawned_child():
-    for seed in (0, 5, 2**40 + 3):
-        for child in derive_seed_sequence(seed, POLICY_MC).spawn(3):
-            built = harness._first_child(child)
-            spawned, _ = child.spawn(2)
-            assert np.array_equal(built.generate_state(8), spawned.generate_state(8))
