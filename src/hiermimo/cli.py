@@ -218,6 +218,12 @@ def scenario_from_dict(data):
             raise ConfigError(f"missing required field '{name}'", field=name)
     data = {**OPTIONAL_DEFAULTS, **data}
     numbers = {name: _number(data[name], name, **bounds) for name, bounds in NUMBER_BOUNDS.items()}
+    if theta_from_db(numbers["theta_db"]) <= 1.0:
+        raise ConfigError(
+            f"field 'theta_db' must have a linear value 10^(theta_db/10) above 1, "
+            f"got {numbers['theta_db']!r}",
+            field="theta_db",
+        )
     if numbers["rank"] > numbers["num_antennas"]:
         raise ConfigError("field 'rank' cannot exceed 'num_antennas'", field="rank")
     entries = 1

@@ -152,7 +152,8 @@ class GainCache:
         return [projected_factor(self.corr_set.matrix(k, bs).factor(), basis) for k in users]
 
     def gains(self, bs, users, blocked):
-        """xi per user of ``users`` at ``bs`` with ``blocked`` nulled.
+        """(xi, iterations, residual) at ``bs`` with ``blocked`` nulled, xi an
+        array in ``users`` order.
 
         A fixed point that failed to converge is remembered too: its
         ConvergenceError is raised again on every later lookup of the key.
@@ -161,11 +162,7 @@ class GainCache:
         if key not in self._gains:
             try:
                 sol = solve_effective_gains(self.projected(bs, users, blocked), self.nu)
-                self._gains[key] = (
-                    dict(zip(users, sol.gains)),
-                    sol.iterations,
-                    sol.residual,
-                )
+                self._gains[key] = (sol.gains, sol.iterations, sol.residual)
             except ConvergenceError as exc:
                 self._gains[key] = exc
         entry = self._gains[key]
@@ -200,8 +197,7 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
         bs_gains, iters, residual = cache.gains(n, users, blocked)
         worst_iterations = max(worst_iterations, iters)
         worst_residual = max(worst_residual, residual)
-        for k in users:
-            xi = bs_gains[k]
+        for k, xi in zip(users, bs_gains):
             p = control.power[k]
             gains[k] = xi
             if xi <= ZERO_GAIN:
@@ -232,8 +228,7 @@ def full_de(control, corr_set, graph, nu):
     for n, (users, blocked) in _per_bs_selection(control, graph).items():
         if not users:
             continue
-        bs_gains, _, _ = cache.gains(n, users, blocked)
-        xi = np.array([bs_gains[k] for k in users])
+        xi = cache.gains(n, users, blocked)[0]
         count = len(users)
         gram, blocks = _stack(cache.projected(n, users, blocked))
         _, coupling, coupled = _gain_map(gram, blocks, m, nu, xi)

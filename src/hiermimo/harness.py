@@ -331,12 +331,16 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
             rows = outdated[:, users, bss[0] : bss[-1] + 1].reshape(len(channels), len(users), -1)
             cluster_beams.append(_zero_forcing_limit(rows.conj()))
         beams = _layout(groups, cluster_beams, channels)
-        # one power per cluster, scaled so that its most loaded BS spends p_c
+        # one power per cluster, scaled so that its most loaded BS spends p_c;
+        # a BS only carries its cluster's beams, so its power is its unit load
+        # times that cluster's power (0 for a cluster without users)
         unit_load = transmit_power(beams, np.ones(beam_bs.size))
         most_loaded = np.max(unit_load.reshape(len(channels), -1, cluster_size), axis=-1)
-        power = p_c / most_loaded[:, beam_cluster]
+        scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
+        power = scale[:, beam_cluster]
         received = cross_interference_power(channels, beams, power)
         cross = np.sum(received, axis=(-2, -1), where=other_cluster)
-        return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
+        bs_power = unit_load * np.repeat(scale, cluster_size, axis=-1)
+        return instantaneous_rate(received, own, ~own), bs_power, None, cross
 
     return _monte_carlo(draw, corr_set, graph, draws, seed, COMP_MC)

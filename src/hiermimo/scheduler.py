@@ -4,10 +4,10 @@ The outer problem maximizes a concave utility of deterministic-equivalent
 average rates over randomized policies (a set of composite controls with
 time-sharing probabilities). It alternates a simplex-constrained concave
 maximization of the probabilities with a weighted-sum-rate oracle that
-returns the best single control for the current utility gradient, either by
-exhaustive subset enumeration or by greedy user addition. Power allocation
-inside the oracle is water filling against the per-BS deterministic
-transmit-power budget.
+returns the best user set and powers for the current utility gradient,
+either by exhaustive subset enumeration or by greedy user addition. Power
+allocation inside the oracle is water filling against the per-BS
+deterministic transmit-power budget.
 """
 
 import itertools
@@ -102,49 +102,37 @@ def sum_rate_utility(num_users, weights=None):
 # water filling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WaterfillResult:
-    powers: dict  # user -> p
-    levels: dict  # bs -> water level, None when no user is active there
+def waterfill(weights, gains, m, p_c):
+    """Water filling of one BS's users, p_k = (w_k M xi_k / level - 1)^+ with
+    the level set so that (1/M) sum p_i / xi_i meets p_c.
 
-
-def waterfill(rate_weights, gains, serving, m, p_c):
-    """Per-BS water filling p_k = (w_k M xi_k / level - 1)^+ with the level
-    set so that (1/M) sum p_i / xi_i meets p_c.
+    ``weights`` and ``gains`` are aligned sequences, one entry per user; the
+    powers come back as a list in the same order, with the level.
 
     The level is exact (Palomar & Fonollosa, IEEE TSP 53(2), 2005): with the
     active users sorted by w M xi in descending order, the top j of them
     active give the level L_j = sum_{i<=j} w_i M / (M p_c + sum_{i<=j} 1/xi_i),
     and the largest j with L_j < w_j M xi_j is the one that holds. Users with
     zero weight or zero gain get zero power and leave the budget to the rest;
-    a BS with no active user keeps level None.
+    with no active user the level is None.
     """
     if p_c <= 0:
         raise ParameterError("p_c must be positive")
-    powers = {k: 0.0 for k in rate_weights}
-    levels = {}
-    by_bs = {}
-    for k in rate_weights:
-        by_bs.setdefault(serving[k], []).append(k)
-    for n, users in sorted(by_bs.items()):
-        active = [
-            k for k in users if rate_weights[k] > 0.0 and gains[k] > ZERO_GAIN
-        ]
-        if not active:
-            levels[n] = None
-            continue
-        weight = np.array([rate_weights[k] for k in active])
-        top = np.array([rate_weights[k] * m * gains[k] for k in active])
-        inv_gain = np.array([1.0 / gains[k] for k in active])
-        order = np.argsort(-top, kind="stable")
-        candidates = m * np.cumsum(weight[order]) / (m * p_c + np.cumsum(inv_gain[order]))
-        fits = candidates < top[order]
-        fits[0] = True  # exact for any p_c > 0; rounding can only make it a tie
-        level = float(candidates[np.flatnonzero(fits)[-1]])
-        levels[n] = level
-        for k, t in zip(active, top):
-            powers[k] = float(max(t / level - 1.0, 0.0))
-    return WaterfillResult(powers, levels)
+    powers = [0.0] * len(weights)
+    active = [i for i, (w, xi) in enumerate(zip(weights, gains)) if w > 0.0 and xi > ZERO_GAIN]
+    if not active:
+        return powers, None
+    weight = np.array([weights[i] for i in active])
+    top = np.array([weights[i] * m * gains[i] for i in active])
+    inv_gain = np.array([1.0 / gains[i] for i in active])
+    order = np.argsort(-top, kind="stable")
+    candidates = m * np.cumsum(weight[order]) / (m * p_c + np.cumsum(inv_gain[order]))
+    fits = candidates < top[order]
+    fits[0] = True  # exact for any p_c > 0; rounding can only make it a tie
+    level = float(candidates[np.flatnonzero(fits)[-1]])
+    for i, t in zip(active, top):
+        powers[i] = float(max(t / level - 1.0, 0.0))
+    return powers, level
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +142,7 @@ def waterfill(rate_weights, gains, serving, m, p_c):
 @dataclass
 class SelectionValue:
     value: float
-    gains: dict  # user -> xi
-    powers: dict  # user -> p
-    levels: dict  # bs -> water level
+    powers: dict  # user -> p over the selection, in sorted order
 
 
 def weighted_sum_rate(
@@ -167,40 +153,37 @@ def weighted_sum_rate(
 
     The water filling of BS n depends on its selected users S_n and blocked
     set B_n only, so ``memo`` (a dict shared by the calls of one oracle,
-    whose rate weights are fixed) maps (n, S_n, B_n) to that BS's gains,
-    powers, level and per-user terms w_k log(1 + p_k), and only BSs missing
-    from it are water-filled. The terms are summed over ``selected`` in
-    sorted order, so the value does not depend on the memo.
+    whose rate weights are fixed) maps (n, S_n, B_n) to that BS's powers and
+    per-user terms w_k log(1 + p_k), and only BSs missing from it are
+    water-filled. The terms are summed over ``selected`` in sorted order, so
+    the value does not depend on the memo.
     """
     selected = tuple(sorted(set(selected)))
     if not selected:
-        return SelectionValue(0.0, {}, {}, {})
+        return SelectionValue(0.0, {})
     cache = gain_cache or GainCache(corr_set, graph, nu)
     memo = {} if memo is None else memo
     sel = set(selected)
     blocked = scheduled_neighbors(graph, sel)
-    gains, powers, levels, terms = {}, {}, {}, {}
+    powers, terms = {}, {}
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in sel)
         if not users:
             continue
         key = (n, users, blocked[n])
         if key not in memo:
-            bs_gains, _, _ = cache.gains(*key)
-            weights = {k: float(rate_weights[k]) for k in sorted(users)}
-            wf = waterfill(weights, bs_gains, dict.fromkeys(users, n), corr_set.dim, p_c)
+            # Python floats: a BS holds a few users, where NumPy scalars cost more
+            weights = [float(rate_weights[k]) for k in users]
+            bs_powers, _ = waterfill(weights, cache.gains(*key)[0].tolist(), corr_set.dim, p_c)
             memo[key] = (
-                bs_gains,
-                wf.powers,
-                wf.levels[n],
-                {k: weights[k] * np.log1p(wf.powers[k]) for k in users},
+                dict(zip(users, bs_powers)),
+                {k: w * np.log1p(p) for k, w, p in zip(users, weights, bs_powers)},
             )
-        bs_gains, bs_powers, levels[n], bs_terms = memo[key]
-        gains.update(bs_gains)
+        bs_powers, bs_terms = memo[key]
         powers.update(bs_powers)
         terms.update(bs_terms)
     value = float(sum(terms[k] for k in selected))
-    return SelectionValue(value, gains, {k: powers[k] for k in selected}, levels)
+    return SelectionValue(value, {k: powers[k] for k in selected})
 
 
 def assemble_control(selected, corr_set, graph, powers):
@@ -220,19 +203,14 @@ def assemble_control(selected, corr_set, graph, powers):
 
 @dataclass
 class OracleResult:
-    control: CompositeControl
-    value: float
+    """An oracle's pick: its user set and water-filled powers, without
+    precoders (``assemble_control`` builds those for the final policy)."""
+
     selected: tuple
+    powers: dict  # user -> p over ``selected``
+    value: float
     rates: np.ndarray  # DE rate vector over all users
     skipped: int  # candidates skipped because their fixed point failed
-
-
-def de_rate_vector(control, num_users):
-    rates = np.zeros(num_users)
-    for users in control.selected.values():
-        for k in users:
-            rates[k] = np.log1p(control.power[k])
-    return rates
 
 
 def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo):
@@ -246,10 +224,12 @@ def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo):
         return None
 
 
-def _oracle_result(selected, best, corr_set, graph, skipped):
-    control = assemble_control(selected, corr_set, graph, best.powers)
-    rates = de_rate_vector(control, graph.num_users)
-    return OracleResult(control, best.value, selected, rates, skipped)
+def _oracle_result(selected, best, num_users, skipped):
+    """The DE rate of a selected user is log(1 + p_k), 0 for the others."""
+    rates = np.zeros(num_users)
+    for k in selected:
+        rates[k] = np.log1p(best.powers[k])
+    return OracleResult(selected, best.powers, best.value, rates, skipped)
 
 
 def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -268,14 +248,14 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
     memo = {}
     skipped = 0
     best_set = ()
-    best = SelectionValue(0.0, {}, {}, {})
+    best = SelectionValue(0.0, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
             res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
             skipped += res is None
             if res is not None and res.value > best.value:
                 best_set, best = cand, res
-    return _oracle_result(best_set, best, corr_set, graph, skipped)
+    return _oracle_result(best_set, best, num_users, skipped)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -286,7 +266,7 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
     memo = {}
     skipped = 0
     current_set = ()
-    current = SelectionValue(0.0, {}, {}, {})
+    current = SelectionValue(0.0, {})
     while len(current_set) < num_users:
         best_cand = None
         best_res = None
@@ -301,7 +281,7 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
         if best_res is None or best_res.value <= current.value + GREEDY_IMPROVE_TOL:
             break
         current_set, current = best_cand, best_res
-    return _oracle_result(current_set, current, corr_set, graph, skipped)
+    return _oracle_result(current_set, current, num_users, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +503,6 @@ class PolicyResult:
     skipped_candidates: int = 0  # oracle candidates skipped over the run, certificate included
 
 
-def _duplicate(control, others):
-    for other in others:
-        if control.selected != other.selected:
-            continue
-        if control.power.keys() == other.power.keys() and all(
-            control.power[k] == other.power[k] for k in control.power
-        ):
-            return True
-    return False
-
-
 def optimize_policy(
     corr_set,
     graph,
@@ -547,12 +516,13 @@ def optimize_policy(
 ):
     """Alternating optimization of the time-sharing policy.
 
-    Starts from the oracle's control at the raw utility weights, then
-    repeats: (1) re-optimize probabilities over the collected controls and
-    prune zero-probability ones; (2) take the utility gradient at the mixed
-    rates and ask the oracle (exhaustive or greedy per ``mode``) for a new
-    control. Stops when the utility changes by at most eps_stop between
-    iterations. The per-iteration slack gradient @ (oracle rates - mixed
+    Starts from the oracle's pick (user set and powers) at the raw utility
+    weights, then repeats: (1) re-optimize probabilities over the collected
+    picks and prune zero-probability ones; (2) take the utility gradient at
+    the mixed rates and ask the oracle (exhaustive or greedy per ``mode``)
+    for a new pick. Stops when the utility changes by at most eps_stop
+    between iterations; only the picks of the final policy get their outer
+    precoders. The per-iteration slack gradient @ (oracle rates - mixed
     rates) is recorded; in exhaustive mode its final value certifies global
     optimality, in greedy mode the certificate is the exhaustive-vs-greedy
     oracle gap at the final gradient (when enumeration is feasible).
@@ -563,55 +533,54 @@ def optimize_policy(
     cache = gain_cache or GainCache(corr_set, graph, nu)
     num_users = graph.num_users
 
-    first = oracle(util.weights, corr_set, graph, nu, p_c, cache)
-    skipped = first.skipped
-    controls = [first.control]
-    rate_rows = [first.rates]
+    picks = [oracle(util.weights, corr_set, graph, nu, p_c, cache)]
+    skipped = picks[0].skipped
 
     trace = []
     prev_utility = None
     prev_q = None
-    prev_controls = None
     converged = False
     last_grad = None
     last_new = None
     for iteration in range(max_outer):
-        rates = np.stack(rate_rows, axis=0)
+        rates = np.stack([pick.rates for pick in picks], axis=0)
         init = None
         if prev_q is not None:
-            init = np.concatenate([prev_q, np.zeros(len(controls) - prev_q.size)])
+            init = np.concatenate([prev_q, np.zeros(len(picks) - prev_q.size)])
         q = optimize_time_sharing(rates, util, init=init)
         if int(np.count_nonzero(q)) > num_users:
             q = _reduce_support(rates, q, num_users)
         keep = np.flatnonzero(q)
-        controls = [controls[j] for j in keep]
-        rate_rows = [rate_rows[j] for j in keep]
+        picks = [picks[j] for j in keep]
         q = q[keep] / q[keep].sum()
-        mixed = q @ np.stack(rate_rows, axis=0)
+        mixed = q @ rates[keep]
         utility_value, grad = util.value_and_grad(mixed)
 
         new = oracle(grad, corr_set, graph, nu, p_c, cache)
         skipped += new.skipped
         slack = float(grad @ (new.rates - mixed))
         trace.append(
-            TraceRecord(iteration, utility_value, len(controls), slack, mixed, new.rates)
+            TraceRecord(iteration, utility_value, len(picks), slack, mixed, new.rates)
         )
         last_grad, last_new = grad, new
 
         stop = prev_utility is not None and abs(utility_value - prev_utility) <= eps_stop
         prev_utility = utility_value
         prev_q = q
-        prev_controls = list(controls)
         if stop:
             converged = True
             break
-        if not _duplicate(new.control, controls):
-            controls.append(new.control)
-            rate_rows.append(new.rates)
+        # the powers' keys are the selection, so equal powers mean the same pick
+        if all(new.powers != pick.powers for pick in picks):
+            picks.append(new)
     if not converged:
         log.warning("policy optimization hit the outer-iteration cap (%d)", max_outer)
 
-    policy = ControlPolicy(controls=prev_controls, probs=prev_q)
+    # precoders for the picks of the final probabilities (a later one may
+    # have been appended after them)
+    final = picks[: prev_q.size]
+    controls = [assemble_control(p.selected, corr_set, graph, p.powers) for p in final]
+    policy = ControlPolicy(controls=controls, probs=prev_q)
     if mode == "exhaustive":
         certificate = trace[-1].slack
         certificate_kind = "optimality_slack"

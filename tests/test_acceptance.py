@@ -172,18 +172,19 @@ def test_criterion_7_waterfill_kkt():
         weights = {k: float(rng.uniform(0.0, 2.0)) for k in range(users)}
         gains = {k: float(rng.uniform(0.05, 3.0)) for k in range(users)}
         serving = {k: int(rng.integers(0, 2)) for k in range(users)}
-        res = waterfill(weights, gains, serving, m=16, p_c=PC)
         for n in (0, 1):
             members = [k for k in range(users) if serving[k] == n]
+            bs_powers, level = waterfill([weights[k] for k in members],
+                                         [gains[k] for k in members], m=16, p_c=PC)
+            powers = dict(zip(members, bs_powers))
             active = [k for k in members if weights[k] > 0 and gains[k] > 1e-12]
             if not active:
                 continue
-            spent = sum(res.powers[k] / gains[k] for k in members) / 16
+            spent = sum(powers[k] / gains[k] for k in members) / 16
             worst_eq = max(worst_eq, abs(spent - PC) / PC)
             for k in members:
-                if res.powers[k] > 0:
-                    resid = abs(weights[k] * 16 * gains[k] / (1 + res.powers[k])
-                                - res.levels[n])
+                if powers[k] > 0:
+                    resid = abs(weights[k] * 16 * gains[k] / (1 + powers[k]) - level)
                     worst_st = max(worst_st, resid)
     assert worst_eq <= 1e-8
     assert worst_st <= 1e-6

@@ -307,11 +307,16 @@ OVERFLOWING_DB = [
 # rank 3) does not fit: fewer antennas, or a rank below its links' rank
 MISFIT_DUMPS = [{"num_antennas": 8, "rank": 2}, {"rank": 2}]
 
+# positive dB values whose linear value rounds to 1, which theta must exceed
+THETA_ROUNDING_TO_ONE = [("theta_db", 1e-17), ("theta_db", 1e-300)]
+
 
 @pytest.mark.parametrize(
     "path, value",
-    MALFORMED + OVERFLOWING_DB + [("correlation_file", fields) for fields in MISFIT_DUMPS],
-    ids=[path for path, _ in MALFORMED] + [f"{path}={value}" for path, value in OVERFLOWING_DB]
+    MALFORMED + OVERFLOWING_DB + THETA_ROUNDING_TO_ONE
+    + [("correlation_file", fields) for fields in MISFIT_DUMPS],
+    ids=[path for path, _ in MALFORMED]
+    + [f"{path}={value}" for path, value in OVERFLOWING_DB + THETA_ROUNDING_TO_ONE]
     + ["correlation_file+" + ",".join(f"{k}={v}" for k, v in f.items()) for f in MISFIT_DUMPS],
 )
 def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):

@@ -222,6 +222,17 @@ def test_comp_power_respects_budget_and_binds(desk):
     assert np.all(rep.user_rate_mean > 0.0)  # equal powers serve every user
 
 
+def test_comp_cluster_without_users_spends_no_power():
+    # both users are served by BS 0, so the cluster of BS 1 has no beam
+    mats = {(k, n): random_clustered_correlation(8, 2, 1.0 if n == 0 else 0.01, seed=10 * k + n)
+            for k in range(2) for n in range(2)}
+    cs = CorrelationSet(2, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 0})
+    rep = comp_baseline(cs, build_topology(cs, 10.0), PC, cluster_size=1, draws=5, seed=3)
+    assert rep.bs_power_mean[1] == 0.0
+    assert abs(rep.bs_power_mean[0] - PC) <= 1e-9 * PC
+    assert np.all(rep.user_rate_mean > 0.0)
+
+
 def test_comp_rejects_bad_clustering(desk):
     cs, graph = desk
     with pytest.raises(ValidationError, match="comp_baseline"):
@@ -460,11 +471,17 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
                 blocks.append((bss, users, per_draw_zero_forcing_limit(rows)))
         beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
         unit_load = transmit_power(beams, np.ones(beams.shape[2]))
-        power = p_c / np.max(unit_load.reshape(-1, cluster_size), axis=1)[beam_bs // cluster_size]
+        most_loaded = np.max(unit_load.reshape(-1, cluster_size), axis=1)
+        scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
+        power = scale[beam_bs // cluster_size]
         received = cross_interference_power(channels, beams, power)
         other_cluster = (serving // cluster_size)[:, None] != beam_bs // cluster_size
         cross = float(np.sum(received, where=other_cluster))
-        return instantaneous_rate(received, own, ~own), transmit_power(beams, power), None, cross
+        bs_power = unit_load * np.repeat(scale, cluster_size)
+        # every beam of a cluster carries its cluster's power, so the unit
+        # loads scale to the BS powers of the definition
+        np.testing.assert_allclose(bs_power, transmit_power(beams, power), rtol=1e-12, atol=0)
+        return instantaneous_rate(received, own, ~own), bs_power, None, cross
 
     return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
 

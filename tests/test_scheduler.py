@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermimo import cli, det_equiv
+from hiermimo import cli, det_equiv, scheduler
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, build_hotspot_network
-from hiermimo.det_equiv import GainCache
+from hiermimo.det_equiv import GainCache, de_rate_power
 from hiermimo.errors import ConvergenceError, ParameterError
 from hiermimo.scheduler import (
     alpha_fair_utility,
+    assemble_control,
     best_control_exhaustive,
     best_control_greedy,
-    de_rate_vector,
     optimize_policy,
     optimize_time_sharing,
     pfs_utility,
@@ -29,6 +30,7 @@ from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 from conftest import single_cell_set
 
 NU, PC = 0.01, 10.0
+DESK_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
 
 def small_network(seed, num_users=6):
@@ -129,52 +131,48 @@ def oracle_bisect(weights, gains, m, p_c, tol=1e-12):
 
 
 def test_waterfill_single_user_binds():
-    res = waterfill({0: 1.0}, {0: 0.5}, {0: 0}, m=16, p_c=10.0)
-    assert np.isclose(res.powers[0], 80.0, rtol=1e-8)
+    powers, _ = waterfill([1.0], [0.5], m=16, p_c=10.0)
+    assert np.isclose(powers[0], 80.0, rtol=1e-8)
 
 
 def test_waterfill_symmetric_users():
-    res = waterfill({0: 1.0, 1: 1.0}, {0: 0.5, 1: 0.5}, {0: 0, 1: 0}, m=16, p_c=1.0)
-    assert np.isclose(res.powers[0], res.powers[1], rtol=1e-10)
-    assert np.isclose(res.powers[0], 16 * 0.5 * 1.0 / 2, rtol=1e-8)
+    powers, _ = waterfill([1.0, 1.0], [0.5, 0.5], m=16, p_c=1.0)
+    assert np.isclose(powers[0], powers[1], rtol=1e-10)
+    assert np.isclose(powers[0], 16 * 0.5 * 1.0 / 2, rtol=1e-8)
 
 
 def test_waterfill_matches_oracle_and_kkt():
     weights, gains, m, p_c = [2.0, 1.0], [0.5, 0.5], 16, 1.0
-    res = waterfill(dict(enumerate(weights)), dict(enumerate(gains)),
-                    {0: 0, 1: 0}, m=m, p_c=p_c)
+    powers, level = waterfill(weights, gains, m=m, p_c=p_c)
     oracle_p, _ = oracle_bisect(weights, gains, m, p_c)
     for k in range(2):
-        assert abs(res.powers[k] - oracle_p[k]) <= 1e-6
-    level = res.levels[0]
+        assert abs(powers[k] - oracle_p[k]) <= 1e-6
     for k in range(2):
-        if res.powers[k] > 0:
-            assert abs(weights[k] * m * gains[k] / (1 + res.powers[k]) - level) <= 1e-6
-    spent = sum(res.powers[k] / gains[k] for k in range(2)) / m
+        if powers[k] > 0:
+            assert abs(weights[k] * m * gains[k] / (1 + powers[k]) - level) <= 1e-6
+    spent = sum(powers[k] / gains[k] for k in range(2)) / m
     assert abs(spent - p_c) <= 1e-8 * p_c
 
 
 def test_waterfill_excludes_zero_weight_and_zero_gain():
-    res = waterfill({0: 1.0, 1: 0.0, 2: 1.0}, {0: 0.5, 1: 0.5, 2: 0.0},
-                    {0: 0, 1: 0, 2: 0}, m=16, p_c=10.0)
-    assert res.powers[1] == 0.0 and res.powers[2] == 0.0
-    assert np.isclose(res.powers[0], 80.0, rtol=1e-8)  # whole budget to user 0
+    powers, _ = waterfill([1.0, 0.0, 1.0], [0.5, 0.5, 0.0], m=16, p_c=10.0)
+    assert powers[1] == 0.0 and powers[2] == 0.0
+    assert np.isclose(powers[0], 80.0, rtol=1e-8)  # whole budget to user 0
 
 
 def test_waterfill_no_active_users():
-    res = waterfill({0: 0.0}, {0: 0.5}, {0: 0}, m=16, p_c=10.0)
-    assert res.powers[0] == 0.0 and res.levels[0] is None
+    powers, level = waterfill([0.0], [0.5], m=16, p_c=10.0)
+    assert powers[0] == 0.0 and level is None
 
 
 def test_waterfill_weight_scaling_leaves_powers():
     rng = np.random.default_rng(2)
-    weights = dict(enumerate(rng.uniform(0.2, 3.0, size=4)))
-    gains = dict(enumerate(rng.uniform(0.1, 2.0, size=4)))
-    serving = {k: 0 for k in range(4)}
-    base = waterfill(weights, gains, serving, m=16, p_c=5.0)
-    scaled = waterfill({k: 3.0 * w for k, w in weights.items()}, gains, serving, m=16, p_c=5.0)
+    weights = rng.uniform(0.2, 3.0, size=4).tolist()
+    gains = rng.uniform(0.1, 2.0, size=4).tolist()
+    base, _ = waterfill(weights, gains, m=16, p_c=5.0)
+    scaled, _ = waterfill([3.0 * w for w in weights], gains, m=16, p_c=5.0)
     for k in range(4):
-        assert abs(base.powers[k] - scaled.powers[k]) <= 1e-8 * max(1.0, base.powers[k])
+        assert abs(base[k] - scaled[k]) <= 1e-8 * max(1.0, base[k])
 
 
 @st.composite
@@ -195,26 +193,26 @@ def waterfill_inputs(draw):
 @given(waterfill_inputs())
 def test_waterfill_matches_bisection_and_kkt(inputs):
     weights, gains, serving, m, p_c = inputs
-    res = waterfill(dict(enumerate(weights)), dict(enumerate(gains)),
-                    dict(enumerate(serving)), m=m, p_c=p_c)
     for n in (0, 1):
         users = [k for k in range(len(weights)) if serving[k] == n]
+        bs_powers, level = waterfill([weights[k] for k in users], [gains[k] for k in users],
+                                     m=m, p_c=p_c)
+        powers = dict(zip(users, bs_powers))
         active = [k for k in users if weights[k] > 0 and gains[k] > 0]
         for k in set(users) - set(active):
-            assert res.powers[k] == 0.0
+            assert powers[k] == 0.0
         if not active:
-            assert res.levels.get(n) is None
+            assert level is None
             continue
-        level = res.levels[n]
         oracle_p, _ = oracle_bisect([weights[k] for k in active], [gains[k] for k in active], m, p_c)
         for k, p in zip(active, oracle_p):
-            assert abs(res.powers[k] - p) <= 1e-8 * max(1.0, p)
+            assert abs(powers[k] - p) <= 1e-8 * max(1.0, p)
             top = weights[k] * m * gains[k]
-            if res.powers[k] > 0:
-                assert abs(top / (1 + res.powers[k]) - level) <= 1e-9 * level
+            if powers[k] > 0:
+                assert abs(top / (1 + powers[k]) - level) <= 1e-9 * level
             else:
                 assert top <= level * (1 + 1e-9)
-        spent = sum(res.powers[k] / gains[k] for k in active) / m
+        spent = sum(powers[k] / gains[k] for k in active) / m
         assert abs(spent - p_c) <= 1e-9 * p_c
 
 
@@ -370,31 +368,46 @@ def test_skipped_candidates_are_counted_over_the_run(desk, tmp_path, caplog):
     # the greedy calls and the exhaustive certificate all skip the candidate
     assert res.certificate_kind == "greedy_gap_bound"
     assert res.skipped_candidates == len(warnings) > len(res.trace) + 1
-    desk_file = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
     def failing(corr_set, graph, nu):
         return FailingCache(corr_set, graph, nu, bad)
 
     with mock.patch.object(cli, "GainCache", failing):
-        summary = cli.run_scenario(desk_file, tmp_path, draws=10)
+        summary = cli.run_scenario(DESK_FILE, tmp_path, draws=10)
     assert summary["skipped_candidates"] == res.skipped_candidates
-    assert cli.run_scenario(desk_file, tmp_path / "clean", draws=10)["skipped_candidates"] == 0
+    assert cli.run_scenario(DESK_FILE, tmp_path / "clean", draws=10)["skipped_candidates"] == 0
+
+
+@pytest.mark.parametrize("oracle", [best_control_exhaustive, best_control_greedy])
+def test_oracle_rates_are_the_de_rates_of_the_assembled_control(oracle):
+    scn = cli.load_scenario(DESK_FILE)
+    cs, graph = cli.build_network(scn)
+    cache = GainCache(cs, graph, scn.rzf_nu)
+    rng = np.random.default_rng(8)
+    for weights in [np.ones(6), np.array([1.0, 0.0, 2.0, 0.5, 0.0, 3.0])] + [
+        rng.uniform(0.05, 1.0, size=6) for _ in range(3)
+    ]:
+        pick = oracle(weights, cs, graph, scn.rzf_nu, scn.power_limit, cache)
+        control = assemble_control(pick.selected, cs, graph, pick.powers)
+        de = de_rate_power(control, cs, graph, scn.rzf_nu, cache)
+        assert pick.selected and sorted(pick.powers) == list(pick.selected)
+        assert np.array_equal(pick.rates, de.rates)
 
 
 def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
-    """Weighted sum rate without a memo: one water filling over all BSs."""
+    """Weighted sum rate without a memo: one water filling per BS."""
     selected = tuple(sorted(selected))
     blocked = scheduled_neighbors(graph, selected)
-    gains, serving = {}, {}
+    weights = {k: float(rate_weights[k]) for k in selected}
+    powers = {}
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in selected)
         if users:
             bs_gains, _, _ = cache.gains(n, users, blocked[n])
-            gains.update(bs_gains)
-            serving.update(dict.fromkeys(users, n))
-    weights = {k: float(rate_weights[k]) for k in selected}
-    wf = waterfill(weights, gains, serving, corr_set.dim, PC)
-    return float(sum(weights[k] * np.log1p(wf.powers[k]) for k in selected)), wf.powers
+            bs_powers, _ = waterfill([weights[k] for k in users], list(bs_gains),
+                                     corr_set.dim, PC)
+            powers.update(zip(users, bs_powers))
+    return float(sum(weights[k] * np.log1p(powers[k]) for k in selected)), powers
 
 
 def reference_greedy(rate_weights, corr_set, graph, cache):
@@ -505,7 +518,7 @@ def test_policy_single_user_network():
     assert res.converged and len(res.trace) <= 2
     assert np.array_equal(res.policy.probs, [1.0])
     control = res.policy.controls[0]
-    xi = weighted_sum_rate((0,), np.ones(1), cs, graph, NU, PC).gains[0]
+    xi = GainCache(cs, graph, NU).gains(0, (0,), ())[0][0]
     assert np.isclose(control.power[0], 16 * xi * PC, rtol=1e-6)
     assert res.certificate_kind == "optimality_slack"
     assert -1e-10 <= res.certificate <= 1e-10
@@ -567,6 +580,44 @@ def test_policy_consistent_when_iteration_cap_hits(desk):
     assert not res.converged
     assert len(res.policy.controls) == res.policy.probs.size
     res.policy.validate(cs, graph, NU, PC)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_precoders_are_built_for_the_final_policy_only(mode):
+    scn = cli.load_scenario(DESK_FILE, mode=mode)
+    cs, graph = cli.build_network(scn)
+    oracle_name = "best_control_greedy" if mode == "greedy" else "best_control_exhaustive"
+    oracle = getattr(scheduler, oracle_name)
+
+    def solve(stub):
+        rate_rows = []
+
+        def time_sharing(rates, util, **kwargs):
+            rate_rows.append(rates)
+            return optimize_time_sharing(rates, util, **kwargs)
+
+        with mock.patch.object(scheduler, "outer_precoder", wraps=scheduler.outer_precoder) as outer, \
+                mock.patch.object(scheduler, oracle_name, side_effect=stub), \
+                mock.patch.object(scheduler, "optimize_time_sharing", side_effect=time_sharing):
+            res = optimize_policy(cs, graph, cli.build_utility(scn), scn.rzf_nu, scn.power_limit,
+                                  mode=mode, eps_stop=scn.eps_stop, max_outer=scn.max_outer)
+        assert outer.call_count == len(res.policy.controls) * graph.num_bs
+        return res, rate_rows
+
+    solve(oracle)
+    picks = []
+
+    def repeat_first(*args):
+        """The oracle's first pick, then equal copies of it."""
+        first = picks[0] if picks else oracle(*args)
+        picks.append(replace(first, powers=dict(first.powers)))
+        return picks[-1]
+
+    res, rate_rows = solve(repeat_first)
+    assert len(picks) == len(res.trace) + 1 >= 2
+    # a repeated pick is not appended: the solver only ever sees one control
+    assert [rates.shape[0] for rates in rate_rows] == [1] * len(res.trace)
+    assert len(res.policy.controls) == 1
 
 
 def test_certificate_unavailable_for_large_greedy():
