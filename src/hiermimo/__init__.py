@@ -5,10 +5,12 @@ from .corrmat import (
     CorrelationSet,
     build_hotspot_network,
     dump_correlation_set,
+    link_channels,
     load_correlation_set,
     path_gain_log_distance,
     random_clustered_correlation,
     sample_channel,
+    sample_coefficients,
 )
 from .det_equiv import (
     DEResult,

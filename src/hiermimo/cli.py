@@ -211,6 +211,11 @@ def _utility(util, num_users):
     return dict(util)
 
 
+def comp_scheme(rho):
+    """Name of the CoMP row with CSI delay ``rho`` in the comparison files."""
+    return f"comp_rho{rho:g}"
+
+
 def scenario_from_dict(data):
     """Validated scenario; a ConfigError names the first bad field."""
     for name in REQUIRED_FIELDS:
@@ -261,6 +266,20 @@ def scenario_from_dict(data):
             f"got {cluster!r}",
             field="baselines.comp_cluster_size",
         )
+    partitions = _number(baselines["ffr_partitions"], "baselines.ffr_partitions", **POSITIVE_INT)
+    rhos = [
+        _number(rho, "baselines.comp_delay_rhos", low=0.0, high=1.0)
+        for rho in _list(baselines["comp_delay_rhos"], "baselines.comp_delay_rhos")
+    ]
+    names = [comp_scheme(rho) for rho in rhos]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            # comparison.csv would hold two rows of that name, summary.json one
+            raise ConfigError(
+                f"field 'baselines.comp_delay_rhos' gives two delays the scheme name "
+                f"{name!r}: {rhos[names.index(name)]!r} and {rhos[i]!r}",
+                field="baselines.comp_delay_rhos",
+            )
     return Scenario(
         **numbers,
         utility=_utility(data["utility"], numbers["num_users"]),
@@ -272,14 +291,9 @@ def scenario_from_dict(data):
         },
         correlation_file=correlation_file,
         baselines={
-            "ffr_partitions": _number(
-                baselines["ffr_partitions"], "baselines.ffr_partitions", **POSITIVE_INT
-            ),
+            "ffr_partitions": partitions,
             "comp_cluster_size": cluster,
-            "comp_delay_rhos": [
-                _number(rho, "baselines.comp_delay_rhos", low=0.0, high=1.0)
-                for rho in _list(baselines["comp_delay_rhos"], "baselines.comp_delay_rhos")
-            ],
+            "comp_delay_rhos": rhos,
         },
     )
 
@@ -521,7 +535,7 @@ def _pipeline(config_path, out_dir, overrides, baselines):
         rows.append(("ffr", ffr_baseline(*network, partitions, scn.draws, scn.seed)))
         for rho in scn.baselines["comp_delay_rhos"]:
             comp = comp_baseline(*network, cluster, scn.draws, scn.seed, delay_rho=rho)
-            rows.append((f"comp_rho{rho:g}", comp))
+            rows.append((comp_scheme(rho), comp))
     _write_json(out / "policy.json", policy_to_dict(result.policy))
     _write_csv(
         out / "trace.csv",

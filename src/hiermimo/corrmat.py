@@ -161,18 +161,16 @@ def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
     return 10.0 ** ((ref_gain_db - 10.0 * exponent * np.log10(distance_m)) / 10.0)
 
 
-def sample_channel(corr, seed, count=None):
-    """Draw h = F w, w i.i.d. CN(0, 1) of length r, with F from
-    ``corr.factor()``: r real then r imaginary normals w = (x + i y) / sqrt(2),
-    so E[h h^H] = F F^H = C. Deterministic per seed.
+def sample_coefficients(corr, seed, count=None):
+    """The coefficients of ``sample_channel``: w i.i.d. CN(0, 1), one 1 x R
+    row per link, R the width of ``corr.factor()`` (a CorrelationSet's
+    widest rank), from R real then R imaginary normals, w = (x + i y) /
+    sqrt(2). Deterministic per seed.
 
-    A CorrelationMatrix gives one length-M channel. A CorrelationSet gives
-    the (K, N, M) channels of every link from one (K, N, 2, R) block of
-    normals over its zero-padded factor, so a link of rank r < R reads R
-    normals of each kind and a rank-0 link gives exactly 0. A ``count``
-    gives that many draws along a leading axis, (count, M) or
-    (count, K, N, M), from one fill of the generator: the same array as
-    ``count`` consecutive lone calls on it.
+    A CorrelationMatrix gives one (1, r) row, a CorrelationSet the (K, N, 1,
+    R) rows of every link from one (K, N, 2, R) block of normals. A
+    ``count`` gives that many draws along a leading axis from one fill of
+    the generator: the same array as ``count`` consecutive lone calls on it.
     """
     factor = corr.factor()
     lead = () if count is None else (count,)
@@ -181,7 +179,24 @@ def sample_channel(corr, seed, count=None):
     w = np.empty(normals.shape[:-2] + (1, factor.shape[-1]), dtype=complex)
     np.multiply(normals[..., 0, None, :], scale, out=w.real)
     np.multiply(normals[..., 1, None, :], scale, out=w.imag)
-    return (w @ factor.swapaxes(-1, -2))[..., 0, :]
+    return w
+
+
+def link_channels(corr, coefficients):
+    """Channels h = F w of ``sample_coefficients`` rows: (..., M) for a
+    CorrelationMatrix, (..., K, N, M) for a CorrelationSet, whose zero-padded
+    factor gives a link of rank r < R only its first r coefficients and a
+    rank-0 link exactly 0."""
+    return (coefficients @ corr.factor().swapaxes(-1, -2))[..., 0, :]
+
+
+def sample_channel(corr, seed, count=None):
+    """Draw h = F w with F from ``corr.factor()`` and w the
+    ``sample_coefficients`` of ``seed``, so E[h h^H] = F F^H = C: one
+    length-M channel for a CorrelationMatrix, the (K, N, M) channels of every
+    link for a CorrelationSet, with a leading axis of ``count`` draws when
+    given."""
+    return link_channels(corr, sample_coefficients(corr, seed, count))
 
 
 @dataclass

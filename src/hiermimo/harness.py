@@ -7,9 +7,11 @@ delay. Every scheme reads its draws in order from one stream derived from
 (seed, scheme), so a run is deterministic per seed, and evaluates them in
 chunks of a fixed memory budget, each with one sampling call and one stacked
 evaluation; a chunk's normals continue the stream where the previous chunk
-stopped, so results do not depend on the chunk size. A draw's channels come
-from 2 K N R normals, one rank-R coefficient vector per link times its
-factor (``corrmat.sample_channel``).
+stopped, so results do not depend on the chunk size. A draw is 2 K N R
+normals, one rank-R coefficient vector w per link
+(``corrmat.sample_coefficients``). The baselines take its channels h = F w;
+the proposed scheme never forms them: its inner precoders see only the
+effective channels h^H F_n = conj(w) F^H F_n.
 """
 
 import logging
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import sample_channel
+from .corrmat import link_channels, sample_channel, sample_coefficients
 from .det_equiv import GainCache, de_rate_power
 from .errors import ParameterError, ValidationError
 from .precoder import (
@@ -63,7 +65,9 @@ def _stderr(samples):
 
 def draw_channels(corr_set, rng, count=None):
     """Realizations of every link channel: one (K, N, M) array, or the next
-    ``count`` draws of ``rng`` as one (count, K, N, M) array."""
+    ``count`` draws of ``rng`` as one (count, K, N, M) array. These are the
+    channels of the coefficients that a Monte Carlo chunk reads from the
+    same generator."""
     return sample_channel(corr_set, rng, count)
 
 
@@ -91,51 +95,75 @@ def _layout(groups, group_beams, channels):
     return beams
 
 
-def _control_evaluator(control, graph, nu):
-    """Evaluation of ``control`` on (..., K, N, M) channel realizations: the
-    rates, BS powers, worst interference-to-signal ratio and total power
-    leaked onto protected users of each. What depends only on the control
-    (beam owners, powers, masks and the protected users) is set up once."""
-    groups = [((n,), users) for n, users in control.selected.items()]
-    own, beam_bs = _beam_owners(groups, graph.num_users)
-    power = np.array([control.power[k] for _, users in groups for k in users])
-    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    # the outer precoders null every other BS, so only the serving BS interferes
-    interferers = (serving[:, None] == beam_bs) & ~own
-    bs_of_beam = (beam_bs[:, None] == np.arange(graph.num_bs)).astype(float)  # L x N
-    protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
-    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
-        protected[list(blocked), n] = True
+def _control_evaluator(control, corr_set, graph, nu):
+    """Evaluation of ``control`` on (..., K, N, 1, R) channel coefficients
+    (``sample_coefficients``), and the entries of the largest array it builds
+    per draw. It maps a chunk to the rates, BS powers, worst
+    interference-to-signal ratio and total power leaked onto protected users
+    of each draw.
 
-    def evaluate(channels):
-        inner = inner_precoders(control, channels, nu)
-        beams = _layout(groups, [control.outer[n] @ inner[n] for (n,), _ in groups], channels)
-        received = cross_interference_power(channels, beams, power)
-        rates = instantaneous_rate(received, own, interferers)
-        per_bs = received @ bs_of_beam  # (..., K, N)
-        signal = np.sum(received, axis=-1, where=own)
-        ratio = (per_bs / (signal[..., None] + 1.0))[..., protected]
+    The inner precoder of BS n sees the effective channels h_kn^H F_n =
+    conj(w_kn) A_kn, A_kn = F_kn^H F_n of size R x M_n, which depend on the
+    control only. They are set up once for the rows that enter a result:
+    the users selected at n (their rates; the outer precoders null every
+    other BS, so only the serving BS interferes) and the users blocked at n
+    (what n leaks onto them). Each draw then costs R- and M_n-sized
+    products per BS, one 1 x R by R x M_n product per user, and gets the
+    same digits in any chunk: the inner RZF beams g, the amplitudes eff g,
+    and the BS power sum_l p_l ||g_l||^2, F_n being semi-unitary."""
+    m = corr_set.dim
+    factor = corr_set.factor()
+    blocked = scheduled_neighbors(graph, control.selected_union)
+    blocks, protected, entries = [], [], 0
+    for n, users in control.selected.items():
+        if not users:
+            continue
+        rows = list(users + blocked[n])
+        gram = factor[rows, n].conj().swapaxes(-1, -2) @ control.outer[n]  # U x R x M_n
+        power = np.array([control.power[k] for k in users])
+        leaked = slice(len(protected), len(protected) + len(blocked[n]))
+        blocks.append((n, list(users), rows, gram, power, np.eye(len(users), dtype=bool), leaked))
+        protected.extend(blocked[n])
+        entries = max(entries, len(rows) * max(*gram.shape[1:], len(users)))
+
+    def evaluate(coefficients):
+        lead = coefficients.shape[:-4]
+        rates = np.zeros((*lead, graph.num_users))
+        signal = np.zeros((*lead, graph.num_users))
+        powers = np.zeros((*lead, graph.num_bs))
+        leak = np.zeros((*lead, len(protected)))
+        for n, users, rows, gram, power, own, leaked in blocks:
+            effective = (coefficients[..., rows, n, :, :].conj() @ gram)[..., 0, :]
+            inner = inner_precoders(effective[..., : len(users), :], m, nu)
+            received = power * np.abs(effective @ inner) ** 2  # (..., U, S)
+            served = received[..., : len(users), :]
+            rates[..., users] = instantaneous_rate(served, own, ~own)
+            signal[..., users] = np.diagonal(served, axis1=-2, axis2=-1)
+            powers[..., n] = transmit_power(inner[..., None, :, :], power)[..., 0]
+            leak[..., leaked] = np.sum(received[..., len(users) :, :], axis=-1)
+        ratio = leak / (signal[..., protected] + 1.0)
         worst = np.max(ratio, axis=-1, initial=0.0)
-        return rates, transmit_power(beams, power), worst, np.sum(per_bs[..., protected], axis=-1)
+        return rates, powers, worst, np.sum(leak, axis=-1)
 
-    return evaluate
+    return evaluate, entries
 
 
-# Draws per chunk: as many as keep one chunk's (D, K, N, M) channels within
-# this many complex entries, and at least one. Larger chunks save per-call
-# overhead but grow every per-chunk array with them.
+# Draws per chunk: as many as keep the largest array that a scheme builds
+# for one chunk within this many complex entries, and at least one. Larger
+# chunks save per-call overhead but grow every per-chunk array with them.
 CHUNK_ENTRIES = 2**13
 
 
-def _monte_carlo(draw, corr_set, graph, draws, seed, tag):
+def _monte_carlo(draw, entries, corr_set, graph, draws, seed, tag):
     """Report of ``draws`` realizations of one scheme, read in order from the
-    stream (seed, tag, 0). Their channels go to ``draw`` as (D, K, N, M)
-    arrays of at most CHUNK_ENTRIES // (K N M) draws; it maps them to the
-    (D, K) user rates, (D, N) BS powers, (D,) worst interference ratios
-    (None if untracked) and (D,) cross interference of those draws."""
+    stream (seed, tag, 0). Their coefficients go to ``draw`` as (D, K, N, 1,
+    R) ``sample_coefficients`` rows, D at most CHUNK_ENTRIES // ``entries``
+    (the scheme's largest array per draw); it maps them to the (D, K) user
+    rates, (D, N) BS powers, (D,) worst interference ratios (None if
+    untracked) and (D,) cross interference of those draws."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    size = max(1, CHUNK_ENTRIES // (graph.num_users * graph.num_bs * corr_set.dim))
+    size = max(1, CHUNK_ENTRIES // entries)
     rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
@@ -143,8 +171,8 @@ def _monte_carlo(draw, corr_set, graph, draws, seed, tag):
     ratios = []
     for start in range(0, draws, size):
         chunk = slice(start, start + size)
-        channels = draw_channels(corr_set, rng, min(size, draws - start))
-        rates, powers, ratio, cross_samples[chunk] = draw(channels)
+        coefficients = sample_coefficients(corr_set, rng, min(size, draws - start))
+        rates, powers, ratio, cross_samples[chunk] = draw(coefficients)
         rate_samples[chunk], power_samples[chunk] = rates, powers
         ratios.append(ratio)
     return MonteCarloReport(
@@ -168,21 +196,24 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
     (the exact conditional average).
     """
     probs = np.asarray(policy.probs, dtype=float)
-    evaluators = [_control_evaluator(control, graph, nu) for control in policy.controls]
+    evaluators = [_control_evaluator(control, corr_set, graph, nu) for control in policy.controls]
+    # the chunk's (D, K, N, 1, R) coefficients, or a control's largest array
+    entries = max(graph.num_users * graph.num_bs * corr_set.factor().shape[-1], 1,
+                  *(size for _, size in evaluators))
 
-    def draw(channels):
-        rates = np.zeros((len(channels), graph.num_users))
-        powers = np.zeros((len(channels), graph.num_bs))
-        worst, cross = np.zeros(len(channels)), np.zeros(len(channels))
-        for q, evaluate in zip(probs, evaluators):
-            r, p, ratio, c = evaluate(channels)
+    def draw(coefficients):
+        rates = np.zeros((len(coefficients), graph.num_users))
+        powers = np.zeros((len(coefficients), graph.num_bs))
+        worst, cross = np.zeros(len(coefficients)), np.zeros(len(coefficients))
+        for q, (evaluate, _) in zip(probs, evaluators):
+            r, p, ratio, c = evaluate(coefficients)
             rates += q * r
             powers += q * p
             worst = np.maximum(worst, ratio)
             cross += q * c
         return rates, powers, worst, cross
 
-    report = _monte_carlo(draw, corr_set, graph, draws, seed, POLICY_MC)
+    report = _monte_carlo(draw, entries, corr_set, graph, draws, seed, POLICY_MC)
     cache = gain_cache or GainCache(corr_set, graph, nu)
     de_rates = np.zeros(graph.num_users)
     de_powers = np.zeros(graph.num_bs)
@@ -265,7 +296,8 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     interferers = band & ~own
     other_cell = band & (serving[:, None] != beam_bs)
 
-    def draw(channels):
+    def draw(coefficients):
+        channels = link_channels(corr_set, coefficients)
         unit_beams = []
         for (n,), users in groups:
             g = _zero_forcing_limit(channels[:, list(users), n].conj())
@@ -276,7 +308,8 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
         cross = np.sum(received, axis=(-2, -1), where=other_cell)
         return rates, transmit_power(beams, power), None, cross
 
-    return _monte_carlo(draw, corr_set, graph, draws, seed, FFR_MC)
+    entries = graph.num_users * graph.num_bs * m  # the channels; beams and powers are smaller
+    return _monte_carlo(draw, entries, corr_set, graph, draws, seed, FFR_MC)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +319,9 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
 def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0):
     """Cooperative ZF across fixed clusters of consecutive BSs.
 
-    Precoders come from the (possibly outdated) channel rho * h +
-    sqrt(1 - rho^2) * h_indep while rates use the true h. Every user in a
+    Precoders come from the (possibly outdated) channel F (rho w +
+    sqrt(1 - rho^2) w'), mixed in the rank-R coordinates of h = F w with an
+    independent w', while rates use the true h. Every user in a
     cluster gets the same power coefficient, scaled so the most loaded BS
     transmits exactly p_c (the others stay below the budget).
     """
@@ -320,11 +354,12 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
     # the same true channels and delay_rho = 1 never reads it
     innovation = derive_rng(seed, COMP_MC, 1)
 
-    def draw(channels):
-        outdated = channels
+    def draw(coefficients):
+        channels = outdated = link_channels(corr_set, coefficients)
         if delay_rho < 1.0:
-            stale = draw_channels(corr_set, innovation, len(channels))
-            outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
+            stale = sample_coefficients(corr_set, innovation, len(coefficients))
+            mixed = delay_rho * coefficients + np.sqrt(1.0 - delay_rho**2) * stale
+            outdated = link_channels(corr_set, mixed)
         # each cluster zero-forces its users' outdated channels, stacked over its BSs
         cluster_beams = []
         for bss, users in groups:
@@ -343,4 +378,5 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         bs_power = unit_load * np.repeat(scale, cluster_size, axis=-1)
         return instantaneous_rate(received, own, ~own), bs_power, None, cross
 
-    return _monte_carlo(draw, corr_set, graph, draws, seed, COMP_MC)
+    entries = graph.num_users * graph.num_bs * m  # the channels; beams and powers are smaller
+    return _monte_carlo(draw, entries, corr_set, graph, draws, seed, COMP_MC)

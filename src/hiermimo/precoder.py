@@ -4,7 +4,7 @@ The outer precoder of BS n is a semi-unitary basis confined to the
 orthogonal complement of the blocked users' correlation ranges, so the BS
 radiates zero statistical power toward every protected neighbor. The inner
 precoder is regularized zero forcing on the effective (outer-projected)
-channels.
+channels h^H F_n, which have M_n entries, not M.
 """
 
 import math
@@ -162,23 +162,21 @@ class CompositeControl:
         return self
 
 
-def inner_precoders(control, channels, nu):
-    """RZF inner precoder per BS for (..., K, N, M) channel realizations, on
-    the effective channels h^H F_n with regularizer M nu (the full M, not
-    M_n): BS n's precoders are (..., M_n, |S_n|), one stacked solve for all
-    realizations."""
-    m = channels.shape[-1]
-    return {
-        n: zero_forcing(channels[..., list(users), n, :].conj() @ control.outer[n], m * nu)
-        for n, users in control.selected.items()
-    }
+def inner_precoders(effective, m, nu):
+    """RZF inner precoders of one BS: the (..., M_n, |S_n|) zero-forcing
+    beams of its selected users' effective channels h^H F_n, given as the
+    (..., |S_n|, M_n) rows ``effective``, with regularizer M nu (the full
+    antenna count M, not M_n); one stacked solve for all realizations."""
+    return zero_forcing(effective, m * nu)
 
 
-# One realization of any scheme is evaluated on its beams laid out as an
-# (N, M, L) array: beam l holds its per-antenna weights at the BSs it uses
-# and zero rows elsewhere, so a cooperative beam adds its BSs coherently.
-# Every function below also takes a leading draw axis on all of its arrays:
-# (D, K, N, M) channels, (D, N, M, L) beams and (D, L) powers.
+# The baselines evaluate a realization on beams laid out as an (N, M, L)
+# array: beam l holds its per-antenna weights at the BSs it uses and zero
+# rows elsewhere, so a cooperative beam adds its BSs coherently. The
+# proposed scheme needs no such layout: its rates and powers come from one
+# BS's received-power matrix and inner beams at a time. Every function below
+# also takes a leading draw axis on all of its arrays: (D, K, N, M)
+# channels, (D, N, M, L) beams and (D, L) powers.
 
 
 def cross_interference_power(channels, beams, power):
@@ -209,8 +207,9 @@ def instantaneous_rate(received, own, interferers):
 def transmit_power(beams, power):
     """Transmit power of every BS: sum_l p_l ||b_l||^2 over its antennas.
 
-    For b_l = F g_l with F semi-unitary this is the trace form
-    tr(P Heff (Heff^H Heff + M nu I)^(-2) Heff^H) of the inner precoder.
+    For b_l = F g_l with F semi-unitary this is sum_l p_l ||g_l||^2, the
+    trace form tr(P Heff (Heff^H Heff + M nu I)^(-2) Heff^H) of the inner
+    precoder: (1, M_n, L) inner beams give the power of their BS.
 
     The sum is one einsum over a fused (draw, BS) axis, the powers repeated
     for every BS: over a separate draw axis, einsum would sum the draws of a

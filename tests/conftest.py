@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, random_clustered_correlation
+from hiermimo.precoder import inner_precoders
 from hiermimo.topology import build_topology
 
 
@@ -14,6 +15,17 @@ def single_cell_set(m, num_users, rank, gains=None, seed0=100):
     }
     return CorrelationSet(1, num_users, mats, {k: 0 for k in range(num_users)},
                           {k: k for k in range(num_users)})
+
+
+def full_inner_precoders(control, channels, nu):
+    """Inner precoders of every BS of ``control`` from (..., K, N, M) channel
+    realizations: RZF on the effective channels h^H F_n, projected from the
+    M-dimensional channels, with regularizer M nu."""
+    return {
+        n: inner_precoders(channels[..., list(users), n, :].conj() @ control.outer[n],
+                           channels.shape[-1], nu)
+        for n, users in control.selected.items()
+    }
 
 
 def diag_corr(m, trace):

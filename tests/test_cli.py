@@ -165,6 +165,22 @@ def test_compare_emits_rows_and_orderings(tmp_path):
     assert float(ffr_row[3]) == 0.0
 
 
+@pytest.mark.parametrize("rhos", [[1.0, 1.0], [0.5, 0.5000001], [0.0, 0.3, 0.0]])
+def test_comp_delays_with_one_scheme_name_exit_two(tmp_path, capsys, rhos):
+    # every delay names its comparison row comp_rho{rho:g}: two delays of one
+    # name would write two rows to comparison.csv and one to summary.json
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(with_field(DESK, "baselines.comp_delay_rhos", rhos)),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "baselines.comp_delay_rhos" in capsys.readouterr().err
+    assert not out.exists()
+    distinct = with_field(DESK, "baselines.comp_delay_rhos", [0.5, 0.500001])
+    config.write_text(json.dumps(distinct), encoding="utf-8")
+    assert load_scenario(config).baselines["comp_delay_rhos"] == [0.5, 0.500001]
+
+
 def test_compare_files_reproducible(tmp_path):
     path = write_config(tmp_path, {"draws": 30})
     out1, out2 = tmp_path / "c1", tmp_path / "c2"

@@ -8,10 +8,12 @@ from hiermimo.corrmat import (
     CorrelationSet,
     build_hotspot_network,
     dump_correlation_set,
+    link_channels,
     load_correlation_set,
     path_gain_log_distance,
     random_clustered_correlation,
     sample_channel,
+    sample_coefficients,
 )
 from hiermimo.errors import ParameterError, ValidationError
 
@@ -109,6 +111,21 @@ def test_sample_channel_count_stacks_consecutive_lone_draws():
         assert np.array_equal(stacked, lone)
         assert np.array_equal(stacked, split)
         assert rng.standard_normal() == lone_rng.standard_normal() == split_rng.standard_normal()
+
+
+def test_sample_channel_is_the_factor_times_the_coefficients():
+    # a draw reads one 1 x R coefficient row per link (R the set's widest
+    # rank); sample_channel multiplies them by the factor, and a count
+    # stacks consecutive lone draws of the coefficients as well
+    mat = random_clustered_correlation(8, 3, 1.0, seed=6)
+    cs = build_hotspot_network(2, 5, 8, 2, seed=3, inter_site_m=300.0)
+    for corr, shape in ((mat, (1, 3)), (cs, (5, 2, 1, 2))):
+        rng, lone_rng, channel_rng = (np.random.default_rng(8) for _ in range(3))
+        w = sample_coefficients(corr, rng, 6)
+        assert w.shape == (6,) + shape
+        assert np.array_equal(w, np.stack([sample_coefficients(corr, lone_rng) for _ in range(6)]))
+        assert np.array_equal(link_channels(corr, w), sample_channel(corr, channel_rng, 6))
+        assert rng.standard_normal() == lone_rng.standard_normal() == channel_rng.standard_normal()
 
 
 def test_sample_covariance_converges():

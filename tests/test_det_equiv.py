@@ -20,11 +20,11 @@ from hiermimo.det_equiv import (
     solve_effective_gains,
 )
 from hiermimo.errors import ConvergenceError, ValidationError
-from hiermimo.precoder import inner_precoders, transmit_power
+from hiermimo.precoder import transmit_power
 from hiermimo.scheduler import assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import single_cell_set
+from conftest import full_inner_precoders, single_cell_set
 
 
 def isotropic_gain_root(m, nu):
@@ -231,7 +231,7 @@ def test_de_power_close_to_monte_carlo():
     power = np.array([control.power[k] for k in control.selected[0]])
     for _ in range(draws):
         channels = sample_channel(cs, rng)
-        beams = control.outer[0] @ inner_precoders(control, channels, nu)[0]
+        beams = control.outer[0] @ full_inner_precoders(control, channels, nu)[0]
         acc += transmit_power(beams[None], power)[0]
     assert abs(acc / draws - de.powers[0]) / de.powers[0] <= 0.10
 

@@ -9,8 +9,10 @@ from hiermimo import harness
 from hiermimo.corrmat import (
     CorrelationSet,
     build_hotspot_network,
+    link_channels,
     random_clustered_correlation,
     sample_channel,
+    sample_coefficients,
 )
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.harness import (
@@ -20,6 +22,7 @@ from hiermimo.harness import (
     monte_carlo_policy,
 )
 from hiermimo.precoder import (
+    CompositeControl,
     cross_interference_power,
     inner_precoders,
     instantaneous_rate,
@@ -30,7 +33,7 @@ from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
 
-from conftest import single_cell_set
+from conftest import full_inner_precoders, single_cell_set
 
 NU, PC = 0.01, 10.0
 
@@ -81,15 +84,16 @@ def test_monte_carlo_reproducible(desk):
 
 def test_monte_carlo_is_chunk_size_invariant(desk):
     # a chunk's normals continue the stream where the previous chunk stopped,
-    # so one draw per chunk, the default chunks and one chunk of every draw
-    # give bit-equal reports
+    # so one draw per chunk, the default chunks, three draws of the proposed
+    # scheme per chunk and one chunk of every draw give bit-equal reports
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
     draws, seed = 100, 33
     every_draw = draws * cs.num_users * cs.num_bs * cs.dim
     assert 1 < harness.CHUNK_ENTRIES * draws // every_draw < draws
     reports = []
-    for chunk_entries in (1, harness.CHUNK_ENTRIES, every_draw):
+    three = 3 * largest_policy_array(policy, cs, graph)
+    for chunk_entries in (1, harness.CHUNK_ENTRIES, three, every_draw):
         with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries):
             reports.append([
                 monte_carlo_policy(policy, cs, graph, NU, draws, seed),
@@ -103,6 +107,49 @@ def test_monte_carlo_is_chunk_size_invariant(desk):
                     assert np.array_equal(value, getattr(b, name), equal_nan=True), name
                 else:
                     assert value == getattr(b, name), name
+
+
+def test_chunks_keep_their_largest_array_within_the_budget(desk):
+    # a chunk holds as many draws as keep the largest array its scheme
+    # builds within CHUNK_ENTRIES: the (D, K, N, 1, R) coefficients and the
+    # effective channels and amplitudes of the selected and blocked rows for
+    # the proposed scheme, the (D, K, N, M) channels for the baselines
+    cs, graph = desk
+    policy = full_selection_policy(cs, graph)
+    largest = largest_policy_array(policy, cs, graph)
+    assert largest < cs.num_users * cs.num_bs * cs.dim
+    seen = []
+
+    def whole(a):  # the array that ``a`` is a view of
+        while a.base is not None and isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    def recorder(name):
+        original = getattr(harness, name)
+
+        def record(*args, **kwargs):
+            seen.extend(whole(a).size for a in args if isinstance(a, np.ndarray))
+            result = original(*args, **kwargs)
+            seen.append(whole(result).size)
+            return result
+
+        return mock.patch.object(harness, name, side_effect=record)
+
+    draws, seed = 20, 3
+    for budget in (largest, 3 * largest, 2 * cs.num_users * cs.num_bs * cs.dim):
+        with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
+                recorder("sample_coefficients"), recorder("inner_precoders"), \
+                recorder("instantaneous_rate"), recorder("cross_interference_power"):
+            seen.clear()
+            monte_carlo_policy(policy, cs, graph, NU, draws, seed)
+            assert max(seen) <= budget
+            assert max(seen) > budget - largest  # no room for one more draw
+            for run in (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
+                        lambda: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=0.5)):
+                seen.clear()
+                run()
+                assert max(seen) <= max(budget, cs.num_users * cs.num_bs * cs.dim)
 
 
 def rank_mixed_set():
@@ -366,7 +413,7 @@ def per_draw_monte_carlo(draw, cs, graph, draws, seed, tag):
     cross_sum = 0.0
     rng = derive_rng(seed, tag, 0)
     for i in range(draws):
-        rate_samples[i], power_samples[i], ratio, cross = draw(sample_channel(cs, rng))
+        rate_samples[i], power_samples[i], ratio, cross = draw(sample_coefficients(cs, rng))
         ratios.append(ratio)
         cross_sum += cross
     return {
@@ -394,31 +441,41 @@ def per_draw_zero_forcing_limit(rows):
     return zero_forcing(rows, harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
 
 
-def per_draw_policy(policy, cs, graph, nu, draws, seed):
-    def evaluate(control, channels):
-        inner = inner_precoders(control, channels, nu)
-        blocks = [((n,), users, control.outer[n] @ inner[n])
-                  for n, users in control.selected.items()]
-        beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs,
-                                              channels.shape[2])
-        power = np.array([control.power[k] for _, users, _ in blocks for k in users])
-        received = cross_interference_power(channels, beams, power)
-        serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-        rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
-        protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
-        for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
-            protected[list(blocked), n] = True
-        per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))
-        signal = np.sum(received, axis=1, where=own)
-        ratio = (per_bs / (signal[:, None] + 1.0))[protected]
-        worst = float(np.max(ratio, initial=0.0))
-        return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
+def rank_r_evaluation(control, cs, graph, nu, w):
+    """Rates, BS powers, worst protected ratio and cross interference of one
+    draw's (K, N, 1, R) coefficients w, in rank-R coordinates: user k's
+    effective channel at BS n is conj(w_kn) F_kn^H F_n, one row per user
+    selected or blocked at n, and a BS spends sum_l p_l ||g_l||^2."""
+    factor = cs.factor()
+    blocked = scheduled_neighbors(graph, control.selected_union)
+    rates, signal = np.zeros(graph.num_users), np.zeros(graph.num_users)
+    powers = np.zeros(graph.num_bs)
+    leaks = []  # (protected user, power leaked onto it) in BS order
+    for n, users in control.selected.items():
+        if not users:
+            continue
+        rows, s = list(users + blocked[n]), len(users)
+        gram = factor[rows, n].conj().swapaxes(-1, -2) @ control.outer[n]
+        effective = (w[rows, n].conj() @ gram)[:, 0]  # (U, 1, R) @ (U, R, M_n)
+        inner = inner_precoders(effective[:s], cs.dim, nu)
+        power = np.array([control.power[k] for k in users])
+        received = power * np.abs(effective @ inner) ** 2
+        own = np.eye(s, dtype=bool)
+        rates[list(users)] = instantaneous_rate(received[:s], own, ~own)
+        signal[list(users)] = np.diagonal(received[:s])
+        powers[n] = transmit_power(inner[None], power)[0]
+        leaks.extend(zip(blocked[n], np.sum(received[s:], axis=-1)))
+    leak = np.array([power for _, power in leaks])
+    ratio = leak / (signal[[k for k, _ in leaks]] + 1.0)
+    return rates, powers, float(np.max(ratio, initial=0.0)), float(np.sum(leak))
 
-    def draw(channels):
+
+def per_draw_policy(policy, cs, graph, nu, draws, seed):
+    def draw(w):
         rates, powers = np.zeros(graph.num_users), np.zeros(graph.num_bs)
         worst = cross = 0.0
         for q, control in zip(policy.probs, policy.controls):
-            r, p, ratio, c = evaluate(control, channels)
+            r, p, ratio, c = rank_r_evaluation(control, cs, graph, nu, w)
             rates += q * r
             powers += q * p
             worst = max(worst, ratio)
@@ -434,7 +491,8 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
 
-    def draw(channels):
+    def draw(w):
+        channels = link_channels(cs, w)
         blocks = []
         for n, users in graph.assoc_users.items():
             if users:
@@ -459,11 +517,11 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
     innovation = derive_rng(seed, COMP_MC, 1)
 
-    def draw(channels):
-        outdated = channels
+    def draw(w):
+        channels = outdated = link_channels(cs, w)
         if delay_rho < 1.0:
-            stale = sample_channel(cs, innovation)
-            outdated = delay_rho * channels + np.sqrt(1.0 - delay_rho**2) * stale
+            stale = sample_coefficients(cs, innovation)
+            outdated = link_channels(cs, delay_rho * w + np.sqrt(1.0 - delay_rho**2) * stale)
         blocks = []
         for bss, users in zip(clusters, members):
             if users:
@@ -486,9 +544,131 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
     return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
 
 
+def largest_policy_array(policy, cs, graph):
+    """Entries of the largest per-draw array of the proposed scheme: the
+    (K, N, 1, R) coefficients, or at a BS n with a selection S_n and blocked
+    users B_n the |S_n + B_n| rows of R coefficients, M_n effective-channel
+    entries or |S_n| amplitudes (its M_n x |S_n| beams and |S_n| x |S_n|
+    Gram matrix are smaller)."""
+    width = cs.factor().shape[-1]
+    largest = cs.num_users * cs.num_bs * width
+    for control in policy.controls:
+        blocked = scheduled_neighbors(graph, control.selected_union)
+        for n, users in control.selected.items():
+            if users:
+                largest = max(largest, (len(users) + len(blocked[n]))
+                              * max(width, control.outer[n].shape[1], len(users)))
+    return largest
+
+
+def m_dimensional_evaluation(control, graph, nu, channels):
+    """The same quantities from one draw's (K, N, M) channels: RZF on
+    h^H F_n, the full (N, M, L) beams F_n g, ``cross_interference_power``
+    and ``transmit_power``."""
+    inner = full_inner_precoders(control, channels, nu)
+    blocks = [((n,), users, control.outer[n] @ inner[n]) for n, users in control.selected.items()]
+    beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs,
+                                          channels.shape[-1])
+    power = np.array([control.power[k] for _, users, _ in blocks for k in users])
+    received = cross_interference_power(channels, beams, power)
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
+    protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
+    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
+        protected[list(blocked), n] = True
+    per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))
+    signal = np.sum(received, axis=1, where=own)
+    worst = float(np.max((per_bs / (signal[:, None] + 1.0))[protected], initial=0.0))
+    return rates, transmit_power(beams, power), worst, float(np.sum(per_bs[protected]))
+
+
+@st.composite
+def rank_r_cases(draw):
+    """A random small network with links of rank 0 to 3 (rank 0 has no gain)
+    and a policy of one or two controls, each selecting a random user set
+    that may leave a BS without a selection, with water-filled powers."""
+    num_bs = draw(st.integers(1, 3))
+    num_users = draw(st.integers(1, 6))
+    m = draw(st.sampled_from([4, 8]))
+    seed = draw(st.integers(0, 2**16))
+    mats = {}
+    for k in range(num_users):
+        for n in range(num_bs):
+            rank = draw(st.integers(0, 3))
+            gain = 10.0 ** draw(st.floats(-3.0, 0.0)) if rank else 0.0
+            mats[(k, n)] = random_clustered_correlation(m, max(rank, 1), gain,
+                                                        seed=seed + num_bs * k + n)
+    serving = {k: draw(st.integers(0, num_bs - 1)) for k in range(num_users)}
+    cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
+    graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
+    controls = []
+    for _ in range(draw(st.integers(1, 2))):
+        selected = tuple(k for k in range(num_users) if draw(st.booleans()))
+        weights = np.array([draw(st.floats(0.1, 1.0)) for _ in range(num_users)])
+        powers = weighted_sum_rate(selected, weights, cs, graph, NU, PC).powers
+        controls.append(assemble_control(selected, cs, graph, powers))
+    probs = np.full(len(controls), 1.0 / len(controls))
+    return cs, graph, ControlPolicy(controls=controls, probs=probs), seed
+
+
+def assert_agrees(value, reference, rtol=1e-10):
+    """Agreement to ``rtol`` relative; entries that are round-off (a user
+    whose effective channel is annihilated) to 1e-12 of the largest one."""
+    scale = float(np.max(np.abs(reference), initial=0.0))
+    np.testing.assert_allclose(value, reference, rtol=rtol, atol=1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_r_cases())
+def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
+    cs, graph, policy, seed = case
+    draws, nu = 3, NU
+    coefficients = sample_coefficients(cs, np.random.default_rng(seed), draws)
+    channels = sample_channel(cs, np.random.default_rng(seed), draws)
+    mixed_rates = np.zeros((draws, graph.num_users))
+    mixed_powers = np.zeros((draws, graph.num_bs))
+    rng = np.random.default_rng(seed)
+    for q, control in zip(policy.probs, policy.controls):
+        evaluate, _ = harness._control_evaluator(control, cs, graph, nu)
+        rates, powers, worst, _ = evaluate(coefficients)
+        for d in range(draws):
+            ref_rates, ref_powers, ref_worst, _ = m_dimensional_evaluation(control, graph, nu,
+                                                                           channels[d])
+            assert_agrees(rates[d], ref_rates)
+            assert_agrees(powers[d], ref_powers)
+            assert worst[d] <= 1e-16 and ref_worst <= 1e-16
+            mixed_rates[d] += q * ref_rates
+            mixed_powers[d] += q * ref_powers
+        # random semi-unitary outer precoders null nobody, so the blocked
+        # users' rows carry real power: the leaks must agree as well
+        leaky = CompositeControl(outer={}, selected=control.selected, power=control.power)
+        for n in range(graph.num_bs):
+            width = int(rng.integers(0, cs.dim + 1))
+            raw = rng.standard_normal((cs.dim, width)) + 1j * rng.standard_normal((cs.dim, width))
+            leaky.outer[n] = np.linalg.qr(raw)[0]
+        evaluate, _ = harness._control_evaluator(leaky, cs, graph, nu)
+        for d, got in enumerate(zip(*evaluate(coefficients))):
+            for value, reference in zip(got, m_dimensional_evaluation(leaky, graph, nu,
+                                                                      channels[d])):
+                assert_agrees(value, reference)
+    # the whole policy: the report reads the same channels from (seed, POLICY_MC, 0)
+    report = monte_carlo_policy(policy, cs, graph, nu, draws, seed)
+    stream = sample_channel(cs, derive_rng(seed, POLICY_MC, 0), draws)
+    reference_rates = np.zeros(graph.num_users)
+    reference_powers = np.zeros(graph.num_bs)
+    for q, control in zip(policy.probs, policy.controls):
+        for d in range(draws):
+            ref_rates, ref_powers, _, _ = m_dimensional_evaluation(control, graph, nu, stream[d])
+            reference_rates += q * ref_rates / draws
+            reference_powers += q * ref_powers / draws
+    assert_agrees(report.user_rate_mean, reference_rates)
+    assert_agrees(report.bs_power_mean, reference_powers)
+    assert report.max_interference_ratio <= 1e-16
+
+
 @st.composite
 def chunked_cases(draw):
-    """A random small network, the draws per chunk c it is run with (set
+    """A random small network, the draws per chunk c of the baselines (set
     through CHUNK_ENTRIES, which K N M c plus less than K N M gives) and a
     draw count around the chunk boundaries."""
     num_bs = draw(st.sampled_from([2, 4]))
@@ -528,37 +708,38 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
         for sel in (full, half)
     ]
     policy = ControlPolicy(controls=controls, probs=np.array([0.7, 0.3]))
-    sample = harness.sample_channel
+    proposed_chunk = max(1, chunk_entries // largest_policy_array(policy, cs, graph))
+    sample = harness.sample_coefficients
     sampled = []
 
     def record(corr_set, rng, count):
         sampled.append(sample(corr_set, rng, count))
         return sampled[-1]
 
-    chunks = -(-draws // per_chunk)
-    with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries), \
-            mock.patch.object(harness, "sample_channel", side_effect=record):
-        runs = [
-            (monte_carlo_policy(policy, cs, graph, NU, draws, seed),
-             per_draw_policy(policy, cs, graph, NU, draws, seed), POLICY_MC, 1),
-            (ffr_baseline(cs, graph, PC, 2, draws, seed),
-             per_draw_ffr(cs, graph, PC, 2, draws, seed), FFR_MC, 1),
-        ]
-        for rho in (1.0, 0.5, 0.0):
-            runs.append((comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho),
-                         per_draw_comp(cs, graph, PC, 2, draws, seed, rho), COMP_MC,
-                         1 if rho == 1.0 else 2))
-    for report, reference, tag, blocks in runs:
-        assert_same_report(report, reference)
+    runs = [
+        (lambda: monte_carlo_policy(policy, cs, graph, NU, draws, seed),
+         per_draw_policy(policy, cs, graph, NU, draws, seed), POLICY_MC, 1, proposed_chunk),
+        (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
+         per_draw_ffr(cs, graph, PC, 2, draws, seed), FFR_MC, 1, per_chunk),
+    ]
+    for rho in (1.0, 0.5, 0.0):
+        runs.append((lambda rho=rho: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho),
+                     per_draw_comp(cs, graph, PC, 2, draws, seed, rho), COMP_MC,
+                     1 if rho == 1.0 else 2, per_chunk))
+    for run, reference, tag, blocks, size in runs:
+        sampled.clear()
+        with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries), \
+                mock.patch.object(harness, "sample_coefficients", side_effect=record):
+            assert_same_report(run(), reference)
         # one sampling call per chunk (two with CoMP's AR(1) innovation): the
-        # channels read the stream (seed, tag, 0) in draw order, the
+        # coefficients read the stream (seed, tag, 0) in draw order, the
         # innovation (seed, COMP_MC, 1) as every chunk's second block
-        calls, sampled = sampled[: chunks * blocks], sampled[chunks * blocks :]
-        assert all(c.shape[0] <= per_chunk for c in calls)
+        assert len(sampled) == -(-draws // size) * blocks
+        assert all(c.shape[0] == min(size, draws - i * size)
+                   for i, c in enumerate(sampled[::blocks]))
         for block in range(blocks):
             rng = derive_rng(seed, tag, block)
-            stacked = np.concatenate(calls[block::blocks])
+            stacked = np.concatenate(sampled[block::blocks])
             assert stacked.shape[0] == draws
             for i in range(draws):
-                assert np.array_equal(stacked[i], sample_channel(cs, rng))
-    assert not sampled
+                assert np.array_equal(stacked[i], sample_coefficients(cs, rng))

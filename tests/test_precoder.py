@@ -17,7 +17,7 @@ from hiermimo.precoder import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import single_cell_set
+from conftest import full_inner_precoders, single_cell_set
 
 
 def projector(basis):
@@ -277,7 +277,7 @@ def layout(control, inner, num_users):
 def proposed_rates(control, channels, nu, inner=None):
     """Per-user rates with the serving BS's other beams as interference."""
     if inner is None:
-        inner = inner_precoders(control, channels, nu)
+        inner = full_inner_precoders(control, channels, nu)
     beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
     received = cross_interference_power(channels, beams, power)
     same_bs = own @ (beam_bs[:, None] == beam_bs)
@@ -286,7 +286,7 @@ def proposed_rates(control, channels, nu, inner=None):
 
 def bs_powers(control, channels, nu, inner=None):
     if inner is None:
-        inner = inner_precoders(control, channels, nu)
+        inner = full_inner_precoders(control, channels, nu)
     beams, power, _, _ = layout(control, inner, channels.shape[0])
     return transmit_power(beams, power)
 
@@ -294,6 +294,20 @@ def bs_powers(control, channels, nu, inner=None):
 def rand_channels(rng, num_users, m):
     """(K, 1, M) realization for a one-BS network."""
     return np.stack([rand_channel(rng, m) for _ in range(num_users)])[:, None, :]
+
+
+def test_inner_precoders_regularize_with_the_full_antenna_count():
+    # a lone user's RZF beam on its effective channel e = h^H F_n (M_n
+    # entries) is e^H / (||e||^2 + M nu), with the full M, not M_n
+    rng = np.random.default_rng(12)
+    m, m_n, nu = 16, 3, 0.05
+    e = rand_channel(rng, m_n)[None, :]
+    g = inner_precoders(e, m, nu)
+    assert g.shape == (m_n, 1)
+    np.testing.assert_allclose(g[:, 0], e[0].conj() / (np.vdot(e, e).real + m * nu),
+                               rtol=1e-12, atol=0)
+    stacked = np.stack([e, 2.0 * e])
+    assert np.array_equal(inner_precoders(stacked, m, nu)[0], g)
 
 
 def test_rate_zero_for_unselected_user():
@@ -320,7 +334,7 @@ def test_rate_matches_scalar_formula_oracle():
     cs = single_cell_set(m, 2, 3, seed0=20)
     control = _simple_control(cs, (0, 1), (), {0: 2.0, 1: 1.5})
     channels = rand_channels(rng, 2, m)
-    inner = inner_precoders(control, channels, nu)
+    inner = full_inner_precoders(control, channels, nu)
     beams = control.outer[0] @ inner[0]
     rates = proposed_rates(control, channels, nu, inner=inner)
     for idx, k in enumerate((0, 1)):
@@ -351,7 +365,7 @@ def test_transmit_power_identities():
     cs = single_cell_set(m, 3, 4, seed0=40)
     control = _simple_control(cs, (0, 1, 2), (), {0: 1.0, 1: 2.0, 2: 0.5})
     channels = rand_channels(rng, 3, m)
-    inner = inner_precoders(control, channels, nu)
+    inner = full_inner_precoders(control, channels, nu)
     got = bs_powers(control, channels, nu, inner=inner)[0]
     # alternative form: sum of per-user inner-precoder powers, the outer
     # basis being semi-unitary
@@ -399,7 +413,7 @@ def test_zero_ici_end_to_end(desk):
     assert any(graph.neighbor_users[n] for n in range(2)), "need cross edges"
     for i in range(50):
         channels = sample_channel(cs, np.random.default_rng(500 + i))
-        inner = inner_precoders(control, channels, nu)
+        inner = full_inner_precoders(control, channels, nu)
         beams, power, own, beam_bs = layout(control, inner, 6)
         received = cross_interference_power(channels, beams, power)
         for n in range(2):
@@ -491,7 +505,7 @@ def realizations(draw):
 @given(realizations())
 def test_one_evaluation_matches_the_per_user_loop(case):
     control, channels, nu = case
-    inner = inner_precoders(control, channels, nu)
+    inner = full_inner_precoders(control, channels, nu)
     ref_rates, ref_powers, ref_leak = reference_realization(control, channels, inner)
     beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
     received = cross_interference_power(channels, beams, power)
