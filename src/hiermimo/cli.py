@@ -22,7 +22,7 @@ import numpy as np
 from .corrmat import MIN_DIST_M, build_hotspot_network, load_correlation_set
 from .det_equiv import GainCache
 from .errors import ConfigError
-from .harness import comp_baseline, ffr_baseline, monte_carlo_policy
+from .harness import comp_baseline, comp_clusters, ffr_baseline, ffr_cells, monte_carlo_policy
 from .precoder import CompositeControl
 from .scheduler import (
     ENUMERATION_GUARD,
@@ -511,6 +511,11 @@ def _pipeline(config_path, out_dir, overrides, baselines):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corr_set, graph = build_network(scn)
+    if baselines:
+        # a cell or cluster with more users than antennas fails the baseline
+        # it enters: fail before the optimizer and the proposed scheme run
+        ffr_cells(graph, corr_set.dim)
+        comp_clusters(graph, corr_set.dim, scn.baselines["comp_cluster_size"])
     util = build_utility(scn)
     cache = GainCache(corr_set, graph, scn.rzf_nu)
     result = optimize_policy(

@@ -9,9 +9,11 @@ chunks of a fixed memory budget, each with one sampling call and one stacked
 evaluation; a chunk's normals continue the stream where the previous chunk
 stopped, so results do not depend on the chunk size. A draw is 2 K N R
 normals, one rank-R coefficient vector w per link
-(``corrmat.sample_coefficients``). The baselines take its channels h = F w;
-the proposed scheme never forms them: its inner precoders see only the
-effective channels h^H F_n = conj(w) F^H F_n.
+(``corrmat.sample_coefficients``), and no scheme forms the M-dimensional
+channels h = F w: the inner precoders of the proposed scheme see only the
+effective channels h^H F_n = conj(w) F^H F_n, and each FFR cell or CoMP
+cluster zero-forces its users' rows h^H Q_n = conj(w) F^H Q_n in a basis
+Q_n of their factors at each of its BSs.
 """
 
 import logging
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import link_channels, sample_channel, sample_coefficients
+from .corrmat import sample_channel, sample_coefficients
 from .det_equiv import GainCache, de_rate_power
 from .errors import ParameterError, ValidationError
-from .precoder import (
+from .precoder import (  # noqa: F401 (cross_interference_power: see draw_channels)
     cross_interference_power,
     inner_precoders,
     instantaneous_rate,
@@ -65,38 +67,24 @@ def _stderr(samples):
 
 def draw_channels(corr_set, rng, count=None):
     """Realizations of every link channel: one (K, N, M) array, or the next
-    ``count`` draws of ``rng`` as one (count, K, N, M) array. These are the
-    channels of the coefficients that a Monte Carlo chunk reads from the
-    same generator."""
+    ``count`` draws of ``rng`` as one (count, K, N, M) array. No scheme draws
+    them; this name, ``sample_channel`` and ``cross_interference_power``
+    stay in this module as patch points of the benchmark's tracer
+    (perfbench/spans.py)."""
     return sample_channel(corr_set, rng, count)
 
 
-def _beam_owners(groups, num_users):
-    """The K x L mask of each user's own beam and the first BS of every beam,
-    for beams laid out group by group: each group is (bss, users), one beam
-    per user over the stacked antennas of the BSs ``bss``."""
-    beam_user = np.array([k for _, users in groups for k in users], dtype=int)
-    beam_bs = np.array([bss[0] for bss, users in groups for _ in users], dtype=int)
-    return np.arange(num_users)[:, None] == beam_user, beam_bs
-
-
-def _layout(groups, group_beams, channels):
-    """Beams of ``groups`` (see ``_beam_owners``) as one (..., N, M, L) array
-    for (..., K, N, M) ``channels``. The beams of a group are (..., |bss| M,
-    |users|), one column per user over the stacked antennas of its BSs; the
-    rows of every other BS stay zero."""
-    *lead, _, num_bs, m = channels.shape
-    beams = np.zeros((*lead, num_bs, m, sum(len(users) for _, users in groups)), dtype=complex)
-    start = 0
-    for (bss, users), v in zip(groups, group_beams):
-        stop = start + len(users)
-        beams[..., list(bss), :, start:stop] = v.reshape(*lead, len(bss), m, len(users))
-        start = stop
-    return beams
+def _effective_rows(coefficients, bss, rows, gram):
+    """The (D, U, W) effective channel rows of ``rows`` at the consecutive
+    BSs ``bss``, for the (D, K, N, 1, R) coefficients of D draws: row j's
+    coefficients at ``bss`` side by side, conjugated, times its map
+    ``gram[j]`` (|bss| R x W), one product per draw and row."""
+    picked = coefficients[:, rows, bss[0] : bss[-1] + 1]
+    return (picked.reshape(len(coefficients), len(rows), 1, -1).conj() @ gram)[..., 0, :]
 
 
 def _control_evaluator(control, corr_set, graph, nu):
-    """Evaluation of ``control`` on (..., K, N, 1, R) channel coefficients
+    """Evaluation of ``control`` on (D, K, N, 1, R) channel coefficients
     (``sample_coefficients``), and the entries of the largest array it builds
     per draw. It maps a chunk to the rates, BS powers, worst
     interference-to-signal ratio and total power leaked onto protected users
@@ -133,12 +121,13 @@ def _control_evaluator(control, corr_set, graph, nu):
         powers = np.zeros((*lead, graph.num_bs))
         leak = np.zeros((*lead, len(protected)))
         for n, users, rows, gram, power, own, leaked in blocks:
-            effective = (coefficients[..., rows, n, :, :].conj() @ gram)[..., 0, :]
+            effective = _effective_rows(coefficients, (n,), rows, gram)
             inner = inner_precoders(effective[..., : len(users), :], m, nu)
             received = power * np.abs(effective @ inner) ** 2  # (..., U, S)
             served = received[..., : len(users), :]
-            rates[..., users] = instantaneous_rate(served, own, ~own)
             signal[..., users] = np.diagonal(served, axis1=-2, axis2=-1)
+            rates[..., users] = instantaneous_rate(signal[..., users],
+                                                   np.sum(served, axis=-1, where=~own))
             powers[..., n] = transmit_power(inner[..., None, :, :], power)[..., 0]
             leak[..., leaked] = np.sum(received[..., len(users) :, :], axis=-1)
         ratio = leak / (signal[..., protected] + 1.0)
@@ -157,13 +146,15 @@ CHUNK_ENTRIES = 2**13
 def _monte_carlo(draw, entries, corr_set, graph, draws, seed, tag):
     """Report of ``draws`` realizations of one scheme, read in order from the
     stream (seed, tag, 0). Their coefficients go to ``draw`` as (D, K, N, 1,
-    R) ``sample_coefficients`` rows, D at most CHUNK_ENTRIES // ``entries``
-    (the scheme's largest array per draw); it maps them to the (D, K) user
-    rates, (D, N) BS powers, (D,) worst interference ratios (None if
-    untracked) and (D,) cross interference of those draws."""
+    R) ``sample_coefficients`` rows, D at most CHUNK_ENTRIES // (K N R or
+    ``entries``, the largest other array the scheme builds per draw, if
+    larger); it maps them to the (D, K) user rates, (D, N) BS powers, (D,)
+    worst interference ratios (None if untracked) and (D,) cross
+    interference of those draws."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    size = max(1, CHUNK_ENTRIES // entries)
+    coefficients = graph.num_users * graph.num_bs * corr_set.factor().shape[-1]
+    size = max(1, CHUNK_ENTRIES // max(coefficients, entries, 1))
     rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
@@ -197,9 +188,7 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
     """
     probs = np.asarray(policy.probs, dtype=float)
     evaluators = [_control_evaluator(control, corr_set, graph, nu) for control in policy.controls]
-    # the chunk's (D, K, N, 1, R) coefficients, or a control's largest array
-    entries = max(graph.num_users * graph.num_bs * corr_set.factor().shape[-1], 1,
-                  *(size for _, size in evaluators))
+    entries = max((size for _, size in evaluators), default=0)
 
     def draw(coefficients):
         rates = np.zeros((len(coefficients), graph.num_users))
@@ -231,7 +220,7 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
 
 
 # ---------------------------------------------------------------------------
-# baseline 1: per-cell zero forcing under fractional frequency reuse
+# the baselines: zero forcing per cell or cluster in rank-R coordinates
 # ---------------------------------------------------------------------------
 
 ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
@@ -247,6 +236,53 @@ def _zero_forcing_limit(rows):
     traces = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
     return zero_forcing(rows, ZF_NU * traces / rows.shape[-2])
 
+
+def _effective_map(factor, bss, users, rows):
+    """The channel rows of a cell or cluster, serving ``users`` from the
+    consecutive BSs ``bss``, as a map of the coefficients: the (U, |bss| R,
+    |bss| q) block-diagonal array whose block of BS n holds F_jn^H Q_n for
+    each of the U ``rows`` j, so that j's coefficients at ``bss`` side by
+    side, conjugated, times it give its rows h_jn^H Q_n side by side.
+
+    Q_n (M x q, q = min(M, |users| R)) is the thin QR basis of the served
+    users' factors [F_kn] at BS n, taken without a rank threshold: it spans
+    every served channel (and every outdated one), so zero-forcing these
+    rows E = H Q gives the beams Q y of zero-forcing H, with tr(E E^H) =
+    tr(H H^H), ||Q y|| = ||y|| and h^H Q y = e y for any row."""
+    m, width = factor.shape[-2:]
+    q = min(m, len(users) * width)
+    gram = np.zeros((len(rows), len(bss) * width, len(bss) * q), dtype=complex)
+    for i, n in enumerate(bss):
+        basis = np.linalg.qr(factor[users, n].transpose(1, 0, 2).reshape(m, -1))[0]
+        block = factor[rows, n].conj().swapaxes(-1, -2) @ basis
+        gram[:, i * width : (i + 1) * width, i * q : (i + 1) * q] = block
+    return gram
+
+
+def _add_received(received, users, others, signal, interference):
+    """Adds the (D, U, |S|) powers that a cell's or cluster's beams deliver,
+    one column per served user and rows ``users`` then ``others``, to the
+    (D, K) ``signal`` of its users and ``interference`` of every row;
+    returns the (D,) power that ``others`` receive."""
+    served = received[:, : len(users)]
+    leaked = np.sum(received[:, len(users) :], axis=-1)
+    own = np.eye(len(users), dtype=bool)
+    signal[:, users] = np.diagonal(served, axis1=-2, axis2=-1)
+    interference[:, users] += np.sum(served, axis=-1, where=~own)
+    interference[:, others] += leaked
+    return np.sum(leaked, axis=-1)
+
+
+def _group_entries(groups):
+    """The largest array that a baseline builds per draw and group (bss,
+    users, others, map): its rows times the wider of its basis and |S|."""
+    return max(((len(users) + len(others)) * max(gram.shape[-1], len(users))
+                for _, users, others, gram in groups), default=0)
+
+
+# ---------------------------------------------------------------------------
+# baseline 1: per-cell zero forcing under fractional frequency reuse
+# ---------------------------------------------------------------------------
 
 def _bs_partition(graph, reuse_partitions):
     """Fixed greedy coloring of the BS adjacency induced by shared users,
@@ -270,6 +306,18 @@ def _bs_partition(graph, reuse_partitions):
     return np.array([color[n] % reuse_partitions for n in range(graph.num_bs)])
 
 
+def ffr_cells(graph, m):
+    """The users of every cell, one list per BS; a ValidationError names a
+    cell that serves more users than its ``m`` antennas can zero-force."""
+    cells = [list(graph.assoc_users[n]) for n in range(graph.num_bs)]
+    for n, users in enumerate(cells):
+        if len(users) > m:
+            raise ValidationError(
+                f"ffr_baseline: cell {n} serves {len(users)} users with {m} antennas"
+            )
+    return cells
+
+
 def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     """Per-cell ZF with the band split across reuse partitions.
 
@@ -279,42 +327,59 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     """
     if reuse_partitions < 1:
         raise ParameterError("reuse_partitions must be at least 1")
-    m = corr_set.dim
-    for n in range(graph.num_bs):
-        if len(graph.assoc_users[n]) > m:
-            raise ValidationError(
-                f"ffr_baseline: cell {n} serves {len(graph.assoc_users[n])} users with {m} antennas"
-            )
     partition = _bs_partition(graph, reuse_partitions)
-    load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
-    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    groups = [((n,), users) for n, users in graph.assoc_users.items() if users]
-    own, beam_bs = _beam_owners(groups, graph.num_users)
-    power = p_c / load[beam_bs]
-    # the user's own cell and the other cells of its partition share its band
-    band = partition[serving][:, None] == partition[beam_bs]
-    interferers = band & ~own
-    other_cell = band & (serving[:, None] != beam_bs)
+    band = partition[[graph.serving[k] for k in range(graph.num_users)]]
+    groups = []
+    for n, users in enumerate(ffr_cells(graph, corr_set.dim)):
+        if users:
+            # the users of the other cells of n's partition share its band
+            others = [k for k in range(graph.num_users)
+                      if band[k] == partition[n] and graph.serving[k] != n]
+            groups.append(((n,), users, others,
+                           _effective_map(corr_set.factor(), (n,), users, users + others)))
 
     def draw(coefficients):
-        channels = link_channels(corr_set, coefficients)
-        unit_beams = []
-        for (n,), users in groups:
-            g = _zero_forcing_limit(channels[:, list(users), n].conj())
-            unit_beams.append(g / np.linalg.norm(g, axis=-2, keepdims=True))
-        beams = _layout(groups, unit_beams, channels)
-        received = cross_interference_power(channels, beams, power)
-        rates = instantaneous_rate(received, own, interferers) / reuse_partitions
-        cross = np.sum(received, axis=(-2, -1), where=other_cell)
-        return rates, transmit_power(beams, power), None, cross
+        signal, interference = np.zeros((2, len(coefficients), graph.num_users))
+        powers = np.zeros((len(coefficients), graph.num_bs))
+        cross = np.zeros(len(coefficients))
+        for (n,), users, others, gram in groups:
+            rows = _effective_rows(coefficients, (n,), users + others, gram)
+            g = _zero_forcing_limit(rows[:, : len(users)])
+            beams = g / np.linalg.norm(g, axis=-2, keepdims=True)
+            power = np.full(len(users), p_c / len(users))
+            cross += _add_received(power * np.abs(rows @ beams) ** 2, users, others,
+                                   signal, interference)
+            powers[:, n] = transmit_power(beams[:, None], power)[:, 0]
+        return instantaneous_rate(signal, interference) / reuse_partitions, powers, None, cross
 
-    entries = graph.num_users * graph.num_bs * m  # the channels; beams and powers are smaller
-    return _monte_carlo(draw, entries, corr_set, graph, draws, seed, FFR_MC)
+    return _monte_carlo(draw, _group_entries(groups), corr_set, graph, draws, seed, FFR_MC)
 
 
 # ---------------------------------------------------------------------------
 # baseline 2: clustered cooperative zero forcing with CSI delay
 # ---------------------------------------------------------------------------
+
+def comp_clusters(graph, m, cluster_size):
+    """The users of every cluster of ``cluster_size`` consecutive BSs, one
+    list per cluster; a ValidationError names a ``cluster_size`` that does
+    not divide the BSs or a cluster that serves more users than its
+    antennas can zero-force."""
+    if graph.num_bs % cluster_size != 0:
+        raise ValidationError(
+            f"comp_baseline: cluster_size {cluster_size} does not divide {graph.num_bs} BSs"
+        )
+    clusters = [
+        [k for n in range(c * cluster_size, (c + 1) * cluster_size) for k in graph.assoc_users[n]]
+        for c in range(graph.num_bs // cluster_size)
+    ]
+    for c, users in enumerate(clusters):
+        if len(users) > cluster_size * m:
+            raise ValidationError(
+                f"comp_baseline: cluster {c} serves {len(users)} users "
+                f"with {cluster_size * m} antennas"
+            )
+    return clusters
+
 
 def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0):
     """Cooperative ZF across fixed clusters of consecutive BSs.
@@ -327,56 +392,50 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
     """
     if cluster_size < 1:
         raise ParameterError("cluster_size must be at least 1")
-    if graph.num_bs % cluster_size != 0:
-        raise ValidationError(
-            f"comp_baseline: cluster_size {cluster_size} does not divide {graph.num_bs} BSs"
-        )
     if not (0.0 <= delay_rho <= 1.0):
         raise ParameterError("delay_rho must lie in [0, 1]")
-    m = corr_set.dim
-    clusters = [
-        tuple(range(c * cluster_size, (c + 1) * cluster_size))
-        for c in range(graph.num_bs // cluster_size)
-    ]
-    members = [[k for n in bss for k in graph.assoc_users[n]] for bss in clusters]
-    for c, users in enumerate(members):
-        if len(users) > cluster_size * m:
-            raise ValidationError(
-                f"comp_baseline: cluster {c} serves {len(users)} users "
-                f"with {cluster_size * m} antennas"
-            )
-    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    groups = [(bss, users) for bss, users in zip(clusters, members) if users]
-    own, beam_bs = _beam_owners(groups, graph.num_users)
-    beam_cluster = beam_bs // cluster_size
-    other_cluster = (serving // cluster_size)[:, None] != beam_cluster
+    groups = []
+    for c, users in enumerate(comp_clusters(graph, corr_set.dim, cluster_size)):
+        if users:
+            bss = tuple(range(c * cluster_size, (c + 1) * cluster_size))
+            others = sorted(set(range(graph.num_users)) - set(users))
+            groups.append((bss, users, others,
+                           _effective_map(corr_set.factor(), bss, users, users + others)))
     # the AR(1) innovation has a stream of its own, so every delay_rho sees
     # the same true channels and delay_rho = 1 never reads it
     innovation = derive_rng(seed, COMP_MC, 1)
 
     def draw(coefficients):
-        channels = outdated = link_channels(corr_set, coefficients)
+        lead = len(coefficients)
+        outdated = coefficients
         if delay_rho < 1.0:
-            stale = sample_coefficients(corr_set, innovation, len(coefficients))
-            mixed = delay_rho * coefficients + np.sqrt(1.0 - delay_rho**2) * stale
-            outdated = link_channels(corr_set, mixed)
-        # each cluster zero-forces its users' outdated channels, stacked over its BSs
-        cluster_beams = []
-        for bss, users in groups:
-            rows = outdated[:, users, bss[0] : bss[-1] + 1].reshape(len(channels), len(users), -1)
-            cluster_beams.append(_zero_forcing_limit(rows.conj()))
-        beams = _layout(groups, cluster_beams, channels)
-        # one power per cluster, scaled so that its most loaded BS spends p_c;
-        # a BS only carries its cluster's beams, so its power is its unit load
-        # times that cluster's power (0 for a cluster without users)
-        unit_load = transmit_power(beams, np.ones(beam_bs.size))
-        most_loaded = np.max(unit_load.reshape(len(channels), -1, cluster_size), axis=-1)
+            stale = sample_coefficients(corr_set, innovation, lead)
+            outdated = delay_rho * coefficients + np.sqrt(1.0 - delay_rho**2) * stale
+        # each cluster zero-forces its users' outdated rows; a BS only
+        # carries its cluster's beams, so its unit load is the squared norm
+        # of its block of them (made contiguous: transmit_power would sum a
+        # lone draw's strided blocks in another order than a stack's copy)
+        unit_load = np.zeros((lead, graph.num_bs))
+        evaluated = []
+        for bss, users, others, gram in groups:
+            rows = _effective_rows(coefficients, bss, users + others, gram)
+            served = rows if outdated is coefficients else _effective_rows(
+                outdated, bss, users, gram[: len(users)])
+            beams = _zero_forcing_limit(served[:, : len(users)])
+            blocks = np.ascontiguousarray(beams).reshape(lead, len(bss), -1, len(users))
+            unit_load[:, bss[0] : bss[-1] + 1] = transmit_power(blocks, np.ones(len(users)))
+            evaluated.append((rows, beams))
+        # one power per cluster, scaled so that its most loaded BS spends p_c
+        # (0 for a cluster without users)
+        most_loaded = np.max(unit_load.reshape(lead, -1, cluster_size), axis=-1)
         scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
-        power = scale[:, beam_cluster]
-        received = cross_interference_power(channels, beams, power)
-        cross = np.sum(received, axis=(-2, -1), where=other_cluster)
+        signal, interference = np.zeros((2, lead, graph.num_users))
+        cross = np.zeros(lead)
+        for (bss, users, others, _), (rows, beams) in zip(groups, evaluated):
+            power = scale[:, bss[0] // cluster_size, None, None]
+            cross += _add_received(power * np.abs(rows @ beams) ** 2, users, others,
+                                   signal, interference)
         bs_power = unit_load * np.repeat(scale, cluster_size, axis=-1)
-        return instantaneous_rate(received, own, ~own), bs_power, None, cross
+        return instantaneous_rate(signal, interference), bs_power, None, cross
 
-    entries = graph.num_users * graph.num_bs * m  # the channels; beams and powers are smaller
-    return _monte_carlo(draw, entries, corr_set, graph, draws, seed, COMP_MC)
+    return _monte_carlo(draw, _group_entries(groups), corr_set, graph, draws, seed, COMP_MC)

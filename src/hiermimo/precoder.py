@@ -170,23 +170,18 @@ def inner_precoders(effective, m, nu):
     return zero_forcing(effective, m * nu)
 
 
-# The baselines evaluate a realization on beams laid out as an (N, M, L)
-# array: beam l holds its per-antenna weights at the BSs it uses and zero
-# rows elsewhere, so a cooperative beam adds its BSs coherently. The
-# proposed scheme needs no such layout: its rates and powers come from one
-# BS's received-power matrix and inner beams at a time. Every function below
-# also takes a leading draw axis on all of its arrays: (D, K, N, M)
-# channels, (D, N, M, L) beams and (D, L) powers.
-
-
 def cross_interference_power(channels, beams, power):
     """K x L matrix of the power p_l |h_k^H b_l|^2 that user k receives from
-    beam l, for (K, N, M) channels, (N, M, L) beams and L beam powers.
+    beam l, for (K, N, M) channels, (N, M, L) beams and L beam powers, each
+    with an optional leading draw axis. Beam l holds its per-antenna weights
+    at the BSs it uses and zero rows elsewhere, so a cooperative beam adds
+    its BSs coherently.
 
-    The amplitudes are the einsum knm,nml->kl, taken as one matrix product
-    over the stacked (BS, antenna) index: numpy's unoptimized einsum loop is
-    over ten times slower at K=24, N=4, M=128. |h^H b| = |h^T conj(b)|, so
-    the beams are conjugated rather than the (larger) channels.
+    This is the M-dimensional evaluation of a realization; every scheme
+    evaluates its draws in rank-R coordinates instead, and the tests hold
+    them to this one. The amplitudes are one matrix product over the
+    stacked (BS, antenna) index; |h^H b| = |h^T conj(b)|, so the beams are
+    conjugated rather than the (larger) channels.
     """
     *lead, num_users, num_bs, m = channels.shape
     flat_beams = beams.conj().reshape(*lead, num_bs * m, beams.shape[-1])
@@ -194,13 +189,10 @@ def cross_interference_power(channels, beams, power):
     return np.asarray(power)[..., None, :] * np.abs(amplitude) ** 2
 
 
-def instantaneous_rate(received, own, interferers):
-    """log(1 + SINR) per user from the K x L ``received`` powers: the signal
-    sums the beams marked in the K x L mask ``own`` (none for a user that is
-    not served, whose rate is 0), the denominator the beams marked in
-    ``interferers`` plus unit noise."""
-    signal = np.sum(received, axis=-1, where=own)
-    interference = np.sum(received, axis=-1, where=interferers)
+def instantaneous_rate(signal, interference):
+    """log(1 + SINR) per user from the power of its own beam, ``signal`` (0
+    for a user that is not served, whose rate is 0), and the power of the
+    beams that interfere with it, ``interference``, plus unit noise."""
     return np.log1p(signal / (interference + 1.0))
 
 
@@ -209,7 +201,9 @@ def transmit_power(beams, power):
 
     For b_l = F g_l with F semi-unitary this is sum_l p_l ||g_l||^2, the
     trace form tr(P Heff (Heff^H Heff + M nu I)^(-2) Heff^H) of the inner
-    precoder: (1, M_n, L) inner beams give the power of their BS.
+    precoder: (1, M_n, L) inner beams give the power of their BS, and a
+    baseline's beams y in the bases Q_n, split into their BSs' blocks, give
+    the powers of the BSs of a cell or cluster.
 
     The sum is one einsum over a fused (draw, BS) axis, the powers repeated
     for every BS: over a separate draw axis, einsum would sum the draws of a

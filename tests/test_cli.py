@@ -181,6 +181,21 @@ def test_comp_delays_with_one_scheme_name_exit_two(tmp_path, capsys, rhos):
     assert load_scenario(config).baselines["comp_delay_rhos"] == [0.5, 0.500001]
 
 
+def test_overloaded_cell_fails_before_the_optimizer(tmp_path, capsys):
+    # 20 users per cell with 16 antennas: the FFR cell (and the CoMP cluster)
+    # cannot zero-force them, which compare reports before optimizing
+    from hiermimo.cli import EXIT_NUMERICAL
+
+    path = write_config(tmp_path, {"num_users": 40, "draws": 2000})
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "optimize_policy", wraps=cli.optimize_policy) as spy:
+        assert main(["compare", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+    assert not spy.called
+    assert "ValidationError: ffr_baseline: cell 0 serves 20 users with 16 antennas" in \
+        capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_compare_files_reproducible(tmp_path):
     path = write_config(tmp_path, {"draws": 30})
     out1, out2 = tmp_path / "c1", tmp_path / "c2"

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hiermimo import harness
@@ -111,13 +111,13 @@ def test_monte_carlo_is_chunk_size_invariant(desk):
 
 def test_chunks_keep_their_largest_array_within_the_budget(desk):
     # a chunk holds as many draws as keep the largest array its scheme
-    # builds within CHUNK_ENTRIES: the (D, K, N, 1, R) coefficients and the
+    # builds within CHUNK_ENTRIES: the (D, K, N, 1, R) coefficients, and the
     # effective channels and amplitudes of the selected and blocked rows for
-    # the proposed scheme, the (D, K, N, M) channels for the baselines
+    # the proposed scheme or of a cell's or cluster's rows for the baselines;
+    # no scheme builds a (D, K, N, M) channel or an (N, M, L) beam array
+    # (the map that ``_effective_rows`` takes is built once per run)
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
-    largest = largest_policy_array(policy, cs, graph)
-    assert largest < cs.num_users * cs.num_bs * cs.dim
     seen = []
 
     def whole(a):  # the array that ``a`` is a view of
@@ -125,11 +125,12 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
             a = a.base
         return a
 
-    def recorder(name):
+    def recorder(name, arguments=True):
         original = getattr(harness, name)
 
         def record(*args, **kwargs):
-            seen.extend(whole(a).size for a in args if isinstance(a, np.ndarray))
+            if arguments:
+                seen.extend(whole(a).size for a in args if isinstance(a, np.ndarray))
             result = original(*args, **kwargs)
             seen.append(whole(result).size)
             return result
@@ -137,19 +138,26 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
         return mock.patch.object(harness, name, side_effect=record)
 
     draws, seed = 20, 3
-    for budget in (largest, 3 * largest, 2 * cs.num_users * cs.num_bs * cs.dim):
-        with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
-                recorder("sample_coefficients"), recorder("inner_precoders"), \
-                recorder("instantaneous_rate"), recorder("cross_interference_power"):
-            seen.clear()
-            monte_carlo_policy(policy, cs, graph, NU, draws, seed)
-            assert max(seen) <= budget
-            assert max(seen) > budget - largest  # no room for one more draw
-            for run in (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
-                        lambda: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=0.5)):
+    runs = [
+        (lambda: monte_carlo_policy(policy, cs, graph, NU, draws, seed),
+         largest_policy_array(policy, cs, graph)),
+        (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
+         largest_baseline_array(cs, ffr_groups(graph, 2))),
+        # one BS per cluster: a cluster of both BSs has exactly K N M entries
+        (lambda: comp_baseline(cs, graph, PC, 1, draws, seed, delay_rho=0.5),
+         largest_baseline_array(cs, comp_groups(graph, 1))),
+    ]
+    for run, largest in runs:
+        assert largest < cs.num_users * cs.num_bs * cs.dim
+        for budget in (largest, 3 * largest, 2 * cs.num_users * cs.num_bs * cs.dim):
+            with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
+                    recorder("sample_coefficients"), recorder("inner_precoders"), \
+                    recorder("_effective_rows", arguments=False), recorder("zero_forcing"), \
+                    recorder("instantaneous_rate"), recorder("transmit_power"):
                 seen.clear()
                 run()
-                assert max(seen) <= max(budget, cs.num_users * cs.num_bs * cs.dim)
+                assert max(seen) <= budget
+                assert max(seen) > budget - largest  # no room for one more draw
 
 
 def rank_mixed_set():
@@ -306,28 +314,34 @@ def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
     # and the regularized solve must still give the pseudo-inverse beams.
     # Regularizing shrinks the component of singular value s by
     # reg / (s^2 + reg), so the beams sit within reg / s_min^2 of the
-    # pseudo-inverse, s_min the smallest nonzero singular value
+    # pseudo-inverse, s_min the smallest nonzero singular value. The cluster
+    # zero-forces its rows E = H Q in orthonormal bases Q, so E has the
+    # singular values of H and the beams Q y those of y
     cs = build_hotspot_network(2, 18, 16, 1, seed=7)
     graph = build_topology(cs, theta_from_db(10.0))
     users = [k for n in range(2) for k in graph.assoc_users[n]]
-    evaluate = harness.cross_interference_power
+    zero_force = harness._zero_forcing_limit
     seen = []
 
-    def record(channels, beams, power):
-        seen.extend(zip(channels, beams))  # one (K, N, M) and (N, M, L) per draw
-        return evaluate(channels, beams, power)
+    def record(rows):
+        beams = zero_force(rows)
+        seen.extend(zip(rows, beams))  # one |S| x |bss| q and |bss| q x |S| per draw
+        return beams
 
     draws, seed = 6, 5
-    with mock.patch.object(harness, "cross_interference_power", side_effect=record):
+    with mock.patch.object(harness, "_zero_forcing_limit", side_effect=record):
         comp_baseline(cs, graph, PC, cluster_size=2, draws=draws, seed=seed, delay_rho=1.0)
-    assert len(seen) == draws
-    for channels, beams in seen:
-        rows = channels[users].reshape(len(users), -1).conj()
+    assert len(seen) == draws  # one cluster, one chunk
+    channels = sample_channel(cs, derive_rng(seed, COMP_MC, 0), draws)
+    for (rows, beams), h in zip(seen, channels):
+        stacked = h[users].reshape(len(users), -1).conj()  # the M-dimensional rows H
+        np.testing.assert_allclose(rows @ rows.conj().T, stacked @ stacked.conj().T,
+                                   rtol=0, atol=1e-12 * np.sum(np.abs(stacked) ** 2))
         s = np.linalg.svd(rows, compute_uv=False)
         s_min = s[s > 1e-10 * s[0]][-1]
         assert np.count_nonzero(s > 1e-10 * s[0]) < len(users)
-        oracle = np.linalg.pinv(rows)  # one column per user, over both BSs' antennas
-        err = np.linalg.norm(beams.reshape(-1, len(users)) - oracle)
+        oracle = np.linalg.pinv(rows)  # one column per user
+        err = np.linalg.norm(beams - oracle)
         reg = harness.ZF_NU * np.sum(np.abs(rows) ** 2) / len(users)  # ZF_NU tr(HH^H) / |S|
         bias = reg / s_min**2
         assert bias <= 1e-4
@@ -339,7 +353,7 @@ def test_comp_delays_share_their_true_channels(desk):
     # same stream and its AR(1) innovation from a stream of its own, which
     # delay_rho = 1 leaves untouched
     cs, graph = desk
-    evaluate = harness.cross_interference_power
+    effective_rows = harness._effective_rows
     derive = harness.derive_rng
     draws, seed = 11, 3
     seen, streams = {}, {}
@@ -349,46 +363,53 @@ def test_comp_delays_share_their_true_channels(desk):
         return streams[path]
 
     for rho in (1.0, 0.0):
-        received = seen[rho] = []
+        rows = seen[rho] = []
 
-        def record(channels, beams, power):
-            received.append(channels)
-            return evaluate(channels, beams, power)
+        def record(*args):
+            rows.append(effective_rows(*args))
+            return rows[-1]
 
-        with mock.patch.object(harness, "CHUNK_ENTRIES", 3 * cs.num_users * cs.num_bs * cs.dim), \
-                mock.patch.object(harness, "cross_interference_power", side_effect=record), \
+        budget = 3 * largest_baseline_array(cs, comp_groups(graph, 2))
+        with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
+                mock.patch.object(harness, "_effective_rows", side_effect=record), \
                 mock.patch.object(harness, "derive_rng", side_effect=record_streams):
             comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho)
         innovation = streams[(seed, COMP_MC, 1)].bit_generator.state
         fresh = derive_rng(seed, COMP_MC, 1).bit_generator.state
         assert (innovation == fresh) == (rho == 1.0)
-    assert len(seen[1.0]) == len(seen[0.0]) == 4  # chunks of 3, 3, 3 and 2 draws
-    for same, other in zip(seen[1.0], seen[0.0]):
-        assert np.array_equal(same, other)
+    # chunks of 3, 3, 3 and 2 draws and one cluster: the true rows of each
+    # chunk, then at delay_rho < 1 the outdated rows of its users
+    assert len(seen[1.0]) == 4 and len(seen[0.0]) == 8
+    for same, true, outdated in zip(seen[1.0], seen[0.0][::2], seen[0.0][1::2]):
+        assert np.array_equal(same, true)
+        assert not np.allclose(true, outdated)
 
 
 def test_baseline_zero_forcing_follows_the_channel_scale():
     # the baselines regularize by ZF_NU tr(HH^H) / |S|, so scaling every
-    # channel by s scales the CoMP beams by 1/s and leaves the unit-norm FFR
-    # beams as they are: weak channels keep their zero-forcing beams instead
-    # of drifting toward a matched filter
+    # channel by s scales the zero-forcing beams of FFR and CoMP by 1/s (and
+    # leaves the unit-norm FFR beams as they are): weak channels keep their
+    # zero-forcing beams instead of drifting toward a matched filter
     recorded = {}
-    evaluate = harness.cross_interference_power
+    zero_force = harness._zero_forcing_limit
     for ref_gain_db in (90.0, 20.0):
         cs = build_hotspot_network(2, 6, 16, 3, seed=7, inter_site_m=300.0, ref_gain_db=ref_gain_db)
         graph = build_topology(cs, theta_from_db(10.0))
         seen = recorded[ref_gain_db] = []
 
-        def record(channels, beams, power):
-            seen.extend(beams)  # one (N, M, L) array per draw of the chunk
-            return evaluate(channels, beams, power)
+        def record(rows):
+            beams = zero_force(rows)
+            seen.extend(beams)  # one |bss| q x |S| array per draw of the chunk
+            return beams
 
-        with mock.patch.object(harness, "cross_interference_power", side_effect=record):
+        with mock.patch.object(harness, "_zero_forcing_limit", side_effect=record):
             ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=3, seed=5)
             comp_baseline(cs, graph, PC, cluster_size=2, draws=3, seed=5, delay_rho=1.0)
+    # one chunk of 3 draws for each of the two FFR cells and the CoMP cluster
+    assert len(recorded[90.0]) == len(recorded[20.0]) == 9
     scale = np.sqrt(10.0 ** ((20.0 - 90.0) / 10.0))  # amplitude ratio of the channels
-    for k, (strong, weak) in enumerate(zip(recorded[90.0], recorded[20.0])):
-        expected = strong if k < 3 else strong / scale  # FFR beams first, then CoMP
+    for strong, weak in zip(recorded[90.0], recorded[20.0]):
+        expected = strong / scale
         assert np.linalg.norm(weak - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -402,9 +423,49 @@ def test_proposed_beats_ffr_directionally(desk):
 
 
 # ---------------------------------------------------------------------------
-# the chunked Monte Carlo loop against a per-draw reference: the loop, the
-# layout and the draw callbacks below evaluate one realization at a time
+# the chunked Monte Carlo loop against per-draw references: the loop, the
+# layout and the draw callbacks below evaluate one realization at a time,
+# either in rank-R coordinates like the program or from M-dimensional
+# channels and beams
 # ---------------------------------------------------------------------------
+
+@st.composite
+def baseline_cases(draw):
+    """A random small network for both baselines, a reuse factor and a CoMP
+    cluster size that divides the BSs. Links have rank 0 to 3 (a serving
+    link at least 1), some users clone an earlier user's correlations and
+    serving BS (hotspot clones), and a cell serves up to M users, so a
+    cell's or cluster's |S| R often exceeds M and its basis Q is square.
+
+    A user and its clones are at most as many as their serving rank: more
+    would make their rows dependent, where the beams of any two evaluations
+    agree only to round-off over ZF_NU (see the pseudo-inverse test)."""
+    num_bs = draw(st.integers(1, 4))
+    num_users = draw(st.integers(1, 7))
+    m = draw(st.sampled_from([4, 6]))
+    seed = draw(st.integers(0, 2**16))
+    links, serving, original, copies = {}, {}, {}, {}
+    for k in range(num_users):
+        clone = original.get(draw(st.integers(0, k)), k)  # k itself: not a clone
+        if clone < k and copies[clone] < links[(clone, serving[clone])][0]:
+            copies[clone] += 1
+            serving[k], original[k] = serving[clone], clone
+            for n in range(num_bs):
+                links[(k, n)] = links[(clone, n)]
+            continue
+        serving[k], original[k], copies[k] = draw(st.integers(0, num_bs - 1)), k, 1
+        for n in range(num_bs):
+            rank = draw(st.integers(1 if n == serving[k] else 0, 3))
+            gain = 10.0 ** draw(st.floats(-3.0, 0.0)) if rank else 0.0
+            links[(k, n)] = (rank, gain, seed + num_bs * k + n)
+    assume(all(list(serving.values()).count(n) <= m for n in range(num_bs)))
+    mats = {link: random_clustered_correlation(m, max(rank, 1), gain, seed=s)
+            for link, (rank, gain, s) in links.items()}
+    cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
+    graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
+    cluster_size = draw(st.sampled_from([c for c in range(1, num_bs + 1) if num_bs % c == 0]))
+    return cs, graph, draw(st.integers(1, 3)), cluster_size, seed
+
 
 def per_draw_monte_carlo(draw, cs, graph, draws, seed, tag):
     rate_samples = np.zeros((draws, graph.num_users))
@@ -441,6 +502,126 @@ def per_draw_zero_forcing_limit(rows):
     return zero_forcing(rows, harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
 
 
+def masked_rates(received, own, interferers):
+    """log(1 + SINR) of every row of the K x L ``received`` powers, the
+    signal from the beams marked in ``own``, the interference from those
+    marked in ``interferers``."""
+    return instantaneous_rate(np.sum(received, axis=-1, where=own),
+                              np.sum(received, axis=-1, where=interferers))
+
+
+def ffr_groups(graph, reuse_partitions):
+    """Every FFR cell with users as ((n,), its users, the users of the other
+    cells of its partition)."""
+    partition = harness._bs_partition(graph, reuse_partitions)
+    serving = np.array([graph.serving[k] for k in range(graph.num_users)])
+    return [((n,), list(graph.assoc_users[n]),
+             [k for k in range(graph.num_users)
+              if partition[serving[k]] == partition[n] and serving[k] != n])
+            for n in range(graph.num_bs) if graph.assoc_users[n]]
+
+
+def comp_groups(graph, cluster_size):
+    """Every CoMP cluster with users as (its BSs, its users, every other
+    user)."""
+    groups = []
+    for c in range(graph.num_bs // cluster_size):
+        bss = tuple(range(c * cluster_size, (c + 1) * cluster_size))
+        users = [k for n in bss for k in graph.assoc_users[n]]
+        if users:
+            groups.append((bss, users, [k for k in range(graph.num_users) if k not in users]))
+    return groups
+
+
+def largest_baseline_array(cs, groups):
+    """Entries of the largest per-draw array of a baseline with the cells or
+    clusters ``groups`` (``ffr_groups``, ``comp_groups``): the (K, N, 1, R)
+    coefficients, or a group's rows times the wider of its |S| beams and its
+    basis, min(M, |S| R) columns at each of its BSs (its beams and Gram
+    matrix are smaller)."""
+    width = cs.factor().shape[-1]
+    largest = cs.num_users * cs.num_bs * width
+    for bss, users, others in groups:
+        basis = len(bss) * min(cs.dim, len(users) * width)
+        largest = max(largest, (len(users) + len(others)) * max(basis, len(users)))
+    return largest
+
+
+def rank_r_rows(w, bss, rows, gram):
+    """One draw's rows h_jn^H Q_n side by side over the BSs ``bss``: the
+    (U, 1, |bss| R) coefficients of ``rows`` times the map ``gram`` of
+    ``harness._effective_map``."""
+    return (w[rows, bss[0] : bss[-1] + 1].reshape(len(rows), 1, -1).conj() @ gram)[:, 0]
+
+
+def add_rank_r_received(received, users, others, signal, interference):
+    """Books one draw's U x |S| received powers of a cell or cluster: the
+    diagonal of the served rows as signal, the rest as interference."""
+    s = len(users)
+    own = np.eye(s, dtype=bool)
+    signal[users] = np.diagonal(received[:s])
+    interference[users] += np.sum(received[:s], axis=-1, where=~own)
+    leaked = np.sum(received[s:], axis=-1)
+    interference[others] += leaked
+    return float(np.sum(leaked))
+
+
+def rank_r_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
+    """FFR one draw at a time in rank-R coordinates: unit-norm zero-forcing
+    beams y of each cell's rows, received powers p |e y|^2 and BS powers
+    sum_l p_l ||y_l||^2."""
+    groups = [(bss, users, others, harness._effective_map(cs.factor(), bss, users, users + others))
+              for bss, users, others in ffr_groups(graph, reuse_partitions)]
+
+    def draw(w):
+        signal, interference = np.zeros(graph.num_users), np.zeros(graph.num_users)
+        powers, cross = np.zeros(graph.num_bs), 0.0
+        for bss, users, others, gram in groups:
+            rows = rank_r_rows(w, bss, users + others, gram)
+            g = per_draw_zero_forcing_limit(rows[: len(users)])
+            beams = g / np.linalg.norm(g, axis=0, keepdims=True)
+            power = np.full(len(users), p_c / len(users))
+            cross += add_rank_r_received(power * np.abs(rows @ beams) ** 2, users, others,
+                                         signal, interference)
+            powers[bss[0]] = transmit_power(beams[None, None], power)[0, 0]
+        return instantaneous_rate(signal, interference) / reuse_partitions, powers, None, cross
+
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, FFR_MC)
+
+
+def rank_r_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
+    """CoMP one draw at a time in rank-R coordinates: zero-forcing beams y
+    of each cluster's outdated rows, BS unit loads from their blocks of y,
+    and received powers p |e y|^2 on the true rows."""
+    groups = [(bss, users, others, harness._effective_map(cs.factor(), bss, users, users + others))
+              for bss, users, others in comp_groups(graph, cluster_size)]
+    innovation = derive_rng(seed, COMP_MC, 1)
+
+    def draw(w):
+        outdated = w
+        if delay_rho < 1.0:
+            stale = sample_coefficients(cs, innovation)
+            outdated = delay_rho * w + np.sqrt(1.0 - delay_rho**2) * stale
+        unit_load, cluster_beams = np.zeros(graph.num_bs), []
+        for bss, users, _, gram in groups:
+            g = per_draw_zero_forcing_limit(rank_r_rows(outdated, bss, users, gram[: len(users)]))
+            blocks = np.ascontiguousarray(g).reshape(len(bss), -1, len(users))
+            unit_load[list(bss)] = transmit_power(blocks, np.ones(len(users)))
+            cluster_beams.append(g)
+        most_loaded = np.max(unit_load.reshape(-1, cluster_size), axis=1)
+        scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
+        signal, interference = np.zeros(graph.num_users), np.zeros(graph.num_users)
+        cross = 0.0
+        for (bss, users, others, gram), g in zip(groups, cluster_beams):
+            received = scale[bss[0] // cluster_size] * np.abs(
+                rank_r_rows(w, bss, users + others, gram) @ g) ** 2
+            cross += add_rank_r_received(received, users, others, signal, interference)
+        bs_power = unit_load * np.repeat(scale, cluster_size)
+        return instantaneous_rate(signal, interference), bs_power, None, cross
+
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
+
+
 def rank_r_evaluation(control, cs, graph, nu, w):
     """Rates, BS powers, worst protected ratio and cross interference of one
     draw's (K, N, 1, R) coefficients w, in rank-R coordinates: user k's
@@ -461,8 +642,9 @@ def rank_r_evaluation(control, cs, graph, nu, w):
         power = np.array([control.power[k] for k in users])
         received = power * np.abs(effective @ inner) ** 2
         own = np.eye(s, dtype=bool)
-        rates[list(users)] = instantaneous_rate(received[:s], own, ~own)
         signal[list(users)] = np.diagonal(received[:s])
+        rates[list(users)] = instantaneous_rate(signal[list(users)],
+                                                np.sum(received[:s], axis=-1, where=~own))
         powers[n] = transmit_power(inner[None], power)[0]
         leaks.extend(zip(blocked[n], np.sum(received[s:], axis=-1)))
     leak = np.array([power for _, power in leaks])
@@ -486,6 +668,8 @@ def per_draw_policy(policy, cs, graph, nu, draws, seed):
 
 
 def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
+    """FFR one draw at a time from M-dimensional channels and (N, M, L)
+    beams."""
     m = cs.dim
     partition = harness._bs_partition(graph, reuse_partitions)
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
@@ -502,7 +686,7 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         power = p_c / load[beam_bs]
         received = cross_interference_power(channels, beams, power)
         band = partition[serving][:, None] == partition[beam_bs]
-        rates = instantaneous_rate(received, own, band & ~own) / reuse_partitions
+        rates = masked_rates(received, own, band & ~own) / reuse_partitions
         cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
         return rates, transmit_power(beams, power), None, cross
 
@@ -510,6 +694,8 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
 
 
 def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
+    """CoMP one draw at a time from M-dimensional channels and (N, M, L)
+    beams."""
     m = cs.dim
     clusters = [tuple(range(c * cluster_size, (c + 1) * cluster_size))
                 for c in range(graph.num_bs // cluster_size)]
@@ -539,7 +725,7 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
         # every beam of a cluster carries its cluster's power, so the unit
         # loads scale to the BS powers of the definition
         np.testing.assert_allclose(bs_power, transmit_power(beams, power), rtol=1e-12, atol=0)
-        return instantaneous_rate(received, own, ~own), bs_power, None, cross
+        return masked_rates(received, own, ~own), bs_power, None, cross
 
     return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
 
@@ -572,7 +758,7 @@ def m_dimensional_evaluation(control, graph, nu, channels):
     power = np.array([control.power[k] for _, users, _ in blocks for k in users])
     received = cross_interference_power(channels, beams, power)
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
-    rates = instantaneous_rate(received, own, (serving[:, None] == beam_bs) & ~own)
+    rates = masked_rates(received, own, (serving[:, None] == beam_bs) & ~own)
     protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
     for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
         protected[list(blocked), n] = True
@@ -666,23 +852,43 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
     assert report.max_interference_ratio <= 1e-16
 
 
+@settings(max_examples=100, deadline=None)
+@given(baseline_cases())
+def test_rank_r_baselines_match_the_m_dimensional_ones(case):
+    # each cell or cluster zero-forces its rows h^H Q_n in the bases of its
+    # users' factors; the references build every draw's (K, N, M) channels
+    # and (N, M, L) beams, and read the same streams
+    cs, graph, partitions, cluster_size, seed = case
+    draws = 3
+    runs = [(ffr_baseline(cs, graph, PC, partitions, draws, seed),
+             per_draw_ffr(cs, graph, PC, partitions, draws, seed))]
+    for rho in (1.0, 0.5, 0.0):
+        runs.append((comp_baseline(cs, graph, PC, cluster_size, draws, seed, delay_rho=rho),
+                     per_draw_comp(cs, graph, PC, cluster_size, draws, seed, rho)))
+    for report, reference in runs:
+        assert_agrees(report.user_rate_mean, reference["user_rate_mean"])
+        assert_agrees(report.bs_power_mean, reference["bs_power_mean"])
+        assert_agrees(report.mean_cross_interference, reference["mean_cross_interference"])
+
+
 @st.composite
 def chunked_cases(draw):
-    """A random small network, the draws per chunk c of the baselines (set
-    through CHUNK_ENTRIES, which K N M c plus less than K N M gives) and a
-    draw count around the chunk boundaries."""
+    """A random small network, the draws per chunk c of CoMP (set through
+    CHUNK_ENTRIES, which c times its largest array plus less than that
+    array gives) and a draw count around its chunk boundaries."""
     num_bs = draw(st.sampled_from([2, 4]))
     num_users = draw(st.integers(num_bs, 8))
     m = draw(st.sampled_from([8, 16]))
     rank = draw(st.integers(1, 4))
     cs = build_hotspot_network(num_bs, num_users, m, rank, seed=draw(st.integers(0, 2**16)),
                                inter_site_m=300.0)
+    graph = build_topology(cs, theta_from_db(10.0))
     per_chunk = draw(st.integers(1, 8))
-    link_entries = num_users * num_bs * m
-    chunk_entries = per_chunk * link_entries + draw(st.integers(0, link_entries - 1))
+    largest = largest_baseline_array(cs, comp_groups(graph, 2))
+    chunk_entries = per_chunk * largest + draw(st.integers(0, largest - 1))
     counts = sorted({d for d in (1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 3)
                      if d >= 1})
-    return cs, chunk_entries, per_chunk, draw(st.sampled_from(counts)), draw(st.integers(0, 2**16))
+    return cs, graph, chunk_entries, draw(st.sampled_from(counts)), draw(st.integers(0, 2**16))
 
 
 def assert_same_report(report, reference):
@@ -698,8 +904,7 @@ def assert_same_report(report, reference):
 @settings(max_examples=100, deadline=None)
 @given(chunked_cases())
 def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
-    cs, chunk_entries, per_chunk, draws, seed = case
-    graph = build_topology(cs, theta_from_db(10.0))
+    cs, graph, chunk_entries, draws, seed = case
     full = tuple(range(cs.num_users))
     half = full[::2]
     controls = [
@@ -708,7 +913,11 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
         for sel in (full, half)
     ]
     policy = ControlPolicy(controls=controls, probs=np.array([0.7, 0.3]))
-    proposed_chunk = max(1, chunk_entries // largest_policy_array(policy, cs, graph))
+    proposed_chunk, ffr_chunk, comp_chunk = (
+        max(1, chunk_entries // largest)
+        for largest in (largest_policy_array(policy, cs, graph),
+                        largest_baseline_array(cs, ffr_groups(graph, 2)),
+                        largest_baseline_array(cs, comp_groups(graph, 2))))
     sample = harness.sample_coefficients
     sampled = []
 
@@ -720,12 +929,12 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
         (lambda: monte_carlo_policy(policy, cs, graph, NU, draws, seed),
          per_draw_policy(policy, cs, graph, NU, draws, seed), POLICY_MC, 1, proposed_chunk),
         (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
-         per_draw_ffr(cs, graph, PC, 2, draws, seed), FFR_MC, 1, per_chunk),
+         rank_r_ffr(cs, graph, PC, 2, draws, seed), FFR_MC, 1, ffr_chunk),
     ]
     for rho in (1.0, 0.5, 0.0):
         runs.append((lambda rho=rho: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho),
-                     per_draw_comp(cs, graph, PC, 2, draws, seed, rho), COMP_MC,
-                     1 if rho == 1.0 else 2, per_chunk))
+                     rank_r_comp(cs, graph, PC, 2, draws, seed, rho), COMP_MC,
+                     1 if rho == 1.0 else 2, comp_chunk))
     for run, reference, tag, blocks, size in runs:
         sampled.clear()
         with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries), \

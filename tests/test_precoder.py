@@ -281,7 +281,8 @@ def proposed_rates(control, channels, nu, inner=None):
     beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
     received = cross_interference_power(channels, beams, power)
     same_bs = own @ (beam_bs[:, None] == beam_bs)
-    return instantaneous_rate(received, own, same_bs & ~own)
+    return instantaneous_rate(np.sum(received, axis=-1, where=own),
+                              np.sum(received, axis=-1, where=same_bs & ~own))
 
 
 def bs_powers(control, channels, nu, inner=None):
