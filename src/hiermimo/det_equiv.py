@@ -42,7 +42,7 @@ class GainSolution:
     residual_history: list
 
 
-def _gain_map(gram, blocks, m, nu, gains):
+def _gain_map(gram, blocks, m, nu, gains, counts=None):
     """F(xi), its Jacobian J and B^H T B at ``gains``, all from one solve.
 
     With B = [B_1 ... B_S], G = B^H B and D = diag(1/(M (nu + xi_j))) repeated
@@ -50,41 +50,67 @@ def _gain_map(gram, blocks, m, nu, gains):
     the real trace of block i divided by M. Differentiating T gives
     J_ij = tr(C~_i T C~_j T) / (M^2 (nu + xi_j)^2), and
     tr(C~_i T C~_j T) = ||(B^H T B)_ij||_F^2.
+
+    With ``counts``, block i stands for c_i users that share the factor B_i
+    and is stacked as sqrt(c_i) B_i; dividing F_i and row i of J by c_i gives
+    the map of one such user and its derivative in the shared xi of each group.
     """
     scale = 1.0 / (m * (nu + blocks @ gains))  # diagonal of D
     coupled = np.linalg.solve(np.eye(gram.shape[0]) + gram * scale, gram)  # B^H T B
     cross = blocks.T @ np.abs(coupled) ** 2 @ blocks
     value = np.real(np.diagonal(coupled)) @ blocks / m
-    return value, cross / (m * m * (nu + gains) ** 2), coupled
+    jac = cross / (m * m * (nu + gains) ** 2)
+    if counts is not None:
+        value = value / counts
+        jac = jac / counts[:, None]
+    return value, jac, coupled
 
 
-def solve_effective_gains(factors, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER):
+def solve_effective_gains(factors, nu, tol=GAIN_TOL, max_iter=GAIN_MAX_ITER, init=None,
+                          counts=None):
     """Fixed point of xi_i = (1/M) tr(C~_i T), T = ((1/M) sum_j C~_j/(nu+xi_j) + I)^-1,
     for C~_j = B_j B_j^H given by the M x r_j factors B_j.
 
-    Safeguarded Newton iteration from xi = 1 (Kelley, Iterative Methods for
-    Linear and Nonlinear Equations, SIAM 1995): the step
-    xi + (I - J)^-1 (F(xi) - xi) is taken when it is finite, non-negative and
-    lowers the max-abs residual |F(xi) - xi|; otherwise, or when I - J is
-    singular, the plain step F(xi). Each map evaluation is one
+    Safeguarded Newton iteration (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995) from ``init``, or from xi = 1 when it is
+    None: the step xi + (I - J)^-1 (F(xi) - xi) is taken when it is finite,
+    non-negative and lowers the max-abs residual |F(xi) - xi|; otherwise, or
+    when I - J is singular, the plain step F(xi). Each map evaluation is one
     (sum r_j) x (sum r_j) solve (see ``_gain_map``; Wagner et al., IEEE TIT
     58(7), 2012). Stops when the residual drops below tol and returns F at
     the last iterate; ``iterations`` counts iterates, and a rejected Newton
     trial costs one extra evaluation.
+
+    ``counts`` gives each factor a multiplicity: factor j then stands for
+    c_j users with equal C~_j, hence equal xi, and the solve returns one xi
+    per factor, the xi of each of its users.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (len(factors),):
+            raise ValueError(f"init must hold one gain per factor ({len(factors)})")
+        if not np.all(np.isfinite(init) & (init >= 0.0)):
+            raise ValueError("init must be finite and non-negative")
+    if counts is not None:
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != (len(factors),):
+            raise ValueError(f"counts must hold one multiplicity per factor ({len(factors)})")
+        if not np.all(np.isfinite(counts) & (counts >= 1.0)):
+            raise ValueError("counts must be finite and at least 1")
+        factors = [np.sqrt(c) * f for c, f in zip(counts, factors)]
     m = factors[0].shape[0]
     gram, blocks = _stack(factors)
     eye = np.eye(len(factors))
 
     def evaluate(gains):
-        value, jac, _ = _gain_map(gram, blocks, m, nu, gains)
+        value, jac, _ = _gain_map(gram, blocks, m, nu, gains, counts)
         return gains, value, jac, float(np.max(np.abs(value - gains)))
 
-    gains, value, jac, residual = evaluate(np.ones(len(factors)))
+    gains, value, jac, residual = evaluate(np.ones(len(factors)) if init is None else init)
     history = [residual]
     while residual > tol:
         if len(history) == max_iter:
@@ -131,6 +157,14 @@ class GainCache:
 
     The gains depend on the selection only, not on the rate weights, so one
     cache serves every weighted-sum-rate evaluation in an optimization run.
+
+    Users whose links to a BS have identical factors (the members of a
+    hotspot) carry one label there, the lowest such user. The gains depend
+    only on the labels of the selected and blocked users and on how often
+    each selected label occurs, so keys that agree on these share one solve,
+    and clones get bitwise equal gains. The solve runs over the distinct
+    labels with their multiplicities as ``counts``, from the last xi the
+    cache found for each (BS, label), or from 1 for a label not solved yet.
     """
 
     def __init__(self, corr_set, graph, nu):
@@ -138,7 +172,10 @@ class GainCache:
         self.graph = graph
         self.nu = nu
         self._bases = {}
-        self._gains = {}
+        self._gains = {}  # (bs, users, blocked) -> (xi, iterations, residual) or the failure
+        self._labels = {}  # bs -> label of every user's link to it
+        self._solved = {}  # (bs, labels, counts, blocked labels) -> the same, xi per label
+        self._last = {}  # (bs, label) -> last xi solved
 
     def null_basis(self, bs, blocked):
         key = (bs, blocked)
@@ -151,24 +188,66 @@ class GainCache:
         basis = self.null_basis(bs, blocked)
         return [projected_factor(self.corr_set.matrix(k, bs).factor(), basis) for k in users]
 
+    def labels(self, bs):
+        """Per user, the lowest user whose link to ``bs`` has an identical factor."""
+        if bs not in self._labels:
+            factors = (self.corr_set.matrix(k, bs).factor() for k in range(self.graph.num_users))
+            keys = [(f.shape, f.tobytes()) for f in factors]
+            first = {}
+            for k, key in enumerate(keys):
+                first.setdefault(key, k)
+            self._labels[bs] = [first[key] for key in keys]
+        return self._labels[bs]
+
     def gains(self, bs, users, blocked):
         """(xi, iterations, residual) at ``bs`` with ``blocked`` nulled, xi an
         array in ``users`` order.
 
-        A fixed point that failed to converge is remembered too: its
-        ConvergenceError is raised again on every later lookup of the key.
+        A fixed point that failed to converge from the cache's last gains is
+        solved again from xi = 1; one that fails from there too is
+        remembered, and its ConvergenceError is raised again on every later
+        lookup of the key.
         """
         key = (bs, users, blocked)
         if key not in self._gains:
-            try:
-                sol = solve_effective_gains(self.projected(bs, users, blocked), self.nu)
-                self._gains[key] = (sol.gains, sol.iterations, sol.residual)
-            except ConvergenceError as exc:
-                self._gains[key] = exc
+            self._gains[key] = self._from_labels(bs, users, blocked)
         entry = self._gains[key]
         if isinstance(entry, ConvergenceError):
             raise entry.with_traceback(None)
         return entry
+
+    def _from_labels(self, bs, users, blocked):
+        """A key's entry from the solve of its labels, which every key with
+        the same labels shares."""
+        label_of = self.labels(bs)
+        labels = sorted({label_of[k] for k in users})
+        group = [labels.index(label_of[k]) for k in users]
+        shared = (bs, tuple(labels), tuple(np.bincount(group).tolist()),
+                  tuple(sorted({label_of[k] for k in blocked})))
+        if shared not in self._solved:
+            self._solved[shared] = self._solve(*shared)
+        entry = self._solved[shared]
+        if isinstance(entry, ConvergenceError):
+            return entry
+        xi, iterations, residual = entry
+        return xi[group], iterations, residual
+
+    def _solve(self, bs, labels, counts, blocked):
+        factors = self.projected(bs, labels, blocked)
+        last = [self._last.get((bs, label)) for label in labels]
+        starts = [None]  # xi = 1
+        if any(xi is not None for xi in last):
+            starts.insert(0, np.array([1.0 if xi is None else xi for xi in last]))
+        for init in starts:
+            try:
+                sol = solve_effective_gains(factors, self.nu, init=init, counts=counts)
+                break
+            except ConvergenceError as exc:
+                failure = exc
+        else:
+            return failure
+        self._last.update(((bs, label), xi) for label, xi in zip(labels, sol.gains.tolist()))
+        return sol.gains, sol.iterations, sol.residual
 
 
 def _per_bs_selection(control, graph):

@@ -413,8 +413,7 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
             outdated = delay_rho * coefficients + np.sqrt(1.0 - delay_rho**2) * stale
         # each cluster zero-forces its users' outdated rows; a BS only
         # carries its cluster's beams, so its unit load is the squared norm
-        # of its block of them (made contiguous: transmit_power would sum a
-        # lone draw's strided blocks in another order than a stack's copy)
+        # of its block of them
         unit_load = np.zeros((lead, graph.num_bs))
         evaluated = []
         for bss, users, others, gram in groups:
@@ -422,7 +421,7 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
             served = rows if outdated is coefficients else _effective_rows(
                 outdated, bss, users, gram[: len(users)])
             beams = _zero_forcing_limit(served[:, : len(users)])
-            blocks = np.ascontiguousarray(beams).reshape(lead, len(bss), -1, len(users))
+            blocks = beams.reshape(lead, len(bss), -1, len(users))
             unit_load[:, bss[0] : bss[-1] + 1] = transmit_power(blocks, np.ones(len(users)))
             evaluated.append((rows, beams))
         # one power per cluster, scaled so that its most loaded BS spends p_c

@@ -208,10 +208,12 @@ def transmit_power(beams, power):
     The sum is one einsum over a fused (draw, BS) axis, the powers repeated
     for every BS: over a separate draw axis, einsum would sum the draws of a
     stack in another order than a lone realization, so the same draw would
-    give other last digits in another chunk.
+    give other last digits in another chunk. The squared magnitudes are laid
+    out in C order whatever the layout of ``beams``, since einsum's order of
+    summation follows the memory layout of its operands.
     """
     *lead, num_bs, m, num_beams = beams.shape
     fused = math.prod(lead) * num_bs
-    gains = np.abs(beams.reshape(fused, m, num_beams)) ** 2
+    gains = np.abs(beams.reshape(fused, m, num_beams), order="C") ** 2
     per_bs = np.broadcast_to(np.asarray(power)[..., None, :], (*lead, num_bs, num_beams))
     return np.einsum("xml,xl->x", gains, per_bs.reshape(fused, num_beams)).reshape(*lead, num_bs)

@@ -12,6 +12,7 @@ deterministic transmit-power budget.
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +156,10 @@ def weighted_sum_rate(
     set B_n only, so ``memo`` (a dict shared by the calls of one oracle,
     whose rate weights are fixed) maps (n, S_n, B_n) to that BS's powers and
     per-user terms w_k log(1 + p_k), and only BSs missing from it are
-    water-filled. The terms are summed over ``selected`` in sorted order, so
-    the value does not depend on the memo.
+    water-filled. The terms are summed exactly rounded (``math.fsum``), so
+    the value depends neither on the memo nor on the order of the users:
+    selections that swap one hotspot clone for another with the same weight
+    tie exactly.
     """
     selected = tuple(sorted(set(selected)))
     if not selected:
@@ -182,7 +185,7 @@ def weighted_sum_rate(
         bs_powers, bs_terms = memo[key]
         powers.update(bs_powers)
         terms.update(bs_terms)
-    value = float(sum(terms[k] for k in selected))
+    value = math.fsum(terms[k] for k in selected)
     return SelectionValue(value, {k: powers[k] for k in selected})
 
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermimo import det_equiv
 from hiermimo.corrmat import (
     CorrelationMatrix,
     CorrelationSet,
@@ -21,7 +24,12 @@ from hiermimo.det_equiv import (
 )
 from hiermimo.errors import ConvergenceError, ValidationError
 from hiermimo.precoder import transmit_power
-from hiermimo.scheduler import assemble_control, weighted_sum_rate
+from hiermimo.scheduler import (
+    assemble_control,
+    best_control_exhaustive,
+    best_control_greedy,
+    weighted_sum_rate,
+)
 from hiermimo.topology import build_topology, theta_from_db
 
 from conftest import full_inner_precoders, single_cell_set
@@ -97,6 +105,26 @@ def test_gain_fixed_point_raises_on_iteration_cap():
     with pytest.raises(ConvergenceError) as err:
         solve_effective_gains(mats, nu=0.01, max_iter=1)
     assert err.value.residual is not None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"init": [1.0]},
+        {"init": [1.0, -0.5]},
+        {"init": [1.0, np.nan]},
+        {"init": [np.inf, 1.0]},
+        {"counts": [1, 1, 1]},
+        {"counts": [1, 0]},
+        {"counts": [0.5, 2]},
+    ],
+    ids=["init-length", "init-negative", "init-nan", "init-inf",
+         "counts-length", "counts-zero", "counts-fraction"],
+)
+def test_gain_fixed_point_rejects_malformed_init_and_counts(kwargs):
+    mats = [random_clustered_correlation(8, 2, 1.0, seed=s).factor() for s in (1, 2)]
+    with pytest.raises(ValueError):
+        solve_effective_gains(mats, 0.01, **kwargs)
 
 
 def dense_gain_iteration(projected, nu, tol, max_iter):
@@ -183,6 +211,50 @@ def test_fixed_point_on_duplicated_factors_converges_to_the_dense_limit(instance
     assert np.all(np.abs(sol.gains - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
 
 
+@st.composite
+def cloned_factor_sets(draw):
+    """Hotspot users at one BS: 1 to 4 distinct factors, of rank 0 to M and
+    some of zero gain, each shared by 1 to 4 users listed in a shuffled
+    order, all projected off a null basis of 0 to M - 1 columns. Returns the
+    distinct factors, their multiplicities, each user's factor index and nu."""
+    m = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = []
+    for _ in range(draw(st.integers(1, 4))):
+        rank = draw(st.integers(0, m))
+        gain = draw(st.sampled_from([0.0]) | st.floats(0.01, 10.0))
+        raw = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        distinct.append(raw * np.sqrt(gain / (2.0 * max(rank, 1))))
+    counts = np.array(draw(st.lists(st.integers(1, 4), min_size=len(distinct),
+                                    max_size=len(distinct))))
+    group = rng.permutation(np.repeat(np.arange(len(distinct)), counts))
+    nulls = draw(st.integers(0, m - 1))
+    basis = np.linalg.qr(rng.standard_normal((m, nulls)) + 1j * rng.standard_normal((m, nulls)))[0]
+    nu = draw(st.floats(1e-3, 1.0))
+    return [projected_factor(f, basis) for f in distinct], counts, group, nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloned_factor_sets())
+def test_collapsed_solve_matches_the_solve_over_every_clone(instance):
+    distinct, counts, group, nu = instance
+    # the residual tolerance is absolute, so it sits far below the compared
+    # relative error to hold it for gains down to 1e-4 as well
+    every = solve_effective_gains([distinct[j] for j in group], nu, tol=1e-14, max_iter=5000)
+    collapsed = solve_effective_gains(distinct, nu, tol=1e-14, max_iter=5000, counts=counts)
+    np.testing.assert_allclose(collapsed.gains[group], every.gains, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_limited_sets(), st.lists(st.floats(0.0, 100.0), min_size=5, max_size=5))
+def test_warm_start_reaches_the_cold_fixed_point(instance, start):
+    factors, nu = instance
+    cold = solve_effective_gains(factors, nu, tol=1e-14, max_iter=5000)  # see above
+    warm = solve_effective_gains(factors, nu, tol=1e-14, max_iter=5000,
+                                 init=start[: len(factors)])
+    np.testing.assert_allclose(warm.gains, cold.gains, rtol=1e-10, atol=0.0)
+
+
 def test_fixed_point_converges_where_plain_iteration_hits_the_cap():
     # BS 1 of the 7 BS x 56 users x M=64 rank-3 network serving users 1, 15
     # and 29: three users of one hotspot share its correlation, and plain
@@ -197,6 +269,26 @@ def test_fixed_point_converges_where_plain_iteration_hits_the_cap():
     assert sol.iterations <= 30
     limit, _ = dense_gain_iteration(dense, 0.01, 1e-12, 5000)
     assert np.all(np.abs(sol.gains - limit) <= 1e-9 * np.abs(limit))
+
+
+def test_gain_cache_solves_a_group_of_clones_once():
+    # users 1, 15 and 29 share BS 1's hotspot factor: the cache solves one
+    # factor of multiplicity 3, the clones get bitwise equal gains, and any
+    # two of them share one solve
+    cs = build_hotspot_network(7, 56, 64, 3, seed=7, inter_site_m=300.0)
+    graph = build_topology(cs, theta_from_db(10.0))
+    cache = GainCache(cs, graph, 0.01)
+    assert [cache.labels(1)[k] for k in (1, 15, 29)] == [1, 1, 1]
+    with mock.patch.object(det_equiv, "solve_effective_gains",
+                           wraps=solve_effective_gains) as solve:
+        xi, _, _ = cache.gains(1, (1, 15, 29), ())
+        pair, _, _ = cache.gains(1, (1, 15), ())
+        assert np.array_equal(cache.gains(1, (15, 29), ())[0], pair)
+    assert xi[0] == xi[1] == xi[2] and pair[0] == pair[1]
+    assert [list(call.kwargs["counts"]) for call in solve.call_args_list] == [[3], [2]]
+    limit, _ = dense_gain_iteration([f @ f.conj().T for f in cache.projected(1, (1, 15, 29), ())],
+                                    0.01, 1e-12, 5000)
+    np.testing.assert_allclose(xi, limit, rtol=1e-9)
 
 
 def test_de_rate_power_empty_selection(desk):
@@ -371,3 +463,47 @@ def test_gain_cache_matches_fresh_solve(desk):
     mats = [cs.matrix(k, 0).factor() for k in users]
     fresh = solve_effective_gains(mats, 0.01)
     assert np.allclose(cached, fresh.gains, rtol=1e-12)
+
+
+def test_gain_cache_warm_start_matches_fresh_solve(desk):
+    cs, graph = desk
+    cache = GainCache(cs, graph, 0.01)
+    users = graph.assoc_users[0]
+    with mock.patch.object(det_equiv, "solve_effective_gains",
+                           wraps=solve_effective_gains) as solve:
+        cache.gains(0, users[:-1], ())  # a sibling key: the last gains of its users
+        warm, _, _ = cache.gains(0, users, ())
+    assert solve.call_args_list[0].kwargs["init"] is None
+    assert solve.call_args_list[1].kwargs["init"] is not None
+    fresh = solve_effective_gains([cs.matrix(k, 0).factor() for k in users], 0.01)
+    np.testing.assert_allclose(warm, fresh.gains, rtol=1e-10)
+
+
+def test_a_warm_start_that_fails_is_retried_from_one(desk):
+    cs, graph = desk
+    starts = []
+
+    def cold_only(factors, nu, init=None, counts=None):
+        starts.append(init is not None)
+        if init is not None:
+            raise ConvergenceError("forced failure from a warm start")
+        return solve_effective_gains(factors, nu, counts=counts)
+
+    cache = GainCache(cs, graph, 0.01)
+    users = graph.assoc_users[0]
+    with mock.patch.object(det_equiv, "solve_effective_gains", side_effect=cold_only):
+        cache.gains(0, users[:-1], ())
+        xi, _, _ = cache.gains(0, users, ())
+        assert np.array_equal(cache.gains(0, users, ())[0], xi)  # remembered, not failed
+        assert starts == [False, True, False]
+        mu = np.random.default_rng(5).uniform(0.05, 1.0, size=6)
+        greedy = best_control_greedy(mu, cs, graph, 0.01, 10.0, GainCache(cs, graph, 0.01))
+        exhaustive = best_control_exhaustive(mu, cs, graph, 0.01, 10.0,
+                                             GainCache(cs, graph, 0.01))
+    assert greedy.skipped == exhaustive.skipped == 0
+    assert np.array_equal(xi, solve_effective_gains(
+        [cs.matrix(k, 0).factor() for k in users], 0.01).gains)
+    plain = GainCache(cs, graph, 0.01)
+    assert greedy.selected == best_control_greedy(mu, cs, graph, 0.01, 10.0, plain).selected
+    assert exhaustive.selected == best_control_exhaustive(mu, cs, graph, 0.01, 10.0,
+                                                          plain).selected

@@ -360,6 +360,20 @@ def test_transmit_power_empty_and_single_user():
     assert np.isclose(got, expect, rtol=1e-10)
 
 
+def test_transmit_power_does_not_depend_on_the_memory_layout():
+    # beams laid out with their antenna axis last in memory, as a transposed
+    # stack of zero-forcing solutions is, sum bitwise as their C-ordered copy
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        draws, num_bs, m, beams = rng.integers(1, 6, size=4)
+        raw = rng.standard_normal((draws, num_bs, beams, m)) + 1j * rng.standard_normal(
+            (draws, num_bs, beams, m))
+        strided = raw.swapaxes(-1, -2)
+        power = rng.uniform(0.0, 3.0, size=beams)
+        assert np.array_equal(transmit_power(strided, power),
+                              transmit_power(np.ascontiguousarray(strided), power))
+
+
 def test_transmit_power_identities():
     rng = np.random.default_rng(10)
     m, nu = 16, 0.02

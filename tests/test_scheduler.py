@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -292,6 +293,26 @@ def test_greedy_never_beats_exhaustive():
     assert equal >= 50
 
 
+def test_greedy_picks_the_lowest_index_clone_of_a_tied_group():
+    # three cells of six users, four of them in two hotspots: members of a
+    # hotspot share every link's factor, so with equal weights the selections
+    # that swap one clone for another tie exactly, and greedy adds the
+    # lowest-index clone first
+    partial = 0
+    for seed in (36, 98, 112):
+        cs = build_hotspot_network(3, 18, 16, 2, seed=seed, inter_site_m=300.0)
+        graph = build_topology(cs, theta_from_db(10.0))
+        picked = set(best_control_greedy(np.ones(18), cs, graph, NU, PC).selected)
+        clones = {}
+        for k in range(18):
+            clones.setdefault(cs.cluster_ids[k], []).append(k)
+        for members in clones.values():
+            chosen = [k for k in members if k in picked]
+            assert chosen == members[: len(chosen)], (seed, members, chosen)
+            partial += 0 < len(chosen) < len(members)
+    assert partial > 0  # some tied group was split
+
+
 class FailingCache(GainCache):
     """Gain cache whose fixed point fails for one (bs, users, blocked) key."""
 
@@ -407,7 +428,7 @@ def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
             bs_powers, _ = waterfill([weights[k] for k in users], list(bs_gains),
                                      corr_set.dim, PC)
             powers.update(zip(users, bs_powers))
-    return float(sum(weights[k] * np.log1p(powers[k]) for k in selected)), powers
+    return math.fsum(weights[k] * np.log1p(powers[k]) for k in selected), powers
 
 
 def reference_greedy(rate_weights, corr_set, graph, cache):
