@@ -10,13 +10,23 @@ evaluation; a chunk's normals continue the stream where the previous chunk
 stopped, so results do not depend on the chunk size. A draw is 2 K N R
 normals, one rank-R coefficient vector w per link
 (``corrmat.sample_coefficients``), and no scheme forms the M-dimensional
-channels h = F w: the inner precoders of the proposed scheme see only the
-effective channels h^H F_n = conj(w) F^H F_n, and each FFR cell or CoMP
-cluster zero-forces its users' rows h^H Q_n = conj(w) F^H Q_n in a basis
-Q_n of their factors at each of its BSs.
+channels h = F w.
+
+All three schemes are one list of groups (``_Group``): a BS with its
+selection (the proposed scheme), an FFR cell or a CoMP cluster. A group
+zero-forces its served users' rows h^H B_n = conj(w) F^H B_n in one basis
+B_n per BS: the outer precoder F_n of the proposed scheme, or the thin QR
+basis Q_n of the served users' factors for the baselines. One map builder,
+one booking of received powers, one chunk-size rule and one BS-power helper
+serve every scheme; a scheme only chooses its bases, its beams (inner RZF,
+or the zero-forcing limit) and its powers, and which rows other than its
+served users it books: as interference (``others``: FFR's co-band users,
+CoMP's other users) or only as a recorded leak (``recorded``: the users
+that the proposed scheme's outer precoders protect).
 """
 
-import logging
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +43,6 @@ from .precoder import (  # noqa: F401 (cross_interference_power: see draw_channe
 )
 from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from .topology import scheduled_neighbors
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -74,6 +82,41 @@ def draw_channels(corr_set, rng, count=None):
     return sample_channel(corr_set, rng, count)
 
 
+# ---------------------------------------------------------------------------
+# groups: what every scheme evaluates, in rank-R coordinates
+# ---------------------------------------------------------------------------
+
+# A BS with its selection, an FFR cell or a CoMP cluster: its consecutive
+# BSs, the users it serves (one beam each), the rows whose received power is
+# interference (``others``) or only recorded (``recorded``), and the
+# ``_effective_map`` of its rows users + others + recorded.
+_Group = namedtuple("_Group", "bss users others recorded gram")
+
+
+def _group(factor, bss, users, others, recorded, bases):
+    """The group of ``users`` served from ``bss`` in ``bases``, one basis per
+    BS, with its ``others`` and ``recorded`` rows."""
+    users, others, recorded = list(users), list(others), list(recorded)
+    gram = _effective_map(factor, bss, users + others + recorded, bases)
+    return _Group(tuple(bss), users, others, recorded, gram)
+
+
+def _effective_map(factor, bss, rows, bases):
+    """The channel rows of ``rows`` at the consecutive BSs ``bss`` in
+    ``bases`` (one semi-unitary M x q basis B_n per BS, all of one width q),
+    as a map of the coefficients: the (U, |bss| R, |bss| q) block-diagonal
+    array whose block of BS n holds F_jn^H B_n for each of the U ``rows``
+    j, so that j's coefficients at ``bss`` side by side, conjugated, times
+    it give its rows h_jn^H B_n side by side. It depends on the scheme's
+    bases only, so it is built once per run."""
+    width, q = factor.shape[-1], bases[0].shape[1]
+    gram = np.zeros((len(rows), len(bss) * width, len(bss) * q), dtype=complex)
+    for i, (n, basis) in enumerate(zip(bss, bases)):
+        block = factor[rows, n].conj().swapaxes(-1, -2) @ basis
+        gram[:, i * width : (i + 1) * width, i * q : (i + 1) * q] = block
+    return gram
+
+
 def _effective_rows(coefficients, bss, rows, gram):
     """The (D, U, W) effective channel rows of ``rows`` at the consecutive
     BSs ``bss``, for the (D, K, N, 1, R) coefficients of D draws: row j's
@@ -83,58 +126,56 @@ def _effective_rows(coefficients, bss, rows, gram):
     return (picked.reshape(len(coefficients), len(rows), 1, -1).conj() @ gram)[..., 0, :]
 
 
-def _control_evaluator(control, corr_set, graph, nu):
-    """Evaluation of ``control`` on (D, K, N, 1, R) channel coefficients
-    (``sample_coefficients``), and the entries of the largest array it builds
-    per draw. It maps a chunk to the rates, BS powers, worst
-    interference-to-signal ratio and total power leaked onto protected users
-    of each draw.
+def _group_rows(coefficients, groups):
+    """Every group's (D, U, W) effective rows of a chunk."""
+    return [_effective_rows(coefficients, g.bss, g.users + g.others + g.recorded, g.gram)
+            for g in groups]
 
-    The inner precoder of BS n sees the effective channels h_kn^H F_n =
-    conj(w_kn) A_kn, A_kn = F_kn^H F_n of size R x M_n, which depend on the
-    control only. They are set up once for the rows that enter a result:
-    the users selected at n (their rates; the outer precoders null every
-    other BS, so only the serving BS interferes) and the users blocked at n
-    (what n leaks onto them). Each draw then costs R- and M_n-sized
-    products per BS, one 1 x R by R x M_n product per user, and gets the
-    same digits in any chunk: the inner RZF beams g, the amplitudes eff g,
-    and the BS power sum_l p_l ||g_l||^2, F_n being semi-unitary."""
-    m = corr_set.dim
-    factor = corr_set.factor()
-    blocked = scheduled_neighbors(graph, control.selected_union)
-    blocks, protected, entries = [], [], 0
-    for n, users in control.selected.items():
-        if not users:
-            continue
-        rows = list(users + blocked[n])
-        gram = factor[rows, n].conj().swapaxes(-1, -2) @ control.outer[n]  # U x R x M_n
-        power = np.array([control.power[k] for k in users])
-        leaked = slice(len(protected), len(protected) + len(blocked[n]))
-        blocks.append((n, list(users), rows, gram, power, np.eye(len(users), dtype=bool), leaked))
-        protected.extend(blocked[n])
-        entries = max(entries, len(rows) * max(*gram.shape[1:], len(users)))
 
-    def evaluate(coefficients):
-        lead = coefficients.shape[:-4]
-        rates = np.zeros((*lead, graph.num_users))
-        signal = np.zeros((*lead, graph.num_users))
-        powers = np.zeros((*lead, graph.num_bs))
-        leak = np.zeros((*lead, len(protected)))
-        for n, users, rows, gram, power, own, leaked in blocks:
-            effective = _effective_rows(coefficients, (n,), rows, gram)
-            inner = inner_precoders(effective[..., : len(users), :], m, nu)
-            received = power * np.abs(effective @ inner) ** 2  # (..., U, S)
-            served = received[..., : len(users), :]
-            signal[..., users] = np.diagonal(served, axis1=-2, axis2=-1)
-            rates[..., users] = instantaneous_rate(signal[..., users],
-                                                   np.sum(served, axis=-1, where=~own))
-            powers[..., n] = transmit_power(inner[..., None, :, :], power)[..., 0]
-            leak[..., leaked] = np.sum(received[..., len(users) :, :], axis=-1)
-        ratio = leak / (signal[..., protected] + 1.0)
-        worst = np.max(ratio, axis=-1, initial=0.0)
-        return rates, powers, worst, np.sum(leak, axis=-1)
+@functools.cache
+def _off_diagonal(s):
+    """The s x s mask of the off-diagonal entries, made once per size and
+    shared, so never written to."""
+    return ~np.eye(s, dtype=bool)
 
-    return evaluate, entries
+
+def _book(lead, num_users, groups, rows, beams, powers):
+    """Rates, signals, recorded leaks and cross interference of a chunk of
+    ``lead`` draws. Group g's (D, W, |S|) ``beams[g]`` at the powers
+    ``powers[g]`` (one per beam, or (D, 1, 1) per draw) deliver p |e b|^2
+    to each of its (D, U, W) ``rows[g]`` e. The diagonal of its served rows
+    is its users' signal, the rest of them and what its ``others`` receive
+    is interference, and what its ``recorded`` rows receive is their (D,
+    sum |recorded|) leak, in group order. Cross interference is what the
+    ``others`` and ``recorded`` rows receive, summed per group in group
+    order."""
+    signal, interference = np.zeros((2, lead, num_users))
+    cross = np.zeros(lead)
+    leaks = [np.zeros((lead, 0))]
+    for group, e, b, p in zip(groups, rows, beams, powers):
+        s, o = len(group.users), len(group.others)
+        received = p * np.abs(e @ b) ** 2  # (D, U, |S|)
+        served = received[:, :s]
+        signal[:, group.users] = np.diagonal(served, axis1=-2, axis2=-1)
+        interference[:, group.users] += served.sum(axis=-1, where=_off_diagonal(s))
+        leaked = received[:, s:].sum(axis=-1)
+        interference[:, group.others] += leaked[:, :o]
+        cross += leaked.sum(axis=-1)
+        leaks.append(leaked[:, o:])
+    return instantaneous_rate(signal, interference), signal, np.concatenate(leaks, axis=-1), cross
+
+
+def _bs_powers(lead, num_bs, groups, beams, powers):
+    """The (D, N) power sum_l p_l ||b_l||^2 of every BS over its block of its
+    group's (D, |bss| q, |S|) beams; 0 at a BS without a group. The bases
+    are semi-unitary, so the beams' norms are those of the M-dimensional
+    beams."""
+    out = np.zeros((lead, num_bs))
+    for group, b, p in zip(groups, beams, powers):
+        first, count = group.bss[0], len(group.bss)
+        blocks = b.reshape(lead, count, b.shape[1] // count, b.shape[2])
+        out[:, first : first + count] = transmit_power(blocks, p)
+    return out
 
 
 # Draws per chunk: as many as keep the largest array that a scheme builds
@@ -143,18 +184,20 @@ def _control_evaluator(control, corr_set, graph, nu):
 CHUNK_ENTRIES = 2**13
 
 
-def _monte_carlo(draw, entries, corr_set, graph, draws, seed, tag):
+def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
     """Report of ``draws`` realizations of one scheme, read in order from the
     stream (seed, tag, 0). Their coefficients go to ``draw`` as (D, K, N, 1,
-    R) ``sample_coefficients`` rows, D at most CHUNK_ENTRIES // (K N R or
-    ``entries``, the largest other array the scheme builds per draw, if
-    larger); it maps them to the (D, K) user rates, (D, N) BS powers, (D,)
-    worst interference ratios (None if untracked) and (D,) cross
-    interference of those draws."""
+    R) ``sample_coefficients`` rows; it maps them to the (D, K) user rates,
+    (D, N) BS powers, (D,) worst interference ratios (None if untracked) and
+    (D,) cross interference of those draws. D is at most CHUNK_ENTRIES over
+    the largest per-draw array: the K N R coefficients, or a group's rows
+    times the widest of its |bss| R coefficients, its basis and its |S|
+    beams."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    coefficients = graph.num_users * graph.num_bs * corr_set.factor().shape[-1]
-    size = max(1, CHUNK_ENTRIES // max(coefficients, entries, 1))
+    largest = max([graph.num_users * graph.num_bs * corr_set.factor().shape[-1], 1]
+                  + [g.gram.shape[0] * max(*g.gram.shape[1:], len(g.users)) for g in groups])
+    size = max(1, CHUNK_ENTRIES // largest)
     rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))
@@ -180,6 +223,41 @@ def _monte_carlo(draw, entries, corr_set, graph, draws, seed, tag):
     )
 
 
+# ---------------------------------------------------------------------------
+# the proposed scheme: inner RZF on the effective channels h^H F_n
+# ---------------------------------------------------------------------------
+
+def _control_evaluator(control, corr_set, graph, nu):
+    """Evaluation of ``control`` on (D, K, N, 1, R) channel coefficients
+    (``sample_coefficients``), and its groups. It maps a chunk to the rates,
+    BS powers, worst interference-to-signal ratio and total power leaked
+    onto protected users of each draw.
+
+    Each BS n with a selection S_n is a group in the basis F_n: its served
+    rows are the effective channels h_kn^H F_n that its inner RZF precoder
+    sees (the outer precoders null every other BS, so only the serving BS
+    interferes), and its recorded rows are the users blocked at n, which
+    give what n leaks onto them. A BS spends sum_l p_l ||g_l||^2 over its
+    inner beams g, F_n being semi-unitary."""
+    m = corr_set.dim
+    factor = corr_set.factor()
+    blocked = scheduled_neighbors(graph, control.selected_union)
+    groups = [_group(factor, (n,), users, (), blocked[n], [control.outer[n]])
+              for n, users in control.selected.items() if users]
+    powers = [np.array([control.power[k] for k in group.users]) for group in groups]
+    protected = [k for group in groups for k in group.recorded]
+
+    def evaluate(coefficients):
+        lead = len(coefficients)
+        rows = _group_rows(coefficients, groups)
+        beams = [inner_precoders(e[:, : len(g.users)], m, nu) for g, e in zip(groups, rows)]
+        rates, signal, leak, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
+        worst = np.max(leak / (signal[:, protected] + 1.0), axis=-1, initial=0.0)
+        return rates, _bs_powers(lead, graph.num_bs, groups, beams, powers), worst, cross
+
+    return evaluate, groups
+
+
 def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
     """Empirical rates and powers of a time-sharing policy.
 
@@ -188,7 +266,6 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
     """
     probs = np.asarray(policy.probs, dtype=float)
     evaluators = [_control_evaluator(control, corr_set, graph, nu) for control in policy.controls]
-    entries = max((size for _, size in evaluators), default=0)
 
     def draw(coefficients):
         rates = np.zeros((len(coefficients), graph.num_users))
@@ -202,7 +279,8 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
             cross += q * c
         return rates, powers, worst, cross
 
-    report = _monte_carlo(draw, entries, corr_set, graph, draws, seed, POLICY_MC)
+    groups = [group for _, control_groups in evaluators for group in control_groups]
+    report = _monte_carlo(draw, groups, corr_set, graph, draws, seed, POLICY_MC)
     cache = gain_cache or GainCache(corr_set, graph, nu)
     de_rates = np.zeros(graph.num_users)
     de_powers = np.zeros(graph.num_bs)
@@ -220,7 +298,7 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
 
 
 # ---------------------------------------------------------------------------
-# the baselines: zero forcing per cell or cluster in rank-R coordinates
+# the baselines: zero forcing per cell or cluster in the bases of its users
 # ---------------------------------------------------------------------------
 
 ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
@@ -230,54 +308,23 @@ def _zero_forcing_limit(rows):
     """Zero-forcing beams of every draw's channel rows H, one |S|-row matrix
     per draw of the stack ``rows``, regularized by ZF_NU tr(H H^H) / |S| so
     that the beams stay near the exact zero-forcing limit whatever the
-    channel's scale."""
+    channel's scale. A zero row gets a zero beam; where every row is zero,
+    any positive regularizer gives zero beams, so 1 stands in for it."""
     # tr(H H^H) as the inner product of H's flattened rows with themselves
     flat = rows.reshape(rows.shape[0], 1, -1)
     traces = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
-    return zero_forcing(rows, ZF_NU * traces / rows.shape[-2])
+    reg = ZF_NU * traces / rows.shape[-2]
+    return zero_forcing(rows, np.where(reg > 0, reg, 1.0))
 
 
-def _effective_map(factor, bss, users, rows):
-    """The channel rows of a cell or cluster, serving ``users`` from the
-    consecutive BSs ``bss``, as a map of the coefficients: the (U, |bss| R,
-    |bss| q) block-diagonal array whose block of BS n holds F_jn^H Q_n for
-    each of the U ``rows`` j, so that j's coefficients at ``bss`` side by
-    side, conjugated, times it give its rows h_jn^H Q_n side by side.
-
-    Q_n (M x q, q = min(M, |users| R)) is the thin QR basis of the served
-    users' factors [F_kn] at BS n, taken without a rank threshold: it spans
-    every served channel (and every outdated one), so zero-forcing these
-    rows E = H Q gives the beams Q y of zero-forcing H, with tr(E E^H) =
+def _user_bases(factor, bss, users):
+    """The thin QR basis Q_n (M x min(M, |users| R)) of the served users'
+    factors [F_kn] at each BS n of ``bss``, taken without a rank threshold:
+    it spans every served channel (and every outdated one), so zero-forcing
+    the rows E = H Q gives the beams Q y of zero-forcing H, with tr(E E^H) =
     tr(H H^H), ||Q y|| = ||y|| and h^H Q y = e y for any row."""
-    m, width = factor.shape[-2:]
-    q = min(m, len(users) * width)
-    gram = np.zeros((len(rows), len(bss) * width, len(bss) * q), dtype=complex)
-    for i, n in enumerate(bss):
-        basis = np.linalg.qr(factor[users, n].transpose(1, 0, 2).reshape(m, -1))[0]
-        block = factor[rows, n].conj().swapaxes(-1, -2) @ basis
-        gram[:, i * width : (i + 1) * width, i * q : (i + 1) * q] = block
-    return gram
-
-
-def _add_received(received, users, others, signal, interference):
-    """Adds the (D, U, |S|) powers that a cell's or cluster's beams deliver,
-    one column per served user and rows ``users`` then ``others``, to the
-    (D, K) ``signal`` of its users and ``interference`` of every row;
-    returns the (D,) power that ``others`` receive."""
-    served = received[:, : len(users)]
-    leaked = np.sum(received[:, len(users) :], axis=-1)
-    own = np.eye(len(users), dtype=bool)
-    signal[:, users] = np.diagonal(served, axis1=-2, axis2=-1)
-    interference[:, users] += np.sum(served, axis=-1, where=~own)
-    interference[:, others] += leaked
-    return np.sum(leaked, axis=-1)
-
-
-def _group_entries(groups):
-    """The largest array that a baseline builds per draw and group (bss,
-    users, others, map): its rows times the wider of its basis and |S|."""
-    return max(((len(users) + len(others)) * max(gram.shape[-1], len(users))
-                for _, users, others, gram in groups), default=0)
+    m = factor.shape[-2]
+    return [np.linalg.qr(factor[users, n].transpose(1, 0, 2).reshape(m, -1))[0] for n in bss]
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +369,36 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
     """Per-cell ZF with the band split across reuse partitions.
 
     Each cell serves all its associated users on its partition with equal
-    power and unit-norm ZF beams; co-partition cells interfere, the rest are
-    silent. Rates carry the 1/partitions bandwidth share.
+    power and unit-norm ZF beams (a zero beam for a user without channel);
+    co-partition cells interfere, the rest are silent. Rates carry the
+    1/partitions bandwidth share.
     """
     if reuse_partitions < 1:
         raise ParameterError("reuse_partitions must be at least 1")
     partition = _bs_partition(graph, reuse_partitions)
     band = partition[[graph.serving[k] for k in range(graph.num_users)]]
+    factor = corr_set.factor()
     groups = []
     for n, users in enumerate(ffr_cells(graph, corr_set.dim)):
         if users:
             # the users of the other cells of n's partition share its band
             others = [k for k in range(graph.num_users)
                       if band[k] == partition[n] and graph.serving[k] != n]
-            groups.append(((n,), users, others,
-                           _effective_map(corr_set.factor(), (n,), users, users + others)))
+            groups.append(_group(factor, (n,), users, others, (), _user_bases(factor, (n,), users)))
+    powers = [np.full(len(group.users), p_c / len(group.users)) for group in groups]
 
     def draw(coefficients):
-        signal, interference = np.zeros((2, len(coefficients), graph.num_users))
-        powers = np.zeros((len(coefficients), graph.num_bs))
-        cross = np.zeros(len(coefficients))
-        for (n,), users, others, gram in groups:
-            rows = _effective_rows(coefficients, (n,), users + others, gram)
-            g = _zero_forcing_limit(rows[:, : len(users)])
-            beams = g / np.linalg.norm(g, axis=-2, keepdims=True)
-            power = np.full(len(users), p_c / len(users))
-            cross += _add_received(power * np.abs(rows @ beams) ** 2, users, others,
-                                   signal, interference)
-            powers[:, n] = transmit_power(beams[:, None], power)[:, 0]
-        return instantaneous_rate(signal, interference) / reuse_partitions, powers, None, cross
+        lead = len(coefficients)
+        rows = _group_rows(coefficients, groups)
+        zf = [_zero_forcing_limit(e[:, : len(group.users)]) for group, e in zip(groups, rows)]
+        norms = [np.linalg.norm(g, axis=-2, keepdims=True) for g in zf]
+        # a user without channel keeps its zero beam
+        beams = [g / np.where(norm > 0, norm, 1.0) for g, norm in zip(zf, norms)]
+        rates, _, _, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
+        return (rates / reuse_partitions, _bs_powers(lead, graph.num_bs, groups, beams, powers),
+                None, cross)
 
-    return _monte_carlo(draw, _group_entries(groups), corr_set, graph, draws, seed, FFR_MC)
+    return _monte_carlo(draw, groups, corr_set, graph, draws, seed, FFR_MC)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +440,14 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         raise ParameterError("cluster_size must be at least 1")
     if not (0.0 <= delay_rho <= 1.0):
         raise ParameterError("delay_rho must lie in [0, 1]")
+    factor = corr_set.factor()
     groups = []
     for c, users in enumerate(comp_clusters(graph, corr_set.dim, cluster_size)):
         if users:
-            bss = tuple(range(c * cluster_size, (c + 1) * cluster_size))
+            bss = range(c * cluster_size, (c + 1) * cluster_size)
             others = sorted(set(range(graph.num_users)) - set(users))
-            groups.append((bss, users, others,
-                           _effective_map(corr_set.factor(), bss, users, users + others)))
+            groups.append(_group(factor, bss, users, others, (), _user_bases(factor, bss, users)))
+    unit = [np.ones(len(group.users)) for group in groups]
     # the AR(1) innovation has a stream of its own, so every delay_rho sees
     # the same true channels and delay_rho = 1 never reads it
     innovation = derive_rng(seed, COMP_MC, 1)
@@ -414,27 +461,17 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         # each cluster zero-forces its users' outdated rows; a BS only
         # carries its cluster's beams, so its unit load is the squared norm
         # of its block of them
-        unit_load = np.zeros((lead, graph.num_bs))
-        evaluated = []
-        for bss, users, others, gram in groups:
-            rows = _effective_rows(coefficients, bss, users + others, gram)
-            served = rows if outdated is coefficients else _effective_rows(
-                outdated, bss, users, gram[: len(users)])
-            beams = _zero_forcing_limit(served[:, : len(users)])
-            blocks = beams.reshape(lead, len(bss), -1, len(users))
-            unit_load[:, bss[0] : bss[-1] + 1] = transmit_power(blocks, np.ones(len(users)))
-            evaluated.append((rows, beams))
+        rows = _group_rows(coefficients, groups)
+        served = rows if outdated is coefficients else [
+            _effective_rows(outdated, g.bss, g.users, g.gram[: len(g.users)]) for g in groups]
+        beams = [_zero_forcing_limit(e[:, : len(g.users)]) for g, e in zip(groups, served)]
+        unit_load = _bs_powers(lead, graph.num_bs, groups, beams, unit)
         # one power per cluster, scaled so that its most loaded BS spends p_c
-        # (0 for a cluster without users)
+        # (0 for a cluster without users or without channels)
         most_loaded = np.max(unit_load.reshape(lead, -1, cluster_size), axis=-1)
         scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
-        signal, interference = np.zeros((2, lead, graph.num_users))
-        cross = np.zeros(lead)
-        for (bss, users, others, _), (rows, beams) in zip(groups, evaluated):
-            power = scale[:, bss[0] // cluster_size, None, None]
-            cross += _add_received(power * np.abs(rows @ beams) ** 2, users, others,
-                                   signal, interference)
-        bs_power = unit_load * np.repeat(scale, cluster_size, axis=-1)
-        return instantaneous_rate(signal, interference), bs_power, None, cross
+        powers = [scale[:, group.bss[0] // cluster_size, None, None] for group in groups]
+        rates, _, _, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
+        return rates, unit_load * np.repeat(scale, cluster_size, axis=-1), None, cross
 
-    return _monte_carlo(draw, _group_entries(groups), corr_set, graph, draws, seed, COMP_MC)
+    return _monte_carlo(draw, groups, corr_set, graph, draws, seed, COMP_MC)

@@ -20,7 +20,7 @@ import numpy as np
 from .det_equiv import GainCache, ZERO_GAIN, de_rate_power
 from .errors import ConvergenceError, ParameterError, ValidationError
 from .precoder import CompositeControl, outer_precoder
-from .topology import scheduled_neighbors
+from .topology import served_and_blocked
 
 log = logging.getLogger(__name__)
 
@@ -166,14 +166,11 @@ def weighted_sum_rate(
         return SelectionValue(0.0, {})
     cache = gain_cache or GainCache(corr_set, graph, nu)
     memo = {} if memo is None else memo
-    sel = set(selected)
-    blocked = scheduled_neighbors(graph, sel)
     powers, terms = {}, {}
-    for n in range(graph.num_bs):
-        users = tuple(k for k in graph.assoc_users[n] if k in sel)
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, selected)):
         if not users:
             continue
-        key = (n, users, blocked[n])
+        key = (n, users, blocked)
         if key not in memo:
             # Python floats: a BS holds a few users, where NumPy scalars cost more
             weights = [float(rate_weights[k]) for k in users]
@@ -192,15 +189,11 @@ def weighted_sum_rate(
 def assemble_control(selected, corr_set, graph, powers):
     """Composite control for a user set: blocked-complement outer precoders
     per BS plus the given powers."""
-    sel = set(selected)
-    blocked = scheduled_neighbors(graph, sel)
-    outer = {}
-    per_bs = {}
-    for n in range(graph.num_bs):
-        users = tuple(k for k in graph.assoc_users[n] if k in sel)
+    outer, per_bs = {}, {}
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, selected)):
         per_bs[n] = users
-        outer[n] = outer_precoder(corr_set, users, blocked[n], n)
-    power = {k: float(powers[k]) for k in sel}
+        outer[n] = outer_precoder(corr_set, users, blocked, n)
+    power = {k: float(powers[k]) for k in set(selected)}
     return CompositeControl(outer=outer, selected=per_bs, power=power)
 
 

@@ -75,5 +75,15 @@ def scheduled_neighbors(graph, selected):
     }
 
 
+def served_and_blocked(graph, selected):
+    """Every BS n's (S_n, B_n), indexed by n: the selected users it serves,
+    in index order, and the selected users that neighbor it (its nulling
+    targets)."""
+    selected = set(selected)
+    blocked = scheduled_neighbors(graph, selected)
+    return [(tuple(k for k in graph.assoc_users[n] if k in selected), blocked[n])
+            for n in range(graph.num_bs)]
+
+
 def theta_from_db(theta_db):
     return float(10.0 ** (theta_db / 10.0))

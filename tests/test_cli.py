@@ -221,6 +221,44 @@ def test_correlation_file_roundtrip(tmp_path):
         assert np.linalg.norm(corr2.matrices[key].dense() - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("serving", [(0, 0, 1), (0, 1, 0)], ids=["shared-cell", "own-cell"])
+def test_compare_gives_users_without_channel_zero_beams(tmp_path, serving):
+    # user 1 has no channel at any BS. Sharing a cell, its zero FFR beam was
+    # normalized to NaN, which spread to every rate of its band; alone in a
+    # cell and in a CoMP cluster of one BS, its zero rows failed the
+    # zero-forcing regularizer check. Either way the user gets a zero beam
+    # and rate 0, and the comparison stays finite
+    from hiermimo.cli import build_network
+    from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, dump_correlation_set
+    from hiermimo.harness import comp_baseline, ffr_baseline
+
+    shape = {"num_users": 3, "num_antennas": 8, "rank": 2, "draws": 20,
+             "baselines": {"ffr_partitions": 1, "comp_cluster_size": 1,
+                           "comp_delay_rhos": [1.0, 0.0]}}
+    corr_set, _ = build_network(load_scenario(write_config(tmp_path, shape)))
+    matrices = dict(corr_set.matrices)
+    for n in range(corr_set.num_bs):
+        matrices[(1, n)] = CorrelationMatrix.from_dense(np.zeros((8, 8), dtype=complex), None, 0.0)
+    dump = tmp_path / "corr.txt"
+    dump_correlation_set(CorrelationSet(corr_set.num_bs, 3, matrices, dict(enumerate(serving)),
+                                        corr_set.cluster_ids), dump)
+    path = write_config(tmp_path, {**shape, "correlation_file": str(dump)}, name="zero.json")
+    out = tmp_path / "out"
+    assert main(["compare", str(path), "--out", str(out)]) == EXIT_OK
+    comparison = json.loads((out / "summary.json").read_text())["comparison"]
+    assert set(comparison) == {"proposed", "ffr", "comp_rho1", "comp_rho0"}
+    for row in comparison.values():
+        assert np.isfinite(row["sum_rate"]) and np.isfinite(row["cross_interference"])
+    for line in (out / "comparison.csv").read_text().splitlines()[1:]:
+        assert np.all(np.isfinite([float(v) for v in line.split(",")[1:]])), line
+    network = build_network(load_scenario(path))
+    for report in (ffr_baseline(*network, 10.0, 1, 5, 7),
+                   comp_baseline(*network, 10.0, 1, 5, 7, delay_rho=0.0)):
+        assert report.user_rate_mean[1] == 0.0
+        assert np.all(report.user_rate_mean[[0, 2]] > 0)
+        assert np.all(np.isfinite(report.bs_power_mean))
+
+
 def test_missing_correlation_file_is_config_error(tmp_path):
     path = write_config(tmp_path, {"correlation_file": str(tmp_path / "nope.txt")})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -432,14 +432,16 @@ def test_proposed_beats_ffr_directionally(desk):
 @st.composite
 def baseline_cases(draw):
     """A random small network for both baselines, a reuse factor and a CoMP
-    cluster size that divides the BSs. Links have rank 0 to 3 (a serving
-    link at least 1), some users clone an earlier user's correlations and
+    cluster size that divides the BSs. Links have rank 0 to 3 (rank 0 has
+    no gain, also on a serving link: a served user without channel, whose
+    beam is zero), some users clone an earlier user's correlations and
     serving BS (hotspot clones), and a cell serves up to M users, so a
     cell's or cluster's |S| R often exceeds M and its basis Q is square.
 
-    A user and its clones are at most as many as their serving rank: more
-    would make their rows dependent, where the beams of any two evaluations
-    agree only to round-off over ZF_NU (see the pseudo-inverse test)."""
+    A user and its clones are at most as many as their serving rank (no
+    clone of a user without channel): more would make their rows dependent,
+    where the beams of any two evaluations agree only to round-off over
+    ZF_NU (see the pseudo-inverse test)."""
     num_bs = draw(st.integers(1, 4))
     num_users = draw(st.integers(1, 7))
     m = draw(st.sampled_from([4, 6]))
@@ -455,7 +457,7 @@ def baseline_cases(draw):
             continue
         serving[k], original[k], copies[k] = draw(st.integers(0, num_bs - 1)), k, 1
         for n in range(num_bs):
-            rank = draw(st.integers(1 if n == serving[k] else 0, 3))
+            rank = draw(st.integers(0, 3))
             gain = 10.0 ** draw(st.floats(-3.0, 0.0)) if rank else 0.0
             links[(k, n)] = (rank, gain, seed + num_bs * k + n)
     assume(all(list(serving.values()).count(n) <= m for n in range(num_bs)))
@@ -499,7 +501,16 @@ def per_draw_layout(blocks, num_users, num_bs, m):
 
 
 def per_draw_zero_forcing_limit(rows):
-    return zero_forcing(rows, harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0])
+    """Zero-forcing beams of one draw's rows; where every row is zero, any
+    positive regularizer gives their zero beams."""
+    reg = harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0]
+    return zero_forcing(rows, reg if reg > 0 else 1.0)
+
+
+def unit_norm(beams):
+    """Every beam (column) at unit norm, a zero beam as it is."""
+    norms = np.linalg.norm(beams, axis=0, keepdims=True)
+    return beams / np.where(norms > 0, norms, 1.0)
 
 
 def masked_rates(received, own, interferers):
@@ -570,7 +581,8 @@ def rank_r_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
     """FFR one draw at a time in rank-R coordinates: unit-norm zero-forcing
     beams y of each cell's rows, received powers p |e y|^2 and BS powers
     sum_l p_l ||y_l||^2."""
-    groups = [(bss, users, others, harness._effective_map(cs.factor(), bss, users, users + others))
+    groups = [(bss, users, others, harness._effective_map(
+                  cs.factor(), bss, users + others, harness._user_bases(cs.factor(), bss, users)))
               for bss, users, others in ffr_groups(graph, reuse_partitions)]
 
     def draw(w):
@@ -579,7 +591,7 @@ def rank_r_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         for bss, users, others, gram in groups:
             rows = rank_r_rows(w, bss, users + others, gram)
             g = per_draw_zero_forcing_limit(rows[: len(users)])
-            beams = g / np.linalg.norm(g, axis=0, keepdims=True)
+            beams = unit_norm(g)
             power = np.full(len(users), p_c / len(users))
             cross += add_rank_r_received(power * np.abs(rows @ beams) ** 2, users, others,
                                          signal, interference)
@@ -593,7 +605,8 @@ def rank_r_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
     """CoMP one draw at a time in rank-R coordinates: zero-forcing beams y
     of each cluster's outdated rows, BS unit loads from their blocks of y,
     and received powers p |e y|^2 on the true rows."""
-    groups = [(bss, users, others, harness._effective_map(cs.factor(), bss, users, users + others))
+    groups = [(bss, users, others, harness._effective_map(
+                  cs.factor(), bss, users + others, harness._user_bases(cs.factor(), bss, users)))
               for bss, users, others in comp_groups(graph, cluster_size)]
     innovation = derive_rng(seed, COMP_MC, 1)
 
@@ -681,7 +694,7 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         for n, users in graph.assoc_users.items():
             if users:
                 g = per_draw_zero_forcing_limit(channels[list(users), n].conj())
-                blocks.append(((n,), users, g / np.linalg.norm(g, axis=0, keepdims=True)))
+                blocks.append(((n,), users, unit_norm(g)))
         beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
         power = p_c / load[beam_bs]
         received = cross_interference_power(channels, beams, power)

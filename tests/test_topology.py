@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from hiermimo.errors import ParameterError
-from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
+from hiermimo.topology import (
+    build_topology,
+    scheduled_neighbors,
+    served_and_blocked,
+    theta_from_db,
+)
 
 from conftest import trace_table_set
 
@@ -37,6 +42,15 @@ def test_two_cell_example_scheduled_neighbors(fig_graph):
     sbar = scheduled_neighbors(fig_graph, {0, 1, 2, 4})
     assert sbar[0] == (2,)
     assert sbar[1] == (1,)
+
+
+def test_two_cell_example_served_and_blocked(fig_graph):
+    # each BS's selected users S_n, in index order, beside its blocked set
+    assert served_and_blocked(fig_graph, (4, 1, 2, 0)) == [((0, 1), (2,)), ((2, 4), (1,))]
+    assert served_and_blocked(fig_graph, [3]) == [((), (3,)), ((3,), ())]
+    assert served_and_blocked(fig_graph, ()) == [((), ()), ((), ())]
+    with pytest.raises(ParameterError):
+        served_and_blocked(fig_graph, {99})
 
 
 def test_single_bs_has_no_neighbors():
