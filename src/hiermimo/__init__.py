@@ -52,6 +52,6 @@ from .scheduler import (
     waterfill,
     weighted_sum_rate,
 )
-from .topology import TopologyGraph, build_topology, scheduled_neighbors, theta_from_db
+from .topology import TopologyGraph, build_topology, served_and_blocked, theta_from_db
 
 __version__ = "0.1.0"

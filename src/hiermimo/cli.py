@@ -28,8 +28,6 @@ from .scheduler import (
     ENUMERATION_GUARD,
     ControlPolicy,
     alpha_fair_utility,
-    pfs_utility,
-    sum_rate_utility,
     optimize_policy,
 )
 from .topology import build_topology, theta_from_db
@@ -75,7 +73,9 @@ NUMBER_BOUNDS = {
     "max_outer": POSITIVE_INT,
 }
 
-UTILITY_KINDS = ("pfs", "alpha_fair", "sum_rate")
+# the alpha of each utility kind in the alpha-fair family; None where the
+# scenario's utility.alpha sets it (1 when absent)
+UTILITY_ALPHA = {"pfs": 1.0, "alpha_fair": None, "sum_rate": 0.0}
 
 DEFAULT_GEOMETRY = {
     "inter_site_m": 500.0,
@@ -183,21 +183,28 @@ def _list(value, name):
     return value
 
 
+def _alpha(util):
+    """The alpha of a checked utility object."""
+    alpha = UTILITY_ALPHA[util["kind"]]
+    return float(util.get("alpha", 1.0)) if alpha is None else alpha
+
+
 def _utility(util, num_users):
     """The utility object, checked key by key and returned as given."""
     if not isinstance(util, dict) or "kind" not in util:
         raise ConfigError("field 'utility' must be an object with a 'kind'", field="utility")
     kind = util["kind"]
-    if kind not in UTILITY_KINDS:
+    if not isinstance(kind, str) or kind not in UTILITY_ALPHA:
         raise ConfigError(
-            f"field 'utility.kind' must be one of {', '.join(UTILITY_KINDS)}, got {kind!r}",
+            f"field 'utility.kind' must be one of {', '.join(UTILITY_ALPHA)}, got {kind!r}",
             field="utility",
         )
-    if "eps" in util:
-        # pfs takes log(r + eps) at zero rates
-        _number(util["eps"], "utility.eps", **({"above": 0.0} if kind == "pfs" else {"low": 0.0}))
     if "alpha" in util:
         _number(util["alpha"], "utility.alpha", low=0.0)
+    if "eps" in util:
+        # for alpha > 0 the gradient w (r + eps)^-alpha is infinite at a zero rate
+        bound = {"above": 0.0} if _alpha(util) > 0 else {"low": 0.0}
+        _number(util["eps"], "utility.eps", **bound)
     if util.get("weights") is not None:
         weights = _list(util["weights"], "utility.weights")
         if len(weights) != num_users:
@@ -316,18 +323,10 @@ def load_scenario(path, **overrides):
 
 
 def build_utility(scn):
+    """The alpha-fair utility of the scenario's kind; sum_rate ignores eps."""
     util = scn.utility
-    weights = util.get("weights")
-    if util["kind"] == "pfs":
-        return pfs_utility(scn.num_users, eps=float(util.get("eps", 1e-4)), weights=weights)
-    if util["kind"] == "alpha_fair":
-        return alpha_fair_utility(
-            float(util.get("alpha", 1.0)),
-            scn.num_users,
-            eps=float(util.get("eps", 1e-4)),
-            weights=weights,
-        )
-    return sum_rate_utility(scn.num_users, weights=weights)
+    eps = 0.0 if util["kind"] == "sum_rate" else float(util.get("eps", 1e-4))
+    return alpha_fair_utility(_alpha(util), scn.num_users, eps=eps, weights=util.get("weights"))
 
 
 def build_network(scn):

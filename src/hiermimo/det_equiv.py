@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .precoder import interference_nullspace_basis, projected_factor
-from .topology import scheduled_neighbors
+from .topology import served_and_blocked
 
 log = logging.getLogger(__name__)
 
@@ -250,13 +250,6 @@ class GainCache:
         return sol.gains, sol.iterations, sol.residual
 
 
-def _per_bs_selection(control, graph):
-    blocked = scheduled_neighbors(graph, control.selected_union)
-    return {
-        n: (tuple(sorted(control.selected.get(n, ()))), blocked[n]) for n in range(graph.num_bs)
-    }
-
-
 def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     """Deterministic-equivalent rates and powers of one composite control.
 
@@ -270,7 +263,7 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     gains = {}
     worst_iterations = 0
     worst_residual = 0.0
-    for n, (users, blocked) in _per_bs_selection(control, graph).items():
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
         if not users:
             continue
         bs_gains, iters, residual = cache.gains(n, users, blocked)
@@ -304,7 +297,7 @@ def full_de(control, corr_set, graph, nu):
     powers_hat = np.zeros(graph.num_bs)
     all_gains = {}
     moments = {}
-    for n, (users, blocked) in _per_bs_selection(control, graph).items():
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
         if not users:
             continue
         xi = cache.gains(n, users, blocked)[0]

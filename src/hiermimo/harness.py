@@ -42,7 +42,7 @@ from .precoder import (  # noqa: F401 (cross_interference_power: see draw_channe
     zero_forcing,
 )
 from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
-from .topology import scheduled_neighbors
+from .topology import served_and_blocked
 
 
 @dataclass
@@ -241,9 +241,9 @@ def _control_evaluator(control, corr_set, graph, nu):
     inner beams g, F_n being semi-unitary."""
     m = corr_set.dim
     factor = corr_set.factor()
-    blocked = scheduled_neighbors(graph, control.selected_union)
-    groups = [_group(factor, (n,), users, (), blocked[n], [control.outer[n]])
-              for n, users in control.selected.items() if users]
+    split = served_and_blocked(graph, control.selected_union)
+    groups = [_group(factor, (n,), users, (), blocked, [control.outer[n]])
+              for n, (users, blocked) in enumerate(split) if users]
     powers = [np.array([control.power[k] for k in group.users]) for group in groups]
     protected = [k for group in groups for k in group.recorded]
 

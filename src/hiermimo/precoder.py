@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmat import RANK_TOL
 from .errors import ParameterError, ValidationError
-from .topology import scheduled_neighbors
+from .topology import served_and_blocked
 
 SEMI_UNITARY_TOL = 1e-9
 ZERO_ICI_TOL = 1e-8
@@ -121,6 +121,9 @@ class CompositeControl:
 
     def validate(self, corr_set, graph):
         sel = self.selected_union
+        for k in sel:
+            if not (0 <= k < graph.num_users):
+                raise ValidationError(f"unknown user {k} is selected")
         if len(sel) != len(set(sel)):
             raise ValidationError("a user is selected at more than one BS")
         for n, users in self.selected.items():
@@ -131,8 +134,7 @@ class CompositeControl:
             p = self.power.get(k)
             if p is None or not np.isfinite(p) or p < 0:
                 raise ValidationError(f"user {k} has invalid power {p!r}")
-        blocked = scheduled_neighbors(graph, sel)
-        for n in range(graph.num_bs):
+        for n, (_, blocked) in enumerate(served_and_blocked(graph, sel)):
             f = self.outer.get(n)
             if f is None:
                 raise ValidationError(f"missing outer precoder for BS {n}")
@@ -145,7 +147,7 @@ class CompositeControl:
                     raise ValidationError(
                         f"outer precoder at BS {n} not semi-unitary ({gram_err:.3e})"
                     )
-            for k in blocked[n]:
+            for k in blocked:
                 # theta = F_k F_k^H: ||f^H theta||_F^2 = tr(X G X^H) with
                 # X = f^H F_k and G = F_k^H F_k, and ||theta||_F = ||G||_F
                 fk = corr_set.matrix(k, n).factor()

@@ -36,9 +36,11 @@ PROB_SNAP = 1e-10
 
 @dataclass
 class UtilityFunction:
-    """Separable concave utility U(r) = sum_k weights[k] * u(r_k)."""
+    """Separable concave utility U(r) = sum_k weights[k] * u(r_k + eps), u
+    the alpha-fair function (Mo & Walrand, IEEE/ACM ToN 8(5), 2000): log at
+    alpha = 1 (proportional fairness), x^(1 - alpha) / (1 - alpha) for any
+    other alpha >= 0, the weighted sum rate at alpha = 0 and eps = 0."""
 
-    kind: str  # "alpha_fair", "pfs", or "sum_rate"
     weights: np.ndarray
     alpha: float = 1.0
     eps: float = 1e-4
@@ -47,23 +49,19 @@ class UtilityFunction:
         rbar = np.asarray(rbar, dtype=float)
         if np.any(rbar < 0):
             raise ParameterError("average rates must be non-negative")
-        if self.kind == "sum_rate":
-            return float(np.dot(self.weights, rbar)), self.weights.copy()
-        if self.kind == "pfs" or (self.kind == "alpha_fair" and self.alpha == 1.0):
-            shifted = rbar + self.eps
-            value = float(np.dot(self.weights, np.log(shifted)))
-            return value, self.weights / shifted
         shifted = rbar + self.eps
+        if self.alpha == 1.0:
+            return float(np.dot(self.weights, np.log(shifted))), self.weights / shifted
         value = float(np.dot(self.weights, shifted ** (1.0 - self.alpha) / (1.0 - self.alpha)))
         return value, self.weights * shifted ** (-self.alpha)
 
     def curvature(self, rbar):
         """Per-user second derivatives weights[k] * u''(rbar_k) (<= 0)."""
         rbar = np.asarray(rbar, dtype=float)
-        if self.kind == "sum_rate":
+        if self.alpha == 0.0:
             return np.zeros_like(rbar)
         shifted = rbar + self.eps
-        if self.kind == "pfs" or (self.kind == "alpha_fair" and self.alpha == 1.0):
+        if self.alpha == 1.0:
             return -self.weights / shifted**2
         return -self.alpha * self.weights * shifted ** (-self.alpha - 1.0)
 
@@ -83,20 +81,17 @@ def _default_weights(num_users, weights):
 def pfs_utility(num_users, eps=1e-4, weights=None):
     if eps <= 0:
         raise ParameterError("pfs requires eps > 0")
-    w = _default_weights(num_users, weights)
-    return UtilityFunction("pfs", w, alpha=1.0, eps=eps)
+    return UtilityFunction(_default_weights(num_users, weights), alpha=1.0, eps=eps)
 
 
 def alpha_fair_utility(alpha, num_users, eps=1e-4, weights=None):
     if alpha < 0:
         raise ParameterError("alpha must be non-negative")
-    w = _default_weights(num_users, weights)
-    return UtilityFunction("alpha_fair", w, alpha=float(alpha), eps=eps)
+    return UtilityFunction(_default_weights(num_users, weights), alpha=float(alpha), eps=eps)
 
 
 def sum_rate_utility(num_users, weights=None):
-    w = _default_weights(num_users, weights)
-    return UtilityFunction("sum_rate", w)
+    return UtilityFunction(_default_weights(num_users, weights), alpha=0.0, eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +368,7 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
     else:
         q = project_simplex(np.asarray(init, dtype=float))
         q[q < PROB_SNAP] = 0.0
-        if q.sum() <= 0:
-            q = np.full(count, 1.0 / count)
-        else:
-            q /= q.sum()
+        q /= q.sum()
     active = q > 0
     converged = False
     for _ in range(4 * count + 16):
@@ -384,9 +376,6 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
         if dropped.size:
             active[dropped] = False
             q[dropped] = 0.0
-            if not np.any(active):
-                active[int(np.argmax(rates @ util.value_and_grad(q @ rates)[1]))] = True
-                q[active] = 1.0
             q /= q.sum()
         _, mu = util.value_and_grad(q @ rates)
         grad = rates @ mu
@@ -406,15 +395,9 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
             break
         active[best] = True
     if not converged:
-        _, mu = util.value_and_grad(q @ rates)
-        pg = float(np.linalg.norm(project_simplex(q + rates @ mu) - q))
-        if pg > tol:
-            log.warning("time-sharing solver stopped at projected gradient %.3e > %.1e", pg, tol)
+        log.warning("time-sharing solver stopped at projected gradient %.3e > %.1e", pg, tol)
     q = np.where(q < PROB_SNAP, 0.0, q)
-    total = q.sum()
-    if total <= 0:
-        raise ParameterError("all probabilities snapped to zero")
-    return q / total
+    return q / q.sum()
 
 
 def _reduce_support(rates, q, max_support):
@@ -536,8 +519,6 @@ def optimize_policy(
     prev_utility = None
     prev_q = None
     converged = False
-    last_grad = None
-    last_new = None
     for iteration in range(max_outer):
         rates = np.stack([pick.rates for pick in picks], axis=0)
         init = None
@@ -558,7 +539,6 @@ def optimize_policy(
         trace.append(
             TraceRecord(iteration, utility_value, len(picks), slack, mixed, new.rates)
         )
-        last_grad, last_new = grad, new
 
         stop = prev_utility is not None and abs(utility_value - prev_utility) <= eps_stop
         prev_utility = utility_value
@@ -582,9 +562,9 @@ def optimize_policy(
         certificate_kind = "optimality_slack"
     else:
         if num_users <= ENUMERATION_GUARD:
-            star = best_control_exhaustive(last_grad, corr_set, graph, nu, p_c, cache)
+            star = best_control_exhaustive(grad, corr_set, graph, nu, p_c, cache)
             skipped += star.skipped
-            certificate = float(last_grad @ (star.rates - last_new.rates))
+            certificate = float(grad @ (star.rates - new.rates))
             certificate_kind = "greedy_gap_bound"
         else:
             certificate = None
@@ -596,6 +576,6 @@ def optimize_policy(
         certificate_kind=certificate_kind,
         converged=converged,
         utility=prev_utility,
-        rate_weights=last_grad,
+        rate_weights=grad,
         skipped_candidates=skipped,
     )

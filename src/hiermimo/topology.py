@@ -63,25 +63,16 @@ def build_topology(corr_set, theta):
     )
 
 
-def scheduled_neighbors(graph, selected):
-    """Per BS, the selected users that are neighbors (the nulling targets)."""
+def served_and_blocked(graph, selected):
+    """Every BS n's (S_n, B_n), indexed by n: the selected users it serves,
+    and the selected users that neighbor it (its nulling targets), each in
+    index order. This is the one place a selection is split per BS."""
     selected = set(selected)
     for k in selected:
         if not (0 <= k < graph.num_users):
             raise ParameterError(f"unknown user index {k}")
-    return {
-        n: tuple(sorted(selected.intersection(graph.neighbor_users[n])))
-        for n in range(graph.num_bs)
-    }
-
-
-def served_and_blocked(graph, selected):
-    """Every BS n's (S_n, B_n), indexed by n: the selected users it serves,
-    in index order, and the selected users that neighbor it (its nulling
-    targets)."""
-    selected = set(selected)
-    blocked = scheduled_neighbors(graph, selected)
-    return [(tuple(k for k in graph.assoc_users[n] if k in selected), blocked[n])
+    return [(tuple(k for k in graph.assoc_users[n] if k in selected),
+             tuple(k for k in graph.neighbor_users[n] if k in selected))
             for n in range(graph.num_bs)]
 
 

@@ -138,6 +138,48 @@ def test_policy_reloads_and_revalidates(tmp_path):
     policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
 
 
+def _add_unknown_user(control):
+    control["selected"]["0"].append(99)
+    control["power"]["99"] = 1.0
+
+
+def _select_twice(control):
+    n, users = next((n, users) for n, users in control["selected"].items() if users)
+    control["selected"]["1" if n == "0" else "0"].append(users[0])
+
+
+def _move_to_other_bs(control):
+    n, users = next((n, users) for n, users in control["selected"].items() if users)
+    control["selected"]["1" if n == "0" else "0"].append(users.pop())
+
+
+def _drop_outer(control):
+    del control["outer"]["1"]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_add_unknown_user, "unknown user 99"),
+    (_select_twice, "more than one BS"),
+    (_move_to_other_bs, "non-serving BS"),
+    (_drop_outer, "missing outer precoder for BS 1"),
+], ids=["unknown-user", "two-bss", "non-serving-bs", "missing-outer"])
+def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
+    from hiermimo.cli import build_network
+    from hiermimo.errors import ValidationError
+
+    path = write_config(tmp_path, {"draws": 5})
+    out = tmp_path / "out"
+    run_scenario(path, out)
+    data = json.loads((out / "policy.json").read_text())
+    tamper(data["controls"][0])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data), encoding="utf-8")
+    scn = load_scenario(path)
+    corr_set, graph = build_network(scn)
+    with pytest.raises(ValidationError, match=message):
+        load_policy(tampered).validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
+
+
 def test_cli_overrides_change_results(tmp_path):
     path = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -296,6 +338,40 @@ def test_unknown_utility_kind_rejected(tmp_path):
     assert err.value.field == "utility"
 
 
+# a network whose first oracle pick leaves some users at rate 0
+ZERO_RATE_PICK = {"num_users": 21, "num_antennas": 8, "rank": 2, "seed": 5}
+
+
+@pytest.mark.parametrize("utility", [
+    {"kind": "pfs", "eps": 0},
+    {"kind": "alpha_fair", "eps": 0},
+    {"kind": "alpha_fair", "alpha": 1.0, "eps": 0},
+    {"kind": "alpha_fair", "alpha": 0.5, "eps": 0},
+], ids=["pfs", "alpha_fair-default", "alpha_fair-1", "alpha_fair-0.5"])
+def test_zero_eps_with_positive_alpha_exits_two(tmp_path, capsys, utility):
+    # the gradient w (r + eps)^-alpha is infinite at a zero rate, which the
+    # first pick gives some users of this network
+    path = write_config(tmp_path, {**ZERO_RATE_PICK, "utility": utility})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "utility.eps" in capsys.readouterr().err
+
+
+def test_zero_eps_is_allowed_at_alpha_zero(tmp_path):
+    for utility in ({"kind": "sum_rate", "eps": 0}, {"kind": "alpha_fair", "alpha": 0, "eps": 0}):
+        scn = load_scenario(write_config(tmp_path, {"utility": utility}))
+        assert cli.build_utility(scn).alpha == 0.0
+
+
+def test_config_root_must_be_an_object_in_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config root must be a JSON object" in capsys.readouterr().err
+    assert main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert "config file not found" in capsys.readouterr().err
+
+
 def test_nonpositive_fields_rejected(tmp_path):
     for field, value in (("num_antennas", 0), ("rzf_nu", -0.1), ("draws", 0)):
         path = write_config(tmp_path, {field: value}, name=f"bad_{field}.json")
@@ -361,7 +437,17 @@ MALFORMED = [
     ("baselines.comp_delay_rhos", 1.0),
     ("baselines.comp_cluster_size", 3),  # does not divide num_bs = 2
     ("correlation_file", TRUNCATED),
+    ("geometry", 5),
+    ("utility", "pfs"),
+    ("rank", 17),  # above num_antennas = 16
 ]
+
+# further malformed values of fields that MALFORMED names, with ids of their own
+MALFORMED_AGAIN = {
+    "correlation_file=5": ("correlation_file", 5),
+    "utility.weights=negative": ("utility.weights", [-0.1, 0.3, 0.2, 0.2, 0.2, 0.2]),
+    "utility.weights=string": ("utility.weights", ["x", 0.2, 0.2, 0.2, 0.2, 0.2]),
+}
 
 
 # dB values whose linear value overflows to infinity or underflows to zero
@@ -383,14 +469,15 @@ THETA_ROUNDING_TO_ONE = [("theta_db", 1e-17), ("theta_db", 1e-300)]
 @pytest.mark.parametrize(
     "path, value",
     MALFORMED + OVERFLOWING_DB + THETA_ROUNDING_TO_ONE
-    + [("correlation_file", fields) for fields in MISFIT_DUMPS],
+    + [("correlation_file", fields) for fields in MISFIT_DUMPS] + list(MALFORMED_AGAIN.values()),
     ids=[path for path, _ in MALFORMED]
     + [f"{path}={value}" for path, value in OVERFLOWING_DB + THETA_ROUNDING_TO_ONE]
-    + ["correlation_file+" + ",".join(f"{k}={v}" for k, v in f.items()) for f in MISFIT_DUMPS],
+    + ["correlation_file+" + ",".join(f"{k}={v}" for k, v in f.items()) for f in MISFIT_DUMPS]
+    + list(MALFORMED_AGAIN),
 )
 def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):
     scenario = DESK
-    if path == "correlation_file":
+    if path == "correlation_file" and (value is TRUNCATED or isinstance(value, dict)):
         from hiermimo.corrmat import dump_correlation_set
 
         corr_set, _ = cli.build_network(load_scenario(write_config(tmp_path, name="ok.json")))
@@ -416,6 +503,21 @@ DESK_SCALARS = sorted(
     + [f"{name}.{key}" for name, v in DESK_FILE.items() if isinstance(v, dict)
        for key, leaf in v.items() if not isinstance(leaf, list)]
 )
+@pytest.mark.parametrize("utility", [{"kind": "alpha_fair", "alpha": 2.0}, {"kind": "sum_rate"}],
+                         ids=["alpha_fair-2", "sum_rate"])
+def test_compare_runs_every_utility_kind(tmp_path, utility):
+    config = tmp_path / "desk.json"
+    config.write_text(json.dumps({**DESK_FILE, "utility": utility}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", str(config), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    for row in summary["comparison"].values():
+        assert np.isfinite(row["sum_rate"]) and np.isfinite(row["cross_interference"])
+    for line in (out / "comparison.csv").read_text().splitlines()[1:]:
+        assert np.all(np.isfinite([float(v) for v in line.split(",")[1:4]])), line
+
+
 VALID_STRINGS = {"mode": ("greedy", "exhaustive"), "utility.kind": ("pfs", "alpha_fair", "sum_rate")}
 
 

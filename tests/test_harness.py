@@ -31,7 +31,7 @@ from hiermimo.precoder import (
 )
 from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
-from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
+from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 
 from conftest import full_inner_precoders, single_cell_set
 
@@ -641,7 +641,7 @@ def rank_r_evaluation(control, cs, graph, nu, w):
     effective channel at BS n is conj(w_kn) F_kn^H F_n, one row per user
     selected or blocked at n, and a BS spends sum_l p_l ||g_l||^2."""
     factor = cs.factor()
-    blocked = scheduled_neighbors(graph, control.selected_union)
+    blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
     rates, signal = np.zeros(graph.num_users), np.zeros(graph.num_users)
     powers = np.zeros(graph.num_bs)
     leaks = []  # (protected user, power leaked onto it) in BS order
@@ -752,7 +752,7 @@ def largest_policy_array(policy, cs, graph):
     width = cs.factor().shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for control in policy.controls:
-        blocked = scheduled_neighbors(graph, control.selected_union)
+        blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
         for n, users in control.selected.items():
             if users:
                 largest = max(largest, (len(users) + len(blocked[n]))
@@ -773,7 +773,7 @@ def m_dimensional_evaluation(control, graph, nu, channels):
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
     rates = masked_rates(received, own, (serving[:, None] == beam_bs) & ~own)
     protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
-    for n, blocked in scheduled_neighbors(graph, control.selected_union).items():
+    for n, (_, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
         protected[list(blocked), n] = True
     per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))
     signal = np.sum(received, axis=1, where=own)

@@ -26,7 +26,7 @@ from hiermimo.scheduler import (
     waterfill,
     weighted_sum_rate,
 )
-from hiermimo.topology import build_topology, scheduled_neighbors, theta_from_db
+from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 
 from conftest import single_cell_set
 
@@ -78,12 +78,14 @@ def test_alpha_one_matches_pfs():
     lambda: pfs_utility(4, eps=1e-4),
     lambda: alpha_fair_utility(2.0, 4, eps=1e-4),
     lambda: alpha_fair_utility(0.5, 4, eps=1e-2),
+    lambda: sum_rate_utility(4),
 ])
 def test_gradient_matches_finite_differences(factory):
     util = factory()
     rng = np.random.default_rng(1)
     r = rng.uniform(0.5, 4.0, size=4)
     _, grad = util.value_and_grad(r)
+    curv = util.curvature(r)
     step = 1e-6
     for k in range(4):
         up, down = r.copy(), r.copy()
@@ -91,6 +93,10 @@ def test_gradient_matches_finite_differences(factory):
         down[k] -= step
         numeric = (util.value(up) - util.value(down)) / (2 * step)
         assert abs(numeric - grad[k]) <= 1e-6 * max(1.0, abs(grad[k]))
+        # the utility is separable: its Hessian is the diagonal curvature
+        numeric = (util.value_and_grad(up)[1] - util.value_and_grad(down)[1]) / (2 * step)
+        assert np.all(np.abs(np.delete(numeric, k)) <= 1e-12)
+        assert abs(numeric[k] - curv[k]) <= 1e-6 * max(1.0, abs(curv[k]))
 
 
 def test_negative_rates_rejected():
@@ -327,7 +333,7 @@ class FailingCache(GainCache):
 
 
 def selection_keys(graph, cand):
-    blocked = scheduled_neighbors(graph, cand)
+    blocked = [b for _, b in served_and_blocked(graph, cand)]
     keys = set()
     for n in range(graph.num_bs):
         users = tuple(k for k in graph.assoc_users[n] if k in cand)
@@ -418,7 +424,7 @@ def test_oracle_rates_are_the_de_rates_of_the_assembled_control(oracle):
 def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
     """Weighted sum rate without a memo: one water filling per BS."""
     selected = tuple(sorted(selected))
-    blocked = scheduled_neighbors(graph, selected)
+    blocked = [b for _, b in served_and_blocked(graph, selected)]
     weights = {k: float(rate_weights[k]) for k in selected}
     powers = {}
     for n in range(graph.num_bs):
@@ -525,6 +531,25 @@ def test_time_sharing_matches_grid_oracle():
     etas = np.linspace(0.0, 1.0, 2001)
     grid = max(util.value(np.array([e, 1 - e]) @ rates) for e in etas)
     assert got >= grid - 1e-6
+
+
+def test_reduce_support_keeps_the_mixed_rates_of_dependent_controls():
+    # the third control is the midpoint of the other two
+    rates = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    q = np.array([0.2, 0.3, 0.5])
+    reduced = scheduler._reduce_support(rates, q, 2)
+    assert np.count_nonzero(reduced) == 2
+    assert np.isclose(reduced.sum(), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(reduced @ rates, q @ rates, rtol=0, atol=1e-12)
+
+
+def test_reduce_support_drops_the_weakest_of_independent_controls(caplog):
+    rates = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    q = np.array([0.5, 0.3, 0.2])
+    with caplog.at_level("WARNING", logger="hiermimo.scheduler"):
+        reduced = scheduler._reduce_support(rates, q, 2)
+    assert np.allclose(reduced, [0.625, 0.375, 0.0], rtol=0, atol=1e-15)
+    assert "support reduction drops control 2" in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from hiermimo.errors import ParameterError
 from hiermimo.topology import (
     build_topology,
-    scheduled_neighbors,
     served_and_blocked,
     theta_from_db,
 )
@@ -38,17 +37,16 @@ def test_two_cell_example_edge_set(fig_graph):
     assert fig_graph.neighbor_bs[2] == (0,)
 
 
-def test_two_cell_example_scheduled_neighbors(fig_graph):
-    sbar = scheduled_neighbors(fig_graph, {0, 1, 2, 4})
-    assert sbar[0] == (2,)
-    assert sbar[1] == (1,)
-
-
 def test_two_cell_example_served_and_blocked(fig_graph):
     # each BS's selected users S_n, in index order, beside its blocked set
     assert served_and_blocked(fig_graph, (4, 1, 2, 0)) == [((0, 1), (2,)), ((2, 4), (1,))]
     assert served_and_blocked(fig_graph, [3]) == [((), (3,)), ((3,), ())]
     assert served_and_blocked(fig_graph, ()) == [((), ()), ((), ())]
+    sbar = [blocked for _, blocked in served_and_blocked(fig_graph, {0, 1, 2, 4})]
+    assert sbar[0] == (2,)
+    assert sbar[1] == (1,)
+    full = served_and_blocked(fig_graph, set(range(5)))
+    assert full == [(fig_graph.assoc_users[n], fig_graph.neighbor_users[n]) for n in range(2)]
     with pytest.raises(ParameterError):
         served_and_blocked(fig_graph, {99})
 
@@ -99,15 +97,6 @@ def test_build_is_deterministic():
     a = build_topology(cs, 10.0)
     b = build_topology(cs, 10.0)
     assert a == b
-
-
-def test_scheduled_neighbors_edge_cases(fig_graph):
-    empty = scheduled_neighbors(fig_graph, set())
-    assert all(v == () for v in empty.values())
-    full = scheduled_neighbors(fig_graph, set(range(5)))
-    assert full == {n: fig_graph.neighbor_users[n] for n in range(2)}
-    with pytest.raises(ParameterError):
-        scheduled_neighbors(fig_graph, {99})
 
 
 def test_default_serving_is_strongest_link_with_low_index_ties():
