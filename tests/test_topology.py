@@ -41,10 +41,17 @@ def test_two_cell_example_served_and_blocked(fig_graph):
     # each BS's selected users S_n, in index order, beside its blocked set
     assert served_and_blocked(fig_graph, (4, 1, 2, 0)) == [((0, 1), (2,)), ((2, 4), (1,))]
     assert served_and_blocked(fig_graph, [3]) == [((), (3,)), ((3,), ())]
-    assert served_and_blocked(fig_graph, ()) == [((), ()), ((), ())]
+
+
+def test_two_cell_example_scheduled_neighbors(fig_graph):
     sbar = [blocked for _, blocked in served_and_blocked(fig_graph, {0, 1, 2, 4})]
     assert sbar[0] == (2,)
     assert sbar[1] == (1,)
+
+
+def test_scheduled_neighbors_edge_cases(fig_graph):
+    empty = served_and_blocked(fig_graph, set())
+    assert empty == [((), ()), ((), ())]
     full = served_and_blocked(fig_graph, set(range(5)))
     assert full == [(fig_graph.assoc_users[n], fig_graph.neighbor_users[n]) for n in range(2)]
     with pytest.raises(ParameterError):
