@@ -5,11 +5,12 @@ the README schema). ``run`` executes generate -> topology -> optimize ->
 validate and writes policy.json, trace.csv, validation.csv, summary.json;
 ``compare`` additionally runs the FFR and clustered-CoMP baselines on the
 same correlation set and seed and writes comparison.csv. Outputs are
-byte-stable for a fixed config and seed: JSON keys are sorted and floats use
-shortest round-trip formatting.
+byte-stable for a fixed config and seed: JSON keys are sorted, floats use
+shortest round-trip formatting, and outer precoders are exact binary blocks.
 """
 
 import argparse
+import base64
 import json
 import logging
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .corrmat import MIN_DIST_M, build_hotspot_network, load_correlation_set
 from .det_equiv import GainCache
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .harness import comp_baseline, comp_clusters, ffr_baseline, ffr_cells, monte_carlo_policy
 from .precoder import CompositeControl
 from .scheduler import (
@@ -382,9 +383,9 @@ def _jsonify(obj):
 
 
 def _write_json(path, obj):
+    # one write: json.dump would stream thousands of small chunks to the file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(value):
@@ -393,33 +394,104 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _encode_block(f):
+    """An outer precoder as ``{"shape": [M, m_n], "c16": ...}``, the base64
+    of its entries as little-endian complex128 in C order: exact, and about a
+    third the size of decimal re/im lists."""
+    data = np.ascontiguousarray(f, dtype="<c16")
+    return {"shape": list(data.shape), "c16": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
 def policy_to_dict(policy):
-    controls = []
-    for control in policy.controls:
-        entry = {
+    controls = [
+        {
             "selected": {str(n): list(users) for n, users in control.selected.items()},
             "power": {str(k): float(p) for k, p in control.power.items()},
-            "outer_dims": {str(n): int(f.shape[1]) for n, f in control.outer.items()},
-            "outer": {
-                str(n): {"re": np.real(f), "im": np.imag(f)}
-                for n, f in control.outer.items()
-            },
+            "outer": {str(n): _encode_block(f) for n, f in control.outer.items()},
         }
-        controls.append(entry)
+        for control in policy.controls
+    ]
     return {"probs": [float(q) for q in policy.probs], "controls": controls}
 
 
+def _bad(field, what, value):
+    return ValidationError(f"policy field '{field}' must be {what}, got {value!r}")
+
+
+def _field(obj, key, field, kind=dict, what="an object"):
+    """``obj[key]`` when it is a ``kind``; a ValidationError naming ``field``
+    otherwise."""
+    if key not in obj:
+        raise ValidationError(f"policy field '{field}' is missing")
+    if not isinstance(obj[key], kind):
+        raise _bad(field, what, obj[key])
+    return obj[key]
+
+
+def _index(key, field):
+    """A JSON object key that names a BS or a user: a non-negative integer
+    in canonical decimal form, so no two keys name the same index."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise _bad(field, "keyed by non-negative integers", key)
+    return int(key)
+
+
+def _finite(value, field):
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise _bad(field, "a finite number", value)
+    return float(value)
+
+
+def _decode_block(block, field):
+    """The M x m_n outer precoder of an ``_encode_block`` dict (read-only)."""
+    if not isinstance(block, dict):
+        raise _bad(field, "an object", block)
+    shape = _field(block, "shape", f"{field}.shape", list, "two non-negative integers")
+    if len(shape) != 2 or not all(type(d) is int and d >= 0 for d in shape):
+        raise _bad(f"{field}.shape", "two non-negative integers", shape)
+    text = _field(block, "c16", f"{field}.c16", str, "a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValidationError(f"policy field '{field}.c16' is not valid base64: {exc}") from exc
+    if len(raw) != 16 * shape[0] * shape[1]:
+        raise ValidationError(
+            f"policy field '{field}.c16' holds {len(raw)} bytes; shape {shape} needs "
+            f"16 * {shape[0]} * {shape[1]} = {16 * shape[0] * shape[1]}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(shape)
+
+
 def policy_from_dict(data):
+    """The policy of a ``policy_to_dict`` dict; a malformed one raises a
+    ValidationError that names the bad field, with its control index."""
+    if not isinstance(data, dict):
+        raise ValidationError("policy root must be a JSON object")
+    probs = [
+        _finite(q, f"probs[{i}]")
+        for i, q in enumerate(_field(data, "probs", "probs", list, "a list"))
+    ]
     controls = []
-    for entry in data["controls"]:
-        outer = {
-            int(n): np.asarray(block["re"], dtype=float) + 1j * np.asarray(block["im"], dtype=float)
-            for n, block in entry["outer"].items()
+    for i, entry in enumerate(_field(data, "controls", "controls", list, "a list")):
+        at = f"controls[{i}]"
+        if not isinstance(entry, dict):
+            raise _bad(at, "an object", entry)
+        selected = {}
+        for n, users in _field(entry, "selected", f"{at}.selected").items():
+            bs = _index(n, f"{at}.selected")
+            if not isinstance(users, list) or not all(type(k) is int for k in users):
+                raise _bad(f"{at}.selected.{n}", "a list of integer user indices", users)
+            selected[bs] = tuple(users)
+        power = {
+            _index(k, f"{at}.power"): _finite(p, f"{at}.power.{k}")
+            for k, p in _field(entry, "power", f"{at}.power").items()
         }
-        selected = {int(n): tuple(users) for n, users in entry["selected"].items()}
-        power = {int(k): float(p) for k, p in entry["power"].items()}
+        outer = {
+            _index(n, f"{at}.outer"): _decode_block(block, f"{at}.outer.{n}")
+            for n, block in _field(entry, "outer", f"{at}.outer").items()
+        }
         controls.append(CompositeControl(outer=outer, selected=selected, power=power))
-    return ControlPolicy(controls=controls, probs=np.asarray(data["probs"], dtype=float))
+    return ControlPolicy(controls=controls, probs=np.asarray(probs, dtype=float))
 
 
 def load_policy(path):

@@ -138,6 +138,11 @@ class CompositeControl:
             f = self.outer.get(n)
             if f is None:
                 raise ValidationError(f"missing outer precoder for BS {n}")
+            if f.ndim != 2 or f.shape[0] != corr_set.dim:
+                raise ValidationError(
+                    f"outer precoder at BS {n} has shape {f.shape}, not "
+                    f"{corr_set.dim} x m_n"
+                )
             m_n = f.shape[1]
             if m_n > 0:
                 gram_err = float(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hiermimo.cli as cli
 from hiermimo.cli import (
@@ -22,6 +23,8 @@ from hiermimo.cli import (
     run_scenario,
 )
 from hiermimo.errors import ConfigError
+from hiermimo.precoder import CompositeControl
+from hiermimo.scheduler import ControlPolicy
 
 DESK = {
     "num_bs": 2,
@@ -37,6 +40,8 @@ DESK = {
     "draws": 40,
     "geometry": {"inter_site_m": 300.0},
 }
+
+DESK_PATH = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
 
 def write_config(tmp_path, overrides=None, name="scenario.json"):
@@ -138,23 +143,83 @@ def test_policy_reloads_and_revalidates(tmp_path):
     policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
 
 
-def _add_unknown_user(control):
-    control["selected"]["0"].append(99)
-    control["power"]["99"] = 1.0
+def _control(data):
+    return data["controls"][0]
 
 
-def _select_twice(control):
-    n, users = next((n, users) for n, users in control["selected"].items() if users)
-    control["selected"]["1" if n == "0" else "0"].append(users[0])
+def _add_unknown_user(data):
+    _control(data)["selected"]["0"].append(99)
+    _control(data)["power"]["99"] = 1.0
 
 
-def _move_to_other_bs(control):
-    n, users = next((n, users) for n, users in control["selected"].items() if users)
-    control["selected"]["1" if n == "0" else "0"].append(users.pop())
+def _select_twice(data):
+    selected = _control(data)["selected"]
+    n, users = next((n, users) for n, users in selected.items() if users)
+    selected["1" if n == "0" else "0"].append(users[0])
 
 
-def _drop_outer(control):
-    del control["outer"]["1"]
+def _move_to_other_bs(data):
+    selected = _control(data)["selected"]
+    n, users = next((n, users) for n, users in selected.items() if users)
+    selected["1" if n == "0" else "0"].append(users.pop())
+
+
+def _drop_outer(data):
+    del _control(data)["outer"]["1"]
+
+
+def _string_user(data):
+    users = next(users for users in _control(data)["selected"].values() if users)
+    users[0] = str(users[0])
+
+
+def _drop_controls(data):
+    del data["controls"]
+
+
+def _drop_power(data):
+    del _control(data)["power"]
+
+
+def _word_bs_key(data):
+    _control(data)["selected"]["one"] = _control(data)["selected"].pop("1")
+
+
+def _string_power(data):
+    power = _control(data)["power"]
+    k = next(iter(power))
+    power[k] = str(power[k])
+
+
+def _string_probability(data):
+    data["probs"][0] = str(data["probs"][0])
+
+
+def _nan_probability(data):
+    data["probs"][0] = float("nan")
+
+
+def _one_number_shape(data):
+    _control(data)["outer"]["0"]["shape"] = [16]
+
+
+def _negative_shape(data):
+    # the byte count of -16 x -m_n would match
+    block = _control(data)["outer"]["0"]
+    block["shape"] = [-d for d in block["shape"]]
+
+
+def _not_base64(data):
+    _control(data)["outer"]["0"]["c16"] = "not base64!"
+
+
+def _one_column_more(data):
+    _control(data)["outer"]["0"]["shape"][1] += 1
+
+
+def _one_by_one_outer(data):
+    # the matrix [[1]]: semi-unitary, but M = 16
+    _control(data)["outer"]["0"] = {"shape": [1, 1], "c16": "AAAAAAAA8D8AAAAAAAAAAA=="}
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -162,7 +227,22 @@ def _drop_outer(control):
     (_select_twice, "more than one BS"),
     (_move_to_other_bs, "non-serving BS"),
     (_drop_outer, "missing outer precoder for BS 1"),
-], ids=["unknown-user", "two-bss", "non-serving-bs", "missing-outer"])
+    (_string_user, r"'controls\[0\]\.selected\.\d+' must be a list of integer user indices"),
+    (_drop_controls, "'controls' is missing"),
+    (_drop_power, r"'controls\[0\]\.power' is missing"),
+    (_word_bs_key, r"'controls\[0\]\.selected' must be keyed by non-negative integers"),
+    (_string_power, r"'controls\[0\]\.power\.\d+' must be a finite number"),
+    (_string_probability, r"'probs\[0\]' must be a finite number"),
+    (_nan_probability, r"'probs\[0\]' must be a finite number"),
+    (_one_number_shape, r"'controls\[0\]\.outer\.0\.shape' must be two non-negative integers"),
+    (_negative_shape, r"'controls\[0\]\.outer\.0\.shape' must be two non-negative integers"),
+    (_not_base64, r"'controls\[0\]\.outer\.0\.c16' is not valid base64"),
+    (_one_column_more, r"'controls\[0\]\.outer\.0\.c16' holds \d+ bytes"),
+    (_one_by_one_outer, r"outer precoder at BS 0 has shape \(1, 1\)"),
+], ids=["unknown-user", "two-bss", "non-serving-bs", "missing-outer", "string-user",
+        "missing-controls", "missing-power", "word-bs-key", "string-power",
+        "string-probability", "nan-probability", "one-number-shape", "negative-shape",
+        "not-base64", "byte-count", "one-by-one-outer"])
 def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
     from hiermimo.cli import build_network
     from hiermimo.errors import ValidationError
@@ -171,13 +251,66 @@ def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
     out = tmp_path / "out"
     run_scenario(path, out)
     data = json.loads((out / "policy.json").read_text())
-    tamper(data["controls"][0])
+    tamper(data)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(data), encoding="utf-8")
     scn = load_scenario(path)
     corr_set, graph = build_network(scn)
     with pytest.raises(ValidationError, match=message):
         load_policy(tampered).validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def _round_trip(outer):
+    """The outer precoders of a one-control policy after policy.json's
+    encoding, a JSON text and the decoding."""
+    policy = ControlPolicy(
+        controls=[CompositeControl(outer=outer, selected={}, power={})], probs=np.ones(1)
+    )
+    text = json.dumps(cli.policy_to_dict(policy))
+    return cli.policy_from_dict(json.loads(text)).controls[0].outer
+
+
+def test_outer_precoders_round_trip_bitwise_whatever_their_layout():
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal((16, 12)) + 1j * rng.standard_normal((16, 12))
+    outer = {0: np.asfortranarray(big), 1: big[::2, 1::3], 2: np.zeros((16, 0), dtype=complex)}
+    assert not outer[0].flags.c_contiguous and not outer[1].flags.contiguous
+    back = _round_trip(outer)
+    assert back.keys() == outer.keys()
+    for n, f in outer.items():
+        assert back[n].dtype == np.complex128 and _same_bits(back[n], f), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5)))
+def test_any_complex_matrix_round_trips_bitwise(f):
+    # NaN payloads, infinities, signed zeros and subnormals included
+    assert _same_bits(_round_trip({0: f})[0], f)
+
+
+def test_run_writes_the_outer_precoders_it_optimized_bitwise(tmp_path):
+    results = []
+    optimize = cli.optimize_policy
+
+    def keep(*args, **kwargs):
+        results.append(optimize(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(cli, "optimize_policy", keep):
+        run_scenario(DESK_PATH, tmp_path / "out")
+    (result,) = results
+    reloaded = load_policy(tmp_path / "out" / "policy.json")
+    assert len(reloaded.controls) == len(result.policy.controls)
+    for mine, written in zip(result.policy.controls, reloaded.controls):
+        assert written.outer.keys() == mine.outer.keys()
+        for n, f in mine.outer.items():
+            assert _same_bits(written.outer[n], f), n
 
 
 def test_cli_overrides_change_results(tmp_path):
@@ -495,9 +628,7 @@ def test_malformed_field_exits_two_and_names_it(tmp_path, capsys, path, value):
     assert path in capsys.readouterr().err
 
 
-DESK_FILE = json.loads(
-    (Path(__file__).resolve().parents[1] / "scenarios" / "desk.json").read_text()
-)
+DESK_FILE = json.loads(DESK_PATH.read_text())
 DESK_SCALARS = sorted(
     [name for name, v in DESK_FILE.items() if not isinstance(v, (dict, list))]
     + [f"{name}.{key}" for name, v in DESK_FILE.items() if isinstance(v, dict)

@@ -471,6 +471,22 @@ def test_control_validation_rejects_leakage(desk):
                          power=control.power).validate(cs, graph)
 
 
+@pytest.mark.parametrize("shape", ["1x1", "one-row-short", "one-dimensional"])
+def test_control_validation_rejects_an_outer_precoder_without_m_rows(desk, shape):
+    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+
+    cs, graph = desk
+    selected = tuple(range(6))
+    res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
+    control = assemble_control(selected, cs, graph, res.powers)
+    for n in range(cs.num_bs):
+        bad = {"1x1": np.ones((1, 1), dtype=complex), "one-row-short": control.outer[n][:-1],
+               "one-dimensional": control.outer[n][:, 0]}[shape]
+        with pytest.raises(ValidationError, match=f"outer precoder at BS {n} has shape"):
+            CompositeControl(outer={**control.outer, n: bad}, selected=control.selected,
+                             power=control.power).validate(cs, graph)
+
+
 # Per-user reference loop: each user's rate, each BS's power and each
 # (user, BS) leakage computed one at a time from per-BS beams.
 
