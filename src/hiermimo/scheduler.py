@@ -118,16 +118,20 @@ def waterfill(weights, gains, m, p_c):
     active = [i for i, (w, xi) in enumerate(zip(weights, gains)) if w > 0.0 and xi > ZERO_GAIN]
     if not active:
         return powers, None
-    weight = np.array([weights[i] for i in active])
-    top = np.array([weights[i] * m * gains[i] for i in active])
-    inv_gain = np.array([1.0 / gains[i] for i in active])
-    order = np.argsort(-top, kind="stable")
-    candidates = m * np.cumsum(weight[order]) / (m * p_c + np.cumsum(inv_gain[order]))
-    fits = candidates < top[order]
-    fits[0] = True  # exact for any p_c > 0; rounding can only make it a tie
-    level = float(candidates[np.flatnonzero(fits)[-1]])
-    for i, t in zip(active, top):
-        powers[i] = float(max(t / level - 1.0, 0.0))
+    # plain floats, not NumPy: a BS holds a few users, and the running sums
+    # are the sequential sums a cumsum would take
+    top = {i: weights[i] * m * gains[i] for i in active}
+    budget = m * p_c
+    weight_sum = inv_gain_sum = 0.0
+    level = None
+    for j, i in enumerate(sorted(active, key=lambda i: -top[i])):  # stable: ties keep index order
+        weight_sum += weights[i]
+        inv_gain_sum += 1.0 / gains[i]
+        candidate = m * weight_sum / (budget + inv_gain_sum)
+        if j == 0 or candidate < top[i]:  # j = 0 is exact for any p_c > 0
+            level = candidate
+    for i in active:
+        powers[i] = max(top[i] / level - 1.0, 0.0)
     return powers, level
 
 
@@ -141,44 +145,49 @@ class SelectionValue:
     powers: dict  # user -> p over the selection, in sorted order
 
 
+def _bs_terms(key, rate_weights, m, p_c, cache, memo):
+    """Water filling of one BS's selection ``key`` = (n, S_n, B_n): its users'
+    powers and terms w_k log(1 + p_k), both in S_n order.
+
+    The water filling depends on S_n and B_n only, so ``memo`` (a dict shared
+    by the calls of one oracle, whose rate weights are fixed) keeps each key's
+    entry and only a missing key is water-filled; a key whose fixed point
+    fails stays missing and raises again on every request.
+    """
+    entry = memo.get(key)
+    if entry is None:
+        # Python floats: a BS holds a few users, where NumPy scalars cost more
+        weights = [float(rate_weights[k]) for k in key[1]]
+        powers, _ = waterfill(weights, cache.gains(*key)[0].tolist(), m, p_c)
+        entry = memo[key] = (powers, [w * np.log1p(p) for w, p in zip(weights, powers)])
+    return entry
+
+
 def weighted_sum_rate(
     selected, rate_weights, corr_set, graph, nu, p_c, gain_cache=None, memo=None
 ):
     """Best weighted sum of DE rates achievable with user set ``selected``:
     water-filled powers against the per-BS DE power budget.
 
-    The water filling of BS n depends on its selected users S_n and blocked
-    set B_n only, so ``memo`` (a dict shared by the calls of one oracle,
-    whose rate weights are fixed) maps (n, S_n, B_n) to that BS's powers and
-    per-user terms w_k log(1 + p_k), and only BSs missing from it are
-    water-filled. The terms are summed exactly rounded (``math.fsum``), so
-    the value depends neither on the memo nor on the order of the users:
-    selections that swap one hotspot clone for another with the same weight
-    tie exactly.
+    Each BS with selected users is water-filled by ``_bs_terms``, through
+    ``memo`` when one is given. The per-user terms are summed exactly rounded
+    (``math.fsum``), so the value depends neither on the memo nor on the
+    order of the users: selections that swap one hotspot clone for another
+    with the same weight tie exactly.
     """
     selected = tuple(sorted(set(selected)))
     if not selected:
         return SelectionValue(0.0, {})
     cache = gain_cache or GainCache(corr_set, graph, nu)
     memo = {} if memo is None else memo
-    powers, terms = {}, {}
+    m = corr_set.dim
+    powers, terms = {}, []
     for n, (users, blocked) in enumerate(served_and_blocked(graph, selected)):
-        if not users:
-            continue
-        key = (n, users, blocked)
-        if key not in memo:
-            # Python floats: a BS holds a few users, where NumPy scalars cost more
-            weights = [float(rate_weights[k]) for k in users]
-            bs_powers, _ = waterfill(weights, cache.gains(*key)[0].tolist(), corr_set.dim, p_c)
-            memo[key] = (
-                dict(zip(users, bs_powers)),
-                {k: w * np.log1p(p) for k, w, p in zip(users, weights, bs_powers)},
-            )
-        bs_powers, bs_terms = memo[key]
-        powers.update(bs_powers)
-        terms.update(bs_terms)
-    value = math.fsum(terms[k] for k in selected)
-    return SelectionValue(value, {k: powers[k] for k in selected})
+        if users:
+            bs_powers, bs_terms = _bs_terms((n, users, blocked), rate_weights, m, p_c, cache, memo)
+            powers.update(zip(users, bs_powers))
+            terms += bs_terms
+    return SelectionValue(math.fsum(terms), {k: powers[k] for k in selected})
 
 
 def assemble_control(selected, corr_set, graph, powers):
@@ -204,17 +213,6 @@ class OracleResult:
     skipped: int  # candidates skipped because their fixed point failed
 
 
-def _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo):
-    """``weighted_sum_rate`` of one oracle candidate, or None when its gain
-    fixed point fails to converge: both oracles skip such a candidate with a
-    warning rather than abort the search, and report how many they skipped."""
-    try:
-        return weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
-    except ConvergenceError as exc:
-        log.warning("skipping candidate %s: %s", cand, exc)
-        return None
-
-
 def _oracle_result(selected, best, num_users, skipped):
     """The DE rate of a selected user is log(1 + p_k), 0 for the others."""
     rates = np.zeros(num_users)
@@ -227,7 +225,9 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
     """Exact weighted-sum-rate oracle: enumerate every user subset.
 
     Ties break toward fewer users, then lexicographically, so the empty set
-    wins when no selection strictly improves on zero.
+    wins when no selection strictly improves on zero. A candidate whose gain
+    fixed point fails to converge is skipped with a warning rather than
+    abort the search, and counted, as in the greedy oracle.
     """
     num_users = graph.num_users
     if num_users > ENUMERATION_GUARD:
@@ -242,37 +242,73 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
     best = SelectionValue(0.0, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
-            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
-            skipped += res is None
-            if res is not None and res.value > best.value:
+            try:
+                res = weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
+            except ConvergenceError as exc:
+                log.warning("skipping candidate %s: %s", cand, exc)
+                skipped += 1
+                continue
+            if res.value > best.value:
                 best_set, best = cand, res
     return _oracle_result(best_set, best, num_users, skipped)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
     """Greedy weighted-sum-rate oracle: add the best strictly improving user
-    until none remains."""
+    until none remains.
+
+    It keeps the current selection's (S_n, B_n) and water-filling entry per
+    BS. Adding user k changes S_n at ``serving[k]`` and B_n at the BSs of
+    ``neighbor_bs[k]`` only, so a candidate water-fills those BSs (in
+    increasing BS order, through the oracle's memo) and takes every other
+    BS's terms as they are. Its value is the exactly rounded sum of all
+    terms, the value ``weighted_sum_rate`` gives the candidate; candidates
+    are tried in index order and the first best one wins. A candidate whose
+    gain fixed point fails to converge is skipped with a warning and counted.
+    """
     num_users = graph.num_users
     cache = gain_cache or GainCache(corr_set, graph, nu)
+    m = corr_set.dim
     memo = {}
     skipped = 0
+    touched = [sorted((graph.serving[k], *graph.neighbor_bs[k])) for k in range(num_users)]
+    split = served_and_blocked(graph, ())  # the current selection's (S_n, B_n) per BS
+    entries = [([], [])] * graph.num_bs  # and its (powers, terms) per BS
     current_set = ()
-    current = SelectionValue(0.0, {})
+    current_value = 0.0
     while len(current_set) < num_users:
-        best_cand = None
-        best_res = None
+        best = None  # (value, user, split, entries)
         for k in range(num_users):
             if k in current_set:
                 continue
-            cand = tuple(sorted(current_set + (k,)))
-            res = _evaluate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
-            skipped += res is None
-            if res is not None and (best_res is None or res.value > best_res.value):
-                best_cand, best_res = cand, res
-        if best_res is None or best_res.value <= current.value + GREEDY_IMPROVE_TOL:
+            cand_split, cand_entries = split.copy(), entries.copy()
+            try:
+                for n in touched[k]:
+                    users, blocked = split[n]
+                    if n == graph.serving[k]:
+                        users = tuple(sorted((*users, k)))
+                    else:
+                        blocked = tuple(sorted((*blocked, k)))
+                    cand_split[n] = users, blocked
+                    if users:
+                        cand_entries[n] = _bs_terms((n, users, blocked), rate_weights, m, p_c,
+                                                    cache, memo)
+            except ConvergenceError as exc:
+                log.warning("skipping candidate %s: %s", tuple(sorted((*current_set, k))), exc)
+                skipped += 1
+                continue
+            value = math.fsum(term for _, terms in cand_entries for term in terms)
+            if best is None or value > best[0]:
+                best = value, k, cand_split, cand_entries
+        if best is None or best[0] <= current_value + GREEDY_IMPROVE_TOL:
             break
-        current_set, current = best_cand, best_res
-    return _oracle_result(current_set, current, num_users, skipped)
+        current_value, k, split, entries = best
+        current_set = tuple(sorted((*current_set, k)))
+    powers = {}
+    for (users, _), (bs_powers, _) in zip(split, entries):
+        powers.update(zip(users, bs_powers))
+    best = SelectionValue(current_value, {k: powers[k] for k in current_set})
+    return _oracle_result(current_set, best, num_users, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +479,8 @@ class ControlPolicy:
         q = np.asarray(self.probs, dtype=float)
         if len(self.controls) != q.size or q.size == 0:
             raise ValidationError("probability vector length must match controls")
-        if np.any(q < 0) or np.any(q > 1) or abs(float(q.sum()) - 1.0) > 1e-10:
+        # written so that a NaN fails it
+        if not (np.all((q >= 0) & (q <= 1)) and abs(float(q.sum()) - 1.0) <= 1e-10):
             raise ValidationError("probabilities must lie in [0,1] and sum to one")
         if len(self.controls) > graph.num_users:
             raise ValidationError(

@@ -67,13 +67,16 @@ def served_and_blocked(graph, selected):
     """Every BS n's (S_n, B_n), indexed by n: the selected users it serves,
     and the selected users that neighbor it (its nulling targets), each in
     index order. This is the one place a selection is split per BS."""
-    selected = set(selected)
+    selected = sorted(set(selected))
     for k in selected:
         if not (0 <= k < graph.num_users):
             raise ParameterError(f"unknown user index {k}")
-    return [(tuple(k for k in graph.assoc_users[n] if k in selected),
-             tuple(k for k in graph.neighbor_users[n] if k in selected))
-            for n in range(graph.num_bs)]
+    split = [([], []) for _ in range(graph.num_bs)]
+    for k in selected:  # in index order, so each list comes out sorted
+        split[graph.serving[k]][0].append(k)
+        for n in graph.neighbor_bs[k]:
+            split[n][1].append(k)
+    return [(tuple(users), tuple(blocked)) for users, blocked in split]
 
 
 def theta_from_db(theta_db):

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -439,9 +440,11 @@ def baseline_cases(draw):
     cell's or cluster's |S| R often exceeds M and its basis Q is square.
 
     A user and its clones are at most as many as their serving rank (no
-    clone of a user without channel): more would make their rows dependent,
-    where the beams of any two evaluations agree only to round-off over
-    ZF_NU (see the pseudo-inverse test)."""
+    clone of a user without channel), and no cell or cluster serves more
+    rows with channel than the rank of their stacked factors, nor does any
+    subset of them: more would make its rows dependent, where the beams of
+    any two evaluations agree only to round-off over ZF_NU (see the
+    pseudo-inverse test)."""
     num_bs = draw(st.integers(1, 4))
     num_users = draw(st.integers(1, 7))
     m = draw(st.sampled_from([4, 6]))
@@ -466,7 +469,26 @@ def baseline_cases(draw):
     cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
     graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
     cluster_size = draw(st.sampled_from([c for c in range(1, num_bs + 1) if num_bs % c == 0]))
+    cells = [((n,), graph.assoc_users[n]) for n in range(num_bs)]
+    clusters = [(bss, [k for n in bss for k in graph.assoc_users[n]])
+                for bss in (range(c, c + cluster_size) for c in range(0, num_bs, cluster_size))]
+    assume(all(rows_are_independent(cs, bss, users) for bss, users in cells + clusters))
     return cs, graph, draw(st.integers(1, 3)), cluster_size, seed
+
+
+def rows_are_independent(cs, bss, users):
+    """Whether the channel rows of ``users`` over the BSs ``bss`` are
+    independent for almost every draw: by Rado's theorem, whether every set
+    of the users with channel has at most as many members as the rank of
+    their stacked factors. A user's factor over ``bss`` is block diagonal,
+    so that rank is the sum of the ranks at each BS."""
+    def rank(subset):
+        return sum(np.linalg.matrix_rank(np.concatenate(
+            [cs.matrix(k, n).factor() for k in subset], axis=1)) for n in bss)
+
+    with_channel = [k for k in users if rank((k,)) > 0]
+    return all(rank(subset) >= size for size in range(2, len(with_channel) + 1)
+               for subset in itertools.combinations(with_channel, size))
 
 
 def per_draw_monte_carlo(draw, cs, graph, draws, seed, tag):

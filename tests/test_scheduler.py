@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hiermimo import cli, det_equiv, scheduler
 from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, build_hotspot_network
 from hiermimo.det_equiv import GainCache, de_rate_power
-from hiermimo.errors import ConvergenceError, ParameterError
+from hiermimo.errors import ConvergenceError, ParameterError, ValidationError
 from hiermimo.scheduler import (
     alpha_fair_utility,
     assemble_control,
@@ -223,6 +223,59 @@ def test_waterfill_matches_bisection_and_kkt(inputs):
         assert abs(spent - p_c) <= 1e-9 * p_c
 
 
+def reference_waterfill(weights, gains, m, p_c):
+    """The NumPy water filling: argsort and cumsum over the active users."""
+    powers = [0.0] * len(weights)
+    active = [i for i, (w, xi) in enumerate(zip(weights, gains))
+              if w > 0.0 and xi > det_equiv.ZERO_GAIN]
+    if not active:
+        return powers, None
+    weight = np.array([weights[i] for i in active])
+    top = np.array([weights[i] * m * gains[i] for i in active])
+    inv_gain = np.array([1.0 / gains[i] for i in active])
+    order = np.argsort(-top, kind="stable")
+    candidates = m * np.cumsum(weight[order]) / (m * p_c + np.cumsum(inv_gain[order]))
+    fits = candidates < top[order]
+    fits[0] = True
+    level = float(candidates[np.flatnonzero(fits)[-1]])
+    for i, t in zip(active, top):
+        powers[i] = float(max(t / level - 1.0, 0.0))
+    return powers, level
+
+
+@st.composite
+def tied_waterfill_inputs(draw):
+    """One BS's users with zero weights and gains at, below and just above
+    ZERO_GAIN. A user may copy an earlier one with its weight scaled by 2^j
+    and its gain by 2^-j, which ties their w M xi exactly while their running
+    sums round differently in either order."""
+    zero = det_equiv.ZERO_GAIN
+    weight = st.sampled_from([0.0]) | st.floats(1e-3, 10.0)
+    gain = st.sampled_from([0.0, zero / 2, zero, 2 * zero]) | st.floats(1e-3, 10.0)
+    weights, gains = [], []
+    for k in range(draw(st.integers(1, 8))):
+        if k and draw(st.booleans()):
+            scale = 2.0 ** draw(st.integers(-2, 2))
+            copy = draw(st.integers(0, k - 1))
+            weights.append(weights[copy] * scale)
+            gains.append(gains[copy] / scale)
+        else:
+            weights.append(draw(weight))
+            gains.append(draw(gain))
+    return weights, gains, draw(st.sampled_from([1, 4, 16, 128])), draw(st.floats(1e-2, 1e2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_waterfill_inputs())
+def test_waterfill_is_bitwise_the_numpy_water_filling(inputs):
+    weights, gains, m, p_c = inputs
+    powers, level = waterfill(weights, gains, m, p_c)
+    ref_powers, ref_level = reference_waterfill(weights, gains, m, p_c)
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [p.hex() for p in powers] == [p.hex() for p in ref_powers]
+    assert (level is None and ref_level is None) or level.hex() == ref_level.hex()
+
+
 # ---------------------------------------------------------------------------
 # weighted sum rate and oracles
 # ---------------------------------------------------------------------------
@@ -422,7 +475,7 @@ def test_oracle_rates_are_the_de_rates_of_the_assembled_control(oracle):
 
 
 def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
-    """Weighted sum rate without a memo: one water filling per BS."""
+    """Weighted sum rate without a memo: one NumPy water filling per BS."""
     selected = tuple(sorted(selected))
     blocked = [b for _, b in served_and_blocked(graph, selected)]
     weights = {k: float(rate_weights[k]) for k in selected}
@@ -431,23 +484,25 @@ def reference_weighted_sum_rate(selected, rate_weights, corr_set, graph, cache):
         users = tuple(k for k in graph.assoc_users[n] if k in selected)
         if users:
             bs_gains, _, _ = cache.gains(n, users, blocked[n])
-            bs_powers, _ = waterfill([weights[k] for k in users], list(bs_gains),
-                                     corr_set.dim, PC)
+            bs_powers, _ = reference_waterfill([weights[k] for k in users], list(bs_gains),
+                                               corr_set.dim, PC)
             powers.update(zip(users, bs_powers))
     return math.fsum(weights[k] * np.log1p(powers[k]) for k in selected), powers
 
 
 def reference_greedy(rate_weights, corr_set, graph, cache):
-    current, value = (), 0.0
+    """(selection, value, powers) of the greedy oracle, every candidate
+    evaluated whole by the memo-free reference."""
+    current, value, powers = (), 0.0, {}
     while len(current) < graph.num_users:
         cands = [tuple(sorted(current + (k,))) for k in range(graph.num_users) if k not in current]
-        values = [reference_weighted_sum_rate(c, rate_weights, corr_set, graph, cache)[0]
-                  for c in cands]
-        best = int(np.argmax(values))  # the first of equal values, as in the oracle
-        if values[best] <= value + 1e-12:
+        results = [reference_weighted_sum_rate(c, rate_weights, corr_set, graph, cache)
+                   for c in cands]
+        best = int(np.argmax([v for v, _ in results]))  # the first of equal values, as in the oracle
+        if results[best][0] <= value + 1e-12:
             break
-        current, value = cands[best], values[best]
-    return current
+        current, (value, powers) = cands[best], results[best]
+    return current, value, powers
 
 
 def reference_exhaustive(rate_weights, corr_set, graph, cache):
@@ -488,12 +543,73 @@ def test_memoized_weighted_sum_rate_and_oracles_match_memo_free_references(insta
         value, powers = reference_weighted_sum_rate(cand, weights, cs, graph, cache)
         assert shared.value == alone.value == value
         assert shared.powers == alone.powers == powers
-    assert best_control_greedy(weights, cs, graph, NU, PC, cache).selected == reference_greedy(
-        weights, cs, graph, cache
-    )
+    greedy = best_control_greedy(weights, cs, graph, NU, PC, cache)
+    selected, value, powers = reference_greedy(weights, cs, graph, cache)
+    assert (greedy.selected, greedy.value, greedy.skipped) == (selected, value, 0)
+    assert greedy.powers == powers and list(greedy.powers) == list(selected)
     assert best_control_exhaustive(weights, cs, graph, NU, PC, cache).selected == (
         reference_exhaustive(weights, cs, graph, cache)
     )
+
+
+class RecordingCache(FailingCache):
+    """Gain cache that records every key it is asked for, in order, and fails
+    for ``bad_key`` if one is given."""
+
+    def __init__(self, corr_set, graph, nu, bad_key=None):
+        super().__init__(corr_set, graph, nu, bad_key)
+        self.keys = []
+
+    def gains(self, bs, users, blocked):
+        self.keys.append((bs, users, blocked))
+        return super().gains(bs, users, blocked)
+
+
+def whole_candidate_greedy(rate_weights, corr_set, graph, cache):
+    """The greedy oracle with every candidate evaluated whole by
+    ``weighted_sum_rate`` through one memo, skipping a failed candidate."""
+    memo = {}
+    current, value = (), 0.0
+    while len(current) < graph.num_users:
+        best = None
+        for k in range(graph.num_users):
+            if k in current:
+                continue
+            cand = tuple(sorted(current + (k,)))
+            try:
+                res = weighted_sum_rate(cand, rate_weights, corr_set, graph, NU, PC, cache, memo)
+            except ConvergenceError:
+                continue
+            if best is None or res.value > best[1]:
+                best = (cand, res.value)
+        if best is None or best[1] <= value + 1e-12:
+            break
+        current, value = best
+    return current, value
+
+
+@pytest.mark.parametrize("seed", [36, 98, 112])
+def test_greedy_asks_the_gain_cache_for_the_keys_of_whole_candidate_evaluation(seed):
+    # the warm starts of the fixed point follow the order of the solves, so
+    # the incremental greedy must request the same keys in the same order
+    cs = build_hotspot_network(3, 18, 16, 2, seed=seed, inter_site_m=300.0)
+    graph = build_topology(cs, theta_from_db(10.0))
+    assert any(graph.neighbor_bs[k] for k in range(18))
+    rng = np.random.default_rng(seed)
+    for weights in (np.ones(18), rng.uniform(0.0, 1.0, size=18)):
+        incremental, whole = RecordingCache(cs, graph, NU), RecordingCache(cs, graph, NU)
+        pick = best_control_greedy(weights, cs, graph, NU, PC, incremental)
+        assert (pick.selected, pick.value) == whole_candidate_greedy(weights, cs, graph, whole)
+        assert incremental.keys == whole.keys
+        assert any(key[2] for key in whole.keys)  # some candidate changes a blocked set
+        # a key that fails is asked for again whenever a candidate needs it
+        bad = whole.keys[len(whole.keys) // 2]
+        incremental = RecordingCache(cs, graph, NU, bad)
+        whole = RecordingCache(cs, graph, NU, bad)
+        pick = best_control_greedy(weights, cs, graph, NU, PC, incremental)
+        assert (pick.selected, pick.value) == whole_candidate_greedy(weights, cs, graph, whole)
+        assert incremental.keys == whole.keys
+        assert pick.skipped == whole.keys.count(bad) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +742,17 @@ def test_policy_consistent_when_iteration_cap_hits(desk):
     assert not res.converged
     assert len(res.policy.controls) == res.policy.probs.size
     res.policy.validate(cs, graph, NU, PC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_policy_validate_rejects_a_non_finite_probability(desk, bad):
+    cs, graph = desk
+    policy = optimize_policy(cs, graph, pfs_utility(6), NU, PC, mode="greedy").policy
+    for position in range(policy.probs.size):
+        probs = np.array(policy.probs, dtype=float)
+        probs[position] = bad
+        with pytest.raises(ValidationError, match="probabilities must lie in"):
+            replace(policy, probs=probs).validate(cs, graph, NU, PC)
 
 
 @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])

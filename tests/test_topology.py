@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermimo.errors import ParameterError
 from hiermimo.topology import (
@@ -56,6 +58,39 @@ def test_scheduled_neighbors_edge_cases(fig_graph):
     assert full == [(fig_graph.assoc_users[n], fig_graph.neighbor_users[n]) for n in range(2)]
     with pytest.raises(ParameterError):
         served_and_blocked(fig_graph, {99})
+
+
+@st.composite
+def selections(draw):
+    """A random topology from random traces and theta, and a selection drawn
+    as a list: unordered, with repeats, and sometimes one unknown index."""
+    num_bs = draw(st.integers(1, 4))
+    num_users = draw(st.integers(1, 9))
+    traces = draw(st.lists(st.lists(st.floats(0.1, 10.0), min_size=num_bs, max_size=num_bs),
+                           min_size=num_users, max_size=num_users))
+    serving = [int(np.argmax(row)) for row in traces]
+    graph = build_topology(trace_table_set(2, traces, serving), draw(st.sampled_from([2.0, 10.0, 1e3])))
+    selected = draw(st.lists(st.integers(0, num_users - 1), max_size=2 * num_users))
+    unknown = draw(st.none() | st.sampled_from([-1, num_users, num_users + 7]))
+    if unknown is not None:
+        selected.insert(draw(st.integers(0, len(selected))), unknown)
+    return graph, selected, unknown
+
+
+@settings(max_examples=200, deadline=None)
+@given(selections())
+def test_served_and_blocked_is_the_per_bs_split(case):
+    graph, selected, unknown = case
+    if unknown is not None:
+        with pytest.raises(ParameterError, match=f"unknown user index {unknown}$"):
+            served_and_blocked(graph, selected)
+        return
+    chosen = set(selected)
+    split = served_and_blocked(graph, selected)
+    assert split == [(tuple(k for k in graph.assoc_users[n] if k in chosen),
+                      tuple(k for k in graph.neighbor_users[n] if k in chosen))
+                     for n in range(graph.num_bs)]
+    assert split == served_and_blocked(graph, sorted(chosen))
 
 
 def test_single_bs_has_no_neighbors():
