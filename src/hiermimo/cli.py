@@ -2,11 +2,12 @@
 
 A scenario is one JSON file with explicit keys (see ``REQUIRED_FIELDS`` and
 the README schema). ``run`` executes generate -> topology -> optimize ->
-validate and writes policy.json, trace.csv, validation.csv, summary.json;
-``compare`` additionally runs the FFR and clustered-CoMP baselines on the
-same correlation set and seed and writes comparison.csv. Outputs are
-byte-stable for a fixed config and seed: JSON keys are sorted, floats use
-shortest round-trip formatting, and outer precoders are exact binary blocks.
+validate -> deterministic equivalents -> Monte Carlo and writes policy.json,
+trace.csv, validation.csv, summary.json; ``compare`` additionally runs the
+FFR and clustered-CoMP baselines on the same correlation set and seed and
+writes comparison.csv. Outputs are byte-stable for a fixed config and seed:
+JSON keys are sorted, floats use shortest round-trip formatting, and outer
+precoders are exact binary blocks.
 """
 
 import argparse
@@ -510,21 +511,29 @@ def _write_csv(path, header, rows):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
-    """Every control's deterministic equivalents. Logs one WARNING when a
-    served user's effective gain xi is below nu: there the O(nu / xi)
-    correction outweighs the leading log(1 + p) term, so the simplified
-    rates and powers cannot be trusted."""
+def _de_pass(policy, corr_set, graph, nu, gain_cache):
+    """The policy's deterministic equivalents, from one ``de_rate_power``
+    call per control: the q-mixed DE rates and BS powers, and every
+    control's diagnostics. Logs one WARNING when a served user's effective
+    gain xi is below nu: there the O(nu / xi) correction outweighs the
+    leading log(1 + p) term, so the simplified rates and powers cannot be
+    trusted."""
+    # imported on each call, so a patch of det_equiv.de_rate_power (the
+    # benchmark's tracer, the tests) reaches this call too
     from .det_equiv import de_rate_power
 
-    out = []
+    rates = np.zeros(graph.num_users)
+    powers = np.zeros(graph.num_bs)
+    diagnostics = []
     weak = {}  # served user -> its smallest xi / nu
-    for control in result.policy.controls:
+    for q, control in zip(np.asarray(policy.probs, dtype=float), policy.controls):
         de = de_rate_power(control, corr_set, graph, nu, gain_cache)
+        rates += q * de.rates
+        powers += q * de.powers
         for k, xi in de.gains.items():
             if control.power[k] > 0 and xi < nu:
                 weak[k] = min(weak.get(k, math.inf), xi / nu)
-        out.append(
+        diagnostics.append(
             {
                 "gains": {str(k): float(v) for k, v in sorted(de.gains.items())},
                 "rates": de.rates,
@@ -539,7 +548,7 @@ def _de_diagnostics(result, corr_set, graph, nu, gain_cache):
             "the deterministic equivalents assume nu << xi and are unreliable here",
             len(weak), min(weak.values()),
         )
-    return out
+    return rates, powers, diagnostics
 
 
 def _summary_payload(scn, result, report):
@@ -566,18 +575,18 @@ def _summary_payload(scn, result, report):
         "certificate": result.certificate,
         "certificate_kind": result.certificate_kind,
         "support": len(result.policy.controls),
-        "de_sum_rate": float(np.sum(report.de_rates)),
         "mc_sum_rate": report.sum_rate(),
         "worst_decile_rate": report.worst_decile_rate(),
-        "de_bs_powers": report.de_powers,
         "mc_bs_powers": report.bs_power_mean,
         "max_interference_ratio": report.max_interference_ratio,
     }
 
 
 def _pipeline(config_path, out_dir, overrides, baselines):
-    """generate -> topology -> optimize -> validate -> Monte Carlo, plus the
-    FFR and CoMP baselines when ``baselines``, then the result files."""
+    """generate -> topology -> optimize -> validate -> deterministic
+    equivalents -> Monte Carlo, plus the FFR and CoMP baselines when
+    ``baselines``, then the result files. The final policy's DE is computed
+    once (``_de_pass``) and feeds validation.csv and summary.json."""
     scn = load_scenario(config_path, **overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -601,9 +610,8 @@ def _pipeline(config_path, out_dir, overrides, baselines):
         gain_cache=cache,
     )
     result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit, cache)
-    report = monte_carlo_policy(
-        result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed, gain_cache=cache
-    )
+    de_rates, de_powers, diagnostics = _de_pass(result.policy, corr_set, graph, scn.rzf_nu, cache)
+    report = monte_carlo_policy(result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed)
     rows = [("proposed", report)]
     if baselines:
         network = (corr_set, graph, scn.power_limit)
@@ -618,17 +626,21 @@ def _pipeline(config_path, out_dir, overrides, baselines):
         "iter,U_E,support,certificate",
         ((rec.iteration, _fmt(rec.utility), rec.support, _fmt(rec.slack)) for rec in result.trace),
     )
+    mc_rates = report.user_rate_mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_err = np.where(de_rates > 0, np.abs(mc_rates - de_rates) / de_rates, np.nan)
     _write_csv(
         out / "validation.csv",
         "user,de_rate,mc_rate,mc_stderr,rel_err",
         (
-            (k, _fmt(report.de_rates[k]), _fmt(report.user_rate_mean[k]),
-             _fmt(report.user_rate_stderr[k]), _fmt(report.rate_rel_err[k]))
-            for k in range(report.user_rate_mean.size)
+            (k, _fmt(de_rates[k]), _fmt(mc_rates[k]), _fmt(report.user_rate_stderr[k]),
+             _fmt(rel_err[k]))
+            for k in range(mc_rates.size)
         ),
     )
     summary = _summary_payload(scn, result, report)
-    summary["de_diagnostics"] = _de_diagnostics(result, corr_set, graph, scn.rzf_nu, cache)
+    summary.update(de_sum_rate=float(np.sum(de_rates)), de_bs_powers=de_powers,
+                   de_diagnostics=diagnostics)
     if baselines:
         _write_csv(
             out / "comparison.csv",

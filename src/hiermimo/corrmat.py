@@ -43,14 +43,12 @@ class CorrelationMatrix:
     columns: np.ndarray
     rank_hint: int
     path_gain: float
-    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         columns = np.asarray(self.columns, dtype=complex)
         power = np.sum(np.abs(columns) ** 2, axis=0)  # the eigenvalues lambda
         keep = power > RANK_TOL * np.max(power, initial=0.0)
         self.columns = np.ascontiguousarray(columns[:, keep])
-        self._basis = self.columns / np.sqrt(power[keep])
 
     @classmethod
     def from_dense(cls, entries, rank_hint, path_gain):
@@ -95,8 +93,9 @@ class CorrelationMatrix:
         return self.columns
 
     def basis(self):
-        """Orthonormal basis B (M x r) of the column space: F with unit columns."""
-        return self._basis
+        """Orthonormal basis B (M x r) of the column space: F with unit
+        columns, F / sqrt(lambda), computed on each call."""
+        return self.columns / np.sqrt(np.sum(np.abs(self.columns) ** 2, axis=0))
 
     def numerical_rank(self):
         return self.columns.shape[1]
@@ -297,7 +296,6 @@ def build_hotspot_network(
     hotspot_fraction=2.0 / 3.0,
     pathloss_exponent=3.76,
     ref_gain_db=90.0,
-    min_dist_m=MIN_DIST_M,
 ):
     """Generate a line-of-cells network with clustered user hotspots.
 
@@ -307,15 +305,16 @@ def build_hotspot_network(
     share one correlation matrix per BS (the local-clustering assumption),
     the rest get independent matrices at their own positions. Normalized
     matrices are random rank-limited Gram matrices, stored as factors and
-    scaled by sqrt(gain); gains follow the log-distance model.
+    scaled by sqrt(gain); gains follow the log-distance model. Users and
+    hotspots keep MIN_DIST_M from their cell's BS.
     """
     if num_bs < 1 or num_users < 1:
         raise ParameterError("need at least one BS and one user")
-    if not inter_site_m > 2.0 * min_dist_m:
-        # the cell disc (radius inter_site_m / 2) must reach past min_dist_m,
+    if not inter_site_m > 2.0 * MIN_DIST_M:
+        # the cell disc (radius inter_site_m / 2) must reach past MIN_DIST_M,
         # or the rejection sampler below never returns
         raise ParameterError(
-            f"inter_site_m must exceed 2 * min_dist_m = {2.0 * min_dist_m!r}, "
+            f"inter_site_m must exceed 2 * MIN_DIST_M = {2.0 * MIN_DIST_M!r}, "
             f"got {inter_site_m!r}"
         )
     rng = derive_rng(seed, CORRELATION, 0)
@@ -333,7 +332,7 @@ def build_hotspot_network(
     hotspot_centers = {}
     for n in range(num_bs):
         for h in range(hotspots_per_cell):
-            hotspot_centers[(n, h)] = random_point_near(bs_pos[n], cell_radius, min_dist_m)
+            hotspot_centers[(n, h)] = random_point_near(bs_pos[n], cell_radius, MIN_DIST_M)
 
     # round-robin user-to-cell assignment, hotspot users first within each cell
     cell_of = {k: k % num_bs for k in range(num_users)}
@@ -350,7 +349,7 @@ def build_hotspot_network(
                 positions[k] = hotspot_centers[(n, h)]
                 cluster_of[k] = n * hotspots_per_cell + h
             else:
-                positions[k] = random_point_near(bs_pos[n], cell_radius, min_dist_m)
+                positions[k] = random_point_near(bs_pos[n], cell_radius, MIN_DIST_M)
                 cluster_of[k] = next_free_cluster
                 next_free_cluster += 1
 

@@ -1,14 +1,15 @@
-"""Monte Carlo validation and baseline schemes.
+"""Monte Carlo evaluation of a policy and of the baseline schemes.
 
-Validates the deterministic equivalents against sampled channels and runs
-two reference schemes: per-cell zero forcing under fractional frequency
-reuse, and clustered cooperative zero forcing with an optional AR(1) CSI
-delay. Every scheme reads its draws in order from one stream derived from
-(seed, scheme), so a run is deterministic per seed, and evaluates them in
-chunks of a fixed memory budget, each with one sampling call and one stacked
-evaluation; a chunk's normals continue the stream where the previous chunk
-stopped, so results do not depend on the chunk size. A draw is 2 K N R
-normals, one rank-R coefficient vector w per link
+Measures a policy's rates and powers on sampled channels, and runs two
+reference schemes: per-cell zero forcing under fractional frequency reuse,
+and clustered cooperative zero forcing with an optional AR(1) CSI delay.
+It only measures: the pipeline compares the policy's report with its
+deterministic equivalents. Every scheme reads its draws in order from one
+stream derived from (seed, scheme), so a run is deterministic per seed, and
+evaluates them in chunks of a fixed memory budget, each with one sampling
+call and one stacked evaluation; a chunk's normals continue the stream where
+the previous chunk stopped, so results do not depend on the chunk size. A
+draw is 2 K N R normals, one rank-R coefficient vector w per link
 (``corrmat.sample_coefficients``), and no scheme forms the M-dimensional
 channels h = F w.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrmat import sample_channel, sample_coefficients
-from .det_equiv import GainCache, de_rate_power
+from .det_equiv import de_rate_power  # noqa: F401 (see draw_channels)
 from .errors import ParameterError, ValidationError
 from .precoder import (  # noqa: F401 (cross_interference_power: see draw_channels)
     cross_interference_power,
@@ -53,10 +54,6 @@ class MonteCarloReport:
     bs_power_stderr: np.ndarray
     draws: int
     seed: int
-    de_rates: np.ndarray = None
-    de_powers: np.ndarray = None
-    rate_rel_err: np.ndarray = None
-    power_rel_err: np.ndarray = None
     max_interference_ratio: float = None
     mean_cross_interference: float = None
 
@@ -76,9 +73,9 @@ def _stderr(samples):
 def draw_channels(corr_set, rng, count=None):
     """Realizations of every link channel: one (K, N, M) array, or the next
     ``count`` draws of ``rng`` as one (count, K, N, M) array. No scheme draws
-    them; this name, ``sample_channel`` and ``cross_interference_power``
-    stay in this module as patch points of the benchmark's tracer
-    (perfbench/spans.py)."""
+    them; this name, ``sample_channel``, ``cross_interference_power`` and
+    ``de_rate_power`` stay in this module as patch points of the benchmark's
+    tracer (perfbench/spans.py)."""
     return sample_channel(corr_set, rng, count)
 
 
@@ -258,7 +255,7 @@ def _control_evaluator(control, corr_set, graph, nu):
     return evaluate, groups
 
 
-def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None):
+def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed):
     """Empirical rates and powers of a time-sharing policy.
 
     Every control is evaluated on every draw and mixed by the probabilities
@@ -280,21 +277,7 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed, gain_cache=None
         return rates, powers, worst, cross
 
     groups = [group for _, control_groups in evaluators for group in control_groups]
-    report = _monte_carlo(draw, groups, corr_set, graph, draws, seed, POLICY_MC)
-    cache = gain_cache or GainCache(corr_set, graph, nu)
-    de_rates = np.zeros(graph.num_users)
-    de_powers = np.zeros(graph.num_bs)
-    for q, control in zip(probs, policy.controls):
-        de = de_rate_power(control, corr_set, graph, nu, cache)
-        de_rates += q * de.rates
-        de_powers += q * de.powers
-    rate_mean, power_mean = report.user_rate_mean, report.bs_power_mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate_err = np.where(de_rates > 0, np.abs(rate_mean - de_rates) / de_rates, np.nan)
-        power_err = np.where(de_powers > 0, np.abs(power_mean - de_powers) / de_powers, np.nan)
-    report.de_rates, report.de_powers = de_rates, de_powers
-    report.rate_rel_err, report.power_rel_err = rate_err, power_err
-    return report
+    return _monte_carlo(draw, groups, corr_set, graph, draws, seed, POLICY_MC)
 
 
 # ---------------------------------------------------------------------------

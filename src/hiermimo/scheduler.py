@@ -28,6 +28,8 @@ ENUMERATION_GUARD = 20
 GREEDY_IMPROVE_TOL = 1e-12
 Q_GRAD_TOL = 1e-8
 PROB_SNAP = 1e-10
+# Newton steps per face of the simplex in the time-sharing solver
+FACE_NEWTON_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def project_simplex(v):
     return np.maximum(v - tau, 0.0)
 
 
-def _face_newton(rates, util, q, active, max_iter=200):
+def _face_newton(rates, util, q, active):
     """Maximize the utility over one face of the simplex (fixed support).
 
     Equality-constrained Newton steps in the active coordinates with a
@@ -337,7 +339,7 @@ def _face_newton(rates, util, q, active, max_iter=200):
     idx = np.flatnonzero(active)
     ra = rates[idx]
     ones = np.ones(idx.size)
-    for _ in range(max_iter):
+    for _ in range(FACE_NEWTON_MAX_ITER):
         rbar = q @ rates
         val, mu = util.value_and_grad(rbar)
         grad = ra @ mu
@@ -383,15 +385,15 @@ def _face_newton(rates, util, q, active, max_iter=200):
     return q, dropped
 
 
-def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
+def optimize_time_sharing(rates_matrix, util, init=None):
     """Maximize util over time-sharing probabilities for fixed controls.
 
     rates_matrix has one row of per-user DE rates per control. Active-set
     Newton on the simplex: optimize over the current support, drop
     coordinates that reach zero, re-admit any coordinate whose gradient
     beats the support's common multiplier, until the simplex-projected
-    gradient norm falls below tol. Probabilities below 1e-10 are snapped to
-    zero and the rest renormalized.
+    gradient norm falls below Q_GRAD_TOL. Probabilities below 1e-10 are
+    snapped to zero and the rest renormalized.
     """
     rates = np.atleast_2d(np.asarray(rates_matrix, dtype=float))
     count = rates.shape[0]
@@ -416,7 +418,7 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
         _, mu = util.value_and_grad(q @ rates)
         grad = rates @ mu
         pg = float(np.linalg.norm(project_simplex(q + grad) - q))
-        if pg <= tol:
+        if pg <= Q_GRAD_TOL:
             converged = True
             break
         if dropped.size:
@@ -431,7 +433,8 @@ def optimize_time_sharing(rates_matrix, util, tol=Q_GRAD_TOL, init=None):
             break
         active[best] = True
     if not converged:
-        log.warning("time-sharing solver stopped at projected gradient %.3e > %.1e", pg, tol)
+        log.warning("time-sharing solver stopped at projected gradient %.3e > %.1e", pg,
+                    Q_GRAD_TOL)
     q = np.where(q < PROB_SNAP, 0.0, q)
     return q / q.sum()
 

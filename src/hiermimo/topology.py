@@ -21,7 +21,6 @@ class TopologyGraph:
     assoc_users: dict  # bs -> tuple of associated users
     neighbor_users: dict  # bs -> tuple of non-associated users with an edge
     neighbor_bs: dict  # user -> tuple of non-serving BSs with an edge
-    theta: float
 
 
 def build_topology(corr_set, theta):
@@ -59,7 +58,6 @@ def build_topology(corr_set, theta):
         assoc_users=assoc,
         neighbor_users=neigh_users,
         neighbor_bs=neigh_bs,
-        theta=float(theta),
     )
 
 

@@ -28,6 +28,14 @@ def full_inner_precoders(control, channels, nu):
     }
 
 
+def de_rel_err(mc, de):
+    """|mc - de| / de where de > 0 and NaN elsewhere: the relative error of
+    Monte Carlo means against their deterministic equivalents, as
+    validation.csv's rel_err gives it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(de > 0, np.abs(mc - de) / de, np.nan)
+
+
 def diag_corr(m, trace):
     """Diagonal correlation matrix with a prescribed trace (full rank)."""
     entries = (trace / m) * np.eye(m, dtype=complex)

@@ -26,6 +26,8 @@ from hiermimo.errors import ConfigError
 from hiermimo.precoder import CompositeControl
 from hiermimo.scheduler import ControlPolicy
 
+from conftest import de_rel_err
+
 DESK = {
     "num_bs": 2,
     "num_users": 6,
@@ -462,6 +464,88 @@ def test_summary_carries_de_diagnostics(tmp_path):
     assert len(diag) == len(json.loads((out / "policy.json").read_text())["probs"])
     assert all(entry["iterations"] >= 1 for entry in diag)
     assert all(entry["residual"] <= 1e-9 for entry in diag)
+
+
+def test_one_de_pass_feeds_validation_csv_and_summary_json(tmp_path):
+    from hiermimo import det_equiv, scheduler
+
+    # a hand-made policy of two controls stands in for the optimizer's: user
+    # 4 is blocked at BS 1 in the second, user 5 is served by neither, so its
+    # DE rate is 0 and its rel_err NaN
+    path = write_config(tmp_path, {"draws": 20})
+    scn = load_scenario(path)
+    corr_set, graph = cli.build_network(scn)
+    controls = []
+    for selected in ((0, 1, 2), (1, 3, 4)):
+        wsr = scheduler.weighted_sum_rate(selected, np.ones(scn.num_users), corr_set, graph,
+                                          scn.rzf_nu, scn.power_limit)
+        controls.append(scheduler.assemble_control(selected, corr_set, graph, wsr.powers))
+    policy = ControlPolicy(controls=controls, probs=np.array([0.3, 0.7]))
+    result = scheduler.PolicyResult(
+        policy=policy, trace=[scheduler.TraceRecord(0, 0.0, 2, 0.0)], certificate=None,
+        certificate_kind="unavailable", converged=True, utility=0.0)
+    calls = []  # (control, result) of every de_rate_power call, in order
+    original = det_equiv.de_rate_power
+
+    def recording(control, *args):
+        calls.append((control, original(control, *args)))
+        return calls[-1][1]
+
+    spy = mock.Mock(side_effect=recording)
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "optimize_policy", return_value=result), \
+            mock.patch.object(det_equiv, "de_rate_power", spy), \
+            mock.patch.object(scheduler, "de_rate_power", spy):
+        run_scenario(path, out)
+    # validate, then the output pass: each control once, in control order
+    assert [control for control, _ in calls] == controls + controls
+    des = [de for _, de in calls[len(controls):]]
+    de_rates, de_powers = np.zeros(scn.num_users), np.zeros(scn.num_bs)
+    for q, de in zip(policy.probs, des):
+        de_rates += q * de.rates
+        de_powers += q * de.powers
+    assert de_rates[5] == 0.0 and np.all(de_rates[:5] > 0)
+
+    header, *lines = (out / "validation.csv").read_text().splitlines()
+    assert header == "user,de_rate,mc_rate,mc_stderr,rel_err"
+    _, de_rate, mc_rate, _, rel_err = np.array([line.split(",") for line in lines], dtype=float).T
+    np.testing.assert_array_equal(de_rate, de_rates)
+    np.testing.assert_array_equal(rel_err, de_rel_err(mc_rate, de_rates))
+    assert np.isnan(rel_err[5])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["de_sum_rate"] == float(np.sum(de_rates))
+    assert summary["de_bs_powers"] == de_powers.tolist()
+    assert summary["de_diagnostics"] == [
+        {
+            "gains": {str(k): float(xi) for k, xi in sorted(de.gains.items())},
+            "rates": de.rates.tolist(),
+            "powers": de.powers.tolist(),
+            "iterations": de.iterations,
+            "residual": de.residual,
+        }
+        for de in des
+    ]
+
+
+def test_a_run_computes_each_final_control_de_twice(tmp_path):
+    from hiermimo import det_equiv, harness, scheduler
+
+    # once in ControlPolicy.validate (scheduler's binding), once in the
+    # output pass (looked up on det_equiv); the Monte Carlo layer never. On
+    # this network the policy time-shares several controls
+    path = write_config(tmp_path, {"num_users": 12, "num_antennas": 8, "rank": 2, "seed": 5,
+                                   "draws": 10})
+    out = tmp_path / "out"
+    spies = [mock.patch.object(module, "de_rate_power", wraps=module.de_rate_power)
+             for module in (scheduler, det_equiv, harness)]
+    with spies[0] as validate, spies[1] as output, spies[2] as measure:
+        run_scenario(path, out)
+    controls = len(json.loads((out / "policy.json").read_text())["probs"])
+    assert controls >= 2
+    assert validate.call_count == output.call_count == controls
+    assert measure.call_count == 0
+    for checked, written in zip(validate.call_args_list, output.call_args_list):
+        assert checked.args[0] is written.args[0]
 
 
 def test_unknown_utility_kind_rejected(tmp_path):
