@@ -15,15 +15,23 @@ channels h = F w.
 
 All three schemes are one list of groups (``_Group``): a BS with its
 selection (the proposed scheme), an FFR cell or a CoMP cluster. A group
-zero-forces its served users' rows h^H B_n = conj(w) F^H B_n in one basis
-B_n per BS: the outer precoder F_n of the proposed scheme, or the thin QR
-basis Q_n of the served users' factors for the baselines. One map builder,
-one booking of received powers, one chunk-size rule and one BS-power helper
-serve every scheme; a scheme only chooses its bases, its beams (inner RZF,
-or the zero-forcing limit) and its powers, and which rows other than its
-served users it books: as interference (``others``: FFR's co-band users,
-CoMP's other users) or only as a recorded leak (``recorded``: the users
-that the proposed scheme's outer precoders protect).
+zero-forces its served users' rows, and zero forcing depends on the rows
+only through their Gram matrices (Wiesel, Eldar & Shamai, IEEE TSP 56(9),
+2008): with G the Gram matrix of the served rows, the beams H^H A, A = (G +
+reg I)^-1, deliver the amplitudes G' A to rows whose Gram matrix with the
+served rows is G', and BS n's block of them has the squared norms diag(A
+G_n A). So a group keeps, per BS n, one R x R map T_n[j, l] per row j and
+served user l (``_gram_map``), built once per run: (F_jn^H F_n)(F_n^H F_ln)
+through the outer precoder F_n of the proposed scheme, F_jn^H F_ln for the
+baselines. A draw's Gram entry at n is conj(w_jn) T_n[j, l] w_ln^T, summed
+over a cluster's BSs; no basis, beam or row with M or M_n entries is ever
+formed. One map builder, one Gram, one booking of received powers and one
+chunk-size rule serve every scheme; a scheme only chooses its regularizer
+(M nu, or ``ZF_NU`` relative to the served Gram's trace), its powers, and
+which rows other than its served users it books: as interference
+(``others``: FFR's co-band users, CoMP's other users) or only as a recorded
+leak (``recorded``: the users that the proposed scheme's outer precoders
+protect).
 """
 
 import functools
@@ -35,12 +43,11 @@ import numpy as np
 from .corrmat import sample_channel, sample_coefficients
 from .det_equiv import de_rate_power  # noqa: F401 (see draw_channels)
 from .errors import ParameterError, ValidationError
-from .precoder import (  # noqa: F401 (cross_interference_power: see draw_channels)
+from .precoder import (  # noqa: F401 (all but instantaneous_rate: see draw_channels)
     cross_interference_power,
     inner_precoders,
     instantaneous_rate,
     transmit_power,
-    zero_forcing,
 )
 from .rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from .topology import served_and_blocked
@@ -73,60 +80,92 @@ def _stderr(samples):
 def draw_channels(corr_set, rng, count=None):
     """Realizations of every link channel: one (K, N, M) array, or the next
     ``count`` draws of ``rng`` as one (count, K, N, M) array. No scheme draws
-    them; this name, ``sample_channel``, ``cross_interference_power`` and
-    ``de_rate_power`` stay in this module as patch points of the benchmark's
-    tracer (perfbench/spans.py)."""
+    them; this name, ``sample_channel``, ``de_rate_power``,
+    ``cross_interference_power``, ``inner_precoders`` and ``transmit_power``
+    stay in this module only as patch points of the benchmark's tracer
+    (perfbench/spans.py): every scheme evaluates Gram matrices of rank-R
+    coefficients instead."""
     return sample_channel(corr_set, rng, count)
 
 
 # ---------------------------------------------------------------------------
-# groups: what every scheme evaluates, in rank-R coordinates
+# groups: what every scheme evaluates, as Gram matrices of rank-R coefficients
 # ---------------------------------------------------------------------------
 
 # A BS with its selection, an FFR cell or a CoMP cluster: its consecutive
 # BSs, the users it serves (one beam each), the rows whose received power is
-# interference (``others``) or only recorded (``recorded``), and the
-# ``_effective_map`` of its rows users + others + recorded.
-_Group = namedtuple("_Group", "bss users others recorded gram")
+# interference (``others``) or only recorded (``recorded``), and one
+# ``_gram_map`` per BS of its rows users + others + recorded.
+_Group = namedtuple("_Group", "bss users others recorded maps")
 
 
-def _group(factor, bss, users, others, recorded, bases):
-    """The group of ``users`` served from ``bss`` in ``bases``, one basis per
-    BS, with its ``others`` and ``recorded`` rows."""
+def _group(factor, bss, users, others, recorded, outer=None):
+    """The group of ``users`` served from the consecutive BSs ``bss``, with
+    its ``others`` and ``recorded`` rows: its maps go through the outer
+    precoders ``outer`` (one per BS), or without them for a baseline."""
     users, others, recorded = list(users), list(others), list(recorded)
-    gram = _effective_map(factor, bss, users + others + recorded, bases)
-    return _Group(tuple(bss), users, others, recorded, gram)
+    rows = users + others + recorded
+    maps = [_gram_map(factor[rows, n], len(users), None if outer is None else outer[i])
+            for i, n in enumerate(bss)]
+    return _Group(tuple(bss), users, others, recorded, maps)
 
 
-def _effective_map(factor, bss, rows, bases):
-    """The channel rows of ``rows`` at the consecutive BSs ``bss`` in
-    ``bases`` (one semi-unitary M x q basis B_n per BS, all of one width q),
-    as a map of the coefficients: the (U, |bss| R, |bss| q) block-diagonal
-    array whose block of BS n holds F_jn^H B_n for each of the U ``rows``
-    j, so that j's coefficients at ``bss`` side by side, conjugated, times
-    it give its rows h_jn^H B_n side by side. It depends on the scheme's
-    bases only, so it is built once per run."""
-    width, q = factor.shape[-1], bases[0].shape[1]
-    gram = np.zeros((len(rows), len(bss) * width, len(bss) * q), dtype=complex)
-    for i, (n, basis) in enumerate(zip(bss, bases)):
-        block = factor[rows, n].conj().swapaxes(-1, -2) @ basis
-        gram[:, i * width : (i + 1) * width, i * q : (i + 1) * q] = block
-    return gram
+def _gram_map(rows, served, outer):
+    """The (U, R, |S| R) map T of one BS for the (U, M, R) factors ``rows``,
+    of which the first ``served`` are its served users': its block [j, :,
+    l] is T[j, l] = (F_j^H F_n)(F_n^H F_l) for the outer precoder F_n
+    ``outer``, or F_j^H F_l where ``outer`` is None, so that the Gram entry
+    of the rows h_j^H F_n and h_l^H F_n (or h_j^H and h_l^H) is conj(w_j)
+    T[j, l] w_l^T. A baseline's beams lie in the span of its served users'
+    factors, which their basis' projector leaves as they are, so no basis
+    is needed. The map depends on the scheme only and is built once per
+    run."""
+    left = rows.conj().swapaxes(-1, -2)  # F_j^H
+    if outer is not None:
+        left = left @ outer
+    u, r, q = left.shape
+    flat = left.reshape(u * r, q)
+    return (flat @ flat[: served * r].conj().T).reshape(u, r, served * r)
 
 
-def _effective_rows(coefficients, bss, rows, gram):
-    """The (D, U, W) effective channel rows of ``rows`` at the consecutive
-    BSs ``bss``, for the (D, K, N, 1, R) coefficients of D draws: row j's
-    coefficients at ``bss`` side by side, conjugated, times its map
-    ``gram[j]`` (|bss| R x W), one product per draw and row."""
-    picked = coefficients[:, rows, bss[0] : bss[-1] + 1]
-    return (picked.reshape(len(coefficients), len(rows), 1, -1).conj() @ gram)[..., 0, :]
+def _gram(left, right, maps):
+    """The (D, U, |S|) Gram matrices conj(left_j) T[j, l] right_l^T of one BS
+    for the (D, U, R) coefficients ``left`` of its rows, the (D, |S|, R)
+    coefficients ``right`` of its served users and its ``maps`` T, one
+    product per draw and row. Its largest arrays hold D U |S| R entries."""
+    lead, u, r = left.shape
+    half = (left.conj()[:, :, None] @ maps).reshape(lead, u, right.shape[1], r)
+    # einsum sums a short last axis several times faster than np.sum; the
+    # product stays out of place, as an in-place complex product of a lone
+    # draw rounds otherwise than one of a stack
+    return np.einsum("...r->...", half * right[:, None])
 
 
-def _group_rows(coefficients, groups):
-    """Every group's (D, U, W) effective rows of a chunk."""
-    return [_effective_rows(coefficients, g.bss, g.users + g.others + g.recorded, g.gram)
-            for g in groups]
+def _grams(group, true, served, users_only=False):
+    """The Gram matrices of ``group`` at each of its BSs, as (D, U, |S|)
+    arrays: its rows (users, others, recorded; only its users if
+    ``users_only``) with the (D, K, N, 1, R) coefficients ``true`` against
+    its users with the coefficients ``served`` (the true ones, or CoMP's
+    outdated ones)."""
+    rows = group.users if users_only else group.users + group.others + group.recorded
+    return [_gram(true[:, rows, n, 0], served[:, group.users, n, 0], maps[: len(rows)])
+            for n, maps in zip(group.bss, group.maps)]
+
+
+def _inverse(gram, reg):
+    """A = (G + reg I)^-1 for a stack of (D, |S|, |S|) Gram matrices G = H H^H
+    of served rows H, with one ``reg`` per matrix or one for all: the beams
+    H^H A then deliver the amplitudes G' A to rows whose Gram matrix with H
+    is G'."""
+    return np.linalg.inv(gram + np.reshape(reg, (-1, 1, 1)) * np.eye(gram.shape[-1]))
+
+
+def _norms(inverse, delivered):
+    """The (D, |S|) squared norms diag(A G A) of the beams H^H A (A from
+    ``_inverse``) over the rows whose (D, |S|, |S|) Gram matrices G give the
+    amplitudes ``delivered`` = G A: the norms of the beams when G = H H^H,
+    those of a BS's block of them when G is that BS's Gram matrix."""
+    return np.einsum("...j->...", inverse * delivered.swapaxes(-1, -2)).real
 
 
 @functools.cache
@@ -136,43 +175,28 @@ def _off_diagonal(s):
     return ~np.eye(s, dtype=bool)
 
 
-def _book(lead, num_users, groups, rows, beams, powers):
+def _book(lead, num_users, groups, received):
     """Rates, signals, recorded leaks and cross interference of a chunk of
-    ``lead`` draws. Group g's (D, W, |S|) ``beams[g]`` at the powers
-    ``powers[g]`` (one per beam, or (D, 1, 1) per draw) deliver p |e b|^2
-    to each of its (D, U, W) ``rows[g]`` e. The diagonal of its served rows
-    is its users' signal, the rest of them and what its ``others`` receive
-    is interference, and what its ``recorded`` rows receive is their (D,
-    sum |recorded|) leak, in group order. Cross interference is what the
+    ``lead`` draws, from group g's (D, U, |S|) powers ``received[g]`` that
+    its |S| beams deliver to its U rows. The diagonal of its served rows is
+    its users' signal, the rest of them and what its ``others`` receive is
+    interference, and what its ``recorded`` rows receive is their (D, sum
+    |recorded|) leak, in group order. Cross interference is what the
     ``others`` and ``recorded`` rows receive, summed per group in group
     order."""
     signal, interference = np.zeros((2, lead, num_users))
     cross = np.zeros(lead)
     leaks = [np.zeros((lead, 0))]
-    for group, e, b, p in zip(groups, rows, beams, powers):
+    for group, power in zip(groups, received):
         s, o = len(group.users), len(group.others)
-        received = p * np.abs(e @ b) ** 2  # (D, U, |S|)
-        served = received[:, :s]
+        served = power[:, :s]
         signal[:, group.users] = np.diagonal(served, axis1=-2, axis2=-1)
         interference[:, group.users] += served.sum(axis=-1, where=_off_diagonal(s))
-        leaked = received[:, s:].sum(axis=-1)
+        leaked = power[:, s:].sum(axis=-1)
         interference[:, group.others] += leaked[:, :o]
         cross += leaked.sum(axis=-1)
         leaks.append(leaked[:, o:])
     return instantaneous_rate(signal, interference), signal, np.concatenate(leaks, axis=-1), cross
-
-
-def _bs_powers(lead, num_bs, groups, beams, powers):
-    """The (D, N) power sum_l p_l ||b_l||^2 of every BS over its block of its
-    group's (D, |bss| q, |S|) beams; 0 at a BS without a group. The bases
-    are semi-unitary, so the beams' norms are those of the M-dimensional
-    beams."""
-    out = np.zeros((lead, num_bs))
-    for group, b, p in zip(groups, beams, powers):
-        first, count = group.bss[0], len(group.bss)
-        blocks = b.reshape(lead, count, b.shape[1] // count, b.shape[2])
-        out[:, first : first + count] = transmit_power(blocks, p)
-    return out
 
 
 # Draws per chunk: as many as keep the largest array that a scheme builds
@@ -188,12 +212,12 @@ def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
     (D, N) BS powers, (D,) worst interference ratios (None if untracked) and
     (D,) cross interference of those draws. D is at most CHUNK_ENTRIES over
     the largest per-draw array: the K N R coefficients, or a group's rows
-    times the widest of its |bss| R coefficients, its basis and its |S|
-    beams."""
+    times its |S| R served coefficients (``_gram``)."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    largest = max([graph.num_users * graph.num_bs * corr_set.factor().shape[-1], 1]
-                  + [g.gram.shape[0] * max(*g.gram.shape[1:], len(g.users)) for g in groups])
+    width = corr_set.factor().shape[-1]
+    largest = max([graph.num_users * graph.num_bs * width, 1]
+                  + [len(g.users + g.others + g.recorded) * len(g.users) * width for g in groups])
     size = max(1, CHUNK_ENTRIES // largest)
     rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
@@ -230,13 +254,13 @@ def _control_evaluator(control, corr_set, graph, nu):
     BS powers, worst interference-to-signal ratio and total power leaked
     onto protected users of each draw.
 
-    Each BS n with a selection S_n is a group in the basis F_n: its served
+    Each BS n with a selection S_n is a group mapped through F_n: its served
     rows are the effective channels h_kn^H F_n that its inner RZF precoder
-    sees (the outer precoders null every other BS, so only the serving BS
-    interferes), and its recorded rows are the users blocked at n, which
-    give what n leaks onto them. A BS spends sum_l p_l ||g_l||^2 over its
-    inner beams g, F_n being semi-unitary."""
-    m = corr_set.dim
+    (regularizer M nu) zero-forces (the outer precoders null every other
+    BS, so only the serving BS interferes), and its recorded rows are the
+    users blocked at n, which give what n leaks onto them. A BS spends
+    sum_l p_l ||g_l||^2 over its inner beams g, F_n being semi-unitary."""
+    reg = corr_set.dim * nu
     factor = corr_set.factor()
     split = served_and_blocked(graph, control.selected_union)
     groups = [_group(factor, (n,), users, (), blocked, [control.outer[n]])
@@ -246,11 +270,17 @@ def _control_evaluator(control, corr_set, graph, nu):
 
     def evaluate(coefficients):
         lead = len(coefficients)
-        rows = _group_rows(coefficients, groups)
-        beams = [inner_precoders(e[:, : len(g.users)], m, nu) for g, e in zip(groups, rows)]
-        rates, signal, leak, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
+        received, bs_powers = [], np.zeros((lead, graph.num_bs))
+        for group, p in zip(groups, powers):
+            s = len(group.users)
+            (gram,) = _grams(group, coefficients, coefficients)
+            inverse = _inverse(gram[:, :s], reg)
+            delivered = gram @ inverse
+            received.append(p * np.abs(delivered) ** 2)
+            bs_powers[:, group.bss[0]] = np.sum(p * _norms(inverse, delivered[:, :s]), axis=-1)
+        rates, signal, leak, cross = _book(lead, graph.num_users, groups, received)
         worst = np.max(leak / (signal[:, protected] + 1.0), axis=-1, initial=0.0)
-        return rates, _bs_powers(lead, graph.num_bs, groups, beams, powers), worst, cross
+        return rates, bs_powers, worst, cross
 
     return evaluate, groups
 
@@ -281,33 +311,50 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed):
 
 
 # ---------------------------------------------------------------------------
-# the baselines: zero forcing per cell or cluster in the bases of its users
+# the baselines: zero forcing per cell or cluster, near its exact limit
 # ---------------------------------------------------------------------------
 
 ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
+# Gram eigenvalues below GRAM_RANK_TOL times the largest are round-off
+GRAM_RANK_TOL = 1e-12
 
 
-def _zero_forcing_limit(rows):
-    """Zero-forcing beams of every draw's channel rows H, one |S|-row matrix
-    per draw of the stack ``rows``, regularized by ZF_NU tr(H H^H) / |S| so
-    that the beams stay near the exact zero-forcing limit whatever the
-    channel's scale. A zero row gets a zero beam; where every row is zero,
-    any positive regularizer gives zero beams, so 1 stands in for it."""
-    # tr(H H^H) as the inner product of H's flattened rows with themselves
-    flat = rows.reshape(rows.shape[0], 1, -1)
-    traces = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
-    reg = ZF_NU * traces / rows.shape[-2]
-    return zero_forcing(rows, np.where(reg > 0, reg, 1.0))
+def _zero_forcing_limit(gram):
+    """The inverse A = (G + reg I)^-1 (``_inverse``) of the beams H^H A that
+    zero-force served rows H with the (D, |S|, |S|) Gram matrices G = H H^H,
+    regularized by reg = ZF_NU tr(G) / |S| so that the beams stay near the
+    exact zero-forcing limit whatever the channel's scale. A zero row gets
+    a zero beam; where every row is zero, any positive regularizer gives
+    zero beams, so 1 stands in for it.
 
-
-def _user_bases(factor, bss, users):
-    """The thin QR basis Q_n (M x min(M, |users| R)) of the served users'
-    factors [F_kn] at each BS n of ``bss``, taken without a rank threshold:
-    it spans every served channel (and every outdated one), so zero-forcing
-    the rows E = H Q gives the beams Q y of zero-forcing H, with tr(E E^H) =
-    tr(H H^H), ||Q y|| = ||y|| and h^H Q y = e y for any row."""
-    m = factor.shape[-2]
-    return [np.linalg.qr(factor[users, n].transpose(1, 0, 2).reshape(m, -1))[0] for n in bss]
+    Dependent rows make G singular, but a Gram matrix formed from rank-R
+    maps knows its zero eigenvalues only to round-off, about 1e-16 of the
+    largest, and a beam's squared norm diag(A G A) weighs such an
+    eigenvalue e with e / reg^2: as much as a true one. So a draw with an
+    eigenvalue near reg or below (reg^2 ||A||_F^2 >= 1/2 over the rows
+    with channel) takes A from the eigenpairs of G instead, without the
+    eigenvalues below GRAM_RANK_TOL of the largest: the pseudo-inverse
+    limit that the exact rows would give."""
+    s = gram.shape[-1]
+    diagonal = np.diagonal(gram, axis1=-2, axis2=-1).real
+    reg = ZF_NU * np.sum(diagonal, axis=-1) / s
+    reg = np.where(reg > 0, reg, 1.0)
+    inverse = _inverse(gram, reg)
+    served = diagonal > 0
+    # reg^2 ||A||_F^2 = sum_e (reg / (e + reg))^2 over the rows with channel:
+    # about 1 for each eigenvalue e near 0, below 1e-4 for each e > 100 reg
+    pairs = served[:, :, None] & served[:, None, :]
+    near_singular = reg**2 * np.sum(np.abs(inverse) ** 2, axis=(-2, -1), where=pairs) >= 0.5
+    if np.any(near_singular):
+        values, vectors = np.linalg.eigh(gram[near_singular])
+        kept = values > GRAM_RANK_TOL * values[:, -1:]
+        weights = np.divide(1.0, values + reg[near_singular, None], out=np.zeros_like(values),
+                            where=kept)
+        rank_limited = (vectors * weights[:, None]) @ vectors.conj().swapaxes(-1, -2)
+        # a row without channel keeps its zero beam
+        mask = served[near_singular]
+        inverse[near_singular] = rank_limited * mask[:, :, None] * mask[:, None, :]
+    return inverse
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +414,24 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
             # the users of the other cells of n's partition share its band
             others = [k for k in range(graph.num_users)
                       if band[k] == partition[n] and graph.serving[k] != n]
-            groups.append(_group(factor, (n,), users, others, (), _user_bases(factor, (n,), users)))
+            groups.append(_group(factor, (n,), users, others, ()))
     powers = [np.full(len(group.users), p_c / len(group.users)) for group in groups]
 
     def draw(coefficients):
         lead = len(coefficients)
-        rows = _group_rows(coefficients, groups)
-        zf = [_zero_forcing_limit(e[:, : len(group.users)]) for group, e in zip(groups, rows)]
-        norms = [np.linalg.norm(g, axis=-2, keepdims=True) for g in zf]
-        # a user without channel keeps its zero beam
-        beams = [g / np.where(norm > 0, norm, 1.0) for g, norm in zip(zf, norms)]
-        rates, _, _, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
-        return (rates / reuse_partitions, _bs_powers(lead, graph.num_bs, groups, beams, powers),
-                None, cross)
+        received, bs_powers = [], np.zeros((lead, graph.num_bs))
+        for group, p in zip(groups, powers):
+            s = len(group.users)
+            (gram,) = _grams(group, coefficients, coefficients)
+            inverse = _zero_forcing_limit(gram[:, :s])
+            delivered = gram @ inverse
+            norms = _norms(inverse, delivered[:, :s])
+            # unit-norm beams; a user without channel keeps its zero beam
+            unit = p * np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+            received.append(unit[:, None] * np.abs(delivered) ** 2)
+            bs_powers[:, group.bss[0]] = np.sum(p * (norms > 0), axis=-1)
+        rates, _, _, cross = _book(lead, graph.num_users, groups, received)
+        return rates / reuse_partitions, bs_powers, None, cross
 
     return _monte_carlo(draw, groups, corr_set, graph, draws, seed, FFR_MC)
 
@@ -429,8 +481,7 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         if users:
             bss = range(c * cluster_size, (c + 1) * cluster_size)
             others = sorted(set(range(graph.num_users)) - set(users))
-            groups.append(_group(factor, bss, users, others, (), _user_bases(factor, bss, users)))
-    unit = [np.ones(len(group.users)) for group in groups]
+            groups.append(_group(factor, bss, users, others, ()))
     # the AR(1) innovation has a stream of its own, so every delay_rho sees
     # the same true channels and delay_rho = 1 never reads it
     innovation = derive_rng(seed, COMP_MC, 1)
@@ -441,20 +492,26 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         if delay_rho < 1.0:
             stale = sample_coefficients(corr_set, innovation, lead)
             outdated = delay_rho * coefficients + np.sqrt(1.0 - delay_rho**2) * stale
-        # each cluster zero-forces its users' outdated rows; a BS only
+        # each cluster zero-forces its users' outdated rows, and a BS only
         # carries its cluster's beams, so its unit load is the squared norm
         # of its block of them
-        rows = _group_rows(coefficients, groups)
-        served = rows if outdated is coefficients else [
-            _effective_rows(outdated, g.bss, g.users, g.gram[: len(g.users)]) for g in groups]
-        beams = [_zero_forcing_limit(e[:, : len(g.users)]) for g, e in zip(groups, served)]
-        unit_load = _bs_powers(lead, graph.num_bs, groups, beams, unit)
+        unit_received, unit_load = [], np.zeros((lead, graph.num_bs))
+        for group in groups:
+            s = len(group.users)
+            grams = _grams(group, coefficients, outdated)
+            served = [g[:, :s] for g in grams] if outdated is coefficients else \
+                _grams(group, outdated, outdated, users_only=True)
+            inverse = _zero_forcing_limit(sum(served))
+            unit_received.append(np.abs(sum(grams) @ inverse) ** 2)
+            for n, g in zip(group.bss, served):
+                unit_load[:, n] = np.sum(_norms(inverse, g @ inverse), axis=-1)
         # one power per cluster, scaled so that its most loaded BS spends p_c
         # (0 for a cluster without users or without channels)
         most_loaded = np.max(unit_load.reshape(lead, -1, cluster_size), axis=-1)
         scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
-        powers = [scale[:, group.bss[0] // cluster_size, None, None] for group in groups]
-        rates, _, _, cross = _book(lead, graph.num_users, groups, rows, beams, powers)
+        received = [scale[:, group.bss[0] // cluster_size, None, None] * u
+                    for group, u in zip(groups, unit_received)]
+        rates, _, _, cross = _book(lead, graph.num_users, groups, received)
         return rates, unit_load * np.repeat(scale, cluster_size, axis=-1), None, cross
 
     return _monte_carlo(draw, groups, corr_set, graph, draws, seed, COMP_MC)

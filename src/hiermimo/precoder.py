@@ -208,9 +208,9 @@ def transmit_power(beams, power):
 
     For b_l = F g_l with F semi-unitary this is sum_l p_l ||g_l||^2, the
     trace form tr(P Heff (Heff^H Heff + M nu I)^(-2) Heff^H) of the inner
-    precoder: (1, M_n, L) inner beams give the power of their BS, and a
-    baseline's beams y in the bases Q_n, split into their BSs' blocks, give
-    the powers of the BSs of a cell or cluster.
+    precoder, so (1, M_n, L) inner beams give the power of their BS. The
+    Monte Carlo layer takes the same powers from Gram matrices, without
+    beams (``harness._norms``); the tests hold it to this definition.
 
     The sum is one einsum over a fused (draw, BS) axis, the powers repeated
     for every BS: over a separate draw axis, einsum would sum the draws of a

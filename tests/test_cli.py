@@ -436,6 +436,62 @@ def test_compare_gives_users_without_channel_zero_beams(tmp_path, serving):
         assert np.all(np.isfinite(report.bs_power_mean))
 
 
+@pytest.mark.parametrize("db", [120.0, 150.0])
+def test_high_snr_runs_pass_their_own_budget_check(tmp_path, db):
+    # at 120 dB one ulp of the 1e12 budget is 1.2e-4, more than an absolute
+    # 1e-6 slack, so the optimizer's own policy failed validation with exit 3
+    from hiermimo.cli import build_network
+
+    path = write_config(tmp_path, {"power_limit_db": db})
+    for command in ("run", "compare"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.all(np.isfinite(summary["mc_bs_powers"]))
+        for line in (out / "validation.csv").read_text().splitlines()[1:]:
+            assert np.all(np.isfinite([float(v) for v in line.split(",")[:4]])), line
+    assert np.all(np.isfinite([float(v) for line in
+                               (tmp_path / "compare" / "comparison.csv").read_text().splitlines()[1:]
+                               for v in line.split(",")[1:]]))
+    scn = load_scenario(path)
+    corr_set, graph = build_network(scn)
+    load_policy(tmp_path / "run" / "policy.json").validate(corr_set, graph, scn.rzf_nu,
+                                                           scn.power_limit)
+
+
+# `compare scenarios/desk.json` as the Monte Carlo layer wrote it when it
+# still formed the effective rows and beams: scheme -> (sum_rate,
+# worst_decile_rate, cross_interference), and user -> (mc_rate, mc_stderr)
+DESK_COMPARISON = {
+    "proposed": (41.12237574311195, 5.823287662553303, 2.2914786656630516e-30),
+    "ffr": (21.621929456428468, 3.0029148874431746, 0.0),
+    "comp_rho1": (39.113562945030274, 6.51892706300457, 0.0),
+    "comp_rho0": (8.467325478149284, 0.6456949131478182, 0.0),
+}
+DESK_VALIDATION = [
+    (6.787696926289213, 6.092695662489716e-05),
+    (7.985505122784445, 1.3070777600526928e-05),
+    (6.420653345769212, 7.578707073391196e-05),
+    (5.651926477807159, 0.0002723092000117158),
+    (5.994648847299448, 0.00019119583835746246),
+    (8.281945023162473, 1.2557019975523592e-05),
+]
+
+
+def test_desk_compare_stays_within_round_off_of_the_row_evaluation(tmp_path):
+    # zero forcing from Gram matrices moves the Monte Carlo results by
+    # round-off only: within 1e-12 relative of the values above
+    out = tmp_path / "out"
+    assert main(["compare", str(DESK_PATH), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == list(DESK_COMPARISON)
+    np.testing.assert_allclose([[float(v) for v in row[1:4]] for row in rows],
+                               list(DESK_COMPARISON.values()), rtol=1e-12, atol=0)
+    rows = [line.split(",") for line in (out / "validation.csv").read_text().splitlines()[1:]]
+    np.testing.assert_allclose([[float(v) for v in row[2:4]] for row in rows], DESK_VALIDATION,
+                               rtol=1e-12, atol=0)
+
+
 def test_missing_correlation_file_is_config_error(tmp_path):
     path = write_config(tmp_path, {"correlation_file": str(tmp_path / "nope.txt")})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -26,7 +26,6 @@ from hiermimo.harness import (
 from hiermimo.precoder import (
     CompositeControl,
     cross_interference_power,
-    inner_precoders,
     instantaneous_rate,
     transmit_power,
     zero_forcing,
@@ -114,11 +113,11 @@ def test_monte_carlo_is_chunk_size_invariant(desk):
 
 def test_chunks_keep_their_largest_array_within_the_budget(desk):
     # a chunk holds as many draws as keep the largest array its scheme
-    # builds within CHUNK_ENTRIES: the (D, K, N, 1, R) coefficients, and the
-    # effective channels and amplitudes of the selected and blocked rows for
-    # the proposed scheme or of a cell's or cluster's rows for the baselines;
-    # no scheme builds a (D, K, N, M) channel or an (N, M, L) beam array
-    # (the map that ``_effective_rows`` takes is built once per run)
+    # builds within CHUNK_ENTRIES: the (D, K, N, 1, R) coefficients, or the
+    # (D, U, |S| R) product of a group's row coefficients with its map, from
+    # which ``_gram`` forms the (D, U, |S|) Gram matrices; no scheme builds a
+    # (D, K, N, M) channel, a basis or a beam array (the maps that ``_gram``
+    # takes are built once per run)
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
     seen = []
@@ -134,6 +133,8 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
         def record(*args, **kwargs):
             if arguments:
                 seen.extend(whole(a).size for a in args if isinstance(a, np.ndarray))
+            else:  # _gram(left, right, maps): the left coefficients times the maps
+                seen.append(args[0].shape[0] * args[0].shape[1] * args[2].shape[-1])
             result = original(*args, **kwargs)
             seen.append(whole(result).size)
             return result
@@ -146,17 +147,18 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
          largest_policy_array(policy, cs, graph)),
         (lambda: ffr_baseline(cs, graph, PC, 2, draws, seed),
          largest_baseline_array(cs, ffr_groups(graph, 2))),
-        # one BS per cluster: a cluster of both BSs has exactly K N M entries
         (lambda: comp_baseline(cs, graph, PC, 1, draws, seed, delay_rho=0.5),
          largest_baseline_array(cs, comp_groups(graph, 1))),
+        (lambda: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=0.5),
+         largest_baseline_array(cs, comp_groups(graph, 2))),
     ]
     for run, largest in runs:
         assert largest < cs.num_users * cs.num_bs * cs.dim
         for budget in (largest, 3 * largest, 2 * cs.num_users * cs.num_bs * cs.dim):
             with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
-                    recorder("sample_coefficients"), recorder("inner_precoders"), \
-                    recorder("_effective_rows", arguments=False), recorder("zero_forcing"), \
-                    recorder("instantaneous_rate"), recorder("transmit_power"):
+                    recorder("sample_coefficients"), recorder("_gram", arguments=False), \
+                    recorder("_inverse"), recorder("_zero_forcing_limit"), recorder("_norms"), \
+                    recorder("instantaneous_rate"):
                 seen.clear()
                 run()
                 assert max(seen) <= budget
@@ -313,42 +315,69 @@ def test_baselines_reject_zero_draws(desk):
 
 def test_comp_matches_pseudo_inverse_on_rank_deficient_network():
     # three hotspot users share each rank-1 correlation, so the cluster's
-    # stacked channel rows are dependent: its exact Gram matrix is singular,
-    # and the regularized solve must still give the pseudo-inverse beams.
-    # Regularizing shrinks the component of singular value s by
-    # reg / (s^2 + reg), so the beams sit within reg / s_min^2 of the
-    # pseudo-inverse, s_min the smallest nonzero singular value. The cluster
-    # zero-forces its rows E = H Q in orthonormal bases Q, so E has the
-    # singular values of H and the beams Q y those of y
+    # stacked channel rows H are dependent: its exact Gram matrix G = H H^H
+    # is singular, and the regularized inverse A must still give the
+    # pseudo-inverse beams H^+ = H^H G^+. Their Gram quantities are the
+    # amplitudes H H^+ = G G^+ at the served rows and the squared norms
+    # diag(G^+). Regularizing shrinks the component of eigenvalue e by reg /
+    # (e + reg), and a squared norm's by at most 2 reg / e + (reg / e)^2, so
+    # both sit within reg / e_min (twice that for the norms) of the
+    # pseudo-inverse, e_min the smallest nonzero eigenvalue. The Gram matrix
+    # formed from rank-R maps knows its zero eigenvalues only to round-off,
+    # so these draws take the rank-limited inverse of _zero_forcing_limit
     cs = build_hotspot_network(2, 18, 16, 1, seed=7)
     graph = build_topology(cs, theta_from_db(10.0))
     users = [k for n in range(2) for k in graph.assoc_users[n]]
     zero_force = harness._zero_forcing_limit
     seen = []
 
-    def record(rows):
-        beams = zero_force(rows)
-        seen.extend(zip(rows, beams))  # one |S| x |bss| q and |bss| q x |S| per draw
-        return beams
+    def record(gram):
+        inverse = zero_force(gram)
+        seen.extend(zip(gram, inverse))  # one |S| x |S| Gram matrix and inverse per draw
+        return inverse
 
     draws, seed = 6, 5
     with mock.patch.object(harness, "_zero_forcing_limit", side_effect=record):
         comp_baseline(cs, graph, PC, cluster_size=2, draws=draws, seed=seed, delay_rho=1.0)
     assert len(seen) == draws  # one cluster, one chunk
     channels = sample_channel(cs, derive_rng(seed, COMP_MC, 0), draws)
-    for (rows, beams), h in zip(seen, channels):
+    for (gram, inverse), h in zip(seen, channels):
         stacked = h[users].reshape(len(users), -1).conj()  # the M-dimensional rows H
-        np.testing.assert_allclose(rows @ rows.conj().T, stacked @ stacked.conj().T,
+        np.testing.assert_allclose(gram, stacked @ stacked.conj().T,
                                    rtol=0, atol=1e-12 * np.sum(np.abs(stacked) ** 2))
-        s = np.linalg.svd(rows, compute_uv=False)
+        s = np.linalg.svd(stacked, compute_uv=False)
         s_min = s[s > 1e-10 * s[0]][-1]
         assert np.count_nonzero(s > 1e-10 * s[0]) < len(users)
-        oracle = np.linalg.pinv(rows)  # one column per user
-        err = np.linalg.norm(beams - oracle)
-        reg = harness.ZF_NU * np.sum(np.abs(rows) ** 2) / len(users)  # ZF_NU tr(HH^H) / |S|
+        oracle = np.linalg.pinv(stacked)  # one column per user
+        reg = harness.ZF_NU * np.trace(gram).real / len(users)  # ZF_NU tr(HH^H) / |S|
         bias = reg / s_min**2
         assert bias <= 1e-4
-        assert err <= (1.01 * bias + 1e-12) * np.linalg.norm(oracle)
+        amplitudes, projector = gram @ inverse, stacked @ oracle
+        assert np.linalg.norm(amplitudes - projector) <= (1.01 * bias + 1e-12) * np.linalg.norm(
+            projector)
+        norms = np.einsum("ij,ji->i", inverse, gram @ inverse).real
+        exact = np.sum(np.abs(oracle) ** 2, axis=0)
+        assert np.all(np.abs(norms - exact) <= (2.02 * bias + 1e-12) * exact)
+
+
+def test_baselines_on_dependent_rows_match_the_m_dimensional_ones():
+    # hotspot clones beyond their rank make a cell's and a cluster's rows
+    # dependent. The Gram form knows the zero eigenvalues of their Gram
+    # matrices only to round-off, which the squared beam norms diag(A G A)
+    # would weigh like true eigenvalues; with them FFR's unit-norm beams and
+    # CoMP's loads stay at the M-dimensional zero forcing, whose dependent
+    # rows sit within the regularization bias of the pseudo-inverse
+    cs = build_hotspot_network(2, 18, 16, 1, seed=7)
+    graph = build_topology(cs, theta_from_db(10.0))
+    draws, seed = 10, 5
+    runs = [(ffr_baseline(cs, graph, PC, 2, draws, seed),
+             per_draw_ffr(cs, graph, PC, 2, draws, seed))]
+    for cluster_size, rho in ((1, 1.0), (2, 1.0), (2, 0.0)):
+        runs.append((comp_baseline(cs, graph, PC, cluster_size, draws, seed, delay_rho=rho),
+                     per_draw_comp(cs, graph, PC, cluster_size, draws, seed, rho)))
+    for report, reference in runs:
+        for name in ("user_rate_mean", "bs_power_mean"):
+            np.testing.assert_allclose(getattr(report, name), reference[name], rtol=1e-6, atol=0)
 
 
 def test_comp_delays_share_their_true_channels(desk):
@@ -356,7 +385,7 @@ def test_comp_delays_share_their_true_channels(desk):
     # same stream and its AR(1) innovation from a stream of its own, which
     # delay_rho = 1 leaves untouched
     cs, graph = desk
-    effective_rows = harness._effective_rows
+    grams = harness._grams
     derive = harness.derive_rng
     draws, seed = 11, 3
     seen, streams = {}, {}
@@ -366,33 +395,37 @@ def test_comp_delays_share_their_true_channels(desk):
         return streams[path]
 
     for rho in (1.0, 0.0):
-        rows = seen[rho] = []
+        calls = seen[rho] = []
 
-        def record(*args):
-            rows.append(effective_rows(*args))
-            return rows[-1]
+        def record(group, true, served, users_only=False):
+            calls.append((users_only, true, served))
+            return grams(group, true, served, users_only)
 
         budget = 3 * largest_baseline_array(cs, comp_groups(graph, 2))
         with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
-                mock.patch.object(harness, "_effective_rows", side_effect=record), \
+                mock.patch.object(harness, "_grams", side_effect=record), \
                 mock.patch.object(harness, "derive_rng", side_effect=record_streams):
             comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=rho)
         innovation = streams[(seed, COMP_MC, 1)].bit_generator.state
         fresh = derive_rng(seed, COMP_MC, 1).bit_generator.state
         assert (innovation == fresh) == (rho == 1.0)
-    # chunks of 3, 3, 3 and 2 draws and one cluster: the true rows of each
-    # chunk, then at delay_rho < 1 the outdated rows of its users
+    # chunks of 3, 3, 3 and 2 draws and one cluster: the Gram matrices of
+    # each chunk's true rows against its served users, then at delay_rho < 1
+    # those of its users' outdated rows among themselves
     assert len(seen[1.0]) == 4 and len(seen[0.0]) == 8
     for same, true, outdated in zip(seen[1.0], seen[0.0][::2], seen[0.0][1::2]):
-        assert np.array_equal(same, true)
-        assert not np.allclose(true, outdated)
+        assert same[1] is same[2] and np.array_equal(same[1], true[1])
+        assert not true[0] and outdated[0]  # users_only
+        assert true[2] is outdated[1] is outdated[2]
+        assert not np.allclose(true[1], true[2])
 
 
 def test_baseline_zero_forcing_follows_the_channel_scale():
-    # the baselines regularize by ZF_NU tr(HH^H) / |S|, so scaling every
-    # channel by s scales the zero-forcing beams of FFR and CoMP by 1/s (and
-    # leaves the unit-norm FFR beams as they are): weak channels keep their
-    # zero-forcing beams instead of drifting toward a matched filter
+    # the baselines regularize by ZF_NU tr(G) / |S|, so scaling every channel
+    # by s scales the Gram matrices of FFR and CoMP by s^2 and their inverses
+    # A by 1 / s^2 (and leaves the unit-norm FFR beams as they are): weak
+    # channels keep their zero-forcing beams H^H A instead of drifting toward
+    # a matched filter
     recorded = {}
     zero_force = harness._zero_forcing_limit
     for ref_gain_db in (90.0, 20.0):
@@ -400,17 +433,17 @@ def test_baseline_zero_forcing_follows_the_channel_scale():
         graph = build_topology(cs, theta_from_db(10.0))
         seen = recorded[ref_gain_db] = []
 
-        def record(rows):
-            beams = zero_force(rows)
-            seen.extend(beams)  # one |bss| q x |S| array per draw of the chunk
-            return beams
+        def record(gram):
+            inverse = zero_force(gram)
+            seen.extend(inverse)  # one |S| x |S| inverse per draw of the chunk
+            return inverse
 
         with mock.patch.object(harness, "_zero_forcing_limit", side_effect=record):
             ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=3, seed=5)
             comp_baseline(cs, graph, PC, cluster_size=2, draws=3, seed=5, delay_rho=1.0)
     # one chunk of 3 draws for each of the two FFR cells and the CoMP cluster
     assert len(recorded[90.0]) == len(recorded[20.0]) == 9
-    scale = np.sqrt(10.0 ** ((20.0 - 90.0) / 10.0))  # amplitude ratio of the channels
+    scale = 10.0 ** ((20.0 - 90.0) / 10.0)  # power ratio of the channels
     for strong, weak in zip(recorded[90.0], recorded[20.0]):
         expected = strong / scale
         assert np.linalg.norm(weak - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -571,22 +604,37 @@ def comp_groups(graph, cluster_size):
 def largest_baseline_array(cs, groups):
     """Entries of the largest per-draw array of a baseline with the cells or
     clusters ``groups`` (``ffr_groups``, ``comp_groups``): the (K, N, 1, R)
-    coefficients, or a group's rows times the wider of its |S| beams and its
-    basis, min(M, |S| R) columns at each of its BSs (its beams and Gram
-    matrix are smaller)."""
+    coefficients, or a group's rows times its |S| R served coefficients,
+    the product that ``harness._gram`` forms at each of its BSs (its Gram
+    matrices and their inverses are smaller)."""
     width = cs.factor().shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for bss, users, others in groups:
-        basis = len(bss) * min(cs.dim, len(users) * width)
-        largest = max(largest, (len(users) + len(others)) * max(basis, len(users)))
+        largest = max(largest, (len(users) + len(others)) * len(users) * width)
     return largest
 
 
-def rank_r_rows(w, bss, rows, gram):
-    """One draw's rows h_jn^H Q_n side by side over the BSs ``bss``: the
-    (U, 1, |bss| R) coefficients of ``rows`` times the map ``gram`` of
-    ``harness._effective_map``."""
-    return (w[rows, bss[0] : bss[-1] + 1].reshape(len(rows), 1, -1).conj() @ gram)[:, 0]
+def one_draw_grams(w, served_w, bss, rows, users, maps):
+    """One draw's Gram matrices of ``rows`` (true coefficients ``w``)
+    against ``users`` (coefficients ``served_w``), one per BS of ``bss``:
+    conj(w_j) T_n[j, l] w_l^T for the maps T_n of ``harness._gram_map``,
+    from ``harness._gram`` on a stack of that one draw."""
+    return [harness._gram(w[None, rows, n, 0], served_w[None, users, n, 0], t[: len(rows)])[0]
+            for n, t in zip(bss, maps)]
+
+
+def one_draw_maps(cs, bss, rows, served, outer=None):
+    """The maps of ``rows`` (``served`` of them served) at each BS of ``bss``,
+    through the outer precoders ``outer`` if given."""
+    factor = cs.factor()
+    return [harness._gram_map(factor[rows, n], served, None if outer is None else outer[n])
+            for n in bss]
+
+
+def one_draw_norms(inverse, delivered):
+    """Squared norms diag(A G A) of one draw's beams H^H A over the rows with
+    the Gram matrix G, from their amplitudes ``delivered`` = G A."""
+    return harness._norms(inverse[None], delivered[None])[0]
 
 
 def add_rank_r_received(received, users, others, signal, interference):
@@ -602,35 +650,39 @@ def add_rank_r_received(received, users, others, signal, interference):
 
 
 def rank_r_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
-    """FFR one draw at a time in rank-R coordinates: unit-norm zero-forcing
-    beams y of each cell's rows, received powers p |e y|^2 and BS powers
-    sum_l p_l ||y_l||^2."""
-    groups = [(bss, users, others, harness._effective_map(
-                  cs.factor(), bss, users + others, harness._user_bases(cs.factor(), bss, users)))
+    """FFR one draw at a time in Gram form: each cell's Gram matrix G of its
+    rows against its users, A from its users' zero-forcing limit, unit-norm
+    beams H^H A / ||.||, received powers p |G A|^2 / ||.||^2 and BS powers
+    sum_l p_l over the beams with channel."""
+    groups = [(bss, users, others, one_draw_maps(cs, bss, users + others, len(users)))
               for bss, users, others in ffr_groups(graph, reuse_partitions)]
 
     def draw(w):
         signal, interference = np.zeros(graph.num_users), np.zeros(graph.num_users)
         powers, cross = np.zeros(graph.num_bs), 0.0
-        for bss, users, others, gram in groups:
-            rows = rank_r_rows(w, bss, users + others, gram)
-            g = per_draw_zero_forcing_limit(rows[: len(users)])
-            beams = unit_norm(g)
-            power = np.full(len(users), p_c / len(users))
-            cross += add_rank_r_received(power * np.abs(rows @ beams) ** 2, users, others,
+        for bss, users, others, maps in groups:
+            (gram,) = one_draw_grams(w, w, bss, users + others, users, maps)
+            s = len(users)
+            inverse = harness._zero_forcing_limit(gram[None, :s])[0]
+            delivered = gram @ inverse
+            norms = one_draw_norms(inverse, delivered[:s])
+            power = np.full(s, p_c / s)
+            unit = power * np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+            cross += add_rank_r_received(unit * np.abs(delivered) ** 2, users, others,
                                          signal, interference)
-            powers[bss[0]] = transmit_power(beams[None, None], power)[0, 0]
+            powers[bss[0]] = np.sum(power * (norms > 0))
         return instantaneous_rate(signal, interference) / reuse_partitions, powers, None, cross
 
     return per_draw_monte_carlo(draw, cs, graph, draws, seed, FFR_MC)
 
 
 def rank_r_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
-    """CoMP one draw at a time in rank-R coordinates: zero-forcing beams y
-    of each cluster's outdated rows, BS unit loads from their blocks of y,
-    and received powers p |e y|^2 on the true rows."""
-    groups = [(bss, users, others, harness._effective_map(
-                  cs.factor(), bss, users + others, harness._user_bases(cs.factor(), bss, users)))
+    """CoMP one draw at a time in Gram form: each cluster's A from the
+    zero-forcing limit of its users' outdated Gram matrix, BS unit loads
+    diag(A G_n A) from each BS's outdated Gram matrix, and received powers
+    p |G A|^2 from the Gram matrix of the true rows against the outdated
+    served ones."""
+    groups = [(bss, users, others, one_draw_maps(cs, bss, users + others, len(users)))
               for bss, users, others in comp_groups(graph, cluster_size)]
     innovation = derive_rng(seed, COMP_MC, 1)
 
@@ -639,20 +691,22 @@ def rank_r_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
         if delay_rho < 1.0:
             stale = sample_coefficients(cs, innovation)
             outdated = delay_rho * w + np.sqrt(1.0 - delay_rho**2) * stale
-        unit_load, cluster_beams = np.zeros(graph.num_bs), []
-        for bss, users, _, gram in groups:
-            g = per_draw_zero_forcing_limit(rank_r_rows(outdated, bss, users, gram[: len(users)]))
-            blocks = np.ascontiguousarray(g).reshape(len(bss), -1, len(users))
-            unit_load[list(bss)] = transmit_power(blocks, np.ones(len(users)))
-            cluster_beams.append(g)
+        unit_load, delivered = np.zeros(graph.num_bs), []
+        for bss, users, others, maps in groups:
+            s = len(users)
+            grams = one_draw_grams(w, outdated, bss, users + others, users, maps)
+            served = one_draw_grams(outdated, outdated, bss, users, users, maps)
+            inverse = harness._zero_forcing_limit(sum(served)[None])[0]
+            delivered.append(np.abs(sum(grams) @ inverse) ** 2)
+            for n, g in zip(bss, served):
+                unit_load[n] = np.sum(one_draw_norms(inverse, g @ inverse))
         most_loaded = np.max(unit_load.reshape(-1, cluster_size), axis=1)
         scale = np.divide(p_c, most_loaded, out=np.zeros_like(most_loaded), where=most_loaded > 0)
         signal, interference = np.zeros(graph.num_users), np.zeros(graph.num_users)
         cross = 0.0
-        for (bss, users, others, gram), g in zip(groups, cluster_beams):
-            received = scale[bss[0] // cluster_size] * np.abs(
-                rank_r_rows(w, bss, users + others, gram) @ g) ** 2
-            cross += add_rank_r_received(received, users, others, signal, interference)
+        for (bss, users, others, _), power in zip(groups, delivered):
+            cross += add_rank_r_received(scale[bss[0] // cluster_size] * power, users, others,
+                                         signal, interference)
         bs_power = unit_load * np.repeat(scale, cluster_size)
         return instantaneous_rate(signal, interference), bs_power, None, cross
 
@@ -661,10 +715,10 @@ def rank_r_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
 
 def rank_r_evaluation(control, cs, graph, nu, w):
     """Rates, BS powers, worst protected ratio and cross interference of one
-    draw's (K, N, 1, R) coefficients w, in rank-R coordinates: user k's
-    effective channel at BS n is conj(w_kn) F_kn^H F_n, one row per user
-    selected or blocked at n, and a BS spends sum_l p_l ||g_l||^2."""
-    factor = cs.factor()
+    draw's (K, N, 1, R) coefficients w, in Gram form: at BS n the Gram
+    matrix G of its selected and blocked users' effective channels
+    conj(w_kn) F_kn^H F_n against its selected ones, A = (G_SS + M nu I)^-1,
+    received powers p |G A|^2, and a BS spends sum_l p_l diag(A G_SS A)."""
     blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
     rates, signal = np.zeros(graph.num_users), np.zeros(graph.num_users)
     powers = np.zeros(graph.num_bs)
@@ -673,16 +727,17 @@ def rank_r_evaluation(control, cs, graph, nu, w):
         if not users:
             continue
         rows, s = list(users + blocked[n]), len(users)
-        gram = factor[rows, n].conj().swapaxes(-1, -2) @ control.outer[n]
-        effective = (w[rows, n].conj() @ gram)[:, 0]  # (U, 1, R) @ (U, R, M_n)
-        inner = inner_precoders(effective[:s], cs.dim, nu)
+        maps = one_draw_maps(cs, (n,), rows, s, control.outer)
+        (gram,) = one_draw_grams(w, w, (n,), rows, list(users), maps)
+        inverse = np.linalg.inv(gram[:s] + cs.dim * nu * np.eye(s))
         power = np.array([control.power[k] for k in users])
-        received = power * np.abs(effective @ inner) ** 2
+        delivered = gram @ inverse
+        received = power * np.abs(delivered) ** 2
         own = np.eye(s, dtype=bool)
         signal[list(users)] = np.diagonal(received[:s])
         rates[list(users)] = instantaneous_rate(signal[list(users)],
                                                 np.sum(received[:s], axis=-1, where=~own))
-        powers[n] = transmit_power(inner[None], power)[0]
+        powers[n] = np.sum(power * one_draw_norms(inverse, delivered[:s]))
         leaks.extend(zip(blocked[n], np.sum(received[s:], axis=-1)))
     leak = np.array([power for _, power in leaks])
     ratio = leak / (signal[[k for k, _ in leaks]] + 1.0)
@@ -770,17 +825,16 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
 def largest_policy_array(policy, cs, graph):
     """Entries of the largest per-draw array of the proposed scheme: the
     (K, N, 1, R) coefficients, or at a BS n with a selection S_n and blocked
-    users B_n the |S_n + B_n| rows of R coefficients, M_n effective-channel
-    entries or |S_n| amplitudes (its M_n x |S_n| beams and |S_n| x |S_n|
-    Gram matrix are smaller)."""
+    users B_n its |S_n + B_n| rows times |S_n| R served coefficients, the
+    product that ``harness._gram`` forms (its Gram matrix, inverse and
+    received powers are smaller)."""
     width = cs.factor().shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for control in policy.controls:
         blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
         for n, users in control.selected.items():
             if users:
-                largest = max(largest, (len(users) + len(blocked[n]))
-                              * max(width, control.outer[n].shape[1], len(users)))
+                largest = max(largest, (len(users) + len(blocked[n])) * len(users) * width)
     return largest
 
 

@@ -755,6 +755,21 @@ def test_policy_validate_rejects_a_non_finite_probability(desk, bad):
             replace(policy, probs=probs).validate(cs, graph, NU, PC)
 
 
+def test_policy_validate_rejects_a_control_over_its_power_budget(desk):
+    # the budget check's slack is relative, 1e-6 of the budget: a control a
+    # thousandth over its budget fails, at the desk's 10 dB as at 120 dB
+    cs, graph = desk
+    policy = optimize_policy(cs, graph, pfs_utility(6), NU, PC, mode="greedy").policy
+    spent = max(float(np.max(de_rate_power(c, cs, graph, NU).powers)) for c in policy.controls)
+    policy.validate(cs, graph, NU, spent)
+    for scale in (1.0, 1e11):
+        scaled = replace(policy, controls=[
+            replace(c, power={k: scale * p for k, p in c.power.items()}) for c in policy.controls])
+        # the message prints a plain float, not np.float64(...)
+        with pytest.raises(ValidationError, match=r"budget: [0-9.e+]+ > "):
+            scaled.validate(cs, graph, NU, scale * spent / (1.0 + 1e-3))
+
+
 @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
 def test_precoders_are_built_for_the_final_policy_only(mode):
     scn = cli.load_scenario(DESK_FILE, mode=mode)
