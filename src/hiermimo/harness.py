@@ -152,12 +152,43 @@ def _grams(group, true, served, users_only=False):
             for n, maps in zip(group.bss, group.maps)]
 
 
+# Gram eigenvalues below GRAM_RANK_TOL times the largest are round-off
+GRAM_RANK_TOL = 1e-12
+
+
 def _inverse(gram, reg):
     """A = (G + reg I)^-1 for a stack of (D, |S|, |S|) Gram matrices G = H H^H
     of served rows H, with one ``reg`` per matrix or one for all: the beams
     H^H A then deliver the amplitudes G' A to rows whose Gram matrix with H
-    is G'."""
-    return np.linalg.inv(gram + np.reshape(reg, (-1, 1, 1)) * np.eye(gram.shape[-1]))
+    is G'.
+
+    Dependent rows (hotspot clones beyond their rank) make G singular, but a
+    Gram matrix formed from rank-R maps knows its zero eigenvalues only to
+    round-off, about 1e-16 of the largest, and a beam's squared norm diag(A
+    G A) weighs such an eigenvalue e with e / reg^2: as much as a true one
+    where reg is small against the largest eigenvalue. So a draw with an
+    eigenvalue near reg or below (reg^2 ||A||_F^2 >= 1/2 over the rows with
+    channel) takes A from the eigenpairs of G instead, without the
+    eigenvalues below GRAM_RANK_TOL of the largest: the limit that the
+    exact rows would give. A row without channel keeps its zero beam."""
+    inverse = np.linalg.inv(gram + np.reshape(reg, (-1, 1, 1)) * np.eye(gram.shape[-1]))
+    diagonal = np.diagonal(gram, axis1=-2, axis2=-1).real
+    # reg^2 ||A||_F^2 = sum_e (reg / (e + reg))^2: about 1 for each
+    # eigenvalue e near 0, below 1e-4 for each e > 100 reg, and 1 for each
+    # row without channel, whose row and column of A are 1 / reg on the
+    # diagonal and 0 elsewhere
+    entries = inverse.reshape(len(inverse), -1).view(np.float64)
+    frobenius = np.einsum("ij,ij->i", entries, entries)
+    near_singular = np.square(reg) * frobenius - np.count_nonzero(diagonal == 0, axis=-1) >= 0.5
+    if np.any(near_singular):
+        values, vectors = np.linalg.eigh(gram[near_singular])
+        kept = values > GRAM_RANK_TOL * values[:, -1:]
+        reg = np.broadcast_to(reg, near_singular.shape)[near_singular, None]
+        weights = np.divide(1.0, values + reg, out=np.zeros_like(values), where=kept)
+        rank_limited = (vectors * weights[:, None]) @ vectors.conj().swapaxes(-1, -2)
+        served = diagonal[near_singular] > 0
+        inverse[near_singular] = rank_limited * served[:, :, None] * served[:, None, :]
+    return inverse
 
 
 def _norms(inverse, delivered):
@@ -315,46 +346,19 @@ def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed):
 # ---------------------------------------------------------------------------
 
 ZF_NU = 1e-8  # RZF regularizer, relative to the mean squared channel row norm
-# Gram eigenvalues below GRAM_RANK_TOL times the largest are round-off
-GRAM_RANK_TOL = 1e-12
 
 
 def _zero_forcing_limit(gram):
     """The inverse A = (G + reg I)^-1 (``_inverse``) of the beams H^H A that
     zero-force served rows H with the (D, |S|, |S|) Gram matrices G = H H^H,
     regularized by reg = ZF_NU tr(G) / |S| so that the beams stay near the
-    exact zero-forcing limit whatever the channel's scale. A zero row gets
-    a zero beam; where every row is zero, any positive regularizer gives
-    zero beams, so 1 stands in for it.
-
-    Dependent rows make G singular, but a Gram matrix formed from rank-R
-    maps knows its zero eigenvalues only to round-off, about 1e-16 of the
-    largest, and a beam's squared norm diag(A G A) weighs such an
-    eigenvalue e with e / reg^2: as much as a true one. So a draw with an
-    eigenvalue near reg or below (reg^2 ||A||_F^2 >= 1/2 over the rows
-    with channel) takes A from the eigenpairs of G instead, without the
-    eigenvalues below GRAM_RANK_TOL of the largest: the pseudo-inverse
-    limit that the exact rows would give."""
+    exact zero-forcing limit whatever the channel's scale; on dependent rows
+    ``_inverse`` gives the pseudo-inverse limit. A zero row gets a zero
+    beam; where every row is zero, any positive regularizer gives zero
+    beams, so 1 stands in for it."""
     s = gram.shape[-1]
-    diagonal = np.diagonal(gram, axis1=-2, axis2=-1).real
-    reg = ZF_NU * np.sum(diagonal, axis=-1) / s
-    reg = np.where(reg > 0, reg, 1.0)
-    inverse = _inverse(gram, reg)
-    served = diagonal > 0
-    # reg^2 ||A||_F^2 = sum_e (reg / (e + reg))^2 over the rows with channel:
-    # about 1 for each eigenvalue e near 0, below 1e-4 for each e > 100 reg
-    pairs = served[:, :, None] & served[:, None, :]
-    near_singular = reg**2 * np.sum(np.abs(inverse) ** 2, axis=(-2, -1), where=pairs) >= 0.5
-    if np.any(near_singular):
-        values, vectors = np.linalg.eigh(gram[near_singular])
-        kept = values > GRAM_RANK_TOL * values[:, -1:]
-        weights = np.divide(1.0, values + reg[near_singular, None], out=np.zeros_like(values),
-                            where=kept)
-        rank_limited = (vectors * weights[:, None]) @ vectors.conj().swapaxes(-1, -2)
-        # a row without channel keeps its zero beam
-        mask = served[near_singular]
-        inverse[near_singular] = rank_limited * mask[:, :, None] * mask[:, None, :]
-    return inverse
+    reg = ZF_NU * np.sum(np.diagonal(gram, axis1=-2, axis2=-1).real, axis=-1) / s
+    return _inverse(gram, np.where(reg > 0, reg, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,31 @@ def test_baselines_on_dependent_rows_match_the_m_dimensional_ones():
             np.testing.assert_allclose(getattr(report, name), reference[name], rtol=1e-6, atol=0)
 
 
+def test_proposed_scheme_on_dependent_rows_matches_the_m_dimensional_one():
+    # a BS that serves every clone of a rank-1 hotspot inverts G + M nu I
+    # with a singular G, whose zero eigenvalues the Gram form knows only to
+    # round-off: diag(A G A) would weigh them with 1 / (M nu)^2, and the BS
+    # powers would drift from the M-dimensional ones as nu falls
+    cs = build_hotspot_network(2, 18, 16, 1, seed=7)
+    graph = build_topology(cs, theta_from_db(10.0))
+    factor = cs.factor()
+    # users 0, 4 and 8 share one correlation at BS 0, users 1 and 5 at BS 1
+    assert all(np.array_equal(factor[k, 0], factor[0, 0]) for k in (4, 8))
+    assert np.array_equal(factor[5, 1], factor[1, 1])
+    draws, seed = 5, 3
+    channels = sample_channel(cs, derive_rng(seed, POLICY_MC, 0), draws)
+    for selected in ((0, 4, 8), (0, 4, 8, 12, 1, 5)):
+        control = assemble_control(selected, cs, graph, {k: 1.0 for k in selected})
+        policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
+        for nu in (1e-2, 1e-4, 1e-6):
+            report = monte_carlo_policy(policy, cs, graph, nu, draws, seed)
+            references = [m_dimensional_evaluation(control, graph, nu, h) for h in channels]
+            rtol = max(rzf_rtol(control, nu, h) for h in channels)
+            assert_agrees(report.bs_power_mean, np.mean([r[1] for r in references], axis=0))
+            assert_agrees(report.user_rate_mean, np.mean([r[0] for r in references], axis=0),
+                          rtol)
+
+
 def test_comp_delays_share_their_true_channels(desk):
     # common random numbers: every delay_rho reads its true channels from the
     # same stream and its AR(1) innovation from a stream of its own, which
@@ -729,7 +754,7 @@ def rank_r_evaluation(control, cs, graph, nu, w):
         rows, s = list(users + blocked[n]), len(users)
         maps = one_draw_maps(cs, (n,), rows, s, control.outer)
         (gram,) = one_draw_grams(w, w, (n,), rows, list(users), maps)
-        inverse = np.linalg.inv(gram[:s] + cs.dim * nu * np.eye(s))
+        inverse = harness._inverse(gram[None, :s], cs.dim * nu)[0]
         power = np.array([control.power[k] for k in users])
         delivered = gram @ inverse
         received = power * np.abs(delivered) ** 2
@@ -862,20 +887,30 @@ def m_dimensional_evaluation(control, graph, nu, channels):
 @st.composite
 def rank_r_cases(draw):
     """A random small network with links of rank 0 to 3 (rank 0 has no gain)
-    and a policy of one or two controls, each selecting a random user set
-    that may leave a BS without a selection, with water-filled powers."""
+    and gains up to 1e3, a regularizer nu, and a policy of one or two
+    controls, each selecting a random user set that may leave a BS without a
+    selection, with water-filled powers. Some users clone an earlier user's
+    correlations and serving BS (hotspot clones), as many as drawn, so a
+    selection's effective rows may be dependent: their Gram matrices then
+    have zero eigenvalues, which the Gram form knows only to round-off."""
     num_bs = draw(st.integers(1, 3))
     num_users = draw(st.integers(1, 6))
     m = draw(st.sampled_from([4, 8]))
     seed = draw(st.integers(0, 2**16))
-    mats = {}
+    mats, serving = {}, {}
     for k in range(num_users):
+        clone = draw(st.integers(0, k))  # k itself: not a clone
+        if clone < k:
+            serving[k] = serving[clone]
+            for n in range(num_bs):
+                mats[(k, n)] = mats[(clone, n)]
+            continue
+        serving[k] = draw(st.integers(0, num_bs - 1))
         for n in range(num_bs):
             rank = draw(st.integers(0, 3))
-            gain = 10.0 ** draw(st.floats(-3.0, 0.0)) if rank else 0.0
+            gain = 10.0 ** draw(st.floats(-3.0, 3.0)) if rank else 0.0
             mats[(k, n)] = random_clustered_correlation(m, max(rank, 1), gain,
                                                         seed=seed + num_bs * k + n)
-    serving = {k: draw(st.integers(0, num_bs - 1)) for k in range(num_users)}
     cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
     graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
     controls = []
@@ -885,7 +920,8 @@ def rank_r_cases(draw):
         powers = weighted_sum_rate(selected, weights, cs, graph, NU, PC).powers
         controls.append(assemble_control(selected, cs, graph, powers))
     probs = np.full(len(controls), 1.0 / len(controls))
-    return cs, graph, ControlPolicy(controls=controls, probs=probs), seed
+    nu = draw(st.sampled_from([NU, 1e-4, 1e-6]))
+    return cs, graph, ControlPolicy(controls=controls, probs=probs), nu, seed
 
 
 def assert_agrees(value, reference, rtol=1e-10):
@@ -895,11 +931,30 @@ def assert_agrees(value, reference, rtol=1e-10):
     np.testing.assert_allclose(value, reference, rtol=rtol, atol=1e-12 * scale)
 
 
+def rzf_rtol(control, nu, channels):
+    """The relative tolerance of an evaluation of ``control`` on one draw's
+    (K, N, M) channels: 1e-10, or 1e-14 times the largest condition number
+    of a BS's G + M nu I (G the Gram matrix of its effective rows h^H F_n)
+    where that is more. Either evaluation inverts that matrix, so neither is
+    more accurate than about 2e-16 times its condition number, which
+    dependent rows (hotspot clones) and a small nu make large. Round-off
+    eigenvalues that A G A weighs with 1 / reg^2 instead of zero would err
+    by about 1e-16 times its square."""
+    reg = channels.shape[-1] * nu
+    condition = 1.0
+    for n, users in control.selected.items():
+        if users:
+            rows = channels[list(users), n].conj() @ control.outer[n]
+            values = np.linalg.eigvalsh(rows @ rows.conj().T)
+            condition = max(condition, (values[-1] + reg) / (max(values[0], 0.0) + reg))
+    return max(1e-10, 1e-14 * condition)
+
+
 @settings(max_examples=100, deadline=None)
 @given(rank_r_cases())
 def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
-    cs, graph, policy, seed = case
-    draws, nu = 3, NU
+    cs, graph, policy, nu, seed = case
+    draws = 3
     coefficients = sample_coefficients(cs, np.random.default_rng(seed), draws)
     channels = sample_channel(cs, np.random.default_rng(seed), draws)
     mixed_rates = np.zeros((draws, graph.num_users))
@@ -911,8 +966,9 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
         for d in range(draws):
             ref_rates, ref_powers, ref_worst, _ = m_dimensional_evaluation(control, graph, nu,
                                                                            channels[d])
-            assert_agrees(rates[d], ref_rates)
-            assert_agrees(powers[d], ref_powers)
+            rtol = rzf_rtol(control, nu, channels[d])
+            assert_agrees(rates[d], ref_rates, rtol)
+            assert_agrees(powers[d], ref_powers, rtol)
             assert worst[d] <= 1e-16 and ref_worst <= 1e-16
             mixed_rates[d] += q * ref_rates
             mixed_powers[d] += q * ref_powers
@@ -925,21 +981,24 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
             leaky.outer[n] = np.linalg.qr(raw)[0]
         evaluate, _ = harness._control_evaluator(leaky, cs, graph, nu)
         for d, got in enumerate(zip(*evaluate(coefficients))):
+            rtol = rzf_rtol(leaky, nu, channels[d])
             for value, reference in zip(got, m_dimensional_evaluation(leaky, graph, nu,
                                                                       channels[d])):
-                assert_agrees(value, reference)
+                assert_agrees(value, reference, rtol)
     # the whole policy: the report reads the same channels from (seed, POLICY_MC, 0)
     report = monte_carlo_policy(policy, cs, graph, nu, draws, seed)
     stream = sample_channel(cs, derive_rng(seed, POLICY_MC, 0), draws)
     reference_rates = np.zeros(graph.num_users)
     reference_powers = np.zeros(graph.num_bs)
+    rtol = 1e-10
     for q, control in zip(policy.probs, policy.controls):
         for d in range(draws):
             ref_rates, ref_powers, _, _ = m_dimensional_evaluation(control, graph, nu, stream[d])
             reference_rates += q * ref_rates / draws
             reference_powers += q * ref_powers / draws
-    assert_agrees(report.user_rate_mean, reference_rates)
-    assert_agrees(report.bs_power_mean, reference_powers)
+            rtol = max(rtol, rzf_rtol(control, nu, stream[d]))
+    assert_agrees(report.user_rate_mean, reference_rates, rtol)
+    assert_agrees(report.bs_power_mean, reference_powers, rtol)
     assert report.max_interference_ratio <= 1e-16
 
 
