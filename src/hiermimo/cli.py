@@ -571,6 +571,7 @@ def _summary_payload(scn, result, report):
         "utility_value": result.utility,
         "converged": result.converged,
         "skipped_candidates": result.skipped_candidates,
+        "pruned_candidates": result.pruned_candidates,
         "iterations": len(result.trace),
         "certificate": result.certificate,
         "certificate_kind": result.certificate_kind,

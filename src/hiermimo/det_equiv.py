@@ -216,6 +216,11 @@ class GainCache:
             raise entry.with_traceback(None)
         return entry
 
+    def has(self, bs, users, blocked):
+        """Whether ``gains`` already holds an entry for the key, a failure
+        included, so that asking for it solves nothing."""
+        return (bs, users, blocked) in self._gains
+
     def _from_labels(self, bs, users, blocked):
         """A key's entry from the solve of its labels, which every key with
         the same labels shares."""

@@ -10,6 +10,7 @@ allocation inside the oracle is water filling against the per-BS
 deterministic transmit-power budget.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -26,6 +27,11 @@ log = logging.getLogger(__name__)
 
 ENUMERATION_GUARD = 20
 GREEDY_IMPROVE_TOL = 1e-12
+# Relative slack of the oracles' upper bounds. A fixed point stops within
+# GAIN_TOL (1e-9) of xi, which moves a term w log(1 + p) by about
+# w GAIN_TOL / xi: below 1e-6 relative wherever the served gains exceed
+# 1e-3, as they do wherever the deterministic equivalent holds.
+PRUNE_MARGIN = 1e-6
 Q_GRAD_TOL = 1e-8
 PROB_SNAP = 1e-10
 # Newton steps per face of the simplex in the time-sharing solver
@@ -165,6 +171,29 @@ def _bs_terms(key, rate_weights, m, p_c, cache, memo):
     return entry
 
 
+def _upper_value(weights, gains, m, p_c):
+    """fsum of w log(1 + p) over the water filling of one BS's users at
+    ``gains``. The value of a water filling grows with every gain and with
+    every added user, so at upper bounds on the gains it bounds the BS's
+    value from above."""
+    powers, _ = waterfill(weights, gains, m, p_c)
+    return math.fsum(w * math.log1p(p) for w, p in zip(weights, powers))
+
+
+def _path_gains(corr_set, graph):
+    """User k -> (1/M) tr C_k at its serving BS, computed once on demand: an
+    upper bound on k's effective gain there under any selection, since
+    xi_k = (1/M) tr(C~_k T) with T <= I and the projection C~_k of C_k only
+    lowers the trace."""
+    return functools.cache(lambda k: corr_set.matrix(k, graph.serving[k]).trace() / corr_set.dim)
+
+
+def _prunable(bound, target):
+    """Whether a candidate whose value is at most ``bound`` cannot reach
+    ``target`` once the gains' error is allowed for."""
+    return bound < target - PRUNE_MARGIN * abs(target)
+
+
 def weighted_sum_rate(
     selected, rate_weights, corr_set, graph, nu, p_c, gain_cache=None, memo=None
 ):
@@ -212,24 +241,29 @@ class OracleResult:
     powers: dict  # user -> p over ``selected``
     value: float
     rates: np.ndarray  # DE rate vector over all users
-    skipped: int  # candidates skipped because their fixed point failed
+    skipped: int  # evaluated candidates skipped because their fixed point failed
+    pruned: int  # candidates not evaluated because their upper bound cannot win
 
 
-def _oracle_result(selected, best, num_users, skipped):
+def _oracle_result(selected, best, num_users, skipped, pruned):
     """The DE rate of a selected user is log(1 + p_k), 0 for the others."""
     rates = np.zeros(num_users)
     for k in selected:
         rates[k] = np.log1p(best.powers[k])
-    return OracleResult(selected, best.powers, best.value, rates, skipped)
+    return OracleResult(selected, best.powers, best.value, rates, skipped, pruned)
 
 
 def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
     """Exact weighted-sum-rate oracle: enumerate every user subset.
 
     Ties break toward fewer users, then lexicographically, so the empty set
-    wins when no selection strictly improves on zero. A candidate whose gain
-    fixed point fails to converge is skipped with a warning rather than
-    abort the search, and counted, as in the greedy oracle.
+    wins when no selection strictly improves on zero. A subset is evaluated
+    only when its upper bound, the sum over BSs of the water filling of S_n
+    at the path gains (1/M) tr C_k (memoized per (n, S_n)), reaches the best
+    value so far less ``PRUNE_MARGIN``; the others are counted as pruned. An
+    evaluated candidate whose gain fixed point fails to converge is skipped
+    with a warning rather than abort the search, and counted, as in the
+    greedy oracle.
     """
     num_users = graph.num_users
     if num_users > ENUMERATION_GUARD:
@@ -238,12 +272,28 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
             f"(got {num_users}); use the greedy oracle instead"
         )
     cache = gain_cache or GainCache(corr_set, graph, nu)
-    memo = {}
-    skipped = 0
+    m = corr_set.dim
+    weights = [float(w) for w in rate_weights]
+    path_gain = _path_gains(corr_set, graph)
+    memo, bounds = {}, {}
+    skipped = pruned = 0
     best_set = ()
     best = SelectionValue(0.0, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
+            served = {}
+            for k in cand:
+                served.setdefault(graph.serving[k], []).append(k)
+            bound = 0.0
+            for n, users in served.items():
+                key = n, tuple(users)
+                if key not in bounds:
+                    bounds[key] = _upper_value([weights[k] for k in users],
+                                               [path_gain(k) for k in users], m, p_c)
+                bound += bounds[key]
+            if _prunable(bound, best.value):
+                pruned += 1
+                continue
             try:
                 res = weighted_sum_rate(cand, rate_weights, corr_set, graph, nu, p_c, cache, memo)
             except ConvergenceError as exc:
@@ -252,7 +302,7 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
                 continue
             if res.value > best.value:
                 best_set, best = cand, res
-    return _oracle_result(best_set, best, num_users, skipped)
+    return _oracle_result(best_set, best, num_users, skipped, pruned)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -264,53 +314,116 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
     ``neighbor_bs[k]`` only, so a candidate water-fills those BSs (in
     increasing BS order, through the oracle's memo) and takes every other
     BS's terms as they are. Its value is the exactly rounded sum of all
-    terms, the value ``weighted_sum_rate`` gives the candidate; candidates
-    are tried in index order and the first best one wins. A candidate whose
-    gain fixed point fails to converge is skipped with a warning and counted.
+    terms, the value ``weighted_sum_rate`` gives the candidate.
+
+    Candidates whose keys need no fixed-point solve are evaluated first, in
+    index order. The others are ranked by an upper bound on their value
+    and evaluated in that order until the bound falls below the value to
+    beat, less ``PRUNE_MARGIN``; the rest are counted as pruned. The gains
+    are a standard interference function (Yates, IEEE JSAC 13(7), 1995):
+    serving or blocking one more user lowers every gain. So the bound keeps
+    every BS's current terms except at ``serving[k]``, where it water-fills
+    S_n at their current gains and k at its path gain (1/M) tr C_k. The
+    lowest-index candidate of the highest value wins. A candidate whose gain
+    fixed point fails to converge is skipped with a warning and counted.
     """
     num_users = graph.num_users
     cache = gain_cache or GainCache(corr_set, graph, nu)
     m = corr_set.dim
+    weights = [float(w) for w in rate_weights]
+    path_gain = _path_gains(corr_set, graph)
     memo = {}
-    skipped = 0
+    skipped = pruned = 0
     touched = [sorted((graph.serving[k], *graph.neighbor_bs[k])) for k in range(num_users)]
+    touching = [[k for k in range(num_users) if n in touched[k]] for n in range(graph.num_bs)]
     split = served_and_blocked(graph, ())  # the current selection's (S_n, B_n) per BS
     entries = [([], [])] * graph.num_bs  # and its (powers, terms) per BS
+    # per candidate, while the BSs it touches keep their (S_n, B_n): its keys,
+    # whether they need no solve, and the bound on its serving BS's value
+    state = [None] * num_users
     current_set = ()
     current_value = 0.0
+
+    def evaluate(k, keys):
+        """(value, k, split, entries) of candidate k, or None when its fixed
+        point fails."""
+        cand_split, cand_entries = split.copy(), entries.copy()
+        try:
+            for n, users, blocked in keys:
+                cand_split[n] = users, blocked
+                if users:
+                    cand_entries[n] = _bs_terms((n, users, blocked), rate_weights, m, p_c,
+                                                cache, memo)
+        except ConvergenceError as exc:
+            log.warning("skipping candidate %s: %s", tuple(sorted((*current_set, k))), exc)
+            return None
+        value = math.fsum(itertools.chain.from_iterable(terms for _, terms in cand_entries))
+        return value, k, cand_split, cand_entries
+
     while len(current_set) < num_users:
-        best = None  # (value, user, split, entries)
+        ready, pending = [], []
+        others = None  # per BS n, the current value of every other BS
         for k in range(num_users):
             if k in current_set:
                 continue
-            cand_split, cand_entries = split.copy(), entries.copy()
-            try:
+            if state[k] is None:
+                keys = []
                 for n in touched[k]:
                     users, blocked = split[n]
                     if n == graph.serving[k]:
                         users = tuple(sorted((*users, k)))
                     else:
                         blocked = tuple(sorted((*blocked, k)))
-                    cand_split[n] = users, blocked
-                    if users:
-                        cand_entries[n] = _bs_terms((n, users, blocked), rate_weights, m, p_c,
-                                                    cache, memo)
-            except ConvergenceError as exc:
-                log.warning("skipping candidate %s: %s", tuple(sorted((*current_set, k))), exc)
-                skipped += 1
+                    keys.append((n, users, blocked))
+                state[k] = [keys, False, None]
+            keys, known, inner = state[k]
+            if not known:  # the memo and the cache only grow
+                known = state[k][1] = all(not key[1] or key in memo or cache.has(*key)
+                                          for key in keys)
+            if known:
+                ready.append((None, k, keys))
                 continue
-            value = math.fsum(term for _, terms in cand_entries for term in terms)
-            if best is None or value > best[0]:
-                best = value, k, cand_split, cand_entries
-        if best is None or best[0] <= current_value + GREEDY_IMPROVE_TOL:
+            n = graph.serving[k]
+            if inner is None:
+                users, blocked = split[n]
+                gains = cache.gains(n, users, blocked)[0].tolist() if users else []
+                gains.append(path_gain(k))
+                inner = state[k][2] = _upper_value([weights[i] for i in (*users, k)], gains, m,
+                                                   p_c)
+            if others is None:
+                bs_values = [math.fsum(terms) for _, terms in entries]
+                others = [math.fsum(bs_values[:j] + bs_values[j + 1:])
+                          for j in range(graph.num_bs)]
+            pending.append((others[n] + inner, k, keys))
+        pending.sort(key=lambda cand: (-cand[0], cand[1]))  # highest bound first
+        best = None  # (value, user, split, entries)
+        floor = current_value + GREEDY_IMPROVE_TOL
+        candidates = ready + pending
+        for i, (bound, k, keys) in enumerate(candidates):
+            target = floor if best is None else max(floor, best[0])
+            if bound is not None and _prunable(bound, target):
+                pruned += len(candidates) - i
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("greedy round %d pruned candidates %s", len(current_set),
+                              sorted(k for _, k, _ in candidates[i:]))
+                break
+            cand = evaluate(k, keys)
+            if cand is None:
+                skipped += 1
+            elif best is None or cand[0] > best[0] or (cand[0] == best[0] and k < best[1]):
+                best = cand
+        if best is None or best[0] <= floor:
             break
         current_value, k, split, entries = best
         current_set = tuple(sorted((*current_set, k)))
+        for n in touched[k]:  # the winner changed the BSs it touches
+            for j in touching[n]:
+                state[j] = None
     powers = {}
     for (users, _), (bs_powers, _) in zip(split, entries):
         powers.update(zip(users, bs_powers))
     best = SelectionValue(current_value, {k: powers[k] for k in current_set})
-    return _oracle_result(current_set, best, num_users, skipped)
+    return _oracle_result(current_set, best, num_users, skipped, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +634,10 @@ class PolicyResult:
     converged: bool
     utility: float
     rate_weights: np.ndarray = field(default=None)
-    skipped_candidates: int = 0  # oracle candidates skipped over the run, certificate included
+    # oracle candidates over the run, the certificate's included: evaluated
+    # ones skipped because their fixed point failed, and ones pruned unevaluated
+    skipped_candidates: int = 0
+    pruned_candidates: int = 0
 
 
 def optimize_policy(
@@ -555,7 +671,7 @@ def optimize_policy(
     num_users = graph.num_users
 
     picks = [oracle(util.weights, corr_set, graph, nu, p_c, cache)]
-    skipped = picks[0].skipped
+    skipped, pruned = picks[0].skipped, picks[0].pruned
 
     trace = []
     prev_utility = None
@@ -577,6 +693,7 @@ def optimize_policy(
 
         new = oracle(grad, corr_set, graph, nu, p_c, cache)
         skipped += new.skipped
+        pruned += new.pruned
         slack = float(grad @ (new.rates - mixed))
         trace.append(
             TraceRecord(iteration, utility_value, len(picks), slack, mixed, new.rates)
@@ -606,6 +723,7 @@ def optimize_policy(
         if num_users <= ENUMERATION_GUARD:
             star = best_control_exhaustive(grad, corr_set, graph, nu, p_c, cache)
             skipped += star.skipped
+            pruned += star.pruned
             certificate = float(grad @ (star.rates - new.rates))
             certificate_kind = "greedy_gap_bound"
         else:
@@ -620,4 +738,5 @@ def optimize_policy(
         utility=prev_utility,
         rate_weights=grad,
         skipped_candidates=skipped,
+        pruned_candidates=pruned,
     )

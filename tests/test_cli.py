@@ -480,16 +480,22 @@ DESK_VALIDATION = [
 
 def test_desk_compare_stays_within_round_off_of_the_row_evaluation(tmp_path):
     # zero forcing from Gram matrices moves the Monte Carlo results by
-    # round-off only: within 1e-12 relative of the values above
+    # round-off only: within 1e-12 relative of the values above. The policy's
+    # powers follow the gain cache's warm starts, which the oracles' pruning
+    # changed by skipping solves: they moved by up to 2.2e-11 relative, a
+    # user's mc_rate by 1.5e-12, and the proposed scheme's cross interference,
+    # itself round-off of a leak that is 0 in exact arithmetic, by 4.9e-12
     out = tmp_path / "out"
     assert main(["compare", str(DESK_PATH), "--out", str(out)]) == EXIT_OK
     rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == list(DESK_COMPARISON)
-    np.testing.assert_allclose([[float(v) for v in row[1:4]] for row in rows],
-                               list(DESK_COMPARISON.values()), rtol=1e-12, atol=0)
+    got = np.array([[float(v) for v in row[1:4]] for row in rows])
+    want = np.array(list(DESK_COMPARISON.values()))
+    np.testing.assert_allclose(got[:, :2], want[:, :2], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-9, atol=0)
     rows = [line.split(",") for line in (out / "validation.csv").read_text().splitlines()[1:]]
     np.testing.assert_allclose([[float(v) for v in row[2:4]] for row in rows], DESK_VALIDATION,
-                               rtol=1e-12, atol=0)
+                               rtol=1e-10, atol=0)
 
 
 def test_missing_correlation_file_is_config_error(tmp_path):

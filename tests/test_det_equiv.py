@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hiermimo import det_equiv
@@ -507,3 +507,55 @@ def test_a_warm_start_that_fails_is_retried_from_one(desk):
     assert greedy.selected == best_control_greedy(mu, cs, graph, 0.01, 10.0, plain).selected
     assert exhaustive.selected == best_control_exhaustive(mu, cs, graph, 0.01, 10.0,
                                                           plain).selected
+
+
+# The oracles' bounds rest on two facts about the gains (the map is a
+# standard interference function, Yates, IEEE JSAC 13(7), 1995): serving or
+# blocking one more user lowers every gain, and xi_k <= (1/M) tr C_k. A
+# solve stops within GAIN_TOL of its fixed point, so two computed gains may
+# cross by a few GAIN_TOL.
+MONOTONE_SLACK = 10 * GAIN_TOL
+
+
+@st.composite
+def grown_keys(draw):
+    """A hotspot network (clones included), a random nu, a BS n with a key
+    (S_n, B_n), and the same key with one more served or blocked user."""
+    num_bs = draw(st.integers(1, 3))
+    num_users = draw(st.integers(2, 9))
+    m, rank = draw(st.sampled_from([(8, 2), (16, 3), (32, 4)]))
+    cs = build_hotspot_network(num_bs, num_users, m, rank, seed=draw(st.integers(0, 2**16)),
+                               inter_site_m=draw(st.sampled_from([150.0, 300.0, 500.0])),
+                               hotspot_fraction=draw(st.sampled_from([0.5, 1.0])))
+    graph = build_topology(cs, theta_from_db(10.0))
+    n = draw(st.sampled_from([b for b in range(num_bs) if graph.assoc_users[b]]))
+    own = list(graph.assoc_users[n])
+    foreign = [k for k in range(num_users) if graph.serving[k] != n]
+    users = draw(st.lists(st.sampled_from(own), min_size=1, unique=True))
+    blocked = draw(st.lists(st.sampled_from(foreign), unique=True)) if foreign else []
+    grow_served = [k for k in own if k not in users]
+    grow_blocked = [k for k in foreign if k not in blocked]
+    assume(grow_served or grow_blocked)
+    new = draw(st.sampled_from(grow_served + grow_blocked))
+    key = (n, tuple(sorted(users)), tuple(sorted(blocked)))
+    if new in grow_served:
+        grown = (n, tuple(sorted(users + [new])), key[2])
+    else:
+        grown = (n, key[1], tuple(sorted(blocked + [new])))
+    nu = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return cs, graph, nu, key, grown
+
+
+@settings(max_examples=150, deadline=None)
+@given(grown_keys())
+def test_serving_or_blocking_one_more_user_lowers_every_gain(case):
+    cs, graph, nu, key, grown = case
+    m = cs.dim
+    n = key[0]
+    before = dict(zip(key[1], GainCache(cs, graph, nu).gains(*key)[0]))
+    after = dict(zip(grown[1], GainCache(cs, graph, nu).gains(*grown)[0]))
+    for k, xi in before.items():
+        assert after[k] <= xi + MONOTONE_SLACK, (k, xi, after[k])
+    for gains in (before, after):
+        for k, xi in gains.items():
+            assert 0.0 <= xi <= cs.matrix(k, n).trace() / m * (1 + 1e-12), (k, xi)

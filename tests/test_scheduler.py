@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +32,10 @@ from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 from conftest import single_cell_set
 
 NU, PC = 0.01, 10.0
+# One selection's value from two gain caches agrees to about this, relative:
+# each fixed point starts from its cache's last xi, so caches that solved in
+# another order stop at another point within GAIN_TOL of the same xi.
+SOLVE_ORDER_RTOL = 1e-10
 DESK_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
 
@@ -412,11 +417,13 @@ def test_both_oracles_skip_a_candidate_whose_fixed_point_fails(desk, caplog):
             if val > best_val:
                 best_val, best_set = val, cand
     assert ex.selected == best_set != plain.selected
-    assert abs(ex.value - best_val) <= 1e-12
+    # each oracle's cache solves its keys in its own order (pruning skips
+    # the losers' solves), so values agree to SOLVE_ORDER_RTOL, not to 1e-12
+    assert ex.value == pytest.approx(best_val, rel=SOLVE_ORDER_RTOL, abs=0)
 
     gr = best_control_greedy(mu, cs, graph, NU, PC, FailingCache(cs, graph, NU, bad))
     assert bad not in selection_keys(graph, gr.selected)
-    assert gr.value <= ex.value + 1e-12
+    assert gr.value <= ex.value * (1 + SOLVE_ORDER_RTOL)
     assert "skipping candidate" in caplog.text
 
 
@@ -455,7 +462,12 @@ def test_skipped_candidates_are_counted_over_the_run(desk, tmp_path, caplog):
     with mock.patch.object(cli, "GainCache", failing):
         summary = cli.run_scenario(DESK_FILE, tmp_path, draws=10)
     assert summary["skipped_candidates"] == res.skipped_candidates
-    assert cli.run_scenario(DESK_FILE, tmp_path / "clean", draws=10)["skipped_candidates"] == 0
+    assert summary["pruned_candidates"] == res.pruned_candidates
+    clean = cli.run_scenario(DESK_FILE, tmp_path / "clean", draws=10)
+    assert clean["skipped_candidates"] == 0 and clean["pruned_candidates"] > 0
+    # a deterministic count: a second run prunes the same candidates
+    assert cli.run_scenario(DESK_FILE, tmp_path / "again", draws=10)["pruned_candidates"] == (
+        clean["pruned_candidates"])
 
 
 @pytest.mark.parametrize("oracle", [best_control_exhaustive, best_control_greedy])
@@ -506,13 +518,17 @@ def reference_greedy(rate_weights, corr_set, graph, cache):
 
 
 def reference_exhaustive(rate_weights, corr_set, graph, cache):
-    best_set, best_val = (), 0.0
+    """(selection, value, value of every subset) of the exhaustive oracle
+    without bounds: the first of the highest values in size, then
+    lexicographic, order."""
+    best_set, best_val, values = (), 0.0, {}
     for size in range(1, graph.num_users + 1):
         for cand in itertools.combinations(range(graph.num_users), size):
-            val = reference_weighted_sum_rate(cand, rate_weights, corr_set, graph, cache)[0]
+            val = values[cand] = reference_weighted_sum_rate(cand, rate_weights, corr_set,
+                                                             graph, cache)[0]
             if val > best_val:
                 best_set, best_val = cand, val
-    return best_set
+    return best_set, best_val, values
 
 
 @st.composite
@@ -548,7 +564,7 @@ def test_memoized_weighted_sum_rate_and_oracles_match_memo_free_references(insta
     assert (greedy.selected, greedy.value, greedy.skipped) == (selected, value, 0)
     assert greedy.powers == powers and list(greedy.powers) == list(selected)
     assert best_control_exhaustive(weights, cs, graph, NU, PC, cache).selected == (
-        reference_exhaustive(weights, cs, graph, cache)
+        reference_exhaustive(weights, cs, graph, cache)[0]
     )
 
 
@@ -565,13 +581,16 @@ class RecordingCache(FailingCache):
         return super().gains(bs, users, blocked)
 
 
-def whole_candidate_greedy(rate_weights, corr_set, graph, cache):
+def whole_candidate_greedy(rate_weights, corr_set, graph, cache, rounds=None):
     """The greedy oracle with every candidate evaluated whole by
-    ``weighted_sum_rate`` through one memo, skipping a failed candidate."""
+    ``weighted_sum_rate`` through one memo, skipping a failed candidate.
+    ``rounds``, when given, receives each round's (selection, value, value
+    of every candidate user)."""
     memo = {}
     current, value = (), 0.0
     while len(current) < graph.num_users:
         best = None
+        values = {}
         for k in range(graph.num_users):
             if k in current:
                 continue
@@ -580,8 +599,11 @@ def whole_candidate_greedy(rate_weights, corr_set, graph, cache):
                 res = weighted_sum_rate(cand, rate_weights, corr_set, graph, NU, PC, cache, memo)
             except ConvergenceError:
                 continue
+            values[k] = res.value
             if best is None or res.value > best[1]:
                 best = (cand, res.value)
+        if rounds is not None:
+            rounds.append((current, value, values))
         if best is None or best[1] <= value + 1e-12:
             break
         current, value = best
@@ -590,26 +612,110 @@ def whole_candidate_greedy(rate_weights, corr_set, graph, cache):
 
 @pytest.mark.parametrize("seed", [36, 98, 112])
 def test_greedy_asks_the_gain_cache_for_the_keys_of_whole_candidate_evaluation(seed):
-    # the warm starts of the fixed point follow the order of the solves, so
-    # the incremental greedy must request the same keys in the same order
+    # the pruned greedy picks what whole-candidate evaluation picks, and asks
+    # the gain cache only for keys that evaluation asks for too: those of the
+    # candidates it evaluates, and the current selection's for its bounds.
+    # It skips the solves of pruned candidates, so the warm starts, and with
+    # them the values, follow another solve order.
     cs = build_hotspot_network(3, 18, 16, 2, seed=seed, inter_site_m=300.0)
     graph = build_topology(cs, theta_from_db(10.0))
     assert any(graph.neighbor_bs[k] for k in range(18))
     rng = np.random.default_rng(seed)
     for weights in (np.ones(18), rng.uniform(0.0, 1.0, size=18)):
-        incremental, whole = RecordingCache(cs, graph, NU), RecordingCache(cs, graph, NU)
-        pick = best_control_greedy(weights, cs, graph, NU, PC, incremental)
-        assert (pick.selected, pick.value) == whole_candidate_greedy(weights, cs, graph, whole)
-        assert incremental.keys == whole.keys
-        assert any(key[2] for key in whole.keys)  # some candidate changes a blocked set
-        # a key that fails is asked for again whenever a candidate needs it
-        bad = whole.keys[len(whole.keys) // 2]
-        incremental = RecordingCache(cs, graph, NU, bad)
+        pruned, whole = RecordingCache(cs, graph, NU), RecordingCache(cs, graph, NU)
+        pick = best_control_greedy(weights, cs, graph, NU, PC, pruned)
+        selected, value = whole_candidate_greedy(weights, cs, graph, whole)
+        assert pick.selected == selected
+        assert pick.value == pytest.approx(value, rel=SOLVE_ORDER_RTOL, abs=0)
+        assert set(pruned.keys) < set(whole.keys) and pick.pruned > 0
+        assert any(key[2] for key in pruned.keys)  # some candidate changes a blocked set
+        # a key that fails is asked for again whenever an evaluated candidate
+        # needs it; bounds ask only for current keys, which never failed
+        bad = pruned.keys[len(pruned.keys) // 2]
+        pruned = RecordingCache(cs, graph, NU, bad)
         whole = RecordingCache(cs, graph, NU, bad)
-        pick = best_control_greedy(weights, cs, graph, NU, PC, incremental)
-        assert (pick.selected, pick.value) == whole_candidate_greedy(weights, cs, graph, whole)
-        assert incremental.keys == whole.keys
-        assert pick.skipped == whole.keys.count(bad) >= 1
+        pick = best_control_greedy(weights, cs, graph, NU, PC, pruned)
+        selected, value = whole_candidate_greedy(weights, cs, graph, whole)
+        assert pick.selected == selected
+        assert pick.value == pytest.approx(value, rel=SOLVE_ORDER_RTOL, abs=0)
+        assert pick.skipped == pruned.keys.count(bad) >= 1
+
+
+class RecordingHandler(logging.Handler):
+    """Keeps every record it receives, DEBUG ones included."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@st.composite
+def pruning_instances(draw):
+    """A hotspot network with clones, and rate weights from a small grid
+    (zeros and exact ties included) or drawn freely."""
+    num_bs = draw(st.integers(1, 3))
+    num_users = draw(st.integers(num_bs, 8))
+    cs = build_hotspot_network(num_bs, num_users, 8, 2, seed=draw(st.integers(0, 2**16)),
+                               inter_site_m=300.0,
+                               hotspot_fraction=draw(st.sampled_from([2.0 / 3.0, 1.0])))
+    graph = build_topology(cs, theta_from_db(10.0))
+    weight = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.0)
+    weights = draw(st.lists(weight, min_size=num_users, max_size=num_users))
+    return cs, graph, np.array(weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pruning_instances())
+def test_pruned_oracles_pick_what_the_unpruned_references_pick(instance):
+    cs, graph, weights = instance
+    margin = scheduler.PRUNE_MARGIN
+    handler = RecordingHandler()
+    scheduler.log.addHandler(handler)
+    level = scheduler.log.level
+    scheduler.log.setLevel(logging.DEBUG)
+    try:
+        greedy = best_control_greedy(weights, cs, graph, NU, PC, GainCache(cs, graph, NU))
+    finally:
+        scheduler.log.setLevel(level)
+        scheduler.log.removeHandler(handler)
+    rounds = []
+    selected, value = whole_candidate_greedy(weights, cs, graph, GainCache(cs, graph, NU), rounds)
+    assert greedy.selected == selected
+    assert greedy.value == pytest.approx(value, rel=margin, abs=0)
+    # the trajectories agree, so each pruned candidate's exact value is known
+    # from the round that pruned it, and it must lose to that round's winner
+    # (or fail to improve on the selection when the round ends the search)
+    logged = 0
+    for record in handler.records:
+        if record.getMessage().startswith("greedy round"):
+            size, users = record.args
+            current, current_value, values = rounds[size]
+            winner = max(values.values(), default=0.0)
+            target = winner if winner > current_value + 1e-12 else current_value + 1e-12
+            for k in users:
+                assert values[k] < target, (current, k, values[k], target)
+            logged += len(users)
+    assert logged == greedy.pruned
+
+    recorded = []
+
+    def recording(cand, *args):
+        recorded.append(tuple(cand))
+        return weighted_sum_rate(cand, *args)
+
+    with mock.patch.object(scheduler, "weighted_sum_rate", side_effect=recording):
+        exhaustive = best_control_exhaustive(weights, cs, graph, NU, PC, GainCache(cs, graph, NU))
+    best_set, best_val, values = reference_exhaustive(weights, cs, graph,
+                                                      GainCache(cs, graph, NU))
+    assert exhaustive.selected == best_set
+    assert exhaustive.value == pytest.approx(best_val, rel=margin, abs=0)
+    pruned = set(values) - set(recorded)
+    assert len(pruned) == exhaustive.pruned
+    for cand in pruned:
+        assert values[cand] < best_val, (cand, values[cand], best_val)
 
 
 # ---------------------------------------------------------------------------
