@@ -406,7 +406,6 @@ def _encode_block(f):
 def policy_to_dict(policy):
     controls = [
         {
-            "selected": {str(n): list(users) for n, users in control.selected.items()},
             "power": {str(k): float(p) for k, p in control.power.items()},
             "outer": {str(n): _encode_block(f) for n, f in control.outer.items()},
         }
@@ -477,12 +476,6 @@ def policy_from_dict(data):
         at = f"controls[{i}]"
         if not isinstance(entry, dict):
             raise _bad(at, "an object", entry)
-        selected = {}
-        for n, users in _field(entry, "selected", f"{at}.selected").items():
-            bs = _index(n, f"{at}.selected")
-            if not isinstance(users, list) or not all(type(k) is int for k in users):
-                raise _bad(f"{at}.selected.{n}", "a list of integer user indices", users)
-            selected[bs] = tuple(users)
         power = {
             _index(k, f"{at}.power"): _finite(p, f"{at}.power.{k}")
             for k, p in _field(entry, "power", f"{at}.power").items()
@@ -491,13 +484,23 @@ def policy_from_dict(data):
             _index(n, f"{at}.outer"): _decode_block(block, f"{at}.outer.{n}")
             for n, block in _field(entry, "outer", f"{at}.outer").items()
         }
-        controls.append(CompositeControl(outer=outer, selected=selected, power=power))
+        controls.append(CompositeControl(outer=outer, power=power))
     return ControlPolicy(controls=controls, probs=np.asarray(probs, dtype=float))
 
 
 def load_policy(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))
+    """The policy of a ``policy.json`` file. A missing file, bad JSON and a
+    malformed policy raise a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"policy file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"policy parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        )
+    return policy_from_dict(data)
 
 
 def _write_csv(path, header, rows):

@@ -268,7 +268,7 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     gains = {}
     worst_iterations = 0
     worst_residual = 0.0
-    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.users)):
         if not users:
             continue
         bs_gains, iters, residual = cache.gains(n, users, blocked)
@@ -302,7 +302,7 @@ def full_de(control, corr_set, graph, nu):
     powers_hat = np.zeros(graph.num_bs)
     all_gains = {}
     moments = {}
-    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.users)):
         if not users:
             continue
         xi = cache.gains(n, users, blocked)[0]

@@ -293,7 +293,7 @@ def _control_evaluator(control, corr_set, graph, nu):
     sum_l p_l ||g_l||^2 over its inner beams g, F_n being semi-unitary."""
     reg = corr_set.dim * nu
     factor = corr_set.factor()
-    split = served_and_blocked(graph, control.selected_union)
+    split = served_and_blocked(graph, control.users)
     groups = [_group(factor, (n,), users, (), blocked, [control.outer[n]])
               for n, (users, blocked) in enumerate(split) if users]
     powers = [np.array([control.power[k] for k in group.users]) for group in groups]

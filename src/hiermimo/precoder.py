@@ -106,35 +106,27 @@ def zero_forcing(channels, reg):
 
 @dataclass
 class CompositeControl:
-    """One joint choice of outer precoders, selected users, and powers."""
+    """One joint choice of outer precoders and powers. The selected users
+    are the keys of ``power``, each served by its serving BS."""
 
     outer: dict  # bs -> M x M_n ndarray
-    selected: dict  # bs -> tuple of selected users, sorted
-    power: dict  # user -> allocated power (selected users only)
+    power: dict  # selected user -> allocated power
 
     @property
-    def selected_union(self):
-        out = []
-        for users in self.selected.values():
-            out.extend(users)
-        return tuple(sorted(out))
+    def users(self):
+        """The selected users, sorted."""
+        return tuple(sorted(self.power))
 
     def validate(self, corr_set, graph):
-        sel = self.selected_union
-        for k in sel:
+        users = self.users
+        for k in users:
             if not (0 <= k < graph.num_users):
                 raise ValidationError(f"unknown user {k} is selected")
-        if len(sel) != len(set(sel)):
-            raise ValidationError("a user is selected at more than one BS")
-        for n, users in self.selected.items():
-            for k in users:
-                if graph.serving[k] != n:
-                    raise ValidationError(f"user {k} selected at non-serving BS {n}")
-        for k in sel:
-            p = self.power.get(k)
-            if p is None or not np.isfinite(p) or p < 0:
+        for k in users:
+            p = self.power[k]
+            if not np.isfinite(p) or p < 0:
                 raise ValidationError(f"user {k} has invalid power {p!r}")
-        for n, (_, blocked) in enumerate(served_and_blocked(graph, sel)):
+        for n, (_, blocked) in enumerate(served_and_blocked(graph, users)):
             f = self.outer.get(n)
             if f is None:
                 raise ValidationError(f"missing outer precoder for BS {n}")

@@ -221,36 +221,48 @@ def weighted_sum_rate(
     return SelectionValue(math.fsum(terms), {k: powers[k] for k in selected})
 
 
-def assemble_control(selected, corr_set, graph, powers):
-    """Composite control for a user set: blocked-complement outer precoders
-    per BS plus the given powers."""
-    outer, per_bs = {}, {}
-    for n, (users, blocked) in enumerate(served_and_blocked(graph, selected)):
-        per_bs[n] = users
-        outer[n] = outer_precoder(corr_set, users, blocked, n)
-    power = {k: float(powers[k]) for k in set(selected)}
-    return CompositeControl(outer=outer, selected=per_bs, power=power)
+def assemble_control(powers, corr_set, graph):
+    """Composite control for a power map (user -> p, its keys the selection):
+    blocked-complement outer precoders per BS plus the powers."""
+    power = {k: float(powers[k]) for k in sorted(powers)}
+    outer = {n: outer_precoder(corr_set, users, blocked, n)
+             for n, (users, blocked) in enumerate(served_and_blocked(graph, power))}
+    return CompositeControl(outer=outer, power=power)
 
 
 @dataclass
 class OracleResult:
-    """An oracle's pick: its user set and water-filled powers, without
-    precoders (``assemble_control`` builds those for the final policy)."""
+    """An oracle's pick: its water-filled powers, whose keys are its user
+    set, without precoders (``assemble_control`` builds those for the final
+    policy)."""
 
-    selected: tuple
-    powers: dict  # user -> p over ``selected``
+    powers: dict  # user -> p over the selection, in sorted order
     value: float
     rates: np.ndarray  # DE rate vector over all users
     skipped: int  # evaluated candidates skipped because their fixed point failed
     pruned: int  # candidates not evaluated because their upper bound cannot win
 
+    @property
+    def selected(self):
+        """The selected users, sorted."""
+        return tuple(sorted(self.powers))
 
-def _oracle_result(selected, best, num_users, skipped, pruned):
+
+def _oracle_result(best, num_users, skipped, pruned):
     """The DE rate of a selected user is log(1 + p_k), 0 for the others."""
     rates = np.zeros(num_users)
-    for k in selected:
-        rates[k] = np.log1p(best.powers[k])
-    return OracleResult(selected, best.powers, best.value, rates, skipped, pruned)
+    for k, p in best.powers.items():
+        rates[k] = np.log1p(p)
+    return OracleResult(best.powers, best.value, rates, skipped, pruned)
+
+
+def _float_weights(rate_weights, graph):
+    """The rate weights as Python floats, one per user."""
+    if len(rate_weights) != graph.num_users:
+        raise ParameterError(
+            f"got {len(rate_weights)} rate weights for {graph.num_users} users"
+        )
+    return [float(w) for w in rate_weights]
 
 
 def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -271,13 +283,12 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
             f"exhaustive enumeration is limited to {ENUMERATION_GUARD} users "
             f"(got {num_users}); use the greedy oracle instead"
         )
+    weights = _float_weights(rate_weights, graph)
     cache = gain_cache or GainCache(corr_set, graph, nu)
     m = corr_set.dim
-    weights = [float(w) for w in rate_weights]
     path_gain = _path_gains(corr_set, graph)
     memo, bounds = {}, {}
     skipped = pruned = 0
-    best_set = ()
     best = SelectionValue(0.0, {})
     for size in range(1, num_users + 1):
         for cand in itertools.combinations(range(num_users), size):
@@ -301,8 +312,8 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
                 skipped += 1
                 continue
             if res.value > best.value:
-                best_set, best = cand, res
-    return _oracle_result(best_set, best, num_users, skipped, pruned)
+                best = res
+    return _oracle_result(best, num_users, skipped, pruned)
 
 
 def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None):
@@ -328,19 +339,16 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
     fixed point fails to converge is skipped with a warning and counted.
     """
     num_users = graph.num_users
+    weights = _float_weights(rate_weights, graph)
     cache = gain_cache or GainCache(corr_set, graph, nu)
     m = corr_set.dim
-    weights = [float(w) for w in rate_weights]
     path_gain = _path_gains(corr_set, graph)
     memo = {}
+    bounds = {}  # (n, S_n, B_n, k) -> bound on BS n's value once it also serves k
     skipped = pruned = 0
     touched = [sorted((graph.serving[k], *graph.neighbor_bs[k])) for k in range(num_users)]
-    touching = [[k for k in range(num_users) if n in touched[k]] for n in range(graph.num_bs)]
     split = served_and_blocked(graph, ())  # the current selection's (S_n, B_n) per BS
     entries = [([], [])] * graph.num_bs  # and its (powers, terms) per BS
-    # per candidate, while the BSs it touches keep their (S_n, B_n): its keys,
-    # whether they need no solve, and the bound on its serving BS's value
-    state = [None] * num_users
     current_set = ()
     current_value = 0.0
 
@@ -366,35 +374,33 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
         for k in range(num_users):
             if k in current_set:
                 continue
-            if state[k] is None:
-                keys = []
-                for n in touched[k]:
-                    users, blocked = split[n]
-                    if n == graph.serving[k]:
-                        users = tuple(sorted((*users, k)))
-                    else:
-                        blocked = tuple(sorted((*blocked, k)))
-                    keys.append((n, users, blocked))
-                state[k] = [keys, False, None]
-            keys, known, inner = state[k]
-            if not known:  # the memo and the cache only grow
-                known = state[k][1] = all(not key[1] or key in memo or cache.has(*key)
-                                          for key in keys)
-            if known:
+            n = graph.serving[k]
+            keys = []
+            for j in touched[k]:
+                users, blocked = split[j]
+                if j == n:
+                    users = tuple(sorted((*users, k)))
+                else:
+                    blocked = tuple(sorted((*blocked, k)))
+                keys.append((j, users, blocked))
+            for key in keys:
+                if key[1] and key not in memo and not cache.has(*key):
+                    break
+            else:  # no key needs a fixed-point solve
                 ready.append((None, k, keys))
                 continue
-            n = graph.serving[k]
-            if inner is None:
-                users, blocked = split[n]
+            users, blocked = split[n]
+            bound_key = n, users, blocked, k
+            if bound_key not in bounds:
                 gains = cache.gains(n, users, blocked)[0].tolist() if users else []
                 gains.append(path_gain(k))
-                inner = state[k][2] = _upper_value([weights[i] for i in (*users, k)], gains, m,
-                                                   p_c)
+                bounds[bound_key] = _upper_value([weights[i] for i in (*users, k)], gains, m,
+                                                 p_c)
             if others is None:
                 bs_values = [math.fsum(terms) for _, terms in entries]
                 others = [math.fsum(bs_values[:j] + bs_values[j + 1:])
                           for j in range(graph.num_bs)]
-            pending.append((others[n] + inner, k, keys))
+            pending.append((others[n] + bounds[bound_key], k, keys))
         pending.sort(key=lambda cand: (-cand[0], cand[1]))  # highest bound first
         best = None  # (value, user, split, entries)
         floor = current_value + GREEDY_IMPROVE_TOL
@@ -416,14 +422,11 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
             break
         current_value, k, split, entries = best
         current_set = tuple(sorted((*current_set, k)))
-        for n in touched[k]:  # the winner changed the BSs it touches
-            for j in touching[n]:
-                state[j] = None
     powers = {}
     for (users, _), (bs_powers, _) in zip(split, entries):
         powers.update(zip(users, bs_powers))
     best = SelectionValue(current_value, {k: powers[k] for k in current_set})
-    return _oracle_result(current_set, best, num_users, skipped, pruned)
+    return _oracle_result(best, num_users, skipped, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +669,10 @@ def optimize_policy(
     """
     if mode not in ("exhaustive", "greedy"):
         raise ParameterError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
+    if not max_outer >= 1:
+        raise ParameterError(f"max_outer must be at least 1, got {max_outer!r}")
+    if not eps_stop >= 0:
+        raise ParameterError(f"eps_stop must be non-negative, got {eps_stop!r}")
     oracle = best_control_exhaustive if mode == "exhaustive" else best_control_greedy
     cache = gain_cache or GainCache(corr_set, graph, nu)
     num_users = graph.num_users
@@ -714,7 +721,7 @@ def optimize_policy(
     # precoders for the picks of the final probabilities (a later one may
     # have been appended after them)
     final = picks[: prev_q.size]
-    controls = [assemble_control(p.selected, corr_set, graph, p.powers) for p in final]
+    controls = [assemble_control(p.powers, corr_set, graph) for p in final]
     policy = ControlPolicy(controls=controls, probs=prev_q)
     if mode == "exhaustive":
         certificate = trace[-1].slack

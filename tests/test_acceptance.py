@@ -73,7 +73,7 @@ def validation_study():
                 neighbor_scenarios += 1
             selected = tuple(range(num_users))
             wsr = weighted_sum_rate(selected, np.ones(num_users), cs, graph, NU, PC)
-            control = assemble_control(selected, cs, graph, wsr.powers)
+            control = assemble_control(wsr.powers, cs, graph)
             policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
             report = monte_carlo_policy(policy, cs, graph, NU, draws, seed=seed)
             de = de_rate_power(control, cs, graph, NU)
@@ -208,7 +208,7 @@ def test_criterion_8_refined_de_linear_in_nu():
     cs = single_cell_set(16, 3, 3, gains=[1.0, 0.7, 1.4], seed0=500)
     graph = build_topology(cs, THETA)
     wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 0.01, PC)
-    control = assemble_control((0, 1, 2), cs, graph, wsr.powers)
+    control = assemble_control(wsr.powers, cs, graph)
     errors = []
     for nu in (1e-2, 1e-3, 1e-4):
         hat = full_de(control, cs, graph, nu)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import logging
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -150,29 +151,11 @@ def _control(data):
 
 
 def _add_unknown_user(data):
-    _control(data)["selected"]["0"].append(99)
     _control(data)["power"]["99"] = 1.0
-
-
-def _select_twice(data):
-    selected = _control(data)["selected"]
-    n, users = next((n, users) for n, users in selected.items() if users)
-    selected["1" if n == "0" else "0"].append(users[0])
-
-
-def _move_to_other_bs(data):
-    selected = _control(data)["selected"]
-    n, users = next((n, users) for n, users in selected.items() if users)
-    selected["1" if n == "0" else "0"].append(users.pop())
 
 
 def _drop_outer(data):
     del _control(data)["outer"]["1"]
-
-
-def _string_user(data):
-    users = next(users for users in _control(data)["selected"].values() if users)
-    users[0] = str(users[0])
 
 
 def _drop_controls(data):
@@ -183,8 +166,9 @@ def _drop_power(data):
     del _control(data)["power"]
 
 
-def _word_bs_key(data):
-    _control(data)["selected"]["one"] = _control(data)["selected"].pop("1")
+def _word_user_key(data):
+    power = _control(data)["power"]
+    power["one"] = power.pop(next(iter(power)))
 
 
 def _string_power(data):
@@ -226,13 +210,10 @@ def _one_by_one_outer(data):
 
 @pytest.mark.parametrize("tamper, message", [
     (_add_unknown_user, "unknown user 99"),
-    (_select_twice, "more than one BS"),
-    (_move_to_other_bs, "non-serving BS"),
     (_drop_outer, "missing outer precoder for BS 1"),
-    (_string_user, r"'controls\[0\]\.selected\.\d+' must be a list of integer user indices"),
     (_drop_controls, "'controls' is missing"),
     (_drop_power, r"'controls\[0\]\.power' is missing"),
-    (_word_bs_key, r"'controls\[0\]\.selected' must be keyed by non-negative integers"),
+    (_word_user_key, r"'controls\[0\]\.power' must be keyed by non-negative integers"),
     (_string_power, r"'controls\[0\]\.power\.\d+' must be a finite number"),
     (_string_probability, r"'probs\[0\]' must be a finite number"),
     (_nan_probability, r"'probs\[0\]' must be a finite number"),
@@ -241,10 +222,9 @@ def _one_by_one_outer(data):
     (_not_base64, r"'controls\[0\]\.outer\.0\.c16' is not valid base64"),
     (_one_column_more, r"'controls\[0\]\.outer\.0\.c16' holds \d+ bytes"),
     (_one_by_one_outer, r"outer precoder at BS 0 has shape \(1, 1\)"),
-], ids=["unknown-user", "two-bss", "non-serving-bs", "missing-outer", "string-user",
-        "missing-controls", "missing-power", "word-bs-key", "string-power",
-        "string-probability", "nan-probability", "one-number-shape", "negative-shape",
-        "not-base64", "byte-count", "one-by-one-outer"])
+], ids=["unknown-user", "missing-outer", "missing-controls", "missing-power", "word-user-key",
+        "string-power", "string-probability", "nan-probability", "one-number-shape",
+        "negative-shape", "not-base64", "byte-count", "one-by-one-outer"])
 def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
     from hiermimo.cli import build_network
     from hiermimo.errors import ValidationError
@@ -262,6 +242,18 @@ def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
         load_policy(tampered).validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
 
 
+def test_load_policy_names_a_missing_file_and_where_its_json_breaks(tmp_path):
+    from hiermimo.errors import ValidationError
+
+    missing = tmp_path / "absent.json"
+    with pytest.raises(ValidationError, match=f"policy file not found: {re.escape(str(missing))}$"):
+        load_policy(missing)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"probs": [1.0],\n "controls": [}', encoding="utf-8")
+    with pytest.raises(ValidationError, match="parse error at line 2, column 15: Expecting value"):
+        load_policy(broken)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and (
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -272,7 +264,7 @@ def _round_trip(outer):
     """The outer precoders of a one-control policy after policy.json's
     encoding, a JSON text and the decoding."""
     policy = ControlPolicy(
-        controls=[CompositeControl(outer=outer, selected={}, power={})], probs=np.ones(1)
+        controls=[CompositeControl(outer=outer, power={})], probs=np.ones(1)
     )
     text = json.dumps(cli.policy_to_dict(policy))
     return cli.policy_from_dict(json.loads(text)).controls[0].outer
@@ -541,7 +533,7 @@ def test_one_de_pass_feeds_validation_csv_and_summary_json(tmp_path):
     for selected in ((0, 1, 2), (1, 3, 4)):
         wsr = scheduler.weighted_sum_rate(selected, np.ones(scn.num_users), corr_set, graph,
                                           scn.rzf_nu, scn.power_limit)
-        controls.append(scheduler.assemble_control(selected, corr_set, graph, wsr.powers))
+        controls.append(scheduler.assemble_control(wsr.powers, corr_set, graph))
     policy = ControlPolicy(controls=controls, probs=np.array([0.3, 0.7]))
     result = scheduler.PolicyResult(
         policy=policy, trace=[scheduler.TraceRecord(0, 0.0, 2, 0.0)], certificate=None,

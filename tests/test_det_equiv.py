@@ -293,7 +293,7 @@ def test_gain_cache_solves_a_group_of_clones_once():
 
 def test_de_rate_power_empty_selection(desk):
     cs, graph = desk
-    empty = assemble_control((), cs, graph, {})
+    empty = assemble_control({}, cs, graph)
     res = de_rate_power(empty, cs, graph, 0.01)
     assert np.all(res.rates == 0) and np.all(res.powers == 0)
 
@@ -302,7 +302,7 @@ def test_de_rate_depends_only_on_power(desk):
     cs, graph = desk
     sel = (0, 1, 2)
     wsr = weighted_sum_rate(sel, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(sel, cs, graph, wsr.powers)
+    control = assemble_control(wsr.powers, cs, graph)
     res = de_rate_power(control, cs, graph, 0.01)
     for k in sel:
         assert np.isclose(res.rates[k], np.log1p(control.power[k]), rtol=1e-12)
@@ -314,13 +314,13 @@ def test_de_power_close_to_monte_carlo():
     graph = build_topology(cs, 10.0)
     sel = tuple(range(users))
     wsr = weighted_sum_rate(sel, np.ones(users), cs, graph, nu, p_c)
-    control = assemble_control(sel, cs, graph, wsr.powers)
+    control = assemble_control(wsr.powers, cs, graph)
     de = de_rate_power(control, cs, graph, nu)
     assert np.isclose(de.powers[0], p_c, rtol=1e-8)
     rng = np.random.default_rng(12)
     draws = 500
     acc = 0.0
-    power = np.array([control.power[k] for k in control.selected[0]])
+    power = np.array([control.power[k] for k in control.users])
     for _ in range(draws):
         channels = sample_channel(cs, rng)
         beams = control.outer[0] @ full_inner_precoders(control, channels, nu)[0]
@@ -348,7 +348,7 @@ def _annihilated_user_set(m=16, rank=4):
 def test_annihilated_user_with_power_is_rejected():
     cs, graph = _annihilated_user_set()
     assert 0 in graph.neighbor_users[1]
-    control = assemble_control((0, 1), cs, graph, {0: 1.0, 1: 0.5})
+    control = assemble_control({0: 1.0, 1: 0.5}, cs, graph)
     with pytest.raises(ValidationError):
         de_rate_power(control, cs, graph, 0.01)
 
@@ -364,8 +364,7 @@ def test_annihilated_user_is_inert_in_weighted_sum_rate():
 
 def test_full_de_zero_power(desk):
     cs, graph = desk
-    sel = (0, 1)
-    control = assemble_control(sel, cs, graph, {0: 0.0, 1: 0.0})
+    control = assemble_control({0: 0.0, 1: 0.0}, cs, graph)
     res = full_de(control, cs, graph, 0.01)
     assert np.all(res.rates_hat == 0) and np.all(res.powers_hat == 0)
 
@@ -374,7 +373,7 @@ def test_full_de_single_user_closed_form():
     m, nu = 16, 0.01
     cs = single_cell_set(m, 1, 4, seed0=400)
     graph = build_topology(cs, 10.0)
-    control = assemble_control((0,), cs, graph, {0: 5.0})
+    control = assemble_control({0: 5.0}, cs, graph)
     res = full_de(control, cs, graph, nu)
     xi = res.gains[0]
     expect = np.log1p(5.0 * xi**2 / (nu + xi) ** 2)
@@ -386,7 +385,7 @@ def _three_user_instance():
     cs = single_cell_set(16, 3, 3, gains=[1.0, 0.7, 1.4], seed0=500)
     graph = build_topology(cs, 10.0)
     wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 0.01, 10.0)
-    return cs, graph, assemble_control((0, 1, 2), cs, graph, wsr.powers)
+    return cs, graph, assemble_control(wsr.powers, cs, graph)
 
 
 def test_full_de_error_shrinks_linearly_in_nu():
@@ -406,7 +405,7 @@ def test_full_de_gap_constant_is_stable_across_seeds():
         cs = single_cell_set(16, 3, 3, seed0=seed0)
         graph = build_topology(cs, 10.0)
         wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 1e-3, 10.0)
-        control = assemble_control((0, 1, 2), cs, graph, wsr.powers)
+        control = assemble_control(wsr.powers, cs, graph)
         hat = full_de(control, cs, graph, 1e-3)
         simple = de_rate_power(control, cs, graph, 1e-3)
         ratios.append(float(np.max(np.abs(hat.rates_hat - simple.rates))) / 1e-3)
@@ -417,7 +416,7 @@ def test_full_de_nonnegative_leakage(desk):
     cs, graph = desk
     sel = tuple(range(6))
     wsr = weighted_sum_rate(sel, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(sel, cs, graph, wsr.powers)
+    control = assemble_control(wsr.powers, cs, graph)
     res = full_de(control, cs, graph, 0.01)
     for block in res.moments.values():
         assert np.all(block["leakage"] >= -1e-12)
@@ -442,7 +441,7 @@ def test_refined_de_error_shrinks_with_antenna_count():
             graph = build_topology(cs, theta_from_db(10.0))
             sel = tuple(range(num_users))
             wsr = weighted_sum_rate(sel, np.ones(num_users), cs, graph, 0.01, 10.0)
-            control = assemble_control(sel, cs, graph, wsr.powers)
+            control = assemble_control(wsr.powers, cs, graph)
             policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
             rep = monte_carlo_policy(policy, cs, graph, 0.01, 300, seed=seed)
             hat = full_de(control, cs, graph, 0.01)

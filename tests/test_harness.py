@@ -42,13 +42,13 @@ NU, PC = 0.01, 10.0
 def full_selection_policy(cs, graph, p_c=PC):
     sel = tuple(range(cs.num_users))
     wsr = weighted_sum_rate(sel, np.ones(cs.num_users), cs, graph, NU, p_c)
-    control = assemble_control(sel, cs, graph, wsr.powers)
+    control = assemble_control(wsr.powers, cs, graph)
     return ControlPolicy(controls=[control], probs=np.array([1.0]))
 
 
 def test_zero_power_policy_gives_zeros(desk):
     cs, graph = desk
-    control = assemble_control((0, 1), cs, graph, {0: 0.0, 1: 0.0})
+    control = assemble_control({0: 0.0, 1: 0.0}, cs, graph)
     policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
     rep = monte_carlo_policy(policy, cs, graph, NU, draws=5, seed=1)
     assert np.all(rep.user_rate_mean == 0.0)
@@ -394,12 +394,12 @@ def test_proposed_scheme_on_dependent_rows_matches_the_m_dimensional_one():
     draws, seed = 5, 3
     channels = sample_channel(cs, derive_rng(seed, POLICY_MC, 0), draws)
     for selected in ((0, 4, 8), (0, 4, 8, 12, 1, 5)):
-        control = assemble_control(selected, cs, graph, {k: 1.0 for k in selected})
+        control = assemble_control({k: 1.0 for k in selected}, cs, graph)
         policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
         for nu in (1e-2, 1e-4, 1e-6):
             report = monte_carlo_policy(policy, cs, graph, nu, draws, seed)
             references = [m_dimensional_evaluation(control, graph, nu, h) for h in channels]
-            rtol = max(rzf_rtol(control, nu, h) for h in channels)
+            rtol = max(rzf_rtol(control, graph, nu, h) for h in channels)
             assert_agrees(report.bs_power_mean, np.mean([r[1] for r in references], axis=0))
             assert_agrees(report.user_rate_mean, np.mean([r[0] for r in references], axis=0),
                           rtol)
@@ -744,14 +744,13 @@ def rank_r_evaluation(control, cs, graph, nu, w):
     matrix G of its selected and blocked users' effective channels
     conj(w_kn) F_kn^H F_n against its selected ones, A = (G_SS + M nu I)^-1,
     received powers p |G A|^2, and a BS spends sum_l p_l diag(A G_SS A)."""
-    blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
     rates, signal = np.zeros(graph.num_users), np.zeros(graph.num_users)
     powers = np.zeros(graph.num_bs)
     leaks = []  # (protected user, power leaked onto it) in BS order
-    for n, users in control.selected.items():
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.users)):
         if not users:
             continue
-        rows, s = list(users + blocked[n]), len(users)
+        rows, s = list(users + blocked), len(users)
         maps = one_draw_maps(cs, (n,), rows, s, control.outer)
         (gram,) = one_draw_grams(w, w, (n,), rows, list(users), maps)
         inverse = harness._inverse(gram[None, :s], cs.dim * nu)[0]
@@ -763,7 +762,7 @@ def rank_r_evaluation(control, cs, graph, nu, w):
         rates[list(users)] = instantaneous_rate(signal[list(users)],
                                                 np.sum(received[:s], axis=-1, where=~own))
         powers[n] = np.sum(power * one_draw_norms(inverse, delivered[:s]))
-        leaks.extend(zip(blocked[n], np.sum(received[s:], axis=-1)))
+        leaks.extend(zip(blocked, np.sum(received[s:], axis=-1)))
     leak = np.array([power for _, power in leaks])
     ratio = leak / (signal[[k for k, _ in leaks]] + 1.0)
     return rates, powers, float(np.max(ratio, initial=0.0)), float(np.sum(leak))
@@ -856,10 +855,9 @@ def largest_policy_array(policy, cs, graph):
     width = cs.factor().shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for control in policy.controls:
-        blocked = [b for _, b in served_and_blocked(graph, control.selected_union)]
-        for n, users in control.selected.items():
+        for users, blocked in served_and_blocked(graph, control.users):
             if users:
-                largest = max(largest, (len(users) + len(blocked[n])) * len(users) * width)
+                largest = max(largest, (len(users) + len(blocked)) * len(users) * width)
     return largest
 
 
@@ -867,8 +865,9 @@ def m_dimensional_evaluation(control, graph, nu, channels):
     """The same quantities from one draw's (K, N, M) channels: RZF on
     h^H F_n, the full (N, M, L) beams F_n g, ``cross_interference_power``
     and ``transmit_power``."""
-    inner = full_inner_precoders(control, channels, nu)
-    blocks = [((n,), users, control.outer[n] @ inner[n]) for n, users in control.selected.items()]
+    split = served_and_blocked(graph, control.users)
+    inner = full_inner_precoders(control, channels, nu, graph.serving)
+    blocks = [((n,), users, control.outer[n] @ inner[n]) for n, (users, _) in enumerate(split)]
     beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs,
                                           channels.shape[-1])
     power = np.array([control.power[k] for _, users, _ in blocks for k in users])
@@ -876,7 +875,7 @@ def m_dimensional_evaluation(control, graph, nu, channels):
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
     rates = masked_rates(received, own, (serving[:, None] == beam_bs) & ~own)
     protected = np.zeros((graph.num_users, graph.num_bs), dtype=bool)
-    for n, (_, blocked) in enumerate(served_and_blocked(graph, control.selected_union)):
+    for n, (_, blocked) in enumerate(split):
         protected[list(blocked), n] = True
     per_bs = received @ (beam_bs[:, None] == np.arange(graph.num_bs))
     signal = np.sum(received, axis=1, where=own)
@@ -918,7 +917,7 @@ def rank_r_cases(draw):
         selected = tuple(k for k in range(num_users) if draw(st.booleans()))
         weights = np.array([draw(st.floats(0.1, 1.0)) for _ in range(num_users)])
         powers = weighted_sum_rate(selected, weights, cs, graph, NU, PC).powers
-        controls.append(assemble_control(selected, cs, graph, powers))
+        controls.append(assemble_control(powers, cs, graph))
     probs = np.full(len(controls), 1.0 / len(controls))
     nu = draw(st.sampled_from([NU, 1e-4, 1e-6]))
     return cs, graph, ControlPolicy(controls=controls, probs=probs), nu, seed
@@ -931,7 +930,7 @@ def assert_agrees(value, reference, rtol=1e-10):
     np.testing.assert_allclose(value, reference, rtol=rtol, atol=1e-12 * scale)
 
 
-def rzf_rtol(control, nu, channels):
+def rzf_rtol(control, graph, nu, channels):
     """The relative tolerance of an evaluation of ``control`` on one draw's
     (K, N, M) channels: 1e-10, or 1e-14 times the largest condition number
     of a BS's G + M nu I (G the Gram matrix of its effective rows h^H F_n)
@@ -942,7 +941,7 @@ def rzf_rtol(control, nu, channels):
     by about 1e-16 times its square."""
     reg = channels.shape[-1] * nu
     condition = 1.0
-    for n, users in control.selected.items():
+    for n, (users, _) in enumerate(served_and_blocked(graph, control.users)):
         if users:
             rows = channels[list(users), n].conj() @ control.outer[n]
             values = np.linalg.eigvalsh(rows @ rows.conj().T)
@@ -966,7 +965,7 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
         for d in range(draws):
             ref_rates, ref_powers, ref_worst, _ = m_dimensional_evaluation(control, graph, nu,
                                                                            channels[d])
-            rtol = rzf_rtol(control, nu, channels[d])
+            rtol = rzf_rtol(control, graph, nu, channels[d])
             assert_agrees(rates[d], ref_rates, rtol)
             assert_agrees(powers[d], ref_powers, rtol)
             assert worst[d] <= 1e-16 and ref_worst <= 1e-16
@@ -974,14 +973,14 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
             mixed_powers[d] += q * ref_powers
         # random semi-unitary outer precoders null nobody, so the blocked
         # users' rows carry real power: the leaks must agree as well
-        leaky = CompositeControl(outer={}, selected=control.selected, power=control.power)
+        leaky = CompositeControl(outer={}, power=control.power)
         for n in range(graph.num_bs):
             width = int(rng.integers(0, cs.dim + 1))
             raw = rng.standard_normal((cs.dim, width)) + 1j * rng.standard_normal((cs.dim, width))
             leaky.outer[n] = np.linalg.qr(raw)[0]
         evaluate, _ = harness._control_evaluator(leaky, cs, graph, nu)
         for d, got in enumerate(zip(*evaluate(coefficients))):
-            rtol = rzf_rtol(leaky, nu, channels[d])
+            rtol = rzf_rtol(leaky, graph, nu, channels[d])
             for value, reference in zip(got, m_dimensional_evaluation(leaky, graph, nu,
                                                                       channels[d])):
                 assert_agrees(value, reference, rtol)
@@ -996,7 +995,7 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
             ref_rates, ref_powers, _, _ = m_dimensional_evaluation(control, graph, nu, stream[d])
             reference_rates += q * ref_rates / draws
             reference_powers += q * ref_powers / draws
-            rtol = max(rtol, rzf_rtol(control, nu, stream[d]))
+            rtol = max(rtol, rzf_rtol(control, graph, nu, stream[d]))
     assert_agrees(report.user_rate_mean, reference_rates, rtol)
     assert_agrees(report.bs_power_mean, reference_powers, rtol)
     assert report.max_interference_ratio <= 1e-16
@@ -1058,8 +1057,8 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
     full = tuple(range(cs.num_users))
     half = full[::2]
     controls = [
-        assemble_control(sel, cs, graph,
-                         weighted_sum_rate(sel, np.ones(cs.num_users), cs, graph, NU, PC).powers)
+        assemble_control(weighted_sum_rate(sel, np.ones(cs.num_users), cs, graph, NU, PC).powers,
+                         cs, graph)
         for sel in (full, half)
     ]
     policy = ControlPolicy(controls=controls, probs=np.array([0.7, 0.3]))

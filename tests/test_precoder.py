@@ -17,7 +17,7 @@ from hiermimo.precoder import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import full_inner_precoders, single_cell_set
+from conftest import full_inner_precoders, served_by, single_cell_set
 
 
 def projector(basis):
@@ -257,28 +257,30 @@ def test_zero_forcing_matches_direct_form(case):
 
 def _simple_control(cs, selected, blocked, powers):
     f = outer_precoder(cs, selected, blocked, 0)
-    return CompositeControl(outer={0: f}, selected={0: selected}, power=powers)
+    return CompositeControl(outer={0: f}, power=powers)
 
 
-def layout(control, inner, num_users):
+def layout(control, inner, num_users, serving=None):
     """(N, M, L) beams, L powers, the K x L own-beam mask and the BS of each
-    beam of ``control``, its selected users in BS order."""
-    served = [(n, k) for n, users in control.selected.items() for k in users]
+    beam of ``control``, its selected users in BS order (``serving`` as in
+    ``served_by``)."""
+    per_bs = served_by(control, serving)
+    served = [(n, k) for n, users in per_bs.items() for k in users]
     m = next(iter(control.outer.values())).shape[0]
     beams = np.zeros((len(control.outer), m, len(served)), dtype=complex)
     own = np.zeros((num_users, len(served)), dtype=bool)
     for col, (n, k) in enumerate(served):
-        beams[n, :, col] = control.outer[n] @ inner[n][:, control.selected[n].index(k)]
+        beams[n, :, col] = control.outer[n] @ inner[n][:, per_bs[n].index(k)]
         own[k, col] = True
     power = np.array([control.power[k] for _, k in served])
     return beams, power, own, np.array([n for n, _ in served], dtype=int)
 
 
-def proposed_rates(control, channels, nu, inner=None):
+def proposed_rates(control, channels, nu, inner=None, serving=None):
     """Per-user rates with the serving BS's other beams as interference."""
     if inner is None:
-        inner = full_inner_precoders(control, channels, nu)
-    beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
+        inner = full_inner_precoders(control, channels, nu, serving)
+    beams, power, own, beam_bs = layout(control, inner, channels.shape[0], serving)
     received = cross_interference_power(channels, beams, power)
     same_bs = own @ (beam_bs[:, None] == beam_bs)
     return instantaneous_rate(np.sum(received, axis=-1, where=own),
@@ -323,7 +325,7 @@ def test_rate_matched_filter_single_user():
     h = np.zeros(m, dtype=complex)
     h[0] = np.sqrt(2.0)  # ||h||^2 = 2
     v = (h / np.linalg.norm(h)).reshape(m, 1)
-    control = CompositeControl(outer={0: v}, selected={0: (0,)}, power={0: 3.0})
+    control = CompositeControl(outer={0: v}, power={0: 3.0})
     inner = {0: np.array([[1.0 + 0j]])}
     rate = proposed_rates(control, h[None, None, :], nu=0.01, inner=inner)[0]
     assert np.isclose(rate, np.log(1 + 6.0), rtol=1e-12)
@@ -348,13 +350,11 @@ def test_rate_matches_scalar_formula_oracle():
 
 
 def test_transmit_power_empty_and_single_user():
-    empty = CompositeControl(outer={0: np.zeros((8, 0), dtype=complex)},
-                             selected={0: ()}, power={})
+    empty = CompositeControl(outer={0: np.zeros((8, 0), dtype=complex)}, power={})
     assert bs_powers(empty, np.zeros((1, 1, 8), dtype=complex), nu=0.01)[0] == 0.0
     m, nu, p = 8, 0.1, 2.5
     h = rand_channel(np.random.default_rng(9), m)
-    control = CompositeControl(outer={0: np.eye(m, dtype=complex)},
-                               selected={0: (0,)}, power={0: p})
+    control = CompositeControl(outer={0: np.eye(m, dtype=complex)}, power={0: p})
     got = bs_powers(control, h[None, None, :], nu)[0]
     expect = p * np.linalg.norm(h) ** 2 / (np.linalg.norm(h) ** 2 + m * nu) ** 2
     assert np.isclose(got, expect, rtol=1e-10)
@@ -406,8 +406,7 @@ def test_unitary_rotation_of_outer_is_invisible():
     k_dim = control.outer[0].shape[1]
     q, _ = np.linalg.qr(rng.standard_normal((k_dim, k_dim))
                         + 1j * rng.standard_normal((k_dim, k_dim)))
-    rotated = CompositeControl(outer={0: control.outer[0] @ q},
-                               selected=control.selected, power=control.power)
+    rotated = CompositeControl(outer={0: control.outer[0] @ q}, power=control.power)
     channels = rand_channels(rng, 2, m)
     assert np.allclose(proposed_rates(control, channels, nu),
                        proposed_rates(rotated, channels, nu), rtol=1e-10, atol=0)
@@ -423,13 +422,13 @@ def test_zero_ici_end_to_end(desk):
     nu = 0.01
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, nu, 10.0)
-    control = assemble_control(selected, cs, graph, res.powers)
+    control = assemble_control(res.powers, cs, graph)
     control.validate(cs, graph)
     assert any(graph.neighbor_users[n] for n in range(2)), "need cross edges"
     for i in range(50):
         channels = sample_channel(cs, np.random.default_rng(500 + i))
-        inner = full_inner_precoders(control, channels, nu)
-        beams, power, own, beam_bs = layout(control, inner, 6)
+        inner = full_inner_precoders(control, channels, nu, graph.serving)
+        beams, power, own, beam_bs = layout(control, inner, 6, graph.serving)
         received = cross_interference_power(channels, beams, power)
         for n in range(2):
             for k in graph.neighbor_users[n]:
@@ -443,17 +442,15 @@ def test_control_validation_failures(desk):
     from hiermimo.scheduler import assemble_control, weighted_sum_rate
 
     res = weighted_sum_rate((0, 1), np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control((0, 1), cs, graph, res.powers)
-    bad_power = CompositeControl(outer=control.outer, selected=control.selected,
-                                 power={k: -1.0 for k in control.power})
+    control = assemble_control(res.powers, cs, graph)
+    bad_power = CompositeControl(outer=control.outer, power={k: -1.0 for k in control.power})
     with pytest.raises(ValidationError):
         bad_power.validate(cs, graph)
-    n0 = next(n for n, users in control.selected.items() if users)
+    n0 = graph.serving[control.users[0]]
     skewed = dict(control.outer)
     skewed[n0] = 1.7 * skewed[n0]
     with pytest.raises(ValidationError):
-        CompositeControl(outer=skewed, selected=control.selected,
-                         power=control.power).validate(cs, graph)
+        CompositeControl(outer=skewed, power=control.power).validate(cs, graph)
 
 
 def test_control_validation_rejects_leakage(desk):
@@ -462,13 +459,12 @@ def test_control_validation_rejects_leakage(desk):
     cs, graph = desk
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(selected, cs, graph, res.powers)
+    control = assemble_control(res.powers, cs, graph)
     n, k = next((n, users[0]) for n, users in graph.neighbor_users.items() if users)
     aimed = dict(control.outer)
     aimed[n] = cs.matrix(k, n).basis()[:, :1]  # straight at a protected neighbor
     with pytest.raises(ValidationError, match="leaks onto protected user"):
-        CompositeControl(outer=aimed, selected=control.selected,
-                         power=control.power).validate(cs, graph)
+        CompositeControl(outer=aimed, power=control.power).validate(cs, graph)
 
 
 @pytest.mark.parametrize("shape", ["1x1", "one-row-short", "one-dimensional"])
@@ -478,12 +474,12 @@ def test_control_validation_rejects_an_outer_precoder_without_m_rows(desk, shape
     cs, graph = desk
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(selected, cs, graph, res.powers)
+    control = assemble_control(res.powers, cs, graph)
     for n in range(cs.num_bs):
         bad = {"1x1": np.ones((1, 1), dtype=complex), "one-row-short": control.outer[n][:-1],
                "one-dimensional": control.outer[n][:, 0]}[shape]
         with pytest.raises(ValidationError, match=f"outer precoder at BS {n} has shape"):
-            CompositeControl(outer={**control.outer, n: bad}, selected=control.selected,
+            CompositeControl(outer={**control.outer, n: bad},
                              power=control.power).validate(cs, graph)
 
 
@@ -491,12 +487,12 @@ def test_control_validation_rejects_an_outer_precoder_without_m_rows(desk, shape
 # (user, BS) leakage computed one at a time from per-BS beams.
 
 
-def reference_realization(control, channels, inner):
+def reference_realization(control, channels, inner, serving):
     num_users, num_bs, _ = channels.shape
     rates = np.zeros(num_users)
     powers = np.zeros(num_bs)
     leak = np.zeros((num_users, num_bs))
-    for n, users in control.selected.items():
+    for n, users in served_by(control, serving).items():
         beams = control.outer[n] @ inner[n]
         for i, l in enumerate(users):
             powers[n] += control.power[l] * np.linalg.norm(inner[n][:, i]) ** 2
@@ -517,31 +513,30 @@ def realizations(draw):
     m = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     serving = [draw(st.integers(0, num_bs - 1)) for _ in range(num_users)]
-    selected, outer = {}, {}
+    outer = {}
     for n in range(num_bs):
         # a BS may select none of its users, and its outer precoder may be empty
-        mine = [k for k in range(num_users) if serving[k] == n]
-        selected[n] = tuple(k for k in mine if draw(st.booleans()))
         width = draw(st.integers(0, m))
         raw = rng.standard_normal((m, width)) + 1j * rng.standard_normal((m, width))
         outer[n] = np.linalg.qr(raw)[0] if width else np.zeros((m, 0), dtype=complex)
-    power = {k: float(rng.uniform(0.0, 10.0)) for users in selected.values() for k in users}
+    selected = [k for k in range(num_users) if draw(st.booleans())]
+    power = {k: float(rng.uniform(0.0, 10.0)) for k in selected}
     channels = rng.standard_normal((num_users, num_bs, m)) + 1j * rng.standard_normal(
         (num_users, num_bs, m))
     nu = float(rng.uniform(0.01, 1.0))
-    return CompositeControl(outer=outer, selected=selected, power=power), channels, nu
+    return CompositeControl(outer=outer, power=power), channels, nu, serving
 
 
 @settings(max_examples=150, deadline=None)
 @given(realizations())
 def test_one_evaluation_matches_the_per_user_loop(case):
-    control, channels, nu = case
-    inner = full_inner_precoders(control, channels, nu)
-    ref_rates, ref_powers, ref_leak = reference_realization(control, channels, inner)
-    beams, power, own, beam_bs = layout(control, inner, channels.shape[0])
+    control, channels, nu, serving = case
+    inner = full_inner_precoders(control, channels, nu, serving)
+    ref_rates, ref_powers, ref_leak = reference_realization(control, channels, inner, serving)
+    beams, power, own, beam_bs = layout(control, inner, channels.shape[0], serving)
     received = cross_interference_power(channels, beams, power)
     per_bs = received @ (beam_bs[:, None] == np.arange(channels.shape[1]))
     np.testing.assert_allclose(per_bs, ref_leak, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(transmit_power(beams, power), ref_powers, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(proposed_rates(control, channels, nu, inner=inner), ref_rates,
+    np.testing.assert_allclose(proposed_rates(control, channels, nu, inner, serving), ref_rates,
                                rtol=1e-12, atol=1e-12)

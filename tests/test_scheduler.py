@@ -319,6 +319,14 @@ def test_exhaustive_guard():
         best_control_exhaustive(np.ones(21), cs, graph, NU, PC)
 
 
+@pytest.mark.parametrize("oracle", [best_control_exhaustive, best_control_greedy])
+def test_oracles_reject_rate_weights_of_another_length(oracle):
+    cs, graph = small_network(0, num_users=6)
+    for size in (5, 7):
+        with pytest.raises(ParameterError, match=f"got {size} rate weights for 6 users"):
+            oracle(np.ones(size), cs, graph, NU, PC)
+
+
 def test_exhaustive_matches_independent_enumeration():
     for seed in (3, 4):
         cs, graph = small_network(seed)
@@ -480,9 +488,9 @@ def test_oracle_rates_are_the_de_rates_of_the_assembled_control(oracle):
         rng.uniform(0.05, 1.0, size=6) for _ in range(3)
     ]:
         pick = oracle(weights, cs, graph, scn.rzf_nu, scn.power_limit, cache)
-        control = assemble_control(pick.selected, cs, graph, pick.powers)
+        control = assemble_control(pick.powers, cs, graph)
         de = de_rate_power(control, cs, graph, scn.rzf_nu, cache)
-        assert pick.selected and sorted(pick.powers) == list(pick.selected)
+        assert pick.selected and control.users == pick.selected
         assert np.array_equal(pick.rates, de.rates)
 
 
@@ -841,6 +849,19 @@ def test_policy_rejects_bad_mode(desk):
         optimize_policy(cs, graph, pfs_utility(6), NU, PC, mode="best")
 
 
+def test_policy_rejects_max_outer_below_one(desk):
+    cs, graph = desk
+    with pytest.raises(ParameterError, match="max_outer must be at least 1, got 0"):
+        optimize_policy(cs, graph, pfs_utility(6), NU, PC, max_outer=0)
+
+
+@pytest.mark.parametrize("eps_stop", [-1e-6, np.nan])
+def test_policy_rejects_an_eps_stop_below_zero(desk, eps_stop):
+    cs, graph = desk
+    with pytest.raises(ParameterError, match="eps_stop must be non-negative"):
+        optimize_policy(cs, graph, pfs_utility(6), NU, PC, eps_stop=eps_stop)
+
+
 def test_policy_consistent_when_iteration_cap_hits(desk):
     cs, graph = desk
     res = optimize_policy(cs, graph, pfs_utility(6), NU, PC, mode="greedy",
@@ -937,7 +958,7 @@ def test_time_sharing_appears_when_users_conflict():
                           eps_stop=1e-10, max_outer=200)
     assert len(res.policy.controls) == 2
     assert np.allclose(np.sort(res.policy.probs), [0.5, 0.5], atol=1e-6)
-    served = {run.selected_union for run in res.policy.controls}
+    served = {run.users for run in res.policy.controls}
     assert served == {(0,), (1,)}
     assert res.certificate <= 1e-6
 
