@@ -122,7 +122,6 @@ class CompositeControl:
         for k in users:
             if not (0 <= k < graph.num_users):
                 raise ValidationError(f"unknown user {k} is selected")
-        for k in users:
             p = self.power[k]
             if not np.isfinite(p) or p < 0:
                 raise ValidationError(f"user {k} has invalid power {p!r}")
