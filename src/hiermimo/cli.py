@@ -307,17 +307,29 @@ def scenario_from_dict(data):
     )
 
 
+def _read_json(path, error, what):
+    """The JSON value of the ``what`` file at ``path``. An ``error``
+    (ConfigError or ValidationError) names the path of a file that is
+    missing, cannot be read or is not UTF-8 text, or the line and column
+    where its JSON breaks."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except OSError as exc:  # a directory, no permission
+        raise error(f"{what} file cannot be read: {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file is not UTF-8 text: {path}: {exc.reason} at byte {exc.start}")
+
+
 def load_scenario(path, **overrides):
     """Scenario from a JSON file. ``overrides`` (the ``--mode``, ``--seed``
     and ``--draws`` flags; None when not given) replace the file's values
     before validation."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    data = _read_json(path, ConfigError, "config")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     data.update((name, value) for name, value in overrides.items() if value is not None)
@@ -489,18 +501,9 @@ def policy_from_dict(data):
 
 
 def load_policy(path):
-    """The policy of a ``policy.json`` file. A missing file, bad JSON and a
-    malformed policy raise a ValidationError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"policy file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"policy parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    return policy_from_dict(data)
+    """The policy of a ``policy.json`` file. A missing or unreadable file,
+    bad JSON and a malformed policy raise a ValidationError."""
+    return policy_from_dict(_read_json(path, ValidationError, "policy"))
 
 
 def _write_csv(path, header, rows):

@@ -6,9 +6,10 @@ and clustered cooperative zero forcing with an optional AR(1) CSI delay.
 It only measures: the pipeline compares the policy's report with its
 deterministic equivalents. Every scheme reads its draws in order from one
 stream derived from (seed, scheme), so a run is deterministic per seed, and
-evaluates them in chunks of a fixed memory budget, each with one sampling
-call and one stacked evaluation; a chunk's normals continue the stream where
-the previous chunk stopped, so results do not depend on the chunk size. A
+evaluates them in chunks of at most ``CHUNK_DRAWS`` draws within a fixed
+memory budget, ``CHUNK_ENTRIES``, each with one sampling call and one
+stacked evaluation; a chunk's normals continue the stream where the previous
+chunk stopped, so results do not depend on the chunk size. A
 draw is 2 K N R normals, one rank-R coefficient vector w per link
 (``corrmat.sample_coefficients``), and no scheme forms the M-dimensional
 channels h = F w.
@@ -230,10 +231,14 @@ def _book(lead, num_users, groups, received):
     return instantaneous_rate(signal, interference), signal, np.concatenate(leaks, axis=-1), cross
 
 
-# Draws per chunk: as many as keep the largest array that a scheme builds
-# for one chunk within this many complex entries, and at least one. Larger
-# chunks save per-call overhead but grow every per-chunk array with them.
-CHUNK_ENTRIES = 2**13
+# Draws per chunk: at most CHUNK_DRAWS, and no more than keep the largest
+# array that a scheme builds for one chunk within CHUNK_ENTRIES complex
+# entries (512 KiB); at least one. A chunk pays one sampling call and, per
+# group, one call each of ``_grams``, ``_inverse``, ``_norms`` and ``_book``,
+# so larger chunks save that fixed cost, but every per-chunk array grows with
+# them; past 64 draws the saving no longer shows while the memory still grows.
+CHUNK_DRAWS = 64
+CHUNK_ENTRIES = 2**15
 
 
 def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
@@ -241,15 +246,16 @@ def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
     stream (seed, tag, 0). Their coefficients go to ``draw`` as (D, K, N, 1,
     R) ``sample_coefficients`` rows; it maps them to the (D, K) user rates,
     (D, N) BS powers, (D,) worst interference ratios (None if untracked) and
-    (D,) cross interference of those draws. D is at most CHUNK_ENTRIES over
-    the largest per-draw array: the K N R coefficients, or a group's rows
-    times its |S| R served coefficients (``_gram``)."""
+    (D,) cross interference of those draws. D is at most CHUNK_DRAWS and at
+    most CHUNK_ENTRIES over the largest per-draw array, the K N R
+    coefficients or a group's rows times its |S| R served coefficients
+    (``_gram``), and at least one."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
     width = corr_set.factor().shape[-1]
     largest = max([graph.num_users * graph.num_bs * width, 1]
                   + [len(g.users + g.others + g.recorded) * len(g.users) * width for g in groups])
-    size = max(1, CHUNK_ENTRIES // largest)
+    size = max(1, min(CHUNK_DRAWS, CHUNK_ENTRIES // largest))
     rng = derive_rng(seed, tag, 0)
     rate_samples = np.zeros((draws, graph.num_users))
     power_samples = np.zeros((draws, graph.num_bs))

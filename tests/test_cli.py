@@ -254,6 +254,32 @@ def test_load_policy_names_a_missing_file_and_where_its_json_breaks(tmp_path):
         load_policy(broken)
 
 
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00")  # a UTF-16 byte-order mark, then half a character
+    return path
+
+
+@pytest.mark.parametrize("make, reason", [(_directory, "cannot be read: {}: Is a directory"),
+                                          (_not_utf8, "is not UTF-8 text: {}: invalid start byte")],
+                         ids=["directory", "not-utf8"])
+def test_unreadable_inputs_name_their_path_and_exit_two(tmp_path, capsys, make, reason):
+    from hiermimo.errors import ValidationError
+
+    path = make(tmp_path)
+    reason = re.escape(reason.format(path))
+    with pytest.raises(ConfigError, match=f"^config file {reason}"):
+        load_scenario(path)
+    with pytest.raises(ValidationError, match=f"^policy file {reason}"):
+        load_policy(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert re.search(f"config file {reason}", capsys.readouterr().err)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and (
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -87,16 +88,25 @@ def test_monte_carlo_reproducible(desk):
 def test_monte_carlo_is_chunk_size_invariant(desk):
     # a chunk's normals continue the stream where the previous chunk stopped,
     # so one draw per chunk, the default chunks, three draws of the proposed
-    # scheme per chunk and one chunk of every draw give bit-equal reports
+    # scheme per chunk, chunks of seven draws and one chunk of every draw
+    # give bit-equal reports
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
     draws, seed = 100, 33
-    every_draw = draws * cs.num_users * cs.num_bs * cs.dim
-    assert 1 < harness.CHUNK_ENTRIES * draws // every_draw < draws
+    largest = max(largest_policy_array(policy, cs, graph),
+                  largest_baseline_array(cs, ffr_groups(graph, 2)),
+                  largest_baseline_array(cs, comp_groups(graph, 2)))
+    # the default chunks split the draws of every scheme
+    assert 1 < min(harness.CHUNK_DRAWS, harness.CHUNK_ENTRIES // largest) < draws
     reports = []
     three = 3 * largest_policy_array(policy, cs, graph)
-    for chunk_entries in (1, harness.CHUNK_ENTRIES, three, every_draw):
-        with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries):
+    for chunk_entries, chunk_draws in ((1, harness.CHUNK_DRAWS),
+                                       (harness.CHUNK_ENTRIES, harness.CHUNK_DRAWS),
+                                       (three, harness.CHUNK_DRAWS),
+                                       (harness.CHUNK_ENTRIES, 7),
+                                       (draws * largest, draws)):
+        with mock.patch.object(harness, "CHUNK_ENTRIES", chunk_entries), \
+                mock.patch.object(harness, "CHUNK_DRAWS", chunk_draws):
             reports.append([
                 monte_carlo_policy(policy, cs, graph, NU, draws, seed),
                 ffr_baseline(cs, graph, PC, 2, draws, seed),
@@ -117,10 +127,12 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
     # (D, U, |S| R) product of a group's row coefficients with its map, from
     # which ``_gram`` forms the (D, U, |S|) Gram matrices; no scheme builds a
     # (D, K, N, M) channel, a basis or a beam array (the maps that ``_gram``
-    # takes are built once per run)
+    # takes are built once per run). Where CHUNK_DRAWS binds first, a chunk
+    # holds exactly that many draws and its largest array stays under the
+    # budget.
     cs, graph = desk
     policy = full_selection_policy(cs, graph)
-    seen = []
+    seen, counts = [], []
 
     def whole(a):  # the array that ``a`` is a view of
         while a.base is not None and isinstance(a.base, np.ndarray):
@@ -131,6 +143,8 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
         original = getattr(harness, name)
 
         def record(*args, **kwargs):
+            if name == "sample_coefficients":
+                counts.append(args[2])
             if arguments:
                 seen.extend(whole(a).size for a in args if isinstance(a, np.ndarray))
             else:  # _gram(left, right, maps): the left coefficients times the maps
@@ -152,17 +166,33 @@ def test_chunks_keep_their_largest_array_within_the_budget(desk):
         (lambda: comp_baseline(cs, graph, PC, 2, draws, seed, delay_rho=0.5),
          largest_baseline_array(cs, comp_groups(graph, 2))),
     ]
+
+    def recorded(budget, chunk_draws=harness.CHUNK_DRAWS):
+        stack = contextlib.ExitStack()
+        stack.enter_context(mock.patch.object(harness, "CHUNK_ENTRIES", budget))
+        stack.enter_context(mock.patch.object(harness, "CHUNK_DRAWS", chunk_draws))
+        for name in ("sample_coefficients", "_inverse", "_zero_forcing_limit", "_norms",
+                     "instantaneous_rate"):
+            stack.enter_context(recorder(name))
+        stack.enter_context(recorder("_gram", arguments=False))
+        seen.clear()
+        counts.clear()
+        return stack
+
     for run, largest in runs:
         assert largest < cs.num_users * cs.num_bs * cs.dim
         for budget in (largest, 3 * largest, 2 * cs.num_users * cs.num_bs * cs.dim):
-            with mock.patch.object(harness, "CHUNK_ENTRIES", budget), \
-                    recorder("sample_coefficients"), recorder("_gram", arguments=False), \
-                    recorder("_inverse"), recorder("_zero_forcing_limit"), recorder("_norms"), \
-                    recorder("instantaneous_rate"):
-                seen.clear()
+            assert budget // largest < min(draws, harness.CHUNK_DRAWS)  # the cap does not bind
+            with recorded(budget):
                 run()
-                assert max(seen) <= budget
-                assert max(seen) > budget - largest  # no room for one more draw
+            assert max(seen) <= budget
+            assert max(seen) > budget - largest  # no room for one more draw
+        # room for three draws under the budget, but at most two per chunk
+        with recorded(3 * largest, chunk_draws=2):
+            run()
+        assert set(counts) == {2}
+        assert sum(counts) in (draws, 2 * draws)  # CoMP also samples its innovation
+        assert largest < max(seen) <= 2 * largest
 
 
 def rank_mixed_set():
@@ -1063,7 +1093,7 @@ def test_chunked_monte_carlo_matches_the_per_draw_loop(case):
     ]
     policy = ControlPolicy(controls=controls, probs=np.array([0.7, 0.3]))
     proposed_chunk, ffr_chunk, comp_chunk = (
-        max(1, chunk_entries // largest)
+        max(1, min(harness.CHUNK_DRAWS, chunk_entries // largest))
         for largest in (largest_policy_array(policy, cs, graph),
                         largest_baseline_array(cs, ffr_groups(graph, 2)),
                         largest_baseline_array(cs, comp_groups(graph, 2))))
