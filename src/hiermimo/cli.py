@@ -259,6 +259,19 @@ def scenario_from_dict(data):
             field="mode",
         )
     geometry = _object(data, "geometry", DEFAULT_GEOMETRY)
+    # keys that nothing reads, such as hotspot_radius_m, are dropped
+    geometry = {
+        name: _number(geometry[name], f"geometry.{name}", **bounds)
+        for name, bounds in GEOMETRY_BOUNDS.items()
+    }
+    if geometry["hotspots_per_cell"] > numbers["num_users"]:
+        # no cell holds more users than the network, and the generator draws
+        # a centre for every hotspot
+        raise ConfigError(
+            f"field 'geometry.hotspots_per_cell' cannot exceed num_users = "
+            f"{numbers['num_users']}, got {geometry['hotspots_per_cell']!r}",
+            field="geometry.hotspots_per_cell",
+        )
     baselines = _object(data, "baselines", DEFAULT_BASELINES)
     correlation_file = data.get("correlation_file")
     if correlation_file is not None and not isinstance(correlation_file, str):
@@ -293,11 +306,7 @@ def scenario_from_dict(data):
         **numbers,
         utility=_utility(data["utility"], numbers["num_users"]),
         mode=mode,
-        # keys that nothing reads, such as hotspot_radius_m, are dropped
-        geometry={
-            name: _number(geometry[name], f"geometry.{name}", **bounds)
-            for name, bounds in GEOMETRY_BOUNDS.items()
-        },
+        geometry=geometry,
         correlation_file=correlation_file,
         baselines={
             "ffr_partitions": partitions,
@@ -357,7 +366,7 @@ def build_network(scn):
                 field="correlation_file",
             ) from exc
         shape = (corr_set.num_users, corr_set.num_bs, corr_set.dim)
-        rank = max(mat.numerical_rank() for mat in corr_set.matrices.values())
+        rank = int(corr_set.rank.max())
         if shape != (scn.num_users, scn.num_bs, scn.num_antennas) or rank > scn.rank:
             raise ConfigError(
                 f"correlation_file holds {shape[0]} users x {shape[1]} BSs x {shape[2]} "

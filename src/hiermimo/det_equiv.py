@@ -173,7 +173,6 @@ class GainCache:
         self.nu = nu
         self._bases = {}
         self._gains = {}  # (bs, users, blocked) -> (xi, iterations, residual) or the failure
-        self._labels = {}  # bs -> label of every user's link to it
         self._solved = {}  # (bs, labels, counts, blocked labels) -> the same, xi per label
         self._last = {}  # (bs, label) -> last xi solved
 
@@ -186,18 +185,7 @@ class GainCache:
     def projected(self, bs, users, blocked):
         """Projected correlation factors B_k of ``users`` at ``bs``."""
         basis = self.null_basis(bs, blocked)
-        return [projected_factor(self.corr_set.matrix(k, bs).factor(), basis) for k in users]
-
-    def labels(self, bs):
-        """Per user, the lowest user whose link to ``bs`` has an identical factor."""
-        if bs not in self._labels:
-            factors = (self.corr_set.matrix(k, bs).factor() for k in range(self.graph.num_users))
-            keys = [(f.shape, f.tobytes()) for f in factors]
-            first = {}
-            for k, key in enumerate(keys):
-                first.setdefault(key, k)
-            self._labels[bs] = [first[key] for key in keys]
-        return self._labels[bs]
+        return [projected_factor(self.corr_set.link(k, bs), basis) for k in users]
 
     def gains(self, bs, users, blocked):
         """(xi, iterations, residual) at ``bs`` with ``blocked`` nulled, xi an
@@ -224,7 +212,7 @@ class GainCache:
     def _from_labels(self, bs, users, blocked):
         """A key's entry from the solve of its labels, which every key with
         the same labels shares."""
-        label_of = self.labels(bs)
+        label_of = self.corr_set.label[:, bs].tolist()
         labels = sorted({label_of[k] for k in users})
         group = [labels.index(label_of[k]) for k in users]
         shared = (bs, tuple(labels), tuple(np.bincount(group).tolist()),

@@ -252,7 +252,7 @@ def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
     (``_gram``), and at least one."""
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    width = corr_set.factor().shape[-1]
+    width = corr_set.factor.shape[-1]
     largest = max([graph.num_users * graph.num_bs * width, 1]
                   + [len(g.users + g.others + g.recorded) * len(g.users) * width for g in groups])
     size = max(1, min(CHUNK_DRAWS, CHUNK_ENTRIES // largest))
@@ -298,7 +298,7 @@ def _control_evaluator(control, corr_set, graph, nu):
     users blocked at n, which give what n leaks onto them. A BS spends
     sum_l p_l ||g_l||^2 over its inner beams g, F_n being semi-unitary."""
     reg = corr_set.dim * nu
-    factor = corr_set.factor()
+    factor = corr_set.factor
     split = served_and_blocked(graph, control.users)
     groups = [_group(factor, (n,), users, (), blocked, [control.outer[n]])
               for n, (users, blocked) in enumerate(split) if users]
@@ -417,7 +417,7 @@ def ffr_baseline(corr_set, graph, p_c, reuse_partitions, draws, seed):
         raise ParameterError("reuse_partitions must be at least 1")
     partition = _bs_partition(graph, reuse_partitions)
     band = partition[[graph.serving[k] for k in range(graph.num_users)]]
-    factor = corr_set.factor()
+    factor = corr_set.factor
     groups = []
     for n, users in enumerate(ffr_cells(graph, corr_set.dim)):
         if users:
@@ -485,7 +485,7 @@ def comp_baseline(corr_set, graph, p_c, cluster_size, draws, seed, delay_rho=1.0
         raise ParameterError("cluster_size must be at least 1")
     if not (0.0 <= delay_rho <= 1.0):
         raise ParameterError("delay_rho must lie in [0, 1]")
-    factor = corr_set.factor()
+    factor = corr_set.factor
     groups = []
     for c, users in enumerate(comp_clusters(graph, corr_set.dim, cluster_size)):
         if users:

@@ -37,8 +37,9 @@ def interference_nullspace_basis(corr_set, blocked, bs):
     only resolve weak users' ranges relative to the strongest one.
     """
     m = corr_set.dim
-    pieces = [corr_set.matrix(k, bs).basis() for k in sorted(set(blocked))]
-    pieces = [p for p in pieces if p.shape[1] > 0]
+    factors = [corr_set.link(k, bs) for k in sorted(set(blocked))]
+    # each link's eigenbasis: its factor with unit columns, F / sqrt(lambda)
+    pieces = [f / np.sqrt(np.sum(np.abs(f) ** 2, axis=0)) for f in factors if f.shape[1] > 0]
     if not pieces:
         return np.zeros((m, 0), dtype=complex)
     stack = np.concatenate(pieces, axis=1)
@@ -66,7 +67,7 @@ def outer_precoder(corr_set, selected, blocked, bs):
     empty = np.zeros((corr_set.dim, 0), dtype=complex)
     if not selected:
         return empty
-    stacked = np.concatenate([corr_set.matrix(k, bs).factor() for k in selected], axis=1)
+    stacked = np.concatenate([corr_set.link(k, bs) for k in selected], axis=1)
     if stacked.shape[1] == 0:  # every selected link has zero gain
         return empty
     null_basis = interference_nullspace_basis(corr_set, blocked, bs)
@@ -146,7 +147,7 @@ class CompositeControl:
             for k in blocked:
                 # theta = F_k F_k^H: ||f^H theta||_F^2 = tr(X G X^H) with
                 # X = f^H F_k and G = F_k^H F_k, and ||theta||_F = ||G||_F
-                fk = corr_set.matrix(k, n).factor()
+                fk = corr_set.link(k, n)
                 gram = fk.conj().T @ fk
                 denom = float(np.linalg.norm(gram, ord="fro"))
                 if denom == 0.0 or m_n == 0:

@@ -10,7 +10,6 @@ allocation inside the oracle is water filling against the per-BS
 deterministic transmit-power budget.
 """
 
-import functools
 import itertools
 import logging
 import math
@@ -181,11 +180,11 @@ def _upper_value(weights, gains, m, p_c):
 
 
 def _path_gains(corr_set, graph):
-    """User k -> (1/M) tr C_k at its serving BS, computed once on demand: an
-    upper bound on k's effective gain there under any selection, since
-    xi_k = (1/M) tr(C~_k T) with T <= I and the projection C~_k of C_k only
-    lowers the trace."""
-    return functools.cache(lambda k: corr_set.matrix(k, graph.serving[k]).trace() / corr_set.dim)
+    """Per user k, (1/M) tr C_k at its serving BS: an upper bound on k's
+    effective gain there under any selection, since xi_k = (1/M) tr(C~_k T)
+    with T <= I and the projection C~_k of C_k only lowers the trace."""
+    serving = [graph.serving[k] for k in range(graph.num_users)]
+    return (corr_set.trace[np.arange(graph.num_users), serving] / corr_set.dim).tolist()
 
 
 def _prunable(bound, target):
@@ -300,7 +299,7 @@ def best_control_exhaustive(rate_weights, corr_set, graph, nu, p_c, gain_cache=N
                 key = n, tuple(users)
                 if key not in bounds:
                     bounds[key] = _upper_value([weights[k] for k in users],
-                                               [path_gain(k) for k in users], m, p_c)
+                                               [path_gain[k] for k in users], m, p_c)
                 bound += bounds[key]
             if _prunable(bound, best.value):
                 pruned += 1
@@ -393,7 +392,7 @@ def best_control_greedy(rate_weights, corr_set, graph, nu, p_c, gain_cache=None)
             bound_key = n, users, blocked, k
             if bound_key not in bounds:
                 gains = cache.gains(n, users, blocked)[0].tolist() if users else []
-                gains.append(path_gain(k))
+                gains.append(path_gain[k])
                 bounds[bound_key] = _upper_value([weights[i] for i in (*users, k)], gains, m,
                                                  p_c)
             if others is None:

@@ -32,11 +32,10 @@ def build_topology(corr_set, theta):
     for k in range(corr_set.num_users):
         bk = serving[k]
         edges.add((k, bk))
-        serve_trace = corr_set.matrix(k, bk).trace()
         for n in range(corr_set.num_bs):
             if n == bk:
                 continue
-            if serve_trace < theta * corr_set.matrix(k, n).trace():
+            if corr_set.trace[k, bk] < theta * corr_set.trace[k, n]:
                 edges.add((k, n))
     assoc = {
         n: tuple(sorted(k for k in range(corr_set.num_users) if serving[k] == n))

@@ -1,20 +1,44 @@
 import numpy as np
 import pytest
 
-from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, random_clustered_correlation
+from hiermimo.corrmat import CorrelationSet, from_dense, random_clustered_correlation
 from hiermimo.precoder import inner_precoders
 from hiermimo.topology import build_topology
+
+
+def link_set(links, serving, clusters=None):
+    """Correlation set of the M x r link factors ``links``, {(k, n): F},
+    zero-padded into one array; every user is its own cluster unless
+    ``clusters`` says otherwise."""
+    num_users = 1 + max(k for k, _ in links)
+    num_bs = 1 + max(n for _, n in links)
+    m = next(iter(links.values())).shape[0]
+    factor = np.zeros((num_users, num_bs, m, max(f.shape[1] for f in links.values())),
+                      dtype=complex)
+    for (k, n), f in links.items():
+        factor[k, n, :, : f.shape[1]] = f
+    clusters = {k: k for k in range(num_users)} if clusters is None else clusters
+    return CorrelationSet(factor, serving, clusters)
+
+
+def dense(f):
+    """The correlation matrix F F^H of a link factor."""
+    return f @ f.conj().T
+
+
+def link_basis(f):
+    """Orthonormal basis of a link factor's column space: F / sqrt(lambda)."""
+    return f / np.sqrt(np.sum(np.abs(f) ** 2, axis=0))
 
 
 def single_cell_set(m, num_users, rank, gains=None, seed0=100):
     """One-BS correlation set with independent random link matrices."""
     gains = gains or [1.0] * num_users
-    mats = {
+    links = {
         (k, 0): random_clustered_correlation(m, rank, gains[k], seed=seed0 + k)
         for k in range(num_users)
     }
-    return CorrelationSet(1, num_users, mats, {k: 0 for k in range(num_users)},
-                          {k: k for k in range(num_users)})
+    return link_set(links, {k: 0 for k in range(num_users)})
 
 
 def served_by(control, serving=None):
@@ -46,9 +70,9 @@ def de_rel_err(mc, de):
 
 
 def diag_corr(m, trace):
-    """Diagonal correlation matrix with a prescribed trace (full rank)."""
-    entries = (trace / m) * np.eye(m, dtype=complex)
-    return CorrelationMatrix.from_dense(entries, m, trace / m)
+    """Factor of a diagonal correlation matrix with a prescribed trace (full
+    rank)."""
+    return from_dense((trace / m) * np.eye(m, dtype=complex))
 
 
 def trace_table_set(m, traces, serving):
@@ -58,13 +82,12 @@ def trace_table_set(m, traces, serving):
     """
     num_users = len(traces)
     num_bs = len(traces[0])
-    mats = {
+    links = {
         (k, n): diag_corr(m, traces[k][n])
         for k in range(num_users)
         for n in range(num_bs)
     }
-    return CorrelationSet(num_bs, num_users, mats, dict(enumerate(serving)),
-                          {k: k for k in range(num_users)})
+    return link_set(links, dict(enumerate(serving)))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -411,9 +412,45 @@ def test_correlation_file_roundtrip(tmp_path):
     path2 = write_config(tmp_path, {"correlation_file": str(dump)}, name="s3.json")
     scn2 = load_scenario(path2)
     corr2, _ = build_network(scn2)
-    for key, mat in corr_set.matrices.items():
-        dense = mat.dense()
-        assert np.linalg.norm(corr2.matrices[key].dense() - dense) <= 1e-12 * np.linalg.norm(dense)
+    for k in range(corr_set.num_users):
+        for n in range(corr_set.num_bs):
+            f, back = corr_set.link(k, n), corr2.link(k, n)
+            dense = f @ f.conj().T
+            assert np.linalg.norm(back @ back.conj().T - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_correlation_file_with_a_non_finite_entry_exits_two_and_names_the_link(
+        tmp_path, capsys, bad):
+    # an inf entry passed every check as a NaN comparison and silently made
+    # user 0's serving link rank 0; a nan one failed inside the
+    # eigensolver, naming no link
+    from hiermimo.cli import build_network
+    from hiermimo.corrmat import dump_correlation_set
+
+    corr_set, _ = build_network(load_scenario(DESK_PATH))
+    dump = tmp_path / "corr.txt"
+    dump_correlation_set(corr_set, dump)
+    lines = dump.read_text().splitlines()
+    toks = lines[3].split()  # link (0, 0)
+    toks[0] = f"{bad},0.0"
+    lines[3] = " ".join(toks)
+    dump.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "desk.json"
+    scenario = {**json.loads(DESK_PATH.read_text()), "correlation_file": str(dump)}
+    path.write_text(json.dumps(scenario))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert re.search(r"matrix \(0,0\): entries are not all finite", capsys.readouterr().err)
+
+
+def test_hotspots_beyond_the_user_count_exit_two_at_once(tmp_path, capsys):
+    # the generator drew a centre for each of the 2 * 10^9 hotspots
+    path = write_config(tmp_path, {"geometry": {"hotspots_per_cell": 10**9}})
+    start = time.perf_counter()
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.5
+    assert "'geometry.hotspots_per_cell'" in capsys.readouterr().err
+    assert load_scenario(write_config(tmp_path, {"geometry": {"hotspots_per_cell": 6}}))
 
 
 @pytest.mark.parametrize("serving", [(0, 0, 1), (0, 1, 0)], ids=["shared-cell", "own-cell"])
@@ -424,19 +461,18 @@ def test_compare_gives_users_without_channel_zero_beams(tmp_path, serving):
     # zero-forcing regularizer check. Either way the user gets a zero beam
     # and rate 0, and the comparison stays finite
     from hiermimo.cli import build_network
-    from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, dump_correlation_set
+    from hiermimo.corrmat import CorrelationSet, dump_correlation_set
     from hiermimo.harness import comp_baseline, ffr_baseline
 
     shape = {"num_users": 3, "num_antennas": 8, "rank": 2, "draws": 20,
              "baselines": {"ffr_partitions": 1, "comp_cluster_size": 1,
                            "comp_delay_rhos": [1.0, 0.0]}}
     corr_set, _ = build_network(load_scenario(write_config(tmp_path, shape)))
-    matrices = dict(corr_set.matrices)
-    for n in range(corr_set.num_bs):
-        matrices[(1, n)] = CorrelationMatrix.from_dense(np.zeros((8, 8), dtype=complex), None, 0.0)
+    factor = corr_set.factor.copy()
+    factor[1] = 0.0
     dump = tmp_path / "corr.txt"
-    dump_correlation_set(CorrelationSet(corr_set.num_bs, 3, matrices, dict(enumerate(serving)),
-                                        corr_set.cluster_ids), dump)
+    dump_correlation_set(CorrelationSet(factor, dict(enumerate(serving)), corr_set.cluster_ids),
+                         dump)
     path = write_config(tmp_path, {**shape, "correlation_file": str(dump)}, name="zero.json")
     out = tmp_path / "out"
     assert main(["compare", str(path), "--out", str(out)]) == EXIT_OK

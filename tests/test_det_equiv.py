@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from hiermimo import det_equiv
 from hiermimo.corrmat import (
-    CorrelationMatrix,
-    CorrelationSet,
+    from_dense,
     build_hotspot_network,
     random_clustered_correlation,
     sample_channel,
@@ -32,7 +31,7 @@ from hiermimo.scheduler import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import full_inner_precoders, single_cell_set
+from conftest import dense, full_inner_precoders, link_basis, link_set, single_cell_set
 
 
 def isotropic_gain_root(m, nu):
@@ -44,11 +43,11 @@ def isotropic_gain_root(m, nu):
 def test_projection_passthrough_and_annihilation():
     mat = random_clustered_correlation(8, 3, 1.0, seed=1)
     empty = np.zeros((8, 0), dtype=complex)
-    assert np.array_equal(projected_factor(mat.factor(), empty), mat.factor())
-    full_basis = mat.basis()
-    wiped = projected_factor(mat.factor(), full_basis)
+    assert np.array_equal(projected_factor(mat, empty), mat)
+    full_basis = link_basis(mat)
+    wiped = projected_factor(mat, full_basis)
     wiped = wiped @ wiped.conj().T
-    assert np.linalg.norm(wiped) <= 1e-10 * np.linalg.norm(mat.dense())
+    assert np.linalg.norm(wiped) <= 1e-10 * np.linalg.norm(dense(mat))
 
 
 def test_projection_matches_explicit_product():
@@ -56,8 +55,8 @@ def test_projection_matches_explicit_product():
     mat = random_clustered_correlation(8, 4, 1.0, seed=3)
     basis = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
     proj = np.eye(8) - basis @ basis.conj().T
-    oracle = proj @ mat.dense() @ proj
-    projected = projected_factor(mat.factor(), basis)
+    oracle = proj @ dense(mat) @ proj
+    projected = projected_factor(mat, basis)
     assert np.linalg.norm(projected @ projected.conj().T - oracle) <= 1e-12
 
 
@@ -76,7 +75,7 @@ def test_gain_fixed_point_isotropic_closed_form():
 
 
 def test_gain_fixed_point_symmetry():
-    mat = random_clustered_correlation(16, 4, 1.0, seed=9).factor()
+    mat = random_clustered_correlation(16, 4, 1.0, seed=9)
     sol = solve_effective_gains([mat, mat.copy()], nu=0.01, tol=1e-12)
     assert abs(sol.gains[0] - sol.gains[1]) <= 1e-12
 
@@ -84,7 +83,7 @@ def test_gain_fixed_point_symmetry():
 def test_gain_fixed_point_residual_monotone_after_burn_in():
     rng = np.random.default_rng(4)
     for seed in range(5):
-        mats = [random_clustered_correlation(16, 3, float(g), seed=50 + seed * 7 + i).factor()
+        mats = [random_clustered_correlation(16, 3, float(g), seed=50 + seed * 7 + i)
                 for i, g in enumerate(rng.uniform(0.2, 3.0, size=4))]
         sol = solve_effective_gains(mats, nu=0.01, tol=1e-12)
         hist = sol.residual_history
@@ -93,7 +92,7 @@ def test_gain_fixed_point_residual_monotone_after_burn_in():
 
 
 def test_gain_fixed_point_scale_covariance():
-    mats = [random_clustered_correlation(16, 3, 1.0, seed=77 + i).factor() for i in range(3)]
+    mats = [random_clustered_correlation(16, 3, 1.0, seed=77 + i) for i in range(3)]
     base = solve_effective_gains(mats, nu=0.01, tol=1e-12)
     for c in (2.0, 10.0):
         scaled = solve_effective_gains([np.sqrt(c) * f for f in mats], nu=c * 0.01, tol=1e-12 * c)
@@ -101,7 +100,7 @@ def test_gain_fixed_point_scale_covariance():
 
 
 def test_gain_fixed_point_raises_on_iteration_cap():
-    mats = [random_clustered_correlation(16, 3, 1.0, seed=5).factor()]
+    mats = [random_clustered_correlation(16, 3, 1.0, seed=5)]
     with pytest.raises(ConvergenceError) as err:
         solve_effective_gains(mats, nu=0.01, max_iter=1)
     assert err.value.residual is not None
@@ -122,7 +121,7 @@ def test_gain_fixed_point_raises_on_iteration_cap():
          "counts-length", "counts-zero", "counts-fraction"],
 )
 def test_gain_fixed_point_rejects_malformed_init_and_counts(kwargs):
-    mats = [random_clustered_correlation(8, 2, 1.0, seed=s).factor() for s in (1, 2)]
+    mats = [random_clustered_correlation(8, 2, 1.0, seed=s) for s in (1, 2)]
     with pytest.raises(ValueError):
         solve_effective_gains(mats, 0.01, **kwargs)
 
@@ -278,7 +277,7 @@ def test_gain_cache_solves_a_group_of_clones_once():
     cs = build_hotspot_network(7, 56, 64, 3, seed=7, inter_site_m=300.0)
     graph = build_topology(cs, theta_from_db(10.0))
     cache = GainCache(cs, graph, 0.01)
-    assert [cache.labels(1)[k] for k in (1, 15, 29)] == [1, 1, 1]
+    assert cs.label[[1, 15, 29], 1].tolist() == [1, 1, 1]
     with mock.patch.object(det_equiv, "solve_effective_gains",
                            wraps=solve_effective_gains) as solve:
         xi, _, _ = cache.gains(1, (1, 15, 29), ())
@@ -332,7 +331,7 @@ def _annihilated_user_set(m=16, rank=4):
     """Two cells; user 1 is served by BS 1 but its correlation there lies
     inside user 0's range, and user 0 is a neighbor of BS 1."""
     strong = random_clustered_correlation(m, rank, 1.0, seed=21)
-    inside = CorrelationMatrix.from_dense(0.5 * strong.dense(), rank, 0.5)
+    inside = from_dense(0.5 * dense(strong))
     weak = random_clustered_correlation(m, rank, 1e-6, seed=23)
     other = random_clustered_correlation(m, rank, 1.0, seed=24)
     mats = {
@@ -341,7 +340,7 @@ def _annihilated_user_set(m=16, rank=4):
         (1, 0): weak,  # user 1 barely visible at BS 0
         (1, 1): inside,  # user 1 at serving BS 1, range inside user 0's
     }
-    cs = CorrelationSet(2, 2, mats, {0: 0, 1: 1}, {0: 0, 1: 1})
+    cs = link_set(mats, {0: 0, 1: 1})
     return cs, build_topology(cs, 10.0)
 
 
@@ -459,7 +458,7 @@ def test_gain_cache_matches_fresh_solve(desk):
     cached, _, _ = cache.gains(0, users, ())
     again, _, _ = cache.gains(0, users, ())
     assert np.array_equal(cached, again)
-    mats = [cs.matrix(k, 0).factor() for k in users]
+    mats = [cs.link(k, 0) for k in users]
     fresh = solve_effective_gains(mats, 0.01)
     assert np.allclose(cached, fresh.gains, rtol=1e-12)
 
@@ -474,7 +473,7 @@ def test_gain_cache_warm_start_matches_fresh_solve(desk):
         warm, _, _ = cache.gains(0, users, ())
     assert solve.call_args_list[0].kwargs["init"] is None
     assert solve.call_args_list[1].kwargs["init"] is not None
-    fresh = solve_effective_gains([cs.matrix(k, 0).factor() for k in users], 0.01)
+    fresh = solve_effective_gains([cs.link(k, 0) for k in users], 0.01)
     np.testing.assert_allclose(warm, fresh.gains, rtol=1e-10)
 
 
@@ -501,7 +500,7 @@ def test_a_warm_start_that_fails_is_retried_from_one(desk):
                                              GainCache(cs, graph, 0.01))
     assert greedy.skipped == exhaustive.skipped == 0
     assert np.array_equal(xi, solve_effective_gains(
-        [cs.matrix(k, 0).factor() for k in users], 0.01).gains)
+        [cs.link(k, 0) for k in users], 0.01).gains)
     plain = GainCache(cs, graph, 0.01)
     assert greedy.selected == best_control_greedy(mu, cs, graph, 0.01, 10.0, plain).selected
     assert exhaustive.selected == best_control_exhaustive(mu, cs, graph, 0.01, 10.0,
@@ -557,4 +556,4 @@ def test_serving_or_blocking_one_more_user_lowers_every_gain(case):
         assert after[k] <= xi + MONOTONE_SLACK, (k, xi, after[k])
     for gains in (before, after):
         for k, xi in gains.items():
-            assert 0.0 <= xi <= cs.matrix(k, n).trace() / m * (1 + 1e-12), (k, xi)
+            assert 0.0 <= xi <= cs.trace[k, n] / m * (1 + 1e-12), (k, xi)

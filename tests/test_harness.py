@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hiermimo import harness
 from hiermimo.corrmat import (
-    CorrelationSet,
     build_hotspot_network,
     link_channels,
     random_clustered_correlation,
@@ -35,7 +34,7 @@ from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 
-from conftest import de_rel_err, full_inner_precoders, single_cell_set
+from conftest import de_rel_err, full_inner_precoders, link_set, single_cell_set
 
 NU, PC = 0.01, 10.0
 
@@ -204,7 +203,7 @@ def rank_mixed_set():
         for k in range(3)
         for n in range(2)
     }
-    return CorrelationSet(2, 3, mats, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2})
+    return link_set(mats, {0: 0, 1: 1, 2: 0})
 
 
 def test_draw_channels_matches_per_link_draws():
@@ -216,12 +215,12 @@ def test_draw_channels_matches_per_link_draws():
     normals = np.random.default_rng(41).standard_normal((3, 2, 2, 3))
     for k in range(3):
         for n in range(2):
-            f = cs.matrix(k, n).factor()
+            f = cs.link(k, n)
             x, y = normals[k, n, :, : f.shape[1]]
             np.testing.assert_allclose(together[k, n], f @ ((x + 1j * y) / np.sqrt(2.0)),
                                        rtol=1e-12, atol=1e-15)
             # a lone link reads standard_normal((2, r)) of its own stream
-            alone = sample_channel(cs.matrix(k, n), np.random.default_rng(7))
+            alone = sample_channel(link_set({(0, 0): f}, {0: 0}), np.random.default_rng(7))[0, 0]
             x, y = np.random.default_rng(7).standard_normal((2, f.shape[1]))
             np.testing.assert_allclose(alone, f @ ((x + 1j * y) / np.sqrt(2.0)),
                                        rtol=1e-12, atol=1e-15)
@@ -255,7 +254,7 @@ def test_ffr_single_cell_matches_direct_formula():
     draws = 4000
     acc = 0.0
     for _ in range(draws):
-        h = sample_channel(cs.matrix(0, 0), rng)
+        h = sample_channel(cs, rng)[0, 0]
         acc += np.log1p(PC * np.linalg.norm(h) ** 2)
     oracle = acc / draws
     stderr = rep.user_rate_stderr[0]
@@ -316,7 +315,7 @@ def test_comp_cluster_without_users_spends_no_power():
     # both users are served by BS 0, so the cluster of BS 1 has no beam
     mats = {(k, n): random_clustered_correlation(8, 2, 1.0 if n == 0 else 0.01, seed=10 * k + n)
             for k in range(2) for n in range(2)}
-    cs = CorrelationSet(2, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 0})
+    cs = link_set(mats, {0: 0, 1: 0}, {0: 0, 1: 0})
     rep = comp_baseline(cs, build_topology(cs, 10.0), PC, cluster_size=1, draws=5, seed=3)
     assert rep.bs_power_mean[1] == 0.0
     assert abs(rep.bs_power_mean[0] - PC) <= 1e-9 * PC
@@ -417,7 +416,7 @@ def test_proposed_scheme_on_dependent_rows_matches_the_m_dimensional_one():
     # powers would drift from the M-dimensional ones as nu falls
     cs = build_hotspot_network(2, 18, 16, 1, seed=7)
     graph = build_topology(cs, theta_from_db(10.0))
-    factor = cs.factor()
+    factor = cs.factor
     # users 0, 4 and 8 share one correlation at BS 0, users 1 and 5 at BS 1
     assert all(np.array_equal(factor[k, 0], factor[0, 0]) for k in (4, 8))
     assert np.array_equal(factor[5, 1], factor[1, 1])
@@ -556,7 +555,7 @@ def baseline_cases(draw):
     assume(all(list(serving.values()).count(n) <= m for n in range(num_bs)))
     mats = {link: random_clustered_correlation(m, max(rank, 1), gain, seed=s)
             for link, (rank, gain, s) in links.items()}
-    cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
+    cs = link_set(mats, serving)
     graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
     cluster_size = draw(st.sampled_from([c for c in range(1, num_bs + 1) if num_bs % c == 0]))
     cells = [((n,), graph.assoc_users[n]) for n in range(num_bs)]
@@ -574,7 +573,7 @@ def rows_are_independent(cs, bss, users):
     so that rank is the sum of the ranks at each BS."""
     def rank(subset):
         return sum(np.linalg.matrix_rank(np.concatenate(
-            [cs.matrix(k, n).factor() for k in subset], axis=1)) for n in bss)
+            [cs.link(k, n) for k in subset], axis=1)) for n in bss)
 
     with_channel = [k for k in users if rank((k,)) > 0]
     return all(rank(subset) >= size for size in range(2, len(with_channel) + 1)
@@ -662,7 +661,7 @@ def largest_baseline_array(cs, groups):
     coefficients, or a group's rows times its |S| R served coefficients,
     the product that ``harness._gram`` forms at each of its BSs (its Gram
     matrices and their inverses are smaller)."""
-    width = cs.factor().shape[-1]
+    width = cs.factor.shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for bss, users, others in groups:
         largest = max(largest, (len(users) + len(others)) * len(users) * width)
@@ -681,7 +680,7 @@ def one_draw_grams(w, served_w, bss, rows, users, maps):
 def one_draw_maps(cs, bss, rows, served, outer=None):
     """The maps of ``rows`` (``served`` of them served) at each BS of ``bss``,
     through the outer precoders ``outer`` if given."""
-    factor = cs.factor()
+    factor = cs.factor
     return [harness._gram_map(factor[rows, n], served, None if outer is None else outer[n])
             for n in bss]
 
@@ -882,7 +881,7 @@ def largest_policy_array(policy, cs, graph):
     users B_n its |S_n + B_n| rows times |S_n| R served coefficients, the
     product that ``harness._gram`` forms (its Gram matrix, inverse and
     received powers are smaller)."""
-    width = cs.factor().shape[-1]
+    width = cs.factor.shape[-1]
     largest = cs.num_users * cs.num_bs * width
     for control in policy.controls:
         for users, blocked in served_and_blocked(graph, control.users):
@@ -940,7 +939,7 @@ def rank_r_cases(draw):
             gain = 10.0 ** draw(st.floats(-3.0, 3.0)) if rank else 0.0
             mats[(k, n)] = random_clustered_correlation(m, max(rank, 1), gain,
                                                         seed=seed + num_bs * k + n)
-    cs = CorrelationSet(num_bs, num_users, mats, serving, {k: k for k in range(num_users)})
+    cs = link_set(mats, serving)
     graph = build_topology(cs, draw(st.sampled_from([10.0, 1e4])))
     controls = []
     for _ in range(draw(st.integers(1, 2))):

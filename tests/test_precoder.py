@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermimo.corrmat import RANK_TOL, CorrelationMatrix, CorrelationSet, random_clustered_correlation
+from hiermimo.corrmat import RANK_TOL, from_dense, random_clustered_correlation
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.precoder import (
     CompositeControl,
@@ -17,7 +17,7 @@ from hiermimo.precoder import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import full_inner_precoders, served_by, single_cell_set
+from conftest import dense, full_inner_precoders, link_basis, link_set, served_by, single_cell_set
 
 
 def projector(basis):
@@ -34,15 +34,14 @@ def test_nullspace_basis_single_rank2_user():
     cs = single_cell_set(8, 2, 2)
     basis = interference_nullspace_basis(cs, (0,), 0)
     assert basis.shape == (8, 2)
-    ref = cs.matrix(0, 0).basis()
+    ref = link_basis(cs.link(0, 0))
     assert np.linalg.norm(projector(basis) - projector(ref)) <= 1e-9
 
 
 def test_nullspace_basis_duplicate_matrices_share_span():
     mat = random_clustered_correlation(8, 2, 1.0, seed=4)
-    twin = CorrelationMatrix.from_dense(2.0 * mat.dense(), 2, 2.0)  # scaled copy, same range
-    mats = {(0, 0): mat, (1, 0): twin}
-    cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
+    twin = from_dense(2.0 * dense(mat))  # scaled copy, same range
+    cs = link_set({(0, 0): mat, (1, 0): twin}, {0: 0, 1: 0})
     one = interference_nullspace_basis(cs, (0,), 0)
     both = interference_nullspace_basis(cs, (0, 1), 0)
     assert both.shape[1] == one.shape[1]
@@ -53,7 +52,7 @@ def test_outer_precoder_unblocked_spans_selected_range():
     cs = single_cell_set(16, 1, 5)
     f = outer_precoder(cs, (0,), (), 0)
     assert f.shape == (16, 5)
-    ref = cs.matrix(0, 0).basis()
+    ref = link_basis(cs.link(0, 0))
     assert np.linalg.norm(projector(f) - projector(ref)) <= 1e-9
 
 
@@ -63,11 +62,10 @@ def test_outer_precoder_blocked_subspace_inside_selected_span():
     m = 32
     basis = np.linalg.qr(np.random.default_rng(0).standard_normal((m, 4))
                          + 1j * np.random.default_rng(1).standard_normal((m, 4)))[0]
-    selected_mat = CorrelationMatrix.from_dense(basis @ basis.conj().T, 4, 4.0 / m)
+    selected_mat = from_dense(basis @ basis.conj().T)
     blocked_basis = basis[:, :2]
-    blocked_mat = CorrelationMatrix.from_dense(blocked_basis @ blocked_basis.conj().T, 2, 2.0 / m)
-    mats = {(0, 0): selected_mat, (1, 0): blocked_mat}
-    cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
+    blocked_mat = from_dense(blocked_basis @ blocked_basis.conj().T)
+    cs = link_set({(0, 0): selected_mat, (1, 0): blocked_mat}, {0: 0, 1: 0})
     f = outer_precoder(cs, (0,), (1,), 0)
     assert f.shape == (m, 2)
     assert np.linalg.norm(blocked_basis.conj().T @ f) <= 1e-9
@@ -76,9 +74,8 @@ def test_outer_precoder_blocked_subspace_inside_selected_span():
 
 def test_outer_precoder_fully_blocked_is_empty():
     mat = random_clustered_correlation(8, 3, 1.0, seed=2)
-    twin = CorrelationMatrix.from_dense(mat.dense(), 3, 1.0)
-    mats = {(0, 0): mat, (1, 0): twin}
-    cs = CorrelationSet(1, 2, mats, {0: 0, 1: 0}, {0: 0, 1: 1})
+    twin = from_dense(dense(mat))
+    cs = link_set({(0, 0): mat, (1, 0): twin}, {0: 0, 1: 0})
     f = outer_precoder(cs, (0,), (1,), 0)
     assert f.shape == (8, 0)
 
@@ -109,7 +106,7 @@ def dense_outer_precoder(corr_set, selected, blocked, bs):
     if not selected:
         return np.zeros((m, 0), dtype=complex)
     null_basis = interference_nullspace_basis(corr_set, blocked, bs).astype(np.clongdouble)
-    factors = np.concatenate([corr_set.matrix(k, bs).factor() for k in selected], axis=1)
+    factors = np.concatenate([corr_set.link(k, bs) for k in selected], axis=1)
     factors = factors.astype(np.clongdouble)
     total = factors @ factors.conj().T  # the sum of the selected dense matrices
     proj = np.eye(m) - null_basis @ null_basis.conj().T
@@ -141,12 +138,11 @@ def blocking_cases(draw):
     if blocking == "partial" and draw(st.booleans()):
         twin = draw(st.integers(1, num_users - 1))
         role[twin] = "blocked"
-        mats[(twin, 0)] = CorrelationMatrix(mats[(0, 0)].factor(), ranks[0], gains[0])
+        mats[(twin, 0)] = mats[(0, 0)]
     if blocking == "full":
         role.append("blocked")
         mats[(num_users, 0)] = random_clustered_correlation(m, m, 1.0, seed=[seed, num_users])
-    cs = CorrelationSet(1, len(role), mats, dict.fromkeys(range(len(role)), 0),
-                        {k: k for k in range(len(role))})
+    cs = link_set(mats, dict.fromkeys(range(len(role)), 0))
 
     def users(name):
         return tuple(k for k, r in enumerate(role) if r == name)
@@ -172,13 +168,13 @@ def test_outer_precoder_matches_dense_construction(case):
 def test_outer_precoder_thresholds(weak, blocked, dims):
     m = 8
     eye = np.eye(m, dtype=complex)
-    strong = CorrelationMatrix(eye[:, :2], 2, 2.0 / m)
+    strong = eye[:, :2]
     mats = {
         (0, 0): strong,
-        (1, 0): CorrelationMatrix(np.sqrt(weak) * eye[:, 2:4], 2, 2.0 * weak / m),
-        (2, 0): CorrelationMatrix(strong.factor(), 2, 2.0 / m),  # blocks user 0's range
+        (1, 0): np.sqrt(weak) * eye[:, 2:4],
+        (2, 0): strong,  # blocks user 0's range
     }
-    cs = CorrelationSet(1, 3, mats, dict.fromkeys(range(3), 0), {k: k for k in range(3)})
+    cs = link_set(mats, dict.fromkeys(range(3), 0))
     f = outer_precoder(cs, (0, 1), blocked, 0)
     assert f.shape == (m, dims)
     oracle = dense_outer_precoder(cs, (0, 1), blocked, 0)
@@ -462,7 +458,7 @@ def test_control_validation_rejects_leakage(desk):
     control = assemble_control(res.powers, cs, graph)
     n, k = next((n, users[0]) for n, users in graph.neighbor_users.items() if users)
     aimed = dict(control.outer)
-    aimed[n] = cs.matrix(k, n).basis()[:, :1]  # straight at a protected neighbor
+    aimed[n] = link_basis(cs.link(k, n))[:, :1]  # straight at a protected neighbor
     with pytest.raises(ValidationError, match="leaks onto protected user"):
         CompositeControl(outer=aimed, power=control.power).validate(cs, graph)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermimo import cli, det_equiv, scheduler
-from hiermimo.corrmat import CorrelationMatrix, CorrelationSet, build_hotspot_network
+from hiermimo.corrmat import build_hotspot_network, from_dense
 from hiermimo.det_equiv import GainCache, de_rate_power
 from hiermimo.errors import ConvergenceError, ParameterError, ValidationError
 from hiermimo.scheduler import (
@@ -29,7 +29,7 @@ from hiermimo.scheduler import (
 )
 from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 
-from conftest import single_cell_set
+from conftest import link_set, single_cell_set
 
 NU, PC = 0.01, 10.0
 # One selection's value from two gain caches agrees to about this, relative:
@@ -291,8 +291,7 @@ def test_wsr_empty_set_is_zero(desk):
 
 
 def test_wsr_single_isotropic_user_closed_form():
-    isotropic = CorrelationMatrix.from_dense(np.eye(16, dtype=complex), 16, 1.0)
-    cs = CorrelationSet(1, 1, {(0, 0): isotropic}, {0: 0}, {0: 0})
+    cs = link_set({(0, 0): from_dense(np.eye(16, dtype=complex))}, {0: 0})
     graph = build_topology(cs, 10.0)
     res = weighted_sum_rate((0,), np.ones(1), cs, graph, 0.01, 10.0)
     from test_det_equiv import isotropic_gain_root
@@ -949,8 +948,8 @@ def test_time_sharing_appears_when_users_conflict():
     # serving one annihilates the other, so the fair policy must alternate
     m = 4
     eye = np.eye(m, dtype=complex)
-    mats = {(k, n): CorrelationMatrix.from_dense(eye, m, 1.0) for k in range(2) for n in range(2)}
-    cs = CorrelationSet(2, 2, mats, {0: 0, 1: 1}, {0: 0, 1: 1})
+    mats = {(k, n): from_dense(eye) for k in range(2) for n in range(2)}
+    cs = link_set(mats, {0: 0, 1: 1})
     graph = build_topology(cs, 10.0)
     assert graph.neighbor_users == {0: (1,), 1: (0,)}
     util = pfs_utility(2)

@@ -10,7 +10,7 @@ from hiermimo.topology import (
     theta_from_db,
 )
 
-from conftest import trace_table_set
+from conftest import diag_corr, link_set, trace_table_set
 
 # Two cells, five users, traces arranged so the cross links are exactly
 # users 1,2,3 (0-indexed): the classic two-cell example graph.
@@ -143,11 +143,8 @@ def test_build_is_deterministic():
 
 def test_default_serving_is_strongest_link_with_low_index_ties():
     traces = [[2.0, 2.0], [1.0, 3.0]]
-    cs = trace_table_set(4, traces, [0, 1])
-    from hiermimo.corrmat import serving_from_traces
-
-    serving = serving_from_traces(cs.matrices, 2, 2)
-    assert serving == {0: 0, 1: 1}
+    links = {(k, n): diag_corr(4, traces[k][n]) for k in range(2) for n in range(2)}
+    assert link_set(links, None).serving == {0: 0, 1: 1}
 
 
 def test_theta_from_db():
