@@ -618,23 +618,6 @@ def per_draw_zero_forcing_limit(rows):
     return zero_forcing(rows, reg if reg > 0 else 1.0)
 
 
-def zero_forcing_rtol(rows):
-    """The relative tolerance of a baseline that zero-forces one draw's
-    rows (|S| x D): 1e-10, or 1e-14 times the condition number of G + reg I
-    over the rows with channel (G their Gram matrix, reg the regularizer of
-    ``per_draw_zero_forcing_limit``) where that is more. The Gram form and
-    the M-dimensional form round the same channels differently, and rows
-    that are independent but nearly dependent in this draw amplify that by
-    about this condition number (see ``rzf_rtol``). A row without channel
-    gets a zero beam in both and adds nothing."""
-    reg = harness.ZF_NU * np.vdot(rows, rows).real / rows.shape[0]
-    live = rows[np.any(rows != 0, axis=1)]
-    if not len(live):
-        return 1e-10
-    values = np.linalg.eigvalsh(live @ live.conj().T)
-    return max(1e-10, 1e-14 * (values[-1] + reg) / (max(values[0], 0.0) + reg))
-
-
 def unit_norm(beams):
     """Every beam (column) at unit norm, a zero beam as it is."""
     norms = np.linalg.norm(beams, axis=0, keepdims=True)
@@ -831,9 +814,8 @@ def per_draw_policy(policy, cs, graph, nu, draws, seed):
 
 def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
     """FFR one draw at a time from M-dimensional channels and (N, M, L)
-    beams, with the largest ``zero_forcing_rtol`` of its cells as "rtol"."""
+    beams."""
     m = cs.dim
-    rtols = [1e-10]
     partition = harness._bs_partition(graph, reuse_partitions)
     load = np.array([len(graph.assoc_users[n]) for n in range(graph.num_bs)])
     serving = np.array([graph.serving[k] for k in range(graph.num_users)])
@@ -843,9 +825,7 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         blocks = []
         for n, users in graph.assoc_users.items():
             if users:
-                rows = channels[list(users), n].conj()
-                rtols.append(zero_forcing_rtol(rows))
-                g = per_draw_zero_forcing_limit(rows)
+                g = per_draw_zero_forcing_limit(channels[list(users), n].conj())
                 blocks.append(((n,), users, unit_norm(g)))
         beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
         power = p_c / load[beam_bs]
@@ -855,15 +835,13 @@ def per_draw_ffr(cs, graph, p_c, reuse_partitions, draws, seed):
         cross = float(np.sum(received, where=band & (serving[:, None] != beam_bs)))
         return rates, transmit_power(beams, power), None, cross
 
-    return {**per_draw_monte_carlo(draw, cs, graph, draws, seed, FFR_MC), "rtol": max(rtols)}
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, FFR_MC)
 
 
 def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
     """CoMP one draw at a time from M-dimensional channels and (N, M, L)
-    beams, with the largest ``zero_forcing_rtol`` of its clusters' outdated
-    rows as "rtol"."""
+    beams."""
     m = cs.dim
-    rtols = [1e-10]
     clusters = [tuple(range(c * cluster_size, (c + 1) * cluster_size))
                 for c in range(graph.num_bs // cluster_size)]
     members = [[k for n in bss for k in graph.assoc_users[n]] for bss in clusters]
@@ -879,7 +857,6 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
         for bss, users in zip(clusters, members):
             if users:
                 rows = outdated[np.ix_(users, bss)].reshape(len(users), -1).conj()
-                rtols.append(zero_forcing_rtol(rows))
                 blocks.append((bss, users, per_draw_zero_forcing_limit(rows)))
         beams, own, beam_bs = per_draw_layout(blocks, graph.num_users, graph.num_bs, m)
         unit_load = transmit_power(beams, np.ones(beams.shape[2]))
@@ -895,7 +872,7 @@ def per_draw_comp(cs, graph, p_c, cluster_size, draws, seed, delay_rho):
         np.testing.assert_allclose(bs_power, transmit_power(beams, power), rtol=1e-12, atol=0)
         return masked_rates(received, own, ~own), bs_power, None, cross
 
-    return {**per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC), "rtol": max(rtols)}
+    return per_draw_monte_carlo(draw, cs, graph, draws, seed, COMP_MC)
 
 
 def largest_policy_array(policy, cs, graph):
@@ -1058,8 +1035,7 @@ def test_rank_r_evaluation_matches_the_m_dimensional_one(case):
 def test_rank_r_baselines_match_the_m_dimensional_ones(case):
     # each cell or cluster zero-forces its rows h^H Q_n in the bases of its
     # users' factors; the references build every draw's (K, N, M) channels
-    # and (N, M, L) beams, read the same streams, and give the tolerance
-    # that their draws' conditioning allows
+    # and (N, M, L) beams, and read the same streams
     cs, graph, partitions, cluster_size, seed = case
     draws = 3
     runs = [(ffr_baseline(cs, graph, PC, partitions, draws, seed),
@@ -1068,10 +1044,9 @@ def test_rank_r_baselines_match_the_m_dimensional_ones(case):
         runs.append((comp_baseline(cs, graph, PC, cluster_size, draws, seed, delay_rho=rho),
                      per_draw_comp(cs, graph, PC, cluster_size, draws, seed, rho)))
     for report, reference in runs:
-        rtol = reference["rtol"]
-        assert_agrees(report.user_rate_mean, reference["user_rate_mean"], rtol)
-        assert_agrees(report.bs_power_mean, reference["bs_power_mean"], rtol)
-        assert_agrees(report.mean_cross_interference, reference["mean_cross_interference"], rtol)
+        assert_agrees(report.user_rate_mean, reference["user_rate_mean"])
+        assert_agrees(report.bs_power_mean, reference["bs_power_mean"])
+        assert_agrees(report.mean_cross_interference, reference["mean_cross_interference"])
 
 
 @st.composite
