@@ -65,18 +65,6 @@ def _trace_scaled_factors(a, path_gain):
     return u
 
 
-def random_clustered_correlation(m, rank, path_gain, seed):
-    """The M x rank factor F of a random rank-limited correlation C = F F^H
-    = path_gain * normalize(A A^H): A is M x rank with i.i.d. unit complex
-    Gaussian entries, and the Gram matrix is rescaled so its trace equals M
-    before applying the path gain. A zero gain gives a zero factor."""
-    if not (1 <= rank <= m):
-        raise ParameterError(f"rank must satisfy 1 <= rank <= {m}, got {rank}")
-    if path_gain < 0:
-        raise ParameterError("path_gain must be non-negative")
-    return _trace_scaled_factors(_gaussian(m, rank, seed), float(path_gain))
-
-
 def path_gain_log_distance(distance_m, exponent=3.76, ref_gain_db=0.0):
     """Linear path gain 10^((ref_gain_db - 10 exponent log10(d)) / 10).
 

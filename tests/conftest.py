@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from hiermimo.corrmat import CorrelationSet, from_dense, random_clustered_correlation
+from hiermimo.corrmat import CorrelationSet, _gaussian, _trace_scaled_factors, from_dense
+from hiermimo.errors import ParameterError
 from hiermimo.precoder import inner_precoders
 from hiermimo.topology import build_topology
+
+
+def random_clustered_correlation(m, rank, path_gain, seed):
+    """The M x rank factor F of a random rank-limited correlation C = F F^H
+    = path_gain * normalize(A A^H), drawn and factored as the network
+    generator does for each (cluster, BS): A is M x rank with i.i.d. unit
+    complex Gaussian entries, and the Gram matrix is rescaled so its trace
+    equals M before applying the path gain. A zero gain gives a zero
+    factor."""
+    if not (1 <= rank <= m):
+        raise ParameterError(f"rank must satisfy 1 <= rank <= {m}, got {rank}")
+    if path_gain < 0:
+        raise ParameterError("path_gain must be non-negative")
+    return _trace_scaled_factors(_gaussian(m, rank, seed), float(path_gain))
 
 
 def link_set(links, serving, clusters=None):

@@ -11,13 +11,12 @@ from hiermimo.corrmat import (
     link_channels,
     load_correlation_set,
     path_gain_log_distance,
-    random_clustered_correlation,
     sample_channel,
     sample_coefficients,
 )
 from hiermimo.errors import ParameterError, ValidationError
 
-from conftest import dense, link_basis, link_set
+from conftest import dense, link_basis, link_set, random_clustered_correlation
 
 
 def one_link(f):

@@ -9,7 +9,6 @@ from hiermimo import det_equiv
 from hiermimo.corrmat import (
     from_dense,
     build_hotspot_network,
-    random_clustered_correlation,
     sample_channel,
 )
 from hiermimo.det_equiv import (
@@ -31,7 +30,14 @@ from hiermimo.scheduler import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import dense, full_inner_precoders, link_basis, link_set, single_cell_set
+from conftest import (
+    dense,
+    full_inner_precoders,
+    link_basis,
+    link_set,
+    random_clustered_correlation,
+    single_cell_set,
+)
 
 
 def isotropic_gain_root(m, nu):

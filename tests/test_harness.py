@@ -11,7 +11,6 @@ from hiermimo import harness
 from hiermimo.corrmat import (
     build_hotspot_network,
     link_channels,
-    random_clustered_correlation,
     sample_channel,
     sample_coefficients,
 )
@@ -34,7 +33,13 @@ from hiermimo.rng import COMP_MC, FFR_MC, POLICY_MC, derive_rng
 from hiermimo.scheduler import ControlPolicy, assemble_control, weighted_sum_rate
 from hiermimo.topology import build_topology, served_and_blocked, theta_from_db
 
-from conftest import de_rel_err, full_inner_precoders, link_set, single_cell_set
+from conftest import (
+    de_rel_err,
+    full_inner_precoders,
+    link_set,
+    random_clustered_correlation,
+    single_cell_set,
+)
 
 NU, PC = 0.01, 10.0
 

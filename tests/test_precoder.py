@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermimo.corrmat import RANK_TOL, from_dense, random_clustered_correlation
+from hiermimo.corrmat import RANK_TOL, from_dense
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.precoder import (
     CompositeControl,
@@ -17,7 +17,15 @@ from hiermimo.precoder import (
 )
 from hiermimo.topology import build_topology, theta_from_db
 
-from conftest import dense, full_inner_precoders, link_basis, link_set, served_by, single_cell_set
+from conftest import (
+    dense,
+    full_inner_precoders,
+    link_basis,
+    link_set,
+    random_clustered_correlation,
+    served_by,
+    single_cell_set,
+)
 
 
 def projector(basis):
