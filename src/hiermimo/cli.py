@@ -6,12 +6,12 @@ validate -> deterministic equivalents -> Monte Carlo and writes policy.json,
 trace.csv, validation.csv, summary.json; ``compare`` additionally runs the
 FFR and clustered-CoMP baselines on the same correlation set and seed and
 writes comparison.csv. Outputs are byte-stable for a fixed config and seed:
-JSON keys are sorted, floats use shortest round-trip formatting, and outer
-precoders are exact binary blocks.
+JSON keys are sorted and floats use shortest round-trip formatting.
+policy.json holds each control's powers only: its outer precoders follow
+from them (``scheduler.build_outer_precoders``).
 """
 
 import argparse
-import base64
 import json
 import logging
 import math
@@ -25,7 +25,6 @@ from .corrmat import MIN_DIST_M, build_hotspot_network, load_correlation_set
 from .det_equiv import GainCache
 from .errors import ConfigError, ValidationError
 from .harness import comp_baseline, comp_clusters, ffr_baseline, ffr_cells, monte_carlo_policy
-from .precoder import CompositeControl
 from .scheduler import (
     ENUMERATION_GUARD,
     ControlPolicy,
@@ -416,22 +415,9 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _encode_block(f):
-    """An outer precoder as ``{"shape": [M, m_n], "c16": ...}``, the base64
-    of its entries as little-endian complex128 in C order: exact, and about a
-    third the size of decimal re/im lists."""
-    data = np.ascontiguousarray(f, dtype="<c16")
-    return {"shape": list(data.shape), "c16": base64.b64encode(data.tobytes()).decode("ascii")}
-
-
 def policy_to_dict(policy):
-    controls = [
-        {
-            "power": {str(k): float(p) for k, p in control.power.items()},
-            "outer": {str(n): _encode_block(f) for n, f in control.outer.items()},
-        }
-        for control in policy.controls
-    ]
+    controls = [{"power": {str(k): float(p) for k, p in power.items()}}
+                for power in policy.controls]
     return {"probs": [float(q) for q in policy.probs], "controls": controls}
 
 
@@ -450,8 +436,8 @@ def _field(obj, key, field, kind=dict, what="an object"):
 
 
 def _index(key, field):
-    """A JSON object key that names a BS or a user: a non-negative integer
-    in canonical decimal form, so no two keys name the same index."""
+    """A JSON object key that names a user: a non-negative integer in
+    canonical decimal form, so no two keys name the same index."""
     if not (key.isascii() and key.isdigit() and str(int(key)) == key):
         raise _bad(field, "keyed by non-negative integers", key)
     return int(key)
@@ -463,29 +449,11 @@ def _finite(value, field):
     return float(value)
 
 
-def _decode_block(block, field):
-    """The M x m_n outer precoder of an ``_encode_block`` dict (read-only)."""
-    if not isinstance(block, dict):
-        raise _bad(field, "an object", block)
-    shape = _field(block, "shape", f"{field}.shape", list, "two non-negative integers")
-    if len(shape) != 2 or not all(type(d) is int and d >= 0 for d in shape):
-        raise _bad(f"{field}.shape", "two non-negative integers", shape)
-    text = _field(block, "c16", f"{field}.c16", str, "a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValidationError(f"policy field '{field}.c16' is not valid base64: {exc}") from exc
-    if len(raw) != 16 * shape[0] * shape[1]:
-        raise ValidationError(
-            f"policy field '{field}.c16' holds {len(raw)} bytes; shape {shape} needs "
-            f"16 * {shape[0]} * {shape[1]} = {16 * shape[0] * shape[1]}"
-        )
-    return np.frombuffer(raw, dtype="<c16").reshape(shape)
-
-
 def policy_from_dict(data):
     """The policy of a ``policy_to_dict`` dict; a malformed one raises a
-    ValidationError that names the bad field, with its control index."""
+    ValidationError that names the bad field, with its control index. Keys
+    that nothing reads, such as the ``outer`` blocks of older files, are
+    ignored."""
     if not isinstance(data, dict):
         raise ValidationError("policy root must be a JSON object")
     probs = [
@@ -501,11 +469,7 @@ def policy_from_dict(data):
             _index(k, f"{at}.power"): _finite(p, f"{at}.power.{k}")
             for k, p in _field(entry, "power", f"{at}.power").items()
         }
-        outer = {
-            _index(n, f"{at}.outer"): _decode_block(block, f"{at}.outer.{n}")
-            for n, block in _field(entry, "outer", f"{at}.outer").items()
-        }
-        controls.append(CompositeControl(outer=outer, power=power))
+        controls.append(dict(sorted(power.items())))
     return ControlPolicy(controls=controls, probs=np.asarray(probs, dtype=float))
 
 
@@ -541,12 +505,12 @@ def _de_pass(policy, corr_set, graph, nu, gain_cache):
     powers = np.zeros(graph.num_bs)
     diagnostics = []
     weak = {}  # served user -> its smallest xi / nu
-    for q, control in zip(np.asarray(policy.probs, dtype=float), policy.controls):
-        de = de_rate_power(control, corr_set, graph, nu, gain_cache)
+    for q, power in zip(np.asarray(policy.probs, dtype=float), policy.controls):
+        de = de_rate_power(power, corr_set, graph, nu, gain_cache)
         rates += q * de.rates
         powers += q * de.powers
         for k, xi in de.gains.items():
-            if control.power[k] > 0 and xi < nu:
+            if power[k] > 0 and xi < nu:
                 weak[k] = min(weak.get(k, math.inf), xi / nu)
         diagnostics.append(
             {
@@ -627,7 +591,8 @@ def _pipeline(config_path, out_dir, overrides, baselines):
     )
     result.policy.validate(corr_set, graph, scn.rzf_nu, scn.power_limit, cache)
     de_rates, de_powers, diagnostics = _de_pass(result.policy, corr_set, graph, scn.rzf_nu, cache)
-    report = monte_carlo_policy(result.policy, corr_set, graph, scn.rzf_nu, scn.draws, scn.seed)
+    report = monte_carlo_policy(result.policy, result.outers, corr_set, graph, scn.rzf_nu,
+                                scn.draws, scn.seed)
     rows = [("proposed", report)]
     if baselines:
         network = (corr_set, graph, scn.power_limit)

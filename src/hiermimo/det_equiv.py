@@ -243,8 +243,9 @@ class GainCache:
         return sol.gains, sol.iterations, sol.residual
 
 
-def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
-    """Deterministic-equivalent rates and powers of one composite control.
+def de_rate_power(power, corr_set, graph, nu, gain_cache=None):
+    """Deterministic-equivalent rates and powers of one control, the power
+    map ``power`` (user -> p, its keys the selection).
 
     Raises ValidationError when a user carries positive power over a channel
     whose effective gain is numerically zero.
@@ -256,14 +257,14 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     gains = {}
     worst_iterations = 0
     worst_residual = 0.0
-    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.users)):
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, power)):
         if not users:
             continue
         bs_gains, iters, residual = cache.gains(n, users, blocked)
         worst_iterations = max(worst_iterations, iters)
         worst_residual = max(worst_residual, residual)
         for k, xi in zip(users, bs_gains):
-            p = control.power[k]
+            p = power[k]
             gains[k] = xi
             if xi <= ZERO_GAIN:
                 if p > 0:
@@ -276,8 +277,9 @@ def de_rate_power(control, corr_set, graph, nu, gain_cache=None):
     return DEResult(gains, rates, powers, worst_iterations, worst_residual)
 
 
-def full_de(control, corr_set, graph, nu):
-    """Refined deterministic equivalents keeping the O(nu) correction terms.
+def full_de(power, corr_set, graph, nu):
+    """Refined deterministic equivalents of the power map ``power``, keeping
+    the O(nu) correction terms.
 
     Per BS, with T the resolvent and C~ the projected correlations, solves
     (I - J) e = u and (I - J) e_k = u_k for the second-order moments and
@@ -290,7 +292,7 @@ def full_de(control, corr_set, graph, nu):
     powers_hat = np.zeros(graph.num_bs)
     all_gains = {}
     moments = {}
-    for n, (users, blocked) in enumerate(served_and_blocked(graph, control.users)):
+    for n, (users, blocked) in enumerate(served_and_blocked(graph, power)):
         if not users:
             continue
         xi = cache.gains(n, users, blocked)[0]
@@ -311,7 +313,7 @@ def full_de(control, corr_set, graph, nu):
             )
         e_vec = np.linalg.solve(system, drive)
         e_mat = np.linalg.solve(system, cross_drive)  # column k solves for u_k
-        p_vec = np.array([control.power[k] for k in users])
+        p_vec = np.array([power[k] for k in users])
         denom_sq = (nu + xi) ** 2
         leakage = np.zeros(count)
         for kk in range(count):

@@ -285,8 +285,9 @@ def _monte_carlo(draw, groups, corr_set, graph, draws, seed, tag):
 # the proposed scheme: inner RZF on the effective channels h^H F_n
 # ---------------------------------------------------------------------------
 
-def _control_evaluator(control, corr_set, graph, nu):
-    """Evaluation of ``control`` on (D, K, N, 1, R) channel coefficients
+def _control_evaluator(power, outer, corr_set, graph, nu):
+    """Evaluation of the power map ``power`` with the outer precoders
+    ``outer`` ({bs: F}) on (D, K, N, 1, R) channel coefficients
     (``sample_coefficients``), and its groups. It maps a chunk to the rates,
     BS powers, worst interference-to-signal ratio and total power leaked
     onto protected users of each draw.
@@ -299,10 +300,10 @@ def _control_evaluator(control, corr_set, graph, nu):
     sum_l p_l ||g_l||^2 over its inner beams g, F_n being semi-unitary."""
     reg = corr_set.dim * nu
     factor = corr_set.factor
-    split = served_and_blocked(graph, control.users)
-    groups = [_group(factor, (n,), users, (), blocked, [control.outer[n]])
+    split = served_and_blocked(graph, power)
+    groups = [_group(factor, (n,), users, (), blocked, [outer[n]])
               for n, (users, blocked) in enumerate(split) if users]
-    powers = [np.array([control.power[k] for k in group.users]) for group in groups]
+    powers = [np.array([power[k] for k in group.users]) for group in groups]
     protected = [k for group in groups for k in group.recorded]
 
     def evaluate(coefficients):
@@ -322,14 +323,16 @@ def _control_evaluator(control, corr_set, graph, nu):
     return evaluate, groups
 
 
-def monte_carlo_policy(policy, corr_set, graph, nu, draws, seed):
-    """Empirical rates and powers of a time-sharing policy.
+def monte_carlo_policy(policy, outers, corr_set, graph, nu, draws, seed):
+    """Empirical rates and powers of a time-sharing policy whose controls
+    have the outer precoders ``outers`` (one {bs: F} per control).
 
     Every control is evaluated on every draw and mixed by the probabilities
     (the exact conditional average).
     """
     probs = np.asarray(policy.probs, dtype=float)
-    evaluators = [_control_evaluator(control, corr_set, graph, nu) for control in policy.controls]
+    evaluators = [_control_evaluator(power, outer, corr_set, graph, nu)
+                  for power, outer in zip(policy.controls, outers, strict=True)]
 
     def draw(coefficients):
         rates = np.zeros((len(coefficients), graph.num_users))

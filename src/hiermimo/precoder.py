@@ -8,7 +8,6 @@ channels h^H F_n, which have M_n entries, not M.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,60 +104,39 @@ def zero_forcing(channels, reg):
     return np.linalg.solve(gram, channels).conj().swapaxes(-1, -2)
 
 
-@dataclass
-class CompositeControl:
-    """One joint choice of outer precoders and powers. The selected users
-    are the keys of ``power``, each served by its serving BS."""
-
-    outer: dict  # bs -> M x M_n ndarray
-    power: dict  # selected user -> allocated power
-
-    @property
-    def users(self):
-        """The selected users, sorted."""
-        return tuple(sorted(self.power))
-
-    def validate(self, corr_set, graph):
-        users = self.users
-        for k in users:
-            if not (0 <= k < graph.num_users):
-                raise ValidationError(f"unknown user {k} is selected")
-            p = self.power[k]
-            if not np.isfinite(p) or p < 0:
-                raise ValidationError(f"user {k} has invalid power {p!r}")
-        for n, (_, blocked) in enumerate(served_and_blocked(graph, users)):
-            f = self.outer.get(n)
-            if f is None:
-                raise ValidationError(f"missing outer precoder for BS {n}")
-            if f.ndim != 2 or f.shape[0] != corr_set.dim:
+def check_outer_precoders(outer, power, corr_set, graph):
+    """Check the outer precoders ``outer`` ({bs: F}) of the power map
+    ``power``, whose keys are the selection: every BS has an M x m_n F that
+    is semi-unitary and radiates no statistical power onto the selected
+    users it blocks. A ValidationError names the first failing BS."""
+    for n, (_, blocked) in enumerate(served_and_blocked(graph, power)):
+        f = outer.get(n)
+        if f is None:
+            raise ValidationError(f"missing outer precoder for BS {n}")
+        if f.ndim != 2 or f.shape[0] != corr_set.dim:
+            raise ValidationError(
+                f"outer precoder at BS {n} has shape {f.shape}, not {corr_set.dim} x m_n"
+            )
+        m_n = f.shape[1]
+        if m_n == 0:
+            continue
+        gram_err = float(np.linalg.norm(f.conj().T @ f - np.eye(m_n), ord="fro"))
+        if gram_err > SEMI_UNITARY_TOL:
+            raise ValidationError(f"outer precoder at BS {n} not semi-unitary ({gram_err:.3e})")
+        for k in blocked:
+            # theta = F_k F_k^H: ||f^H theta||_F^2 = tr(X G X^H) with
+            # X = f^H F_k and G = F_k^H F_k, and ||theta||_F = ||G||_F
+            fk = corr_set.link(k, n)
+            gram = fk.conj().T @ fk
+            denom = float(np.linalg.norm(gram, ord="fro"))
+            if denom == 0.0:
+                continue
+            x = f.conj().T @ fk
+            leak = float(np.sqrt(max(np.real(np.sum((x @ gram) * x.conj())), 0.0)))
+            if leak > ZERO_ICI_TOL * denom:
                 raise ValidationError(
-                    f"outer precoder at BS {n} has shape {f.shape}, not "
-                    f"{corr_set.dim} x m_n"
+                    f"BS {n} leaks onto protected user {k}: {leak / denom:.3e}"
                 )
-            m_n = f.shape[1]
-            if m_n > 0:
-                gram_err = float(
-                    np.linalg.norm(f.conj().T @ f - np.eye(m_n), ord="fro")
-                )
-                if gram_err > SEMI_UNITARY_TOL:
-                    raise ValidationError(
-                        f"outer precoder at BS {n} not semi-unitary ({gram_err:.3e})"
-                    )
-            for k in blocked:
-                # theta = F_k F_k^H: ||f^H theta||_F^2 = tr(X G X^H) with
-                # X = f^H F_k and G = F_k^H F_k, and ||theta||_F = ||G||_F
-                fk = corr_set.link(k, n)
-                gram = fk.conj().T @ fk
-                denom = float(np.linalg.norm(gram, ord="fro"))
-                if denom == 0.0 or m_n == 0:
-                    continue
-                x = f.conj().T @ fk
-                leak = float(np.sqrt(max(np.real(np.sum((x @ gram) * x.conj())), 0.0)))
-                if leak > ZERO_ICI_TOL * denom:
-                    raise ValidationError(
-                        f"BS {n} leaks onto protected user {k}: {leak / denom:.3e}"
-                    )
-        return self
 
 
 def inner_precoders(effective, m, nu):

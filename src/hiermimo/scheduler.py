@@ -1,13 +1,13 @@
 """Joint user selection, power allocation, and time-sharing optimization.
 
 The outer problem maximizes a concave utility of deterministic-equivalent
-average rates over randomized policies (a set of composite controls with
-time-sharing probabilities). It alternates a simplex-constrained concave
-maximization of the probabilities with a weighted-sum-rate oracle that
-returns the best user set and powers for the current utility gradient,
-either by exhaustive subset enumeration or by greedy user addition. Power
-allocation inside the oracle is water filling against the per-BS
-deterministic transmit-power budget.
+average rates over randomized policies (a set of controls with time-sharing
+probabilities; a control is a power map whose keys are its user selection).
+It alternates a simplex-constrained concave maximization of the
+probabilities with a weighted-sum-rate oracle that returns the best user set
+and powers for the current utility gradient, either by exhaustive subset
+enumeration or by greedy user addition. Power allocation inside the oracle
+is water filling against the per-BS deterministic transmit-power budget.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import numpy as np
 
 from .det_equiv import GainCache, ZERO_GAIN, de_rate_power
 from .errors import ConvergenceError, ParameterError, ValidationError
-from .precoder import CompositeControl, outer_precoder
+from .precoder import check_outer_precoders, outer_precoder
 from .topology import served_and_blocked
 
 log = logging.getLogger(__name__)
@@ -220,20 +220,20 @@ def weighted_sum_rate(
     return SelectionValue(math.fsum(terms), {k: powers[k] for k in selected})
 
 
-def assemble_control(powers, corr_set, graph):
-    """Composite control for a power map (user -> p, its keys the selection):
-    blocked-complement outer precoders per BS plus the powers."""
-    power = {k: float(powers[k]) for k in sorted(powers)}
+def build_outer_precoders(power, corr_set, graph):
+    """The blocked-complement outer precoders {bs: F} of a power map (user
+    -> p, its keys the selection), checked by ``check_outer_precoders``."""
     outer = {n: outer_precoder(corr_set, users, blocked, n)
              for n, (users, blocked) in enumerate(served_and_blocked(graph, power))}
-    return CompositeControl(outer=outer, power=power)
+    check_outer_precoders(outer, power, corr_set, graph)
+    return outer
 
 
 @dataclass
 class OracleResult:
     """An oracle's pick: its water-filled powers, whose keys are its user
-    set, without precoders (``assemble_control`` builds those for the final
-    policy)."""
+    set, without precoders (``build_outer_precoders`` builds those for the
+    final policy)."""
 
     powers: dict  # user -> p over the selection, in sorted order
     value: float
@@ -588,7 +588,9 @@ def _reduce_support(rates, q, max_support):
 
 @dataclass
 class ControlPolicy:
-    """Time-sharing policy: composite controls used with probabilities q."""
+    """Time-sharing policy: controls, each a power map {user: p} with sorted
+    keys (its selection), used with probabilities q. The outer precoders
+    follow from each map (``build_outer_precoders``)."""
 
     controls: list
     probs: np.ndarray
@@ -605,9 +607,13 @@ class ControlPolicy:
                 f"policy holds {len(self.controls)} controls, more than K={graph.num_users}"
             )
         cache = gain_cache or GainCache(corr_set, graph, nu)
-        for control in self.controls:
-            control.validate(corr_set, graph)
-            de = de_rate_power(control, corr_set, graph, nu, cache)
+        for power in self.controls:
+            for k, p in power.items():
+                if not (0 <= k < graph.num_users):
+                    raise ValidationError(f"unknown user {k} is selected")
+                if not np.isfinite(p) or p < 0:
+                    raise ValidationError(f"user {k} has invalid power {p!r}")
+            de = de_rate_power(power, corr_set, graph, nu, cache)
             # the slack scales with the budget: at high SNR one ulp of p_c
             # is more than any absolute slack
             if np.any(de.powers > p_c + 1e-6 * max(1.0, p_c)):
@@ -630,6 +636,7 @@ class TraceRecord:
 @dataclass
 class PolicyResult:
     policy: ControlPolicy
+    outers: list  # the outer precoders {bs: F} of each control, aligned with probs
     trace: list
     certificate: float | None
     certificate_kind: str
@@ -661,7 +668,7 @@ def optimize_policy(
     the mixed rates and ask the oracle (exhaustive or greedy per ``mode``)
     for a new pick. Stops when the utility changes by at most eps_stop
     between iterations; only the picks of the final policy get their outer
-    precoders. The per-iteration slack gradient @ (oracle rates - mixed
+    precoders, returned as ``outers``. The per-iteration slack gradient @ (oracle rates - mixed
     rates) is recorded; in exhaustive mode its final value certifies global
     optimality, in greedy mode the certificate is the exhaustive-vs-greedy
     oracle gap at the final gradient (when enumeration is feasible).
@@ -717,10 +724,10 @@ def optimize_policy(
     if not converged:
         log.warning("policy optimization hit the outer-iteration cap (%d)", max_outer)
 
-    # precoders for the picks of the final probabilities (a later one may
-    # have been appended after them)
-    final = picks[: prev_q.size]
-    controls = [assemble_control(p.powers, corr_set, graph) for p in final]
+    # the picks of the final probabilities (a later one may have been
+    # appended after them) and their outer precoders
+    controls = [pick.powers for pick in picks[: prev_q.size]]
+    outers = [build_outer_precoders(power, corr_set, graph) for power in controls]
     policy = ControlPolicy(controls=controls, probs=prev_q)
     if mode == "exhaustive":
         certificate = trace[-1].slack
@@ -737,6 +744,7 @@ def optimize_policy(
             certificate_kind = "unavailable"
     return PolicyResult(
         policy=policy,
+        outers=outers,
         trace=trace,
         certificate=certificate,
         certificate_kind=certificate_kind,

@@ -56,23 +56,24 @@ def single_cell_set(m, num_users, rank, gains=None, seed0=100):
     return link_set(links, {k: 0 for k in range(num_users)})
 
 
-def served_by(control, serving=None):
-    """BS n -> the users of ``control`` that n serves, sorted, for every BS
-    with an outer precoder. ``serving`` maps each user to its serving BS;
-    without it every user is served by BS 0, as in a single-cell network."""
+def served_by(power, outer, serving=None):
+    """BS n -> the users of the power map ``power`` that n serves, sorted,
+    for every BS with an outer precoder in ``outer``. ``serving`` maps each
+    user to its serving BS; without it every user is served by BS 0, as in
+    a single-cell network."""
     home = (lambda k: 0) if serving is None else serving.__getitem__
-    return {n: tuple(k for k in control.users if home(k) == n) for n in control.outer}
+    return {n: tuple(k for k in sorted(power) if home(k) == n) for n in outer}
 
 
-def full_inner_precoders(control, channels, nu, serving=None):
-    """Inner precoders of every BS of ``control`` from (..., K, N, M) channel
-    realizations: RZF on the effective channels h^H F_n, projected from the
-    M-dimensional channels, with regularizer M nu. ``serving`` is as in
-    ``served_by``."""
+def full_inner_precoders(power, outer, channels, nu, serving=None):
+    """Inner precoders of every BS of the power map ``power`` with the outer
+    precoders ``outer`` from (..., K, N, M) channel realizations: RZF on the
+    effective channels h^H F_n, projected from the M-dimensional channels,
+    with regularizer M nu. ``serving`` is as in ``served_by``."""
     return {
-        n: inner_precoders(channels[..., list(users), n, :].conj() @ control.outer[n],
+        n: inner_precoders(channels[..., list(users), n, :].conj() @ outer[n],
                            channels.shape[-1], nu)
-        for n, users in served_by(control, serving).items()
+        for n, users in served_by(power, outer, serving).items()
     }
 
 

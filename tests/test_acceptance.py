@@ -11,11 +11,11 @@ from hiermimo.det_equiv import GainCache, de_rate_power, full_de, solve_effectiv
 from hiermimo.harness import comp_baseline, ffr_baseline, monte_carlo_policy
 from hiermimo.scheduler import (
     ControlPolicy,
-    assemble_control,
     best_control_exhaustive,
     best_control_greedy,
     optimize_policy,
     pfs_utility,
+    build_outer_precoders,
     waterfill,
     weighted_sum_rate,
 )
@@ -73,10 +73,10 @@ def validation_study():
                 neighbor_scenarios += 1
             selected = tuple(range(num_users))
             wsr = weighted_sum_rate(selected, np.ones(num_users), cs, graph, NU, PC)
-            control = assemble_control(wsr.powers, cs, graph)
-            policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
-            report = monte_carlo_policy(policy, cs, graph, NU, draws, seed=seed)
-            de = de_rate_power(control, cs, graph, NU)
+            outer = build_outer_precoders(wsr.powers, cs, graph)
+            policy = ControlPolicy(controls=[wsr.powers], probs=np.array([1.0]))
+            report = monte_carlo_policy(policy, [outer], cs, graph, NU, draws, seed=seed)
+            de = de_rate_power(wsr.powers, cs, graph, NU)
             reports[m].append(report)
             rate_err[m].append(de_rel_err(report.user_rate_mean, de.rates))
             power_err[m].append(de_rel_err(report.bs_power_mean, de.powers))
@@ -208,11 +208,10 @@ def test_criterion_8_refined_de_linear_in_nu():
     cs = single_cell_set(16, 3, 3, gains=[1.0, 0.7, 1.4], seed0=500)
     graph = build_topology(cs, THETA)
     wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 0.01, PC)
-    control = assemble_control(wsr.powers, cs, graph)
     errors = []
     for nu in (1e-2, 1e-3, 1e-4):
-        hat = full_de(control, cs, graph, nu)
-        simple = de_rate_power(control, cs, graph, nu)
+        hat = full_de(wsr.powers, cs, graph, nu)
+        simple = de_rate_power(wsr.powers, cs, graph, nu)
         errors.append(float(np.max(np.abs(hat.rates_hat - simple.rates))))
     r1, r2 = errors[1] / errors[0], errors[2] / errors[1]
     assert r1 <= 0.15 and r2 <= 0.15
@@ -224,7 +223,7 @@ def test_criterion_9_directional_baselines():
     cs, graph = desk_network(7)
     util = pfs_utility(6)
     result = optimize_policy(cs, graph, util, NU, PC, mode="greedy")
-    proposed = monte_carlo_policy(result.policy, cs, graph, NU, draws=500, seed=7)
+    proposed = monte_carlo_policy(result.policy, result.outers, cs, graph, NU, draws=500, seed=7)
     ffr = ffr_baseline(cs, graph, PC, reuse_partitions=2, draws=500, seed=7)
     assert proposed.sum_rate() >= ffr.sum_rate()
     perfect = comp_baseline(cs, graph, PC, cluster_size=2, draws=500, seed=7,

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import io
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import hiermimo.cli as cli
 from hiermimo.cli import (
@@ -24,7 +24,6 @@ from hiermimo.cli import (
     run_scenario,
 )
 from hiermimo.errors import ConfigError
-from hiermimo.precoder import CompositeControl
 from hiermimo.scheduler import ControlPolicy
 
 from conftest import de_rel_err
@@ -154,10 +153,6 @@ def _add_unknown_user(data):
     _control(data)["power"]["99"] = 1.0
 
 
-def _drop_outer(data):
-    del _control(data)["outer"]["1"]
-
-
 def _drop_controls(data):
     del data["controls"]
 
@@ -185,46 +180,16 @@ def _nan_probability(data):
     data["probs"][0] = float("nan")
 
 
-def _one_number_shape(data):
-    _control(data)["outer"]["0"]["shape"] = [16]
-
-
-def _negative_shape(data):
-    # the byte count of -16 x -m_n would match
-    block = _control(data)["outer"]["0"]
-    block["shape"] = [-d for d in block["shape"]]
-
-
-def _not_base64(data):
-    _control(data)["outer"]["0"]["c16"] = "not base64!"
-
-
-def _one_column_more(data):
-    _control(data)["outer"]["0"]["shape"][1] += 1
-
-
-def _one_by_one_outer(data):
-    # the matrix [[1]]: semi-unitary, but M = 16
-    _control(data)["outer"]["0"] = {"shape": [1, 1], "c16": "AAAAAAAA8D8AAAAAAAAAAA=="}
-
-
 @pytest.mark.parametrize("tamper, message", [
     (_add_unknown_user, "unknown user 99"),
-    (_drop_outer, "missing outer precoder for BS 1"),
     (_drop_controls, "'controls' is missing"),
     (_drop_power, r"'controls\[0\]\.power' is missing"),
     (_word_user_key, r"'controls\[0\]\.power' must be keyed by non-negative integers"),
     (_string_power, r"'controls\[0\]\.power\.\d+' must be a finite number"),
     (_string_probability, r"'probs\[0\]' must be a finite number"),
     (_nan_probability, r"'probs\[0\]' must be a finite number"),
-    (_one_number_shape, r"'controls\[0\]\.outer\.0\.shape' must be two non-negative integers"),
-    (_negative_shape, r"'controls\[0\]\.outer\.0\.shape' must be two non-negative integers"),
-    (_not_base64, r"'controls\[0\]\.outer\.0\.c16' is not valid base64"),
-    (_one_column_more, r"'controls\[0\]\.outer\.0\.c16' holds \d+ bytes"),
-    (_one_by_one_outer, r"outer precoder at BS 0 has shape \(1, 1\)"),
-], ids=["unknown-user", "missing-outer", "missing-controls", "missing-power", "word-user-key",
-        "string-power", "string-probability", "nan-probability", "one-number-shape",
-        "negative-shape", "not-base64", "byte-count", "one-by-one-outer"])
+], ids=["unknown-user", "missing-controls", "missing-power", "word-user-key",
+        "string-power", "string-probability", "nan-probability"])
 def test_reloaded_policy_rejects_a_tampered_file(tmp_path, tamper, message):
     from hiermimo.cli import build_network
     from hiermimo.errors import ValidationError
@@ -286,51 +251,87 @@ def _same_bits(a, b):
     )
 
 
-def _round_trip(outer):
-    """The outer precoders of a one-control policy after policy.json's
-    encoding, a JSON text and the decoding."""
-    policy = ControlPolicy(
-        controls=[CompositeControl(outer=outer, power={})], probs=np.ones(1)
-    )
-    text = json.dumps(cli.policy_to_dict(policy))
-    return cli.policy_from_dict(json.loads(text)).controls[0].outer
+def _encode_block(f):
+    """An outer precoder as older policy files held it: base64 of its
+    little-endian complex128 entries in C order, with its shape."""
+    data = np.ascontiguousarray(f, dtype="<c16")
+    return {"shape": list(data.shape), "c16": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def test_outer_precoders_round_trip_bitwise_whatever_their_layout():
-    rng = np.random.default_rng(3)
-    big = rng.standard_normal((16, 12)) + 1j * rng.standard_normal((16, 12))
-    outer = {0: np.asfortranarray(big), 1: big[::2, 1::3], 2: np.zeros((16, 0), dtype=complex)}
-    assert not outer[0].flags.c_contiguous and not outer[1].flags.contiguous
-    back = _round_trip(outer)
-    assert back.keys() == outer.keys()
-    for n, f in outer.items():
-        assert back[n].dtype == np.complex128 and _same_bits(back[n], f), n
+def test_policy_file_rebuilds_the_run_bitwise(tmp_path):
+    # policy.json holds only the probabilities and the power maps: the outer
+    # precoders rebuilt from it and the Monte Carlo report on it are the
+    # run's, bit for bit
+    from hiermimo.harness import monte_carlo_policy
+    from hiermimo.scheduler import build_outer_precoders
 
-
-@settings(max_examples=60, deadline=None)
-@given(hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5)))
-def test_any_complex_matrix_round_trips_bitwise(f):
-    # NaN payloads, infinities, signed zeros and subnormals included
-    assert _same_bits(_round_trip({0: f})[0], f)
-
-
-def test_run_writes_the_outer_precoders_it_optimized_bitwise(tmp_path):
-    results = []
-    optimize = cli.optimize_policy
+    results, reports = [], []
+    optimize, measure = cli.optimize_policy, cli.monte_carlo_policy
 
     def keep(*args, **kwargs):
         results.append(optimize(*args, **kwargs))
         return results[-1]
 
-    with mock.patch.object(cli, "optimize_policy", keep):
-        run_scenario(DESK_PATH, tmp_path / "out")
-    (result,) = results
-    reloaded = load_policy(tmp_path / "out" / "policy.json")
-    assert len(reloaded.controls) == len(result.policy.controls)
-    for mine, written in zip(result.policy.controls, reloaded.controls):
-        assert written.outer.keys() == mine.outer.keys()
-        for n, f in mine.outer.items():
-            assert _same_bits(written.outer[n], f), n
+    def keep_report(*args):
+        reports.append(measure(*args))
+        return reports[-1]
+
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "optimize_policy", keep), \
+            mock.patch.object(cli, "monte_carlo_policy", keep_report):
+        run_scenario(DESK_PATH, out)
+    (result,), (report,) = results, reports
+    data = json.loads((out / "policy.json").read_text())
+    assert set(data) == {"probs", "controls"}
+    assert all(set(entry) == {"power"} for entry in data["controls"])
+    reloaded = load_policy(out / "policy.json")
+    assert reloaded.controls == result.policy.controls
+    assert [list(power) for power in reloaded.controls] == [
+        sorted(power) for power in reloaded.controls]
+    assert np.array_equal(reloaded.probs, result.policy.probs)
+    scn = load_scenario(DESK_PATH)
+    corr_set, graph = cli.build_network(scn)
+    outers = [build_outer_precoders(power, corr_set, graph) for power in reloaded.controls]
+    assert len(outers) == len(result.outers) == len(reloaded.controls)
+    for rebuilt, built in zip(outers, result.outers):
+        assert rebuilt.keys() == built.keys()
+        assert all(_same_bits(rebuilt[n], f) for n, f in built.items())
+    again = monte_carlo_policy(reloaded, outers, corr_set, graph, scn.rzf_nu, scn.draws,
+                               scn.seed)
+    for name, value in vars(report).items():
+        if isinstance(value, np.ndarray):
+            assert _same_bits(getattr(again, name), value), name
+        else:
+            assert getattr(again, name) == value, name
+    # a file in the older format, with every control's outer precoders as
+    # base64 blocks, loads to the same policy and validates
+    for entry, outer in zip(data["controls"], outers):
+        entry["outer"] = {str(n): _encode_block(f) for n, f in outer.items()}
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(data), encoding="utf-8")
+    policy = load_policy(older).validate(corr_set, graph, scn.rzf_nu, scn.power_limit)
+    assert policy.controls == reloaded.controls
+    assert np.array_equal(policy.probs, reloaded.probs)
+
+
+def test_a_leaking_outer_precoder_exits_three_and_names_the_bs(tmp_path, capsys):
+    # the solve stage checks every outer precoder it builds: one aimed at a
+    # protected neighbour's range fails the run with exit 3
+    from hiermimo import scheduler
+
+    build = scheduler.outer_precoder
+
+    def aimed(corr_set, selected, blocked, bs):
+        if blocked:
+            f = corr_set.link(blocked[0], bs)
+            return f[:, :1] / np.linalg.norm(f[:, 0])
+        return build(corr_set, selected, blocked, bs)
+
+    with mock.patch.object(scheduler, "outer_precoder", aimed):
+        code = main(["run", str(DESK_PATH), "--draws", "5", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERICAL
+    assert re.search(r"ValidationError: BS \d leaks onto protected user \d", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "policy.json").exists()
 
 
 def test_cli_overrides_change_results(tmp_path):
@@ -595,16 +596,17 @@ def test_one_de_pass_feeds_validation_csv_and_summary_json(tmp_path):
     for selected in ((0, 1, 2), (1, 3, 4)):
         wsr = scheduler.weighted_sum_rate(selected, np.ones(scn.num_users), corr_set, graph,
                                           scn.rzf_nu, scn.power_limit)
-        controls.append(scheduler.assemble_control(wsr.powers, corr_set, graph))
+        controls.append(wsr.powers)
     policy = ControlPolicy(controls=controls, probs=np.array([0.3, 0.7]))
+    outers = [scheduler.build_outer_precoders(power, corr_set, graph) for power in controls]
     result = scheduler.PolicyResult(
-        policy=policy, trace=[scheduler.TraceRecord(0, 0.0, 2, 0.0)], certificate=None,
-        certificate_kind="unavailable", converged=True, utility=0.0)
-    calls = []  # (control, result) of every de_rate_power call, in order
+        policy=policy, outers=outers, trace=[scheduler.TraceRecord(0, 0.0, 2, 0.0)],
+        certificate=None, certificate_kind="unavailable", converged=True, utility=0.0)
+    calls = []  # (power map, result) of every de_rate_power call, in order
     original = det_equiv.de_rate_power
 
-    def recording(control, *args):
-        calls.append((control, original(control, *args)))
+    def recording(power, *args):
+        calls.append((power, original(power, *args)))
         return calls[-1][1]
 
     spy = mock.Mock(side_effect=recording)
@@ -614,7 +616,7 @@ def test_one_de_pass_feeds_validation_csv_and_summary_json(tmp_path):
             mock.patch.object(scheduler, "de_rate_power", spy):
         run_scenario(path, out)
     # validate, then the output pass: each control once, in control order
-    assert [control for control, _ in calls] == controls + controls
+    assert [power for power, _ in calls] == controls + controls
     des = [de for _, de in calls[len(controls):]]
     de_rates, de_powers = np.zeros(scn.num_users), np.zeros(scn.num_bs)
     for q, de in zip(policy.probs, des):

@@ -23,8 +23,8 @@ from hiermimo.det_equiv import (
 from hiermimo.errors import ConvergenceError, ValidationError
 from hiermimo.precoder import transmit_power
 from hiermimo.scheduler import (
-    assemble_control,
     best_control_exhaustive,
+    build_outer_precoders,
     best_control_greedy,
     weighted_sum_rate,
 )
@@ -298,8 +298,7 @@ def test_gain_cache_solves_a_group_of_clones_once():
 
 def test_de_rate_power_empty_selection(desk):
     cs, graph = desk
-    empty = assemble_control({}, cs, graph)
-    res = de_rate_power(empty, cs, graph, 0.01)
+    res = de_rate_power({}, cs, graph, 0.01)
     assert np.all(res.rates == 0) and np.all(res.powers == 0)
 
 
@@ -307,10 +306,9 @@ def test_de_rate_depends_only_on_power(desk):
     cs, graph = desk
     sel = (0, 1, 2)
     wsr = weighted_sum_rate(sel, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(wsr.powers, cs, graph)
-    res = de_rate_power(control, cs, graph, 0.01)
+    res = de_rate_power(wsr.powers, cs, graph, 0.01)
     for k in sel:
-        assert np.isclose(res.rates[k], np.log1p(control.power[k]), rtol=1e-12)
+        assert np.isclose(res.rates[k], np.log1p(wsr.powers[k]), rtol=1e-12)
 
 
 def test_de_power_close_to_monte_carlo():
@@ -319,16 +317,16 @@ def test_de_power_close_to_monte_carlo():
     graph = build_topology(cs, 10.0)
     sel = tuple(range(users))
     wsr = weighted_sum_rate(sel, np.ones(users), cs, graph, nu, p_c)
-    control = assemble_control(wsr.powers, cs, graph)
-    de = de_rate_power(control, cs, graph, nu)
+    outer = build_outer_precoders(wsr.powers, cs, graph)
+    de = de_rate_power(wsr.powers, cs, graph, nu)
     assert np.isclose(de.powers[0], p_c, rtol=1e-8)
     rng = np.random.default_rng(12)
     draws = 500
     acc = 0.0
-    power = np.array([control.power[k] for k in control.users])
+    power = np.array([wsr.powers[k] for k in sorted(wsr.powers)])
     for _ in range(draws):
         channels = sample_channel(cs, rng)
-        beams = control.outer[0] @ full_inner_precoders(control, channels, nu)[0]
+        beams = outer[0] @ full_inner_precoders(wsr.powers, outer, channels, nu)[0]
         acc += transmit_power(beams[None], power)[0]
     assert abs(acc / draws - de.powers[0]) / de.powers[0] <= 0.10
 
@@ -353,9 +351,8 @@ def _annihilated_user_set(m=16, rank=4):
 def test_annihilated_user_with_power_is_rejected():
     cs, graph = _annihilated_user_set()
     assert 0 in graph.neighbor_users[1]
-    control = assemble_control({0: 1.0, 1: 0.5}, cs, graph)
     with pytest.raises(ValidationError):
-        de_rate_power(control, cs, graph, 0.01)
+        de_rate_power({0: 1.0, 1: 0.5}, cs, graph, 0.01)
 
 
 def test_annihilated_user_is_inert_in_weighted_sum_rate():
@@ -369,8 +366,7 @@ def test_annihilated_user_is_inert_in_weighted_sum_rate():
 
 def test_full_de_zero_power(desk):
     cs, graph = desk
-    control = assemble_control({0: 0.0, 1: 0.0}, cs, graph)
-    res = full_de(control, cs, graph, 0.01)
+    res = full_de({0: 0.0, 1: 0.0}, cs, graph, 0.01)
     assert np.all(res.rates_hat == 0) and np.all(res.powers_hat == 0)
 
 
@@ -378,8 +374,7 @@ def test_full_de_single_user_closed_form():
     m, nu = 16, 0.01
     cs = single_cell_set(m, 1, 4, seed0=400)
     graph = build_topology(cs, 10.0)
-    control = assemble_control({0: 5.0}, cs, graph)
-    res = full_de(control, cs, graph, nu)
+    res = full_de({0: 5.0}, cs, graph, nu)
     xi = res.gains[0]
     expect = np.log1p(5.0 * xi**2 / (nu + xi) ** 2)
     assert np.isclose(res.rates_hat[0], expect, rtol=1e-10)
@@ -390,15 +385,15 @@ def _three_user_instance():
     cs = single_cell_set(16, 3, 3, gains=[1.0, 0.7, 1.4], seed0=500)
     graph = build_topology(cs, 10.0)
     wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 0.01, 10.0)
-    return cs, graph, assemble_control(wsr.powers, cs, graph)
+    return cs, graph, wsr.powers
 
 
 def test_full_de_error_shrinks_linearly_in_nu():
-    cs, graph, control = _three_user_instance()
+    cs, graph, power = _three_user_instance()
     errors = []
     for nu in (1e-2, 1e-3, 1e-4):
-        hat = full_de(control, cs, graph, nu)
-        simple = de_rate_power(control, cs, graph, nu)
+        hat = full_de(power, cs, graph, nu)
+        simple = de_rate_power(power, cs, graph, nu)
         errors.append(float(np.max(np.abs(hat.rates_hat - simple.rates))))
     assert errors[1] / errors[0] <= 0.15
     assert errors[2] / errors[1] <= 0.15
@@ -410,9 +405,8 @@ def test_full_de_gap_constant_is_stable_across_seeds():
         cs = single_cell_set(16, 3, 3, seed0=seed0)
         graph = build_topology(cs, 10.0)
         wsr = weighted_sum_rate((0, 1, 2), np.ones(3), cs, graph, 1e-3, 10.0)
-        control = assemble_control(wsr.powers, cs, graph)
-        hat = full_de(control, cs, graph, 1e-3)
-        simple = de_rate_power(control, cs, graph, 1e-3)
+        hat = full_de(wsr.powers, cs, graph, 1e-3)
+        simple = de_rate_power(wsr.powers, cs, graph, 1e-3)
         ratios.append(float(np.max(np.abs(hat.rates_hat - simple.rates))) / 1e-3)
     assert max(ratios) / min(ratios) <= 10.0
 
@@ -421,8 +415,7 @@ def test_full_de_nonnegative_leakage(desk):
     cs, graph = desk
     sel = tuple(range(6))
     wsr = weighted_sum_rate(sel, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(wsr.powers, cs, graph)
-    res = full_de(control, cs, graph, 0.01)
+    res = full_de(wsr.powers, cs, graph, 0.01)
     for block in res.moments.values():
         assert np.all(block["leakage"] >= -1e-12)
 
@@ -446,10 +439,10 @@ def test_refined_de_error_shrinks_with_antenna_count():
             graph = build_topology(cs, theta_from_db(10.0))
             sel = tuple(range(num_users))
             wsr = weighted_sum_rate(sel, np.ones(num_users), cs, graph, 0.01, 10.0)
-            control = assemble_control(wsr.powers, cs, graph)
-            policy = ControlPolicy(controls=[control], probs=np.array([1.0]))
-            rep = monte_carlo_policy(policy, cs, graph, 0.01, 300, seed=seed)
-            hat = full_de(control, cs, graph, 0.01)
+            outer = build_outer_precoders(wsr.powers, cs, graph)
+            policy = ControlPolicy(controls=[wsr.powers], probs=np.array([1.0]))
+            rep = monte_carlo_policy(policy, [outer], cs, graph, 0.01, 300, seed=seed)
+            hat = full_de(wsr.powers, cs, graph, 0.01)
             errs[m] = float(np.mean(np.abs(rep.user_rate_mean - hat.rates_hat)[list(sel)]))
         diffs.append(errs[16] - errs[64])
     diffs = np.array(diffs)

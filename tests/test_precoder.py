@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hiermimo.corrmat import RANK_TOL, from_dense
 from hiermimo.errors import ParameterError, ValidationError
 from hiermimo.precoder import (
-    CompositeControl,
+    check_outer_precoders,
     cross_interference_power,
     inner_precoders,
     instantaneous_rate,
@@ -260,42 +260,42 @@ def test_zero_forcing_matches_direct_form(case):
 
 
 def _simple_control(cs, selected, blocked, powers):
-    f = outer_precoder(cs, selected, blocked, 0)
-    return CompositeControl(outer={0: f}, power=powers)
+    """The power map ``powers`` and its one-BS outer precoders."""
+    return powers, {0: outer_precoder(cs, selected, blocked, 0)}
 
 
-def layout(control, inner, num_users, serving=None):
+def layout(power, outer, inner, num_users, serving=None):
     """(N, M, L) beams, L powers, the K x L own-beam mask and the BS of each
-    beam of ``control``, its selected users in BS order (``serving`` as in
-    ``served_by``)."""
-    per_bs = served_by(control, serving)
+    beam of the power map ``power`` with the outer precoders ``outer``, its
+    selected users in BS order (``serving`` as in ``served_by``)."""
+    per_bs = served_by(power, outer, serving)
     served = [(n, k) for n, users in per_bs.items() for k in users]
-    m = next(iter(control.outer.values())).shape[0]
-    beams = np.zeros((len(control.outer), m, len(served)), dtype=complex)
+    m = next(iter(outer.values())).shape[0]
+    beams = np.zeros((len(outer), m, len(served)), dtype=complex)
     own = np.zeros((num_users, len(served)), dtype=bool)
     for col, (n, k) in enumerate(served):
-        beams[n, :, col] = control.outer[n] @ inner[n][:, per_bs[n].index(k)]
+        beams[n, :, col] = outer[n] @ inner[n][:, per_bs[n].index(k)]
         own[k, col] = True
-    power = np.array([control.power[k] for _, k in served])
-    return beams, power, own, np.array([n for n, _ in served], dtype=int)
+    beam_power = np.array([power[k] for _, k in served])
+    return beams, beam_power, own, np.array([n for n, _ in served], dtype=int)
 
 
-def proposed_rates(control, channels, nu, inner=None, serving=None):
+def proposed_rates(power, outer, channels, nu, inner=None, serving=None):
     """Per-user rates with the serving BS's other beams as interference."""
     if inner is None:
-        inner = full_inner_precoders(control, channels, nu, serving)
-    beams, power, own, beam_bs = layout(control, inner, channels.shape[0], serving)
-    received = cross_interference_power(channels, beams, power)
+        inner = full_inner_precoders(power, outer, channels, nu, serving)
+    beams, beam_power, own, beam_bs = layout(power, outer, inner, channels.shape[0], serving)
+    received = cross_interference_power(channels, beams, beam_power)
     same_bs = own @ (beam_bs[:, None] == beam_bs)
     return instantaneous_rate(np.sum(received, axis=-1, where=own),
                               np.sum(received, axis=-1, where=same_bs & ~own))
 
 
-def bs_powers(control, channels, nu, inner=None):
+def bs_powers(power, outer, channels, nu, inner=None):
     if inner is None:
-        inner = full_inner_precoders(control, channels, nu)
-    beams, power, _, _ = layout(control, inner, channels.shape[0])
-    return transmit_power(beams, power)
+        inner = full_inner_precoders(power, outer, channels, nu)
+    beams, beam_power, _, _ = layout(power, outer, inner, channels.shape[0])
+    return transmit_power(beams, beam_power)
 
 
 def rand_channels(rng, num_users, m):
@@ -319,9 +319,9 @@ def test_inner_precoders_regularize_with_the_full_antenna_count():
 
 def test_rate_zero_for_unselected_user():
     cs = single_cell_set(8, 2, 2)
-    control = _simple_control(cs, (0,), (), {0: 1.0})
+    power, outer = _simple_control(cs, (0,), (), {0: 1.0})
     channels = np.stack([rand_channel(np.random.default_rng(k), 8) for k in range(2)])[:, None]
-    assert proposed_rates(control, channels, nu=0.01)[1] == 0.0
+    assert proposed_rates(power, outer, channels, nu=0.01)[1] == 0.0
 
 
 def test_rate_matched_filter_single_user():
@@ -329,9 +329,8 @@ def test_rate_matched_filter_single_user():
     h = np.zeros(m, dtype=complex)
     h[0] = np.sqrt(2.0)  # ||h||^2 = 2
     v = (h / np.linalg.norm(h)).reshape(m, 1)
-    control = CompositeControl(outer={0: v}, power={0: 3.0})
     inner = {0: np.array([[1.0 + 0j]])}
-    rate = proposed_rates(control, h[None, None, :], nu=0.01, inner=inner)[0]
+    rate = proposed_rates({0: 3.0}, {0: v}, h[None, None, :], nu=0.01, inner=inner)[0]
     assert np.isclose(rate, np.log(1 + 6.0), rtol=1e-12)
 
 
@@ -339,27 +338,26 @@ def test_rate_matches_scalar_formula_oracle():
     rng = np.random.default_rng(8)
     m, nu = 8, 0.05
     cs = single_cell_set(m, 2, 3, seed0=20)
-    control = _simple_control(cs, (0, 1), (), {0: 2.0, 1: 1.5})
+    power, outer = _simple_control(cs, (0, 1), (), {0: 2.0, 1: 1.5})
     channels = rand_channels(rng, 2, m)
-    inner = full_inner_precoders(control, channels, nu)
-    beams = control.outer[0] @ inner[0]
-    rates = proposed_rates(control, channels, nu, inner=inner)
+    inner = full_inner_precoders(power, outer, channels, nu)
+    beams = outer[0] @ inner[0]
+    rates = proposed_rates(power, outer, channels, nu, inner=inner)
     for idx, k in enumerate((0, 1)):
         h = channels[k, 0]
-        sig = control.power[k] * abs(h.conj() @ beams[:, idx]) ** 2
+        sig = power[k] * abs(h.conj() @ beams[:, idx]) ** 2
         other = 1 - idx
-        intra = control.power[other] * abs(h.conj() @ beams[:, other]) ** 2
+        intra = power[other] * abs(h.conj() @ beams[:, other]) ** 2
         oracle = np.log(1 + sig / (intra + 1.0))
         assert np.isclose(rates[k], oracle, rtol=1e-12)
 
 
 def test_transmit_power_empty_and_single_user():
-    empty = CompositeControl(outer={0: np.zeros((8, 0), dtype=complex)}, power={})
-    assert bs_powers(empty, np.zeros((1, 1, 8), dtype=complex), nu=0.01)[0] == 0.0
+    empty = {0: np.zeros((8, 0), dtype=complex)}
+    assert bs_powers({}, empty, np.zeros((1, 1, 8), dtype=complex), nu=0.01)[0] == 0.0
     m, nu, p = 8, 0.1, 2.5
     h = rand_channel(np.random.default_rng(9), m)
-    control = CompositeControl(outer={0: np.eye(m, dtype=complex)}, power={0: p})
-    got = bs_powers(control, h[None, None, :], nu)[0]
+    got = bs_powers({0: p}, {0: np.eye(m, dtype=complex)}, h[None, None, :], nu)[0]
     expect = p * np.linalg.norm(h) ** 2 / (np.linalg.norm(h) ** 2 + m * nu) ** 2
     assert np.isclose(got, expect, rtol=1e-10)
 
@@ -382,22 +380,22 @@ def test_transmit_power_identities():
     rng = np.random.default_rng(10)
     m, nu = 16, 0.02
     cs = single_cell_set(m, 3, 4, seed0=40)
-    control = _simple_control(cs, (0, 1, 2), (), {0: 1.0, 1: 2.0, 2: 0.5})
+    power, outer = _simple_control(cs, (0, 1, 2), (), {0: 1.0, 1: 2.0, 2: 0.5})
     channels = rand_channels(rng, 3, m)
-    inner = full_inner_precoders(control, channels, nu)
-    got = bs_powers(control, channels, nu, inner=inner)[0]
+    inner = full_inner_precoders(power, outer, channels, nu)
+    got = bs_powers(power, outer, channels, nu, inner=inner)[0]
     # alternative form: sum of per-user inner-precoder powers, the outer
     # basis being semi-unitary
-    alt = sum(control.power[k] * np.linalg.norm(inner[0][:, i]) ** 2
+    alt = sum(power[k] * np.linalg.norm(inner[0][:, i]) ** 2
               for i, k in enumerate((0, 1, 2)))
     assert np.isclose(got, alt, rtol=1e-10)
     # trace form with an explicit inverse
-    f = control.outer[0]
+    f = outer[0]
     rows = channels[:, 0].conj()
     heff = rows @ f
     inv2 = np.linalg.inv(heff.conj().T @ heff + m * nu * np.eye(f.shape[1]))
     inv2 = inv2 @ inv2
-    pmat = np.diag([control.power[k] for k in (0, 1, 2)])
+    pmat = np.diag([power[k] for k in (0, 1, 2)])
     trace_form = np.real(np.trace(pmat @ heff @ inv2 @ heff.conj().T))
     assert np.isclose(got, trace_form, rtol=1e-10)
 
@@ -406,33 +404,33 @@ def test_unitary_rotation_of_outer_is_invisible():
     rng = np.random.default_rng(11)
     m, nu = 16, 0.02
     cs = single_cell_set(m, 2, 4, seed0=60)
-    control = _simple_control(cs, (0, 1), (), {0: 1.0, 1: 2.0})
-    k_dim = control.outer[0].shape[1]
+    power, outer = _simple_control(cs, (0, 1), (), {0: 1.0, 1: 2.0})
+    k_dim = outer[0].shape[1]
     q, _ = np.linalg.qr(rng.standard_normal((k_dim, k_dim))
                         + 1j * rng.standard_normal((k_dim, k_dim)))
-    rotated = CompositeControl(outer={0: control.outer[0] @ q}, power=control.power)
+    rotated = {0: outer[0] @ q}
     channels = rand_channels(rng, 2, m)
-    assert np.allclose(proposed_rates(control, channels, nu),
-                       proposed_rates(rotated, channels, nu), rtol=1e-10, atol=0)
-    assert np.isclose(bs_powers(control, channels, nu)[0],
-                      bs_powers(rotated, channels, nu)[0], rtol=1e-10)
+    assert np.allclose(proposed_rates(power, outer, channels, nu),
+                       proposed_rates(power, rotated, channels, nu), rtol=1e-10, atol=0)
+    assert np.isclose(bs_powers(power, outer, channels, nu)[0],
+                      bs_powers(power, rotated, channels, nu)[0], rtol=1e-10)
 
 
 def test_zero_ici_end_to_end(desk):
     from hiermimo.corrmat import sample_channel
-    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+    from hiermimo.scheduler import build_outer_precoders, weighted_sum_rate
 
     cs, graph = desk
     nu = 0.01
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, nu, 10.0)
-    control = assemble_control(res.powers, cs, graph)
-    control.validate(cs, graph)
+    outer = build_outer_precoders(res.powers, cs, graph)
+    check_outer_precoders(outer, res.powers, cs, graph)
     assert any(graph.neighbor_users[n] for n in range(2)), "need cross edges"
     for i in range(50):
         channels = sample_channel(cs, np.random.default_rng(500 + i))
-        inner = full_inner_precoders(control, channels, nu, graph.serving)
-        beams, power, own, beam_bs = layout(control, inner, 6, graph.serving)
+        inner = full_inner_precoders(res.powers, outer, channels, nu, graph.serving)
+        beams, power, own, beam_bs = layout(res.powers, outer, inner, 6, graph.serving)
         received = cross_interference_power(channels, beams, power)
         for n in range(2):
             for k in graph.neighbor_users[n]:
@@ -443,69 +441,72 @@ def test_zero_ici_end_to_end(desk):
 
 def test_control_validation_failures(desk):
     cs, graph = desk
-    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+    from hiermimo.scheduler import ControlPolicy, build_outer_precoders, weighted_sum_rate
 
     res = weighted_sum_rate((0, 1), np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(res.powers, cs, graph)
-    bad_power = CompositeControl(outer=control.outer, power={k: -1.0 for k in control.power})
-    with pytest.raises(ValidationError):
-        bad_power.validate(cs, graph)
-    n0 = graph.serving[control.users[0]]
-    skewed = dict(control.outer)
+    bad_power = ControlPolicy(controls=[{k: -1.0 for k in res.powers}], probs=np.ones(1))
+    with pytest.raises(ValidationError, match="invalid power -1.0"):
+        bad_power.validate(cs, graph, 0.01, 10.0)
+    outer = build_outer_precoders(res.powers, cs, graph)
+    n0 = graph.serving[min(res.powers)]
+    skewed = dict(outer)
     skewed[n0] = 1.7 * skewed[n0]
-    with pytest.raises(ValidationError):
-        CompositeControl(outer=skewed, power=control.power).validate(cs, graph)
+    with pytest.raises(ValidationError, match=f"outer precoder at BS {n0} not semi-unitary"):
+        check_outer_precoders(skewed, res.powers, cs, graph)
+    missing = dict(outer)
+    del missing[1]
+    with pytest.raises(ValidationError, match="missing outer precoder for BS 1"):
+        check_outer_precoders(missing, res.powers, cs, graph)
 
 
 def test_control_validation_rejects_leakage(desk):
-    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+    from hiermimo.scheduler import build_outer_precoders, weighted_sum_rate
 
     cs, graph = desk
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(res.powers, cs, graph)
+    outer = build_outer_precoders(res.powers, cs, graph)
     n, k = next((n, users[0]) for n, users in graph.neighbor_users.items() if users)
-    aimed = dict(control.outer)
+    aimed = dict(outer)
     aimed[n] = link_basis(cs.link(k, n))[:, :1]  # straight at a protected neighbor
     with pytest.raises(ValidationError, match="leaks onto protected user"):
-        CompositeControl(outer=aimed, power=control.power).validate(cs, graph)
+        check_outer_precoders(aimed, res.powers, cs, graph)
 
 
 @pytest.mark.parametrize("shape", ["1x1", "one-row-short", "one-dimensional"])
 def test_control_validation_rejects_an_outer_precoder_without_m_rows(desk, shape):
-    from hiermimo.scheduler import assemble_control, weighted_sum_rate
+    from hiermimo.scheduler import build_outer_precoders, weighted_sum_rate
 
     cs, graph = desk
     selected = tuple(range(6))
     res = weighted_sum_rate(selected, np.ones(6), cs, graph, 0.01, 10.0)
-    control = assemble_control(res.powers, cs, graph)
+    outer = build_outer_precoders(res.powers, cs, graph)
     for n in range(cs.num_bs):
-        bad = {"1x1": np.ones((1, 1), dtype=complex), "one-row-short": control.outer[n][:-1],
-               "one-dimensional": control.outer[n][:, 0]}[shape]
+        bad = {"1x1": np.ones((1, 1), dtype=complex), "one-row-short": outer[n][:-1],
+               "one-dimensional": outer[n][:, 0]}[shape]
         with pytest.raises(ValidationError, match=f"outer precoder at BS {n} has shape"):
-            CompositeControl(outer={**control.outer, n: bad},
-                             power=control.power).validate(cs, graph)
+            check_outer_precoders({**outer, n: bad}, res.powers, cs, graph)
 
 
 # Per-user reference loop: each user's rate, each BS's power and each
 # (user, BS) leakage computed one at a time from per-BS beams.
 
 
-def reference_realization(control, channels, inner, serving):
+def reference_realization(power, outer, channels, inner, serving):
     num_users, num_bs, _ = channels.shape
     rates = np.zeros(num_users)
     powers = np.zeros(num_bs)
     leak = np.zeros((num_users, num_bs))
-    for n, users in served_by(control, serving).items():
-        beams = control.outer[n] @ inner[n]
+    for n, users in served_by(power, outer, serving).items():
+        beams = outer[n] @ inner[n]
         for i, l in enumerate(users):
-            powers[n] += control.power[l] * np.linalg.norm(inner[n][:, i]) ** 2
+            powers[n] += power[l] * np.linalg.norm(inner[n][:, i]) ** 2
         for k in range(num_users):
             cross = np.abs(channels[k, n].conj() @ beams) ** 2
-            leak[k, n] = sum(control.power[l] * cross[i] for i, l in enumerate(users))
+            leak[k, n] = sum(power[l] * cross[i] for i, l in enumerate(users))
             if k in users:
-                signal = control.power[k] * cross[users.index(k)]
-                intra = sum(control.power[l] * cross[i] for i, l in enumerate(users) if l != k)
+                signal = power[k] * cross[users.index(k)]
+                intra = sum(power[l] * cross[i] for i, l in enumerate(users) if l != k)
                 rates[k] = np.log1p(signal / (intra + 1.0))
     return rates, powers, leak
 
@@ -528,19 +529,21 @@ def realizations(draw):
     channels = rng.standard_normal((num_users, num_bs, m)) + 1j * rng.standard_normal(
         (num_users, num_bs, m))
     nu = float(rng.uniform(0.01, 1.0))
-    return CompositeControl(outer=outer, power=power), channels, nu, serving
+    return power, outer, channels, nu, serving
 
 
 @settings(max_examples=150, deadline=None)
 @given(realizations())
 def test_one_evaluation_matches_the_per_user_loop(case):
-    control, channels, nu, serving = case
-    inner = full_inner_precoders(control, channels, nu, serving)
-    ref_rates, ref_powers, ref_leak = reference_realization(control, channels, inner, serving)
-    beams, power, own, beam_bs = layout(control, inner, channels.shape[0], serving)
-    received = cross_interference_power(channels, beams, power)
+    power, outer, channels, nu, serving = case
+    inner = full_inner_precoders(power, outer, channels, nu, serving)
+    ref_rates, ref_powers, ref_leak = reference_realization(power, outer, channels, inner,
+                                                            serving)
+    beams, beam_power, own, beam_bs = layout(power, outer, inner, channels.shape[0], serving)
+    received = cross_interference_power(channels, beams, beam_power)
     per_bs = received @ (beam_bs[:, None] == np.arange(channels.shape[1]))
     np.testing.assert_allclose(per_bs, ref_leak, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(transmit_power(beams, power), ref_powers, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(proposed_rates(control, channels, nu, inner, serving), ref_rates,
-                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(transmit_power(beams, beam_power), ref_powers, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(proposed_rates(power, outer, channels, nu, inner, serving),
+                               ref_rates, rtol=1e-12, atol=1e-12)

@@ -16,7 +16,6 @@ from hiermimo.det_equiv import GainCache, de_rate_power
 from hiermimo.errors import ConvergenceError, ParameterError, ValidationError
 from hiermimo.scheduler import (
     alpha_fair_utility,
-    assemble_control,
     best_control_exhaustive,
     best_control_greedy,
     optimize_policy,
@@ -487,9 +486,8 @@ def test_oracle_rates_are_the_de_rates_of_the_assembled_control(oracle):
         rng.uniform(0.05, 1.0, size=6) for _ in range(3)
     ]:
         pick = oracle(weights, cs, graph, scn.rzf_nu, scn.power_limit, cache)
-        control = assemble_control(pick.powers, cs, graph)
-        de = de_rate_power(control, cs, graph, scn.rzf_nu, cache)
-        assert pick.selected and control.users == pick.selected
+        de = de_rate_power(pick.powers, cs, graph, scn.rzf_nu, cache)
+        assert pick.selected and tuple(pick.powers) == pick.selected
         assert np.array_equal(pick.rates, de.rates)
 
 
@@ -792,9 +790,9 @@ def test_policy_single_user_network():
     res = optimize_policy(cs, graph, util, NU, PC, mode="exhaustive")
     assert res.converged and len(res.trace) <= 2
     assert np.array_equal(res.policy.probs, [1.0])
-    control = res.policy.controls[0]
+    power = res.policy.controls[0]
     xi = GainCache(cs, graph, NU).gains(0, (0,), ())[0][0]
-    assert np.isclose(control.power[0], 16 * xi * PC, rtol=1e-6)
+    assert np.isclose(power[0], 16 * xi * PC, rtol=1e-6)
     assert res.certificate_kind == "optimality_slack"
     assert -1e-10 <= res.certificate <= 1e-10
 
@@ -890,7 +888,7 @@ def test_policy_validate_rejects_a_control_over_its_power_budget(desk):
     policy.validate(cs, graph, NU, spent)
     for scale in (1.0, 1e11):
         scaled = replace(policy, controls=[
-            replace(c, power={k: scale * p for k, p in c.power.items()}) for c in policy.controls])
+            {k: scale * p for k, p in power.items()} for power in policy.controls])
         # the message prints a plain float, not np.float64(...)
         with pytest.raises(ValidationError, match=r"budget: [0-9.e+]+ > "):
             scaled.validate(cs, graph, NU, scale * spent / (1.0 + 1e-3))
@@ -916,6 +914,8 @@ def test_precoders_are_built_for_the_final_policy_only(mode):
             res = optimize_policy(cs, graph, cli.build_utility(scn), scn.rzf_nu, scn.power_limit,
                                   mode=mode, eps_stop=scn.eps_stop, max_outer=scn.max_outer)
         assert outer.call_count == len(res.policy.controls) * graph.num_bs
+        assert [sorted(f) for f in res.outers] == [list(range(graph.num_bs))] * len(res.outers)
+        assert len(res.outers) == len(res.policy.controls)
         return res, rate_rows
 
     solve(oracle)
@@ -957,7 +957,7 @@ def test_time_sharing_appears_when_users_conflict():
                           eps_stop=1e-10, max_outer=200)
     assert len(res.policy.controls) == 2
     assert np.allclose(np.sort(res.policy.probs), [0.5, 0.5], atol=1e-6)
-    served = {run.users for run in res.policy.controls}
+    served = {tuple(power) for power in res.policy.controls}
     assert served == {(0,), (1,)}
     assert res.certificate <= 1e-6
 
